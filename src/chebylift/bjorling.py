@@ -26,9 +26,10 @@ from .chebnet import check_disjointness
 from .errors import (BadData, DegenerateFrenet, DisjointnessViolated,
                      DivisionDegenerate, ExtensionMismatch, IncompatibleData,
                      InconsistentSeed, NecessaryConditionFailed)
-from .lift import LiftSurface, build_minimal, mean_curvature, normal_frame
+from .lift import (MINIMAL_TOL, LiftSurface, build_minimal, mean_curvature,
+                   normal_frame)
 from .numerics import (FrenetData, Grid2D, KAPPA_TOL, SampledCurve,
-                       SphereCurve, diff_samples, frenet, masked_sup)
+                       SphereCurve, diff_samples, frenet)
 
 NECESSARY_TOL = 1e-6
 COMPAT_TOL = 1e-5
@@ -63,21 +64,21 @@ class BjorlingData:
                abs(cur.dt - self.c.dt) > 1e-12:
                 raise BadData("c, a, b must share their sample grid")
 
-    def validate_structure(self, tol: float = STRUCT_TOL) -> float:
+    def validate_structure(self) -> float:
         """Frame preconditions: (a, b) orthonormal spacelike, c lightlike
         with c0' > 0.  Normality of D to c' is *not* enforced here; it is
         exactly what the necessary-condition check measures.
 
-        (a, b) is held to ``tol``.  c' is differenced, so the lightlike
-        residual <c', c'>/|c'|^2 is held to max(tol, 2 err), where err is
-        ``derivative_error()``: an error d in c' moves that residual by at
-        most 2|d|/|c'|.  Returns err.
+        (a, b) is held to ``STRUCT_TOL``.  c' is differenced, so the
+        lightlike residual <c', c'>/|c'|^2 is held to max(STRUCT_TOL, 2 err),
+        where err is ``derivative_error()``: an error d in c' moves that
+        residual by at most 2|d|/|c'|.  Returns err.
         """
         a, b = self.a.points, self.b.points
         res = max(np.abs(mk.inner(a, a) - 1.0).max(),
                   np.abs(mk.inner(b, b) - 1.0).max(),
                   np.abs(mk.inner(a, b)).max())
-        if res > tol:
+        if res > STRUCT_TOL:
             raise BadData(f"(a, b) is not orthonormal spacelike "
                           f"(residual {res:.3e})")
         cp = diff_samples(self.c.points, self.c.dt, 1)
@@ -85,9 +86,10 @@ class BjorlingData:
             raise BadData("c0'(t) must be positive")
         err = self.derivative_error()
         light = np.abs(mk.inner(cp, cp)) / np.einsum("ij,ij->i", cp, cp)
-        if light.max() > max(tol, 2.0 * err):
+        tol = max(STRUCT_TOL, 2.0 * err)
+        if light.max() > tol:
             raise BadData(f"c is not lightlike (residual {light.max():.3e}, "
-                          f"tolerance {max(tol, 2.0 * err):.3e})")
+                          f"tolerance {tol:.3e})")
         return err
 
     def derivative_error(self) -> float:
@@ -214,19 +216,26 @@ def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     return n0, n3
 
 
-def check_necessary(d: BjorlingData, tol: float = NECESSARY_TOL) -> NecessaryReport:
+def _data_n3(d: BjorlingData, orientation: str) -> np.ndarray:
+    """Spatial part of n3 = pi(tau + nu) of the frames of D, with the
+    admissible orientation: swapping (a, b) exchanges n0 and n3."""
+    n0, n3 = _frame_nulls(d.a.points, d.b.points)
+    return mk.spatial(n0 if orientation == "ba" else n3)
+
+
+def check_necessary(d: BjorlingData) -> NecessaryReport:
     """Check c' = c0'(d0 + n00) against both orderings of {a, b}.
 
     Swapping (a, b) flips nu and exchanges n0 with n3, so the two residuals
     come from one frame pass.  The residual is measured on c'/c0', which
     makes pass/fail invariant under orientation-preserving reparametrization
-    of c.  It is held to max(tol, (2 + sqrt 2) err) with err the data's
-    ``derivative_error``: for lightlike c, |c'| = sqrt 2 c0', and an error
-    d in c' moves c'/c0' by at most (2 + sqrt 2)|d|/|c'|.  The report
+    of c.  It is held to max(NECESSARY_TOL, (2 + sqrt 2) err) with err the
+    data's ``derivative_error``: for lightlike c, |c'| = sqrt 2 c0', and an
+    error d in c' moves c'/c0' by at most (2 + sqrt 2)|d|/|c'|.  The report
     carries the tolerance applied.
     """
     err = d.validate_structure()
-    tol = max(tol, (2.0 + np.sqrt(2.0)) * err)
+    tol = max(NECESSARY_TOL, (2.0 + np.sqrt(2.0)) * err)
     cp = diff_samples(d.c.points, d.c.dt, 1)
     l_data = cp / cp[:, :1]      # c'/c0', time component 1
     n0, n3 = _frame_nulls(d.a.points, d.b.points)
@@ -238,6 +247,16 @@ def check_necessary(d: BjorlingData, tol: float = NECESSARY_TOL) -> NecessaryRep
     return NecessaryReport(passed=orientation is not None,
                            orientation=orientation, residual_ab=r_ab,
                            residual_ba=r_ba, tol=tol)
+
+
+def _require_necessary(d: BjorlingData) -> NecessaryReport:
+    """``check_necessary``, raising when both orientations fail."""
+    rep = check_necessary(d)
+    if not rep.passed:
+        raise NecessaryConditionFailed(
+            f"residuals {rep.residual_ab:.3e} / {rep.residual_ba:.3e} exceed "
+            f"{rep.tol:.3g}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +295,23 @@ def _resample(d: BjorlingData) -> BjorlingData:
     return BjorlingData(c=mkc(c_new), a=mkc(a_new), b=mkc(b_new))
 
 
-def decompose(d: BjorlingData, orientation: Optional[str] = None,
-              kappa_tol: float = KAPPA_TOL) -> CurveDecomposition:
+def _resampled_frenet(d: BjorlingData) -> tuple:
+    """Resample d to c0' = 1 (``_resample``); return it with the spatial
+    curve alpha(u) = c(u) - u d0 and the Frenet apparatus of alpha."""
+    rd = _resample(d)
+    alpha = SampledCurve(t_min=rd.c.t_min, dt=rd.c.dt,
+                         points=mk.spatial(rd.c.points))
+    return rd, alpha, frenet(alpha)
+
+
+def _unit_n0(c: SampledCurve) -> np.ndarray:
+    """n0 = spatial(c') / |spatial(c')| at every node."""
+    cp = diff_samples(c.points, c.dt, 1)
+    return cp[:, 1:] / np.linalg.norm(cp[:, 1:], axis=1, keepdims=True)
+
+
+def decompose(d: BjorlingData,
+              orientation: Optional[str] = None) -> CurveDecomposition:
     """Frenet decomposition of the data along alpha(u) = c(u) - u d0.
 
     Reparametrizes so that c0' = 1, takes T = n0 = spatial(c'), computes
@@ -285,26 +319,19 @@ def decompose(d: BjorlingData, orientation: Optional[str] = None,
     projects n3 = cos(theta) T + p N + q B on the Frenet frame.
     """
     if orientation is None:
-        rep = check_necessary(d)
-        if not rep.passed:
-            raise NecessaryConditionFailed(
-                f"residuals {rep.residual_ab:.3e} / {rep.residual_ba:.3e} "
-                f"exceed {rep.tol:g}")
-        orientation = rep.orientation
-    rd = _resample(d)
-    alpha = SampledCurve(t_min=rd.c.t_min, dt=rd.c.dt,
-                         points=mk.spatial(rd.c.points))
-    fr = frenet(alpha, kappa_tol=kappa_tol)
+        orientation = _require_necessary(d).orientation
+    return _decomposition(*_resampled_frenet(d), orientation)
+
+
+def _decomposition(rd: BjorlingData, alpha: SampledCurve, fr: FrenetData,
+                   orientation: str) -> CurveDecomposition:
+    """``decompose`` of data already resampled by ``_resampled_frenet``."""
     if np.any(fr.degenerate):
         raise DegenerateFrenet(
-            f"kappa <= {kappa_tol:g} on {int(fr.degenerate.sum())} nodes; "
+            f"kappa <= {KAPPA_TOL:g} on {int(fr.degenerate.sum())} nodes; "
             "use classify_special / ruled_solution for straight-line data")
-    n0_f, n3_f = _frame_nulls(rd.a.points, rd.b.points)
-    if orientation == "ba":
-        n0_f, n3_f = n3_f, n0_f
-    n3_sp = mk.spatial(n3_f)
-    cp = diff_samples(rd.c.points, rd.c.dt, 1)
-    n0_sp = cp[:, 1:] / np.linalg.norm(cp[:, 1:], axis=1, keepdims=True)
+    n3_sp = _data_n3(rd, orientation)
+    n0_sp = _unit_n0(rd.c)
     theta0 = np.arccos(np.clip(np.einsum("ij,ij->i", n0_sp, n3_sp), -1.0, 1.0))
     p0fn = np.einsum("ij,ij->i", n3_sp, fr.N)
     q0fn = np.einsum("ij,ij->i", n3_sp, fr.B)
@@ -317,8 +344,7 @@ def decompose(d: BjorlingData, orientation: Optional[str] = None,
                               n3curve=n3curve, orientation=orientation)
 
 
-def compatibility_residual(dec: CurveDecomposition,
-                           tol: float = COMPAT_TOL) -> CompatibilityReport:
+def compatibility_residual(dec: CurveDecomposition) -> CompatibilityReport:
     """Residuals of the curve-level compatibility system at v = 0.
 
     The three equations are the Frenet decomposition of d n3/du = 0:
@@ -328,7 +354,7 @@ def compatibility_residual(dec: CurveDecomposition,
     computed: from the one differenced n3' projected on the Frenet frame,
     not by differencing theta, p and q, which are already built from
     second derivatives of the data.  sup |d n3/du| is the value the solver
-    gates on.
+    gates on, against ``COMPAT_TOL``.
     """
     dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
     fr = dec.frenet
@@ -339,20 +365,20 @@ def compatibility_residual(dec: CurveDecomposition,
                                sup_r2=float(np.abs(r2).max()),
                                sup_r3=float(np.abs(r3).max()),
                                sup_dn3=float(np.linalg.norm(dn3, axis=1).max()),
-                               tol=tol)
+                               tol=COMPAT_TOL)
 
 
-def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray,
-             div_tol: float = 1e-9) -> tuple:
+def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     """Solve the reduced system for (p, q) given a theta extension.
 
     p = -theta_u sin theta / kappa, q = (p_u + kappa cos theta) / tor; the
     returned residual p^2 + q^2 - sin^2 theta is the consistency check an
-    admissible theta extension must satisfy.
+    admissible theta extension must satisfy.  |kappa| or |tor| at most
+    1e-9 anywhere raises ``DivisionDegenerate``.
     """
     kappa = np.asarray(kappa, dtype=float)
     tor = np.asarray(tor, dtype=float)
-    if np.abs(kappa).min() <= div_tol or np.abs(tor).min() <= div_tol:
+    if np.abs(kappa).min() <= 1e-9 or np.abs(tor).min() <= 1e-9:
         raise DivisionDegenerate(
             "kappa or torsion vanishes; theta-profile extensions need the "
             "generic case")
@@ -369,14 +395,12 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray,
 # ---------------------------------------------------------------------------
 # special cases
 
-def classify_special(x: Union[BjorlingData, CurveDecomposition],
-                     zero_tol: float = ZERO_TOL,
-                     circle_tol: float = CIRCLE_TOL) -> SpecialCase:
+def classify_special(x: Union[BjorlingData, CurveDecomposition]) -> SpecialCase:
     """Classify data into the line / planar / helix / generic cases.
 
     A planar alpha is recognized by tor = 0 alone: the worked constant-angle
     circle data has theta_u = 0 as well, so the planar test cannot require
-    theta_u != 0.  ``zero_tol`` is the cutoff for kappa, tor, theta_u and
+    theta_u != 0.  ``ZERO_TOL`` is the cutoff for kappa, tor, theta_u and
     p; on the helix data of the tests at h = 0.04 (n = 101), clean or with
     1e-8 noise on c, theta_u and p stay below 2e-4.
 
@@ -384,76 +408,73 @@ def classify_special(x: Union[BjorlingData, CurveDecomposition],
     exactly when T lies on a circle of S^2, which is checked from T = n0,
     a first derivative of the data, instead of from the third derivatives
     in tor: the largest distance of T from its least-squares plane must not
-    exceed max(circle_tol, 4 sqrt 2 err), with err the data's
+    exceed max(CIRCLE_TOL, 4 sqrt 2 err), with err the data's
     ``derivative_error`` (T moves by at most 2 sqrt 2 err; the factor 2
     allows for the fit).  On that helix data the distance is 2e-8 clean
     and 7e-7 with noise, against 6e-3 for the generic test curve.
     """
     if isinstance(x, BjorlingData):
-        rd = _resample(x)
-        alpha = SampledCurve(t_min=rd.c.t_min, dt=rd.c.dt,
-                             points=mk.spatial(rd.c.points))
-        fr = frenet(alpha)
-        sup_kappa = float(fr.kappa.max())
-        if sup_kappa <= zero_tol:
-            return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
-                               diagnostics={"sup_kappa": sup_kappa})
-        if np.any(fr.degenerate):
-            return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics={
-                "sup_kappa": sup_kappa,
-                "degenerate_nodes": int(fr.degenerate.sum())})
-        dec = decompose(x)
-    else:
-        dec = x
-        sup_kappa = float(dec.frenet.kappa.max())
-        if sup_kappa <= zero_tol:
-            return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
-                               diagnostics={"sup_kappa": sup_kappa})
+        return _classify(x, *_resampled_frenet(x))
+    sup_kappa = float(x.frenet.kappa.max())
+    if sup_kappa <= ZERO_TOL:
+        return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
+                           diagnostics={"sup_kappa": sup_kappa})
+    return _classify_curved(x, sup_kappa)
 
+
+def _classify(d: BjorlingData, rd: BjorlingData, alpha: SampledCurve,
+              fr: FrenetData) -> SpecialCase:
+    """``classify_special`` of d, given its ``_resampled_frenet``."""
+    sup_kappa = float(fr.kappa.max())
+    if sup_kappa <= ZERO_TOL:
+        return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
+                           diagnostics={"sup_kappa": sup_kappa})
+    if np.any(fr.degenerate):
+        return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics={
+            "sup_kappa": sup_kappa,
+            "degenerate_nodes": int(fr.degenerate.sum())})
+    dec = _decomposition(rd, alpha, fr, _require_necessary(d).orientation)
+    return _classify_curved(dec, sup_kappa)
+
+
+def _classify_curved(dec: CurveDecomposition, sup_kappa: float) -> SpecialCase:
+    """The planar / helix / generic part of ``classify_special``."""
     du = dec.alpha.dt
     sup_tor = float(np.abs(dec.frenet.tor).max())
     sup_theta_u = float(np.abs(diff_samples(dec.theta0, du, 1)).max())
     sup_p = float(np.abs(dec.p0fn).max())
     diag = {"sup_kappa": sup_kappa, "sup_tor": sup_tor,
             "sup_theta_u": sup_theta_u, "sup_p": sup_p}
-    if sup_tor <= zero_tol:
+    if sup_tor <= ZERO_TOL:
         return SpecialCase(kind=SpecialCaseKind.PLANAR_ALPHA, diagnostics=diag)
     T = dec.n0curve.points - dec.n0curve.points.mean(axis=0)
     axis = np.linalg.eigh(T.T @ T)[1][:, 0]
     off_circle = float(np.abs(T @ axis).max())
-    tol = max(circle_tol, 4.0 * np.sqrt(2.0) * dec.data.derivative_error())
+    tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * dec.data.derivative_error())
     diag.update(off_circle=off_circle, circle_tol=tol)
-    if sup_theta_u <= zero_tol and sup_p <= zero_tol and off_circle <= tol:
+    if sup_theta_u <= ZERO_TOL and sup_p <= ZERO_TOL and off_circle <= tol:
         return SpecialCase(kind=SpecialCaseKind.HELIX, diagnostics=diag)
     return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics=diag)
 
 
-def ruled_solution(d: BjorlingData, n3: SphereCurve,
-                   seed_tol: float = 1e-5) -> LiftSurface:
+def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
     """Solution through a lightlike straight line: f = u l0 + v d0 + int n3.
 
     ``n3(0)`` must agree with pi(tau + nu) of D at the basepoint (admissible
-    orientation); the surface is ruled by the constant direction l0.  n3
-    must stay off +-l0 on the whole product, between samples too.
+    orientation) within 1e-5; the surface is ruled by the constant
+    direction l0.  n3 must stay off +-l0 on the whole product, between
+    samples too.
     """
-    case = classify_special(d)
+    rd, alpha, fr = _resampled_frenet(d)
+    case = _classify(d, rd, alpha, fr)
     if case.kind is not SpecialCaseKind.LIGHTLIKE_LINE:
         raise BadData(f"data classifies as {case.kind.value}, not a line")
-    rep = check_necessary(d)
-    if not rep.passed:
-        raise NecessaryConditionFailed(
-            f"residuals {rep.residual_ab:.3e} / {rep.residual_ba:.3e}")
-    rd = _resample(d)
-    cp = diff_samples(rd.c.points, rd.c.dt, 1)
-    n0_sp = cp[:, 1:] / np.linalg.norm(cp[:, 1:], axis=1, keepdims=True)
-    n0_const = n0_sp.mean(axis=0)
+    rep = _require_necessary(d)
+    n0_const = _unit_n0(rd.c).mean(axis=0)
     n0_const /= np.linalg.norm(n0_const)
-    n0_f, n3_f = _frame_nulls(rd.a.points, rd.b.points)
-    if rep.orientation == "ba":
-        n0_f, n3_f = n3_f, n0_f
-    seed = mk.spatial(n3_f[rd.c.base_index()])
+    seed = _data_n3(rd, rep.orientation)[rd.c.base_index()]
     miss = float(np.linalg.norm(n3.points[n3.base_index()] - seed))
-    if miss > seed_tol:
+    if miss > 1e-5:
         raise InconsistentSeed(
             f"n3(0) differs from the frame value by {miss:.3e}")
     n0curve = SphereCurve(t_min=rd.c.t_min, dt=rd.c.dt,
@@ -479,16 +500,16 @@ def _build_solution(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     return surf
 
 
-def default_extension(dec: CurveDecomposition, J=(-1.0, 1.0), n: int = 201,
-                      margin: float = DEFAULT_EXT_MARGIN) -> SphereCurve:
-    """Unit-rate rotation of n3(0) in the plane span{n3(0), e2(0)},
-    truncated before it violates disjointness against n0.
+def default_extension(dec: CurveDecomposition) -> SphereCurve:
+    """Unit-rate rotation of n3(0) in the plane span{n3(0), e2(0)} over
+    v in [-1, 1] on 201 nodes, truncated before it violates disjointness
+    against n0.
 
     The truncation uses ``check_disjointness``, the certified check that
-    ``solve`` applies to the assembled generators, with a separation
-    ``margin`` that keeps |<n0, n3>| below 1 - 1e-3 on the whole product,
-    so the solver never rejects the extension it built.  The grid is
-    symmetrized so that v = 0 is an exact node.
+    ``solve`` applies to the assembled generators, with the separation
+    ``DEFAULT_EXT_MARGIN`` that keeps |<n0, n3>| below 1 - 1e-3 on the
+    whole product, so the solver never rejects the extension it built.
+    The grid is symmetric, so v = 0 is an exact node.
     """
     n3c = dec.n3curve.points.mean(axis=0)
     n3c /= np.linalg.norm(n3c)
@@ -497,33 +518,29 @@ def default_extension(dec: CurveDecomposition, J=(-1.0, 1.0), n: int = 201,
     if nrm < 1e-9:
         raise DisjointnessViolated("n0 and n3 parallel at the basepoint")
     e2 /= nrm
-    half = min(-float(J[0]), float(J[1]))
-    if half <= 0:
-        raise ExtensionMismatch("default extension needs 0 inside J")
-    if n % 2 == 0:
-        n += 1
+    half = 1.0
     for _ in range(30):
-        vs = np.linspace(-half, half, n)
+        vs = np.linspace(-half, half, 201)
         pts = np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2)
         ext = SphereCurve(t_min=-half, dt=float(vs[1] - vs[0]), points=pts)
-        if check_disjointness(dec.n0curve, ext, margin).passed:
+        if check_disjointness(dec.n0curve, ext, DEFAULT_EXT_MARGIN).passed:
             return ext
         half *= 0.8
     raise DisjointnessViolated("could not truncate the default extension "
                                "into the admissible region")
 
 
-def _extension_curve(dec: CurveDecomposition, ext: Optional[ExtensionChoice],
-                     J, nJ: int, seed_tol: float) -> SphereCurve:
+def _extension_curve(dec: CurveDecomposition,
+                     ext: Optional[ExtensionChoice]) -> SphereCurve:
     n3_seed = dec.n3curve.points[dec.n3curve.base_index()]
     if ext is None:
-        return default_extension(dec, J=J, n=nJ)
+        return default_extension(dec)
     if ext.kind == "sphere_curve":
         cur = ext.curve
         if abs(cur.ts[cur.base_index()]) > 1e-9:
             raise ExtensionMismatch("extension curve needs a v = 0 node")
         miss = float(np.linalg.norm(cur.points[cur.base_index()] - n3_seed))
-        if miss > seed_tol:
+        if miss > SEED_TOL:
             raise ExtensionMismatch(
                 f"extension seed differs from data by {miss:.3e}")
         return cur
@@ -538,7 +555,7 @@ def _extension_curve(dec: CurveDecomposition, ext: Optional[ExtensionChoice],
     if abs(theta.vs[j0]) > theta.dv / 2:
         raise ExtensionMismatch("theta profile needs a v = 0 column")
     edge = float(np.abs(theta.values[:, j0] - dec.theta0).max())
-    if edge > seed_tol:
+    if edge > SEED_TOL:
         raise ExtensionMismatch(
             f"theta(u, 0) differs from curve data by {edge:.3e}")
     p, q, residual = solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
@@ -572,11 +589,7 @@ def _extension_curve(dec: CurveDecomposition, ext: Optional[ExtensionChoice],
     return SphereCurve(t_min=theta.v_min, dt=theta.dv, points=pts)
 
 
-def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None,
-          J=(-1.0, 1.0), nJ: int = 201, necessary_tol: float = NECESSARY_TOL,
-          compat_tol: float = COMPAT_TOL, seed_tol: float = SEED_TOL,
-          curve_tol: float = 1e-6, projector_tol: float = 1e-5,
-          minimal_tol: float = 1e-5) -> tuple:
+def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     """Assemble a minimal lift solving the Cauchy problem for (c, D).
 
     Runs the necessary-condition check, the decomposition and the
@@ -584,61 +597,54 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None,
     choice (a default rotation when none is given), certifies that the two
     generators are disjoint on the whole product, and returns the surface
     together with the verification report: the surface interpolates c along
-    v = 0, its normal bundle there spans D, and it is minimal.
+    v = 0, its normal bundle there spans D at every node off the
+    degenerate-angle mask, and it is minimal.
     """
-    rep = check_necessary(d, tol=necessary_tol)
-    if not rep.passed:
-        raise NecessaryConditionFailed(
-            f"residuals {rep.residual_ab:.3e} / {rep.residual_ba:.3e} exceed "
-            f"{rep.tol:.3g}")
+    rep = _require_necessary(d)
     dec = decompose(d, orientation=rep.orientation)
-    comp = compatibility_residual(dec, tol=compat_tol)
+    comp = compatibility_residual(dec)
     if not comp.passed:
         raise IncompatibleData(
             f"n3 varies along the curve: sup |dn3/du| = {comp.sup_dn3:.3e}",
             sup_dn3=comp.sup_dn3)
-    n3curve = _extension_curve(dec, ext, J, nJ, seed_tol)
+    n3curve = _extension_curve(dec, ext)
     P0 = dec.data.c.points[dec.data.c.base_index()]
     surf = _build_solution(dec.n0curve, n3curve, P0)
 
     # postconditions
+    tols = {"necessary": rep.tol, "compatibility": comp.tol, "curve": 1e-6,
+            "projector": 1e-5, "minimal": MINIMAL_TOL}
     j0 = int(np.argmin(np.abs(surf.grid.vs)))
     curve_sup = float(np.linalg.norm(
         surf.grid.values[:, j0, :] - dec.data.c.points, axis=1).max())
     fr = normal_frame(surf)
-    proj_sup = 0.0
-    step = max(1, dec.data.c.n // 64)
-    for i in range(0, dec.data.c.n, step):
-        if fr.degenerate[i, j0]:
-            continue
-        P_surf = mk.plane_projector(fr.etilde[i, j0], fr.e2[i, j0])
-        P_data = mk.plane_projector(dec.data.a.points[i], dec.data.b.points[i])
-        proj_sup = max(proj_sup, float(np.abs(P_surf - P_data).max()))
+    keep = ~fr.degenerate[:, j0]
+    P_surf = mk.plane_projector(fr.etilde[keep, j0], fr.e2[keep, j0])
+    P_data = mk.plane_projector(dec.data.a.points[keep],
+                                dec.data.b.points[keep])
+    proj_sup = float(np.abs(P_surf - P_data).max(initial=0.0))
     h_sup = mean_curvature(surf).sup()
-    passed = (curve_sup <= curve_tol and proj_sup <= projector_tol
-              and h_sup <= minimal_tol)
+    passed = (curve_sup <= tols["curve"] and proj_sup <= tols["projector"]
+              and h_sup <= tols["minimal"])
     report = SolveReport(
         passed=passed, orientation=rep.orientation,
         extension_kind=ext.kind if ext is not None else "default",
         compatibility_sup=comp.sup_dn3, curve_sup=curve_sup,
-        projector_sup=proj_sup, h_sup=h_sup,
-        tols={"necessary": rep.tol, "compatibility": compat_tol,
-              "curve": curve_tol, "projector": projector_tol,
-              "minimal": minimal_tol})
+        projector_sup=proj_sup, h_sup=h_sup, tols=tols)
     return surf, report
 
 
 # ---------------------------------------------------------------------------
 # reduction from L^3
 
-def reduce_from_l3(gamma: SampledCurve, n: SampledCurve,
-                   tol: float = STRUCT_TOL) -> BjorlingData:
+def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     """Embed Cauchy data of L^3 = R^3_1 into R^4_1.
 
     gamma must be lightlike in R^3_1 (signature (-,+,+)) with increasing
     time component, n unit spacelike and normal to gamma'.  The embedding
     is c = (gamma, 0), a = (n, 0), b = d3; solutions then stay inside the
-    slice x3 = 0 and solve the three-dimensional problem.
+    slice x3 = 0 and solve the three-dimensional problem.  Each of these
+    conditions is held to ``STRUCT_TOL``.
     """
     if gamma.points.shape[1] != 3 or n.points.shape[1] != 3:
         raise BadData("gamma and n must be curves in R^3_1 (3 components)")
@@ -654,12 +660,12 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve,
     if gp[:, 0].min() <= 0:
         raise BadData("gamma0'(t) must be positive")
     light = np.abs(ip3(gp, gp)) / np.einsum("ij,ij->i", gp, gp)
-    if light.max() > tol:
+    if light.max() > STRUCT_TOL:
         raise BadData(f"gamma is not lightlike in R^3_1 "
                       f"(residual {light.max():.3e})")
-    if np.abs(ip3(n.points, n.points) - 1.0).max() > tol:
+    if np.abs(ip3(n.points, n.points) - 1.0).max() > STRUCT_TOL:
         raise BadData("n is not unit spacelike in R^3_1")
-    if np.abs(ip3(gp, n.points)).max() > tol:
+    if np.abs(ip3(gp, n.points)).max() > STRUCT_TOL:
         raise BadData("n is not normal to gamma'")
 
     pad = lambda p: np.concatenate([p, np.zeros((p.shape[0], 1))], axis=1)

@@ -26,6 +26,8 @@ BISECT_DEPTH = 24        # bisections of a node cell in check_disjointness
 BISECT_CELLS = 16384     # open cells allowed at one bisection depth
 FIRST_KIND = "first_kind"
 GENERAL = "general"
+#: parameter range of both generators of the critical gallery net
+_CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,7 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
                               sampled_separation=sampled)
 
 
-def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0,
-                     margin: float = DISJOINT_MARGIN) -> NetSurface:
+def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     """First-kind net X(u, v) = p0 + int_0^u T1 + int_0^v T2.
 
     Integrals are taken from the node nearest the curve parameter 0 by
@@ -192,14 +193,14 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0,
     exact.
 
     Generators that meet at the samples (sampled separation at most
-    ``margin``) are rejected.  The net is judged at its samples, so a
-    meeting between samples is not an error here; the verdict of
+    ``DISJOINT_MARGIN``) are rejected.  The net is judged at its samples,
+    so a meeting between samples is not an error here; the verdict of
     ``check_disjointness`` over the whole product is kept in
     ``disjointness`` for callers that need the continuous generators
     disjoint, such as ``lift.build_minimal``.
     """
-    rep = check_disjointness(T1, T2, margin)
-    if rep.sampled_separation <= margin:
+    rep = check_disjointness(T1, T2)
+    if rep.sampled_separation <= DISJOINT_MARGIN:
         raise DisjointnessViolated(
             f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g} "
             f"(sampled separation {rep.sampled_separation:.3e})",
@@ -216,8 +217,8 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0,
                       kind=FIRST_KIND, p0=p0, disjointness=rep)
 
 
-def first_form(g: Grid2D) -> tuple:
-    """Coefficients (E, F, G) of the first fundamental form by differencing."""
+def _partials_and_form(g: Grid2D) -> tuple:
+    """X_u, X_v and the first-form coefficients E, F, G by differencing."""
     if g.values.ndim != 3 or g.values.shape[2] != 3:
         raise BadGrid("first_form expects a grid of E-points")
     Xu = partials(g, "u").values
@@ -225,33 +226,38 @@ def first_form(g: Grid2D) -> tuple:
     E = np.einsum("ijk,ijk->ij", Xu, Xu)
     F = np.einsum("ijk,ijk->ij", Xu, Xv)
     G = np.einsum("ijk,ijk->ij", Xv, Xv)
-    return E, F, G
+    return Xu, Xv, E, F, G
 
 
-def is_chebyshev(g: Union[Grid2D, NetSurface], tol: float = 1e-6,
-                 f_margin: float = DISJOINT_MARGIN) -> ChebyshevReport:
-    """Verify E = G = 1 and |F| < 1 by differencing the point grid."""
+def first_form(g: Grid2D) -> tuple:
+    """Coefficients (E, F, G) of the first fundamental form by differencing."""
+    return _partials_and_form(g)[2:]
+
+
+def is_chebyshev(g: Union[Grid2D, NetSurface],
+                 tol: float = 1e-6) -> ChebyshevReport:
+    """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` by differencing
+    the point grid."""
     grid = g.grid if isinstance(g, NetSurface) else g
     E, F, G = first_form(grid)
     sup_e = float(np.abs(E - 1.0).max())
     sup_g = float(np.abs(G - 1.0).max())
     sup_f = float(np.abs(F).max())
-    passed = sup_e <= tol and sup_g <= tol and sup_f <= 1.0 - f_margin
+    passed = sup_e <= tol and sup_g <= tol and sup_f <= 1.0 - DISJOINT_MARGIN
     theta = np.arccos(np.clip(F, -1.0, 1.0)) if passed else None
     return ChebyshevReport(passed=passed, sup_e=sup_e, sup_g=sup_g,
-                           sup_f=sup_f, tol=tol, f_margin=f_margin,
+                           sup_f=sup_f, tol=tol, f_margin=DISJOINT_MARGIN,
                            theta=theta)
 
 
-def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts",
-                         nt: Optional[int] = None,
-                         ns: Optional[int] = None) -> Grid2D:
+def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     """Resample through the linear coordinate change t = u+v, s = -u+v.
 
     Forward maps a (u, v) grid to X~(t, s) = X((t-s)/2, (t+s)/2); inverse
     maps a (t, s) grid to X(u, v) = Y(u+v, -u+v).  The target rectangle is
-    the largest one inscribed in the rotated image of the source domain;
-    values come from a bicubic spline of the source samples.
+    the largest one inscribed in the rotated image of the source domain,
+    sampled with the source's node counts; values come from a bicubic
+    spline of the source samples.
     """
     if direction not in ("uv_to_ts", "ts_to_uv"):
         raise BadGrid(f"unknown direction {direction!r}")
@@ -271,11 +277,9 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts",
     else:
         c1, c2 = (uc - vc) / 2.0, (uc + vc) / 2.0
         half1 = half2 = half
-    n1 = nt if nt is not None else g.nu
-    n2 = ns if ns is not None else g.nv
     shrink = 1.0 - 1e-12
-    x1 = np.linspace(c1 - half1 * shrink, c1 + half1 * shrink, n1)
-    x2 = np.linspace(c2 - half2 * shrink, c2 + half2 * shrink, n2)
+    x1 = np.linspace(c1 - half1 * shrink, c1 + half1 * shrink, g.nu)
+    x2 = np.linspace(c2 - half2 * shrink, c2 + half2 * shrink, g.nv)
     A, B = np.meshgrid(x1, x2, indexing="ij")
     if direction == "uv_to_ts":
         src_u, src_v = (A - B) / 2.0, (A + B) / 2.0
@@ -311,23 +315,19 @@ def check_sum_one(g, tol: float = 1e-8) -> SumOneReport:
                         sup_f=sup_f, tol=tol)
 
 
-def euclidean_shape(n: NetSurface, metric_tol: float = 1e-9) -> EuclideanShape:
+def euclidean_shape(n: NetSurface) -> EuclideanShape:
     """Gauss map, second form and Gaussian curvature of the net in E."""
     g = n.grid
-    Xu = partials(g, "u").values
-    Xv = partials(g, "v").values
-    E = np.einsum("ijk,ijk->ij", Xu, Xu)
-    F = np.einsum("ijk,ijk->ij", Xu, Xv)
-    G = np.einsum("ijk,ijk->ij", Xv, Xv)
+    Xu, Xv, E, F, G = _partials_and_form(g)
     det = E * G - F * F
-    if det.min() <= metric_tol:
+    if det.min() <= 1e-9:
         raise DegenerateMetric(
             f"EG - F^2 reaches {det.min():.3e}; shape quantities undefined")
     cross = np.cross(Xu, Xv)
     gauss = cross / np.linalg.norm(cross, axis=-1)[..., None]
     Xuu = partials(g, "uu").values
     Xvv = partials(g, "vv").values
-    Xuv = partials(partials(g, "u"), "v").values
+    Xuv = partials(g.with_values(Xu), "v").values
     e = np.einsum("ijk,ijk->ij", Xuu, gauss)
     f = np.einsum("ijk,ijk->ij", Xuv, gauss)
     gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
@@ -373,17 +373,13 @@ class Gallery:
     ts_forms: Optional[tuple] = None
 
 
-def _critical_gallery(nu, nv, u_range, v_range) -> Gallery:
-    if u_range is None:
-        u_range = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
-    if v_range is None:
-        v_range = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
-    us = np.linspace(*u_range, nu)
-    vs = np.linspace(*v_range, nv)
+def _critical_gallery(nu, nv) -> Gallery:
+    us = np.linspace(*_CRITICAL_RANGE, nu)
+    vs = np.linspace(*_CRITICAL_RANGE, nv)
     U, V = np.meshgrid(us, vs, indexing="ij")
     # X = int (cos, sin, 0) du + int (0, sin, cos) dv, in closed form
     X = np.stack([np.sin(U), 2.0 - np.cos(U) - np.cos(V), np.sin(V)], axis=-1)
-    grid = grid_from_ranges(u_range, v_range, X)
+    grid = grid_from_ranges(_CRITICAL_RANGE, _CRITICAL_RANGE, X)
     F = np.sin(U) * np.sin(V)
     theta = np.arccos(np.clip(F, -1.0, 1.0))
     ones = np.ones_like(F)
@@ -399,8 +395,6 @@ def _critical_gallery(nu, nv, u_range, v_range) -> Gallery:
         "second_f": np.zeros_like(F),
         "second_g": -np.cos(U) / root,
         "K_T": np.cos(U) * np.cos(V) / root**4,
-        "T1": lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1),
-        "T2": lambda t: np.stack([0 * t, np.sin(t), np.cos(t)], axis=-1),
     }
     return Gallery(name="critical", net=net, oracles=oracles)
 
@@ -409,10 +403,9 @@ class _NoncriticalProfile:
     """Profile functions of the rotational example: x = tanh(s)/2 and y by
     quadrature of y' = sqrt(4 - tanh^2 s - sech^4 s)/2."""
 
-    def __init__(self, s_max=2.5, h=1e-4):
+    def __init__(self):
         from scipy.interpolate import CubicSpline
-        nfine = int(round(s_max / h))
-        sf = np.linspace(0.0, s_max, nfine + 1)
+        sf = np.linspace(0.0, 2.5, 25001)   # step 1e-4
         yv = cumulative_samples(self.yp(sf), sf[1] - sf[0])
         self._yspl = CubicSpline(sf, yv)
 
@@ -445,11 +438,9 @@ def _profile() -> _NoncriticalProfile:
     return _PROFILE
 
 
-def _noncritical_gallery(nu, nv, t_range, s_range) -> Gallery:
-    if t_range is None:
-        t_range = (-np.pi + 0.05, np.pi - 0.05)
-    if s_range is None:
-        s_range = (0.25, 2.0)  # s = 0 degenerates the immersion
+def _noncritical_gallery(nu, nv) -> Gallery:
+    t_range = (-np.pi + 0.05, np.pi - 0.05)
+    s_range = (0.25, 2.0)  # s = 0 degenerates the immersion
     pr = _profile()
     ts = np.linspace(*t_range, nu)
     ss = np.linspace(*s_range, nv)
@@ -486,25 +477,20 @@ def _noncritical_gallery(nu, nv, t_range, s_range) -> Gallery:
                    ts_grid=ts_grid, ts_forms=(E_ts, F_ts, G_ts))
 
 
-def gallery(name: str, nu: int = 201, nv: int = 201,
-            u_range=None, v_range=None) -> Gallery:
+def gallery(name: str, nu: int = 201, nv: int = 201) -> Gallery:
     """The two worked examples: ``critical`` (minimal lift) and
     ``noncritical`` (rotational surface with nonvanishing H)."""
     if name == "critical":
-        return _critical_gallery(nu, nv, u_range, v_range)
+        return _critical_gallery(nu, nv)
     if name == "noncritical":
-        return _noncritical_gallery(nu, nv, u_range, v_range)
+        return _noncritical_gallery(nu, nv)
     raise BadGrid(f"unknown gallery entry {name!r}")
 
 
-def gallery_generators(n: int = 201, u_range=None, v_range=None):
+def gallery_generators(n: int = 201):
     """Sphere-curve generators of the critical gallery net."""
-    if u_range is None:
-        u_range = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
-    if v_range is None:
-        v_range = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
     T1 = sample_curve(lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1),
-                      u_range, n, cls=SphereCurve, tag="critical_T1")
+                      _CRITICAL_RANGE, n, cls=SphereCurve)
     T2 = sample_curve(lambda t: np.stack([0 * t, np.sin(t), np.cos(t)], axis=-1),
-                      v_range, n, cls=SphereCurve, tag="critical_T2")
+                      _CRITICAL_RANGE, n, cls=SphereCurve)
     return T1, T2

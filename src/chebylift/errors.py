@@ -98,9 +98,3 @@ class IncompatibleData(ChebyliftError):
 
 class ExtensionMismatch(ChebyliftError):
     """Supplied extension does not match the curve-level data at v=0."""
-
-
-# --- CLI
-
-class UnknownFormat(ChebyliftError):
-    """Unsupported export format or projection."""

@@ -103,37 +103,37 @@ def lift_net(n: NetSurface, tol: float = 1e-6) -> LiftSurface:
                        coords=NULL_COORDS)
 
 
-def verify_null_coords(s: LiftSurface, trim: int = 2) -> NullCoordReport:
+def verify_null_coords(s: LiftSurface) -> NullCoordReport:
     """Sup of |<f_u,f_u>|, |<f_v,f_v>| and |<f_u,f_v> - g12| over the
-    interior (centered-stencil) nodes."""
+    interior (centered-stencil) nodes, two rows in from each edge."""
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
     fu = partials(s.grid, "u").values
     fv = partials(s.grid, "v").values
-    it = slice(trim, -trim if trim else None)
+    it = slice(2, -2)
     r1 = np.abs(mk.inner(fu, fu))[it, it]
     r2 = np.abs(mk.inner(fv, fv))[it, it]
     r3 = np.abs(mk.inner(fu, fv) - s.g12)[it, it]
     return NullCoordReport(sup_fu_fu=float(r1.max()), sup_fv_fv=float(r2.max()),
-                           sup_cross=float(r3.max()), interior_trim=trim)
+                           sup_cross=float(r3.max()), interior_trim=2)
 
 
-def _degenerate_mask(theta: np.ndarray, margin: float) -> np.ndarray:
-    return (1.0 - np.abs(np.cos(theta))) < margin
+def _degenerate_mask(theta: np.ndarray) -> np.ndarray:
+    return (1.0 - np.abs(np.cos(theta))) < ANGLE_MARGIN
 
 
-def mean_curvature(s: LiftSurface, sin2_tol: float = 1e-9) -> MaskedField:
+def mean_curvature(s: LiftSurface) -> MaskedField:
     """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)).
 
     The x0 part of f is the separable sum u + v, so f_uv equals X_uv and
     the mixed stencil annihilates it exactly on sums of lightlike curves.
-    Nodes with sin^2(theta/2) <= ``sin2_tol`` are masked, not fatal.
+    Nodes with sin^2(theta/2) <= 1e-9 are masked, not fatal.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
     fuv = partials(partials(s.grid, "u"), "v").values
     sin2 = (1.0 - np.cos(s.theta)) / 2.0
-    degenerate = sin2 <= sin2_tol
+    degenerate = sin2 <= 1e-9
     if np.all(degenerate):
         raise DegenerateAngle("sin(theta/2) vanishes on the whole grid")
     denom = np.where(degenerate, 1.0, sin2)
@@ -142,15 +142,16 @@ def mean_curvature(s: LiftSurface, sin2_tol: float = 1e-9) -> MaskedField:
     return MaskedField(values=H, degenerate=degenerate)
 
 
-def normal_frame(s: LiftSurface, sin_tol: float = 1e-8) -> NormalFrame:
+def normal_frame(s: LiftSurface) -> NormalFrame:
     """Orthonormal normal frame e~ = ((1+cos)d0 + X_u + X_v)/sin theta,
-    e2 = (X_u x X_v)/sin theta (Euclidean cross product in E)."""
+    e2 = (X_u x X_v)/sin theta (Euclidean cross product in E); nodes with
+    sin theta <= 1e-8 are masked."""
     if s.coords != NULL_COORDS:
         raise BadGrid("normal frame needs the null-coordinate form")
     Xu = mk.spatial(partials(s.grid, "u").values)
     Xv = mk.spatial(partials(s.grid, "v").values)
     sth = np.sin(s.theta)
-    degenerate = sth <= sin_tol
+    degenerate = sth <= 1e-8
     denom = np.where(degenerate, 1.0, sth)
     cth = np.cos(s.theta)
     et_sp = (Xu + Xv) / denom[..., None]
@@ -161,11 +162,11 @@ def normal_frame(s: LiftSurface, sin_tol: float = 1e-8) -> NormalFrame:
     return NormalFrame(etilde=etilde, e2=e2, degenerate=degenerate)
 
 
-def h_parallel_e2(s: LiftSurface, margin: float = ANGLE_MARGIN) -> HParallelReport:
+def h_parallel_e2(s: LiftSurface) -> HParallelReport:
     """Sup of the component of H off the e2 line, and of <H, e~>."""
     H = mean_curvature(s)
     fr = normal_frame(s)
-    keep = ~(_degenerate_mask(s.theta, margin) | H.degenerate | fr.degenerate)
+    keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
     dot = mk.inner(H.values, fr.e2)
     off = H.values - dot[..., None] * fr.e2
     return HParallelReport(
@@ -173,8 +174,7 @@ def h_parallel_e2(s: LiftSurface, margin: float = ANGLE_MARGIN) -> HParallelRepo
         sup_dot_etilde=masked_sup(mk.inner(H.values, fr.etilde), keep))
 
 
-def gaussian_curvature(s: LiftSurface, route: str = "direct",
-                       margin: float = ANGLE_MARGIN) -> MaskedField:
+def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:
     """Gaussian curvature of a null-coordinate lift.
 
     ``direct`` evaluates (theta_u theta_v - theta_uv sin theta) /
@@ -191,7 +191,7 @@ def gaussian_curvature(s: LiftSurface, route: str = "direct",
     tu = partials(tg, "u").values
     tv = partials(tg, "v").values
     denom = (1.0 - np.cos(s.theta))**2
-    degenerate = _degenerate_mask(s.theta, margin)
+    degenerate = _degenerate_mask(s.theta)
     if np.all(degenerate):
         raise DegenerateAngle("net angle degenerate on the whole grid")
     denom = np.where(degenerate, 1.0, denom)
@@ -207,8 +207,7 @@ def gaussian_curvature(s: LiftSurface, route: str = "direct",
     return MaskedField(values=K, degenerate=degenerate)
 
 
-def build_minimal(n0: SphereCurve, n3: SphereCurve, P0,
-                  margin: float = 1e-6) -> LiftSurface:
+def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     """Minimal lift f = P0 + (u+v) d0 + int_0^u n0 + int_0^v n3.
 
     Requires |<n0(u), n3(v)>| < 1 on the product; the result is the lift of
@@ -219,7 +218,7 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0,
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (4,):
         raise BadInput("P0 must be a 4-vector")
-    net = build_first_kind(n0, n3, mk.spatial(P0), margin=margin)
+    net = build_first_kind(n0, n3, mk.spatial(P0))
     surf = lift_net(net)
     vals = surf.grid.values.copy()
     vals[..., 0] += P0[0]
@@ -228,26 +227,26 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0,
                        source=net, coords=NULL_COORDS)
 
 
-def decompose_minimal(s: LiftSurface, minimal_tol: float = MINIMAL_TOL,
-                      row_tol: float = 1e-6) -> tuple:
+def decompose_minimal(s: LiftSurface) -> tuple:
     """Recover the lightlike generators (n0, n3, P0) of a minimal lift.
 
-    n0(u) is the spatial part of f_u averaged over the rows (which agree
-    within ``row_tol`` on a genuine sum of two lightlike curves), likewise
-    n3(v) over the columns; P0 = f at the (0, 0) node.
+    The lift must have sup |H| <= ``MINIMAL_TOL``.  n0(u) is the spatial
+    part of f_u averaged over the rows (which agree within 1e-6 on a
+    genuine sum of two lightlike curves), likewise n3(v) over the columns;
+    P0 = f at the (0, 0) node.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("decomposition needs the null-coordinate form")
     h_sup = mean_curvature(s).sup()
-    if h_sup > minimal_tol:
-        raise NotMinimal(f"sup |H| = {h_sup:.3e} exceeds {minimal_tol:g}")
+    if h_sup > MINIMAL_TOL:
+        raise NotMinimal(f"sup |H| = {h_sup:.3e} exceeds {MINIMAL_TOL:g}")
     fu = mk.spatial(partials(s.grid, "u").values)
     fv = mk.spatial(partials(s.grid, "v").values)
     n0_pts = fu.mean(axis=1)
     n3_pts = fv.mean(axis=0)
     dev = max(np.abs(fu - n0_pts[:, None, :]).max(),
               np.abs(fv - n3_pts[None, :, :]).max())
-    if dev > row_tol:
+    if dev > 1e-6:
         raise NotMinimal(f"f_u varies across rows by {dev:.3e}; "
                          "surface is not a sum of two lightlike curves")
     # renormalize: differencing leaves O(h^4) off-sphere noise
@@ -261,8 +260,7 @@ def decompose_minimal(s: LiftSurface, minimal_tol: float = MINIMAL_TOL,
     return n0, n3, P0
 
 
-def isothermal_form(s: LiftSurface, nt: Optional[int] = None,
-                    ns: Optional[int] = None) -> tuple:
+def isothermal_form(s: LiftSurface) -> tuple:
     """Pass to isothermal parameters f~(t, s) = t d0 + X~(t, s).
 
     Returns the tagged surface and the report of the metric checks
@@ -271,28 +269,27 @@ def isothermal_form(s: LiftSurface, nt: Optional[int] = None,
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("isothermal_form expects a null-coordinate lift")
-    return _change_coords(s, "uv_to_ts", nt, ns)
+    return _change_coords(s, "uv_to_ts")
 
 
-def to_null_form(s: LiftSurface, nu: Optional[int] = None,
-                 nv: Optional[int] = None) -> tuple:
+def to_null_form(s: LiftSurface) -> tuple:
     """Inverse of :func:`isothermal_form`."""
     if s.coords != ISOTHERMAL_COORDS:
         raise BadGrid("to_null_form expects an isothermal lift")
-    return _change_coords(s, "ts_to_uv", nu, nv)
+    return _change_coords(s, "ts_to_uv")
 
 
-def _change_coords(s: LiftSurface, direction: str, n1, n2) -> tuple:
+def _change_coords(s: LiftSurface, direction: str) -> tuple:
     g = s.grid
     spatial_grid = g.with_values(mk.spatial(g.values))
     x0_grid = g.with_values(g.values[..., 0])
     theta_grid = g.with_values(s.theta)
-    new_sp = equivalent_immersion(spatial_grid, direction, n1, n2)
-    new_th = equivalent_immersion(theta_grid, direction, n1, n2).values
+    new_sp = equivalent_immersion(spatial_grid, direction)
+    new_th = equivalent_immersion(theta_grid, direction).values
     new_th = np.clip(new_th, 0.0, np.pi)
     # x0 is affine in the parameters, so the resampling is exact on it;
     # rebuild it from the coordinates to keep the separable structure.
-    x0_off = equivalent_immersion(x0_grid, direction, n1, n2).values
+    x0_off = equivalent_immersion(x0_grid, direction).values
     if direction == "uv_to_ts":
         coord = new_sp.us[:, None] + 0.0 * new_sp.vs[None, :]
         coords_tag = ISOTHERMAL_COORDS

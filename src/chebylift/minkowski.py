@@ -107,8 +107,7 @@ def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.stack([-m0, -m1, m2, -m3], axis=-1)
 
 
-def project_lightlike(L: np.ndarray, light_tol: float = 1e-9,
-                      zero_tol: float = 1e-12) -> np.ndarray:
+def project_lightlike(L: np.ndarray, light_tol: float = 1e-9) -> np.ndarray:
     """Project a lightlike vector onto the unit sphere of E.
 
     Returns (0, L1/L0, L2/L0, L3/L0); the result has unit Euclidean norm
@@ -121,7 +120,7 @@ def project_lightlike(L: np.ndarray, light_tol: float = 1e-9,
     if np.any(np.abs(q) > light_tol * np.maximum(e2, 1.0)):
         raise NotLightlike("projection requires a lightlike vector")
     L0 = L[..., 0]
-    if np.any(np.abs(L0) <= zero_tol):
+    if np.any(np.abs(L0) <= 1e-12):
         raise ZeroTimeComponent("lightlike vector with vanishing x0")
     out = L / L0[..., None]
     out[..., 0] = 0.0
@@ -243,11 +242,13 @@ def frame_identity_residuals(f: MinkowskiFrame) -> FrameIdentityReport:
 def plane_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Minkowski-orthogonal projector onto the nondegenerate plane span{p,q}.
 
-    Returns the 4x4 matrix P with P x = projection of x; requires the Gram
-    matrix of (p, q) to be invertible.
+    Returns the 4x4 matrix P with P x = projection of x; broadcasts over
+    the leading axes of (..., 4) pairs, returning (..., 4, 4).  Requires
+    the Gram matrix of every pair (p, q) to be invertible.
     """
-    B = np.stack([np.asarray(p, float), np.asarray(q, float)], axis=1)
-    gram = B.T @ (ETA[:, None] * B)
-    if abs(np.linalg.det(gram)) < 1e-14:
+    B = np.stack([np.asarray(p, float), np.asarray(q, float)], axis=-1)
+    Bt_eta = np.swapaxes(B, -1, -2) * ETA
+    gram = Bt_eta @ B
+    if np.any(np.abs(np.linalg.det(gram)) < 1e-14):
         raise BadInput("plane is degenerate; projector undefined")
-    return B @ np.linalg.solve(gram, B.T * ETA[None, :])
+    return B @ np.linalg.solve(gram, Bt_eta)

@@ -15,7 +15,7 @@ differentiation error downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
 from typing import Optional
@@ -126,8 +126,6 @@ class SampledCurve:
 class SphereCurve(SampledCurve):
     """Curve into the unit sphere of E; points are 3-vectors of unit norm."""
 
-    tag: Optional[str] = field(default=None)
-
     def __post_init__(self):
         super().__post_init__()
         if self.points.shape[1] != 3:
@@ -138,13 +136,13 @@ class SphereCurve(SampledCurve):
                 f"curve leaves the unit sphere (max |norm - 1| = {off:.3e})")
 
 
-def sample_curve(fn, t_range, n, cls=SampledCurve, **kw):
+def sample_curve(fn, t_range, n, cls=SampledCurve):
     """Sample a vectorized callable on n uniform nodes over [t0, t1]."""
     ts = np.linspace(t_range[0], t_range[1], n)
     pts = np.asarray(fn(ts), dtype=float)
     if pts.shape[0] != n:
         pts = pts.T
-    return cls(t_min=float(ts[0]), dt=float(ts[1] - ts[0]), points=pts, **kw)
+    return cls(t_min=float(ts[0]), dt=float(ts[1] - ts[0]), points=pts)
 
 
 @dataclass(frozen=True)
@@ -322,13 +320,12 @@ def cumulative_integral(c: SampledCurve, base_index: Optional[int] = None) -> Sa
 # ---------------------------------------------------------------------------
 # Frenet apparatus
 
-def frenet(alpha: SampledCurve, kappa_tol: float = KAPPA_TOL,
-           reg_tol: float = 1e-8) -> FrenetData:
+def frenet(alpha: SampledCurve) -> FrenetData:
     """Frenet frame, curvature and torsion of a sampled curve in E.
 
     T = a'/|a'|, kappa = |a' x a''| / |a'|^3, N = T'/|T'|, B = T x N,
-    tor = det(a', a'', a''') / |a' x a''|^2.  Nodes with kappa below
-    ``kappa_tol`` are flagged degenerate and carry no N, B, tor.
+    tor = det(a', a'', a''') / |a' x a''|^2.  Nodes with kappa at most
+    ``KAPPA_TOL`` are flagged degenerate and carry no N, B, tor.
     """
     pts = alpha.points
     if pts.shape[1] != 3:
@@ -337,14 +334,14 @@ def frenet(alpha: SampledCurve, kappa_tol: float = KAPPA_TOL,
     d2 = diff_samples(pts, alpha.dt, 2)
     d3 = diff_samples(pts, alpha.dt, 3)
     speed = np.linalg.norm(d1, axis=1)
-    if speed.min() <= reg_tol:
+    if speed.min() <= 1e-8:
         raise NotRegular(f"curve is not regular (min |a'| = {speed.min():.3e})")
 
     T = d1 / speed[:, None]
     cr = np.cross(d1, d2)
     crn = np.linalg.norm(cr, axis=1)
     kappa = crn / speed**3
-    degenerate = kappa <= kappa_tol
+    degenerate = kappa <= KAPPA_TOL
 
     N = np.full_like(T, np.nan)
     B = np.full_like(T, np.nan)

@@ -397,6 +397,25 @@ class TestSolve:
         K = gaussian_curvature(sol)
         assert K.sup() <= 1e-4
 
+    def test_normal_plane_checked_at_every_node(self, monkeypatch):
+        # tilt e~ out of the solution's normal plane at node 1 of the v = 0
+        # row only: the postcondition must see it wherever it sits
+        from chebylift import bjorling
+        from chebylift.lift import NormalFrame
+
+        def tilted(s):
+            fr = normal_frame(s)
+            etilde = fr.etilde.copy()
+            etilde[1, int(np.argmin(np.abs(s.grid.vs)))] += 0.1 * mk.D1
+            return NormalFrame(etilde=etilde, e2=fr.e2,
+                               degenerate=fr.degenerate)
+
+        monkeypatch.setattr(bjorling, "normal_frame", tilted)
+        d, _ = helix_data(n=201)
+        _, rep = solve(d)
+        assert not rep.passed
+        assert rep.projector_sup > rep.tols["projector"]
+
     def test_extension_seed_mismatch(self):
         _, d = critical_lift_data()
         ext = ExtensionChoice.from_curve(sample_curve(

@@ -221,8 +221,10 @@ class TestFrameIdentities:
 class TestPlaneProjector:
     def test_idempotent_and_reproduces_span(self):
         rng = np.random.default_rng(9)
+        pairs = []
         for _ in range(20):
             a, b = random_spacelike_pair(rng)
+            pairs.append((a, b))
             P = plane_projector(a, b)
             assert np.allclose(P @ P, P, atol=1e-10)
             assert np.allclose(P @ a, a, atol=1e-10)
@@ -230,6 +232,16 @@ class TestPlaneProjector:
             f = build_frame(a, b)
             assert np.allclose(P @ f.tau, 0.0, atol=1e-10)
             assert np.allclose(P @ f.nu, 0.0, atol=1e-10)
+        # stacked pairs: one projector per pair, equal to the single ones
+        A = np.array([a for a, _ in pairs]).reshape(4, 5, 4)
+        B = np.array([b for _, b in pairs]).reshape(4, 5, 4)
+        stacked = plane_projector(A, B)
+        assert stacked.shape == (4, 5, 4, 4)
+        single = np.array([plane_projector(a, b) for a, b in pairs])
+        assert np.array_equal(stacked.reshape(20, 4, 4), single)
+        B[1, 2] = A[1, 2]        # one degenerate pair fails the whole stack
+        with pytest.raises(BadInput):
+            plane_projector(A, B)
 
     def test_same_plane_other_basis(self):
         rng = np.random.default_rng(10)
