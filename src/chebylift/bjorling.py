@@ -28,8 +28,8 @@ from .errors import (BadData, DegenerateFrenet, DisjointnessViolated,
                      InconsistentSeed, NecessaryConditionFailed)
 from .lift import (MINIMAL_TOL, LiftSurface, build_minimal, mean_curvature,
                    normal_frame)
-from .numerics import (FrenetData, Grid2D, KAPPA_TOL, SampledCurve,
-                       SphereCurve, diff_samples, frenet)
+from .numerics import (FrenetData, Grid2D, KAPPA_TOL, STENCIL_WIDTH,
+                       SampledCurve, SphereCurve, diff_samples, frenet)
 
 NECESSARY_TOL = 1e-6
 COMPAT_TOL = 1e-5
@@ -617,9 +617,19 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     j0 = int(np.argmin(np.abs(surf.grid.vs)))
     curve_sup = float(np.linalg.norm(
         surf.grid.values[:, j0, :] - dec.data.c.points, axis=1).max())
-    fr = normal_frame(surf)
-    keep = ~fr.degenerate[:, j0]
-    P_surf = mk.plane_projector(fr.etilde[keep, j0], fr.e2[keep, j0])
+    # the frame on the stencil-wide strip around v = 0 equals the whole
+    # grid's frame on column j0: every v-derivative window of j0 lies in it
+    g = surf.grid
+    lo = min(max(j0 - STENCIL_WIDTH // 2, 0), max(g.nv - STENCIL_WIDTH, 0))
+    cols = slice(lo, lo + STENCIL_WIDTH)
+    strip = LiftSurface(
+        grid=Grid2D(u_min=g.u_min, v_min=float(g.vs[lo]), du=g.du, dv=g.dv,
+                    values=g.values[:, cols]),
+        theta=surf.theta[:, cols], g12=surf.g12[:, cols])
+    fr = normal_frame(strip)
+    keep = ~fr.degenerate[:, j0 - lo]
+    P_surf = mk.plane_projector(fr.etilde[keep, j0 - lo],
+                                fr.e2[keep, j0 - lo])
     P_data = mk.plane_projector(dec.data.a.points[keep],
                                 dec.data.b.points[keep])
     proj_sup = float(np.abs(P_surf - P_data).max(initial=0.0))

@@ -250,6 +250,33 @@ def is_chebyshev(g: Union[Grid2D, NetSurface],
                            theta=theta)
 
 
+def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str):
+    """Source abscissae of the square target grid x1 x x2, and index maps.
+
+    Returns increasing axes ud, vd of 2n - 1 values each and (n, n) integer
+    maps iu, iv such that target node (a, b) reads source point
+    (ud[iu[a, b]], vd[iv[a, b]]).  Each axis value is computed from one
+    representative pair (a, b) of x1 and x2 entries.
+    """
+    n = x1.size
+    k = np.arange(2 * n - 1)
+    d = k - (n - 1)
+    # in-range index pairs (hi, lo) with difference d and (ka, k - ka)
+    # with sum k
+    hi, lo = np.maximum(d, 0), np.maximum(-d, 0)
+    ka = np.minimum(k, n - 1)
+    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
+    if direction == "uv_to_ts":
+        # u = (x1[a] - x2[b]) / 2 by a - b, v = (x1[a] + x2[b]) / 2 by a + b
+        ud = (x1[hi] - x2[lo]) / 2.0
+        vd = (x1[ka] + x2[k - ka]) / 2.0
+        return ud, vd, a - b + n - 1, a + b
+    # u = x1[a] + x2[b] by a + b, v = x2[b] - x1[a] by b - a
+    ud = x1[ka] + x2[k - ka]
+    vd = x2[hi] - x1[lo]
+    return ud, vd, a + b, b - a + n - 1
+
+
 def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     """Resample through the linear coordinate change t = u+v, s = -u+v.
 
@@ -258,6 +285,13 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     the largest one inscribed in the rotated image of the source domain,
     sampled with the source's node counts; values come from a bicubic
     spline of the source samples.
+
+    On a square grid both target axes share one spacing, so each source
+    abscissa depends on a - b or a + b of the target node (a, b) alone:
+    every target is a node of the (2n-1) x (2n-1) tensor grid of those
+    abscissae, where the spline is evaluated once and read off by index.
+    A non-square grid falls back to evaluation at the n_u n_v scattered
+    source points.
     """
     if direction not in ("uv_to_ts", "ts_to_uv"):
         raise BadGrid(f"unknown direction {direction!r}")
@@ -280,19 +314,28 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     shrink = 1.0 - 1e-12
     x1 = np.linspace(c1 - half1 * shrink, c1 + half1 * shrink, g.nu)
     x2 = np.linspace(c2 - half2 * shrink, c2 + half2 * shrink, g.nv)
-    A, B = np.meshgrid(x1, x2, indexing="ij")
-    if direction == "uv_to_ts":
-        src_u, src_v = (A - B) / 2.0, (A + B) / 2.0
-    else:
-        src_u, src_v = A + B, B - A
 
     vals = g.values
     scalar = vals.ndim == 2
     comps = vals[..., None] if scalar else vals
-    out = np.empty(A.shape + (comps.shape[-1],))
+    if g.nu == g.nv:
+        ud, vd, iu, iv = _diagonal_axes(x1, x2, direction)
+
+        def evaluate(sp):
+            return sp(ud, vd)[iu, iv]
+    else:
+        A, B = np.meshgrid(x1, x2, indexing="ij")
+        if direction == "uv_to_ts":
+            src_u, src_v = (A - B) / 2.0, (A + B) / 2.0
+        else:
+            src_u, src_v = A + B, B - A
+
+        def evaluate(sp):
+            return sp.ev(src_u.ravel(), src_v.ravel()).reshape(A.shape)
+    out = np.empty((g.nu, g.nv, comps.shape[-1]))
     for k in range(comps.shape[-1]):
         sp = RectBivariateSpline(us, vs, comps[..., k], kx=3, ky=3, s=0)
-        out[..., k] = sp.ev(src_u.ravel(), src_v.ravel()).reshape(A.shape)
+        out[..., k] = evaluate(sp)
     if scalar:
         out = out[..., 0]
     return Grid2D(u_min=float(x1[0]), v_min=float(x2[0]),

@@ -163,10 +163,14 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
 
 
 def h_parallel_e2(s: LiftSurface) -> HParallelReport:
-    """Sup of the component of H off the e2 line, and of <H, e~>."""
+    """Sup of the component of H off the e2 line, and of <H, e~>, over the
+    nodes off the degenerate-angle mask; raises ``DegenerateAngle`` when
+    that mask covers the whole grid."""
     H = mean_curvature(s)
     fr = normal_frame(s)
     keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
+    if not np.any(keep):
+        raise DegenerateAngle("net angle degenerate on the whole grid")
     dot = mk.inner(H.values, fr.e2)
     off = H.values - dot[..., None] * fr.e2
     return HParallelReport(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from chebylift.chebnet import (
     build_first_kind, check_disjointness, check_sum_one, equivalent_immersion,
@@ -210,8 +211,28 @@ class TestEquivalentImmersion:
         rep = is_chebyshev(out, tol=1e-5)
         assert rep.passed
 
-    def test_point_set_preserved(self):
-        gal = gallery("noncritical", nu=161, nv=161)
+    @pytest.mark.parametrize("direction", ["uv_to_ts", "ts_to_uv"])
+    @pytest.mark.parametrize("source", ["critical", "noncritical"])
+    def test_matches_scattered_evaluation(self, source, direction):
+        # reading the spline off the tensor grid of distinct abscissae gives
+        # the values of evaluating it at every target point
+        gal = gallery(source, nu=201, nv=201)
+        g = gal.net.grid if source == "critical" else gal.ts_grid
+        out = equivalent_immersion(g, direction)
+        A, B = np.meshgrid(out.us, out.vs, indexing="ij")
+        if direction == "uv_to_ts":
+            src_u, src_v = (A - B) / 2.0, (A + B) / 2.0
+        else:
+            src_u, src_v = A + B, B - A
+        ref = np.stack(
+            [RectBivariateSpline(g.us, g.vs, g.values[..., k], kx=3, ky=3,
+                                 s=0).ev(src_u, src_v)
+             for k in range(g.values.shape[-1])], axis=-1)
+        assert np.abs(out.values - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("nu, nv", [(161, 161), (161, 201), (201, 161)])
+    def test_point_set_preserved(self, nu, nv):
+        gal = gallery("noncritical", nu=nu, nv=nv)
         out = equivalent_immersion(gal.ts_grid, "ts_to_uv")
         # resampled points must reproduce the closed-form immersion
         exact = gal.net  # same map, exact evaluation on its own square

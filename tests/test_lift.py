@@ -3,7 +3,7 @@ import pytest
 
 from chebylift import minkowski as mk
 from chebylift.chebnet import build_first_kind, gallery, gallery_generators
-from chebylift.errors import MissingSource, NotMinimal
+from chebylift.errors import DegenerateAngle, MissingSource, NotMinimal
 from chebylift.lift import (
     build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
@@ -134,6 +134,23 @@ class TestHParallel:
         s = lift_net(build_first_kind(T1, T2, np.zeros(3)))
         rep = h_parallel_e2(s)
         assert rep.sup_off_e2 <= 1e-4
+
+    def test_degenerate_everywhere_raises(self):
+        # 1 - |cos theta| lies in [0.020, 0.084] on the whole grid, below
+        # the angle margin, so no node is left to take a sup over
+        c = np.cos(0.3)
+        T1 = sample_curve(
+            lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1),
+            (-0.1, 0.1), 101, cls=SphereCurve)
+        T2 = sample_curve(
+            lambda t: np.stack([c * np.cos(t), np.sin(0.3) + 0 * t,
+                                c * np.sin(t)], axis=-1),
+            (-0.1, 0.1), 101, cls=SphereCurve)
+        s = lift_net(build_first_kind(T1, T2, np.zeros(3)))
+        with pytest.raises(DegenerateAngle):
+            h_parallel_e2(s)
+        with pytest.raises(DegenerateAngle):
+            gaussian_curvature(s)
 
 
 class TestGaussianCurvature:
