@@ -618,15 +618,15 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     curve_sup = float(np.linalg.norm(
         surf.grid.values[:, j0, :] - dec.data.c.points, axis=1).max())
     # the frame on the stencil-wide strip around v = 0 equals the whole
-    # grid's frame on column j0: every v-derivative window of j0 lies in it
+    # grid's frame on column j0: every v-derivative window of j0 lies in it.
+    # The strip is not kept, so the partials it memoizes die with the call.
     g = surf.grid
     lo = min(max(j0 - STENCIL_WIDTH // 2, 0), max(g.nv - STENCIL_WIDTH, 0))
     cols = slice(lo, lo + STENCIL_WIDTH)
-    strip = LiftSurface(
+    fr = normal_frame(LiftSurface(
         grid=Grid2D(u_min=g.u_min, v_min=float(g.vs[lo]), du=g.du, dv=g.dv,
                     values=g.values[:, cols]),
-        theta=surf.theta[:, cols], g12=surf.g12[:, cols])
-    fr = normal_frame(strip)
+        theta=surf.theta[:, cols], g12=surf.g12[:, cols]))
     keep = ~fr.degenerate[:, j0 - lo]
     P_surf = mk.plane_projector(fr.etilde[keep, j0 - lo],
                                 fr.e2[keep, j0 - lo])

@@ -10,6 +10,7 @@ differentiation.  Net points are stored as 3-vectors of E throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -32,7 +33,12 @@ _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
 @dataclass(frozen=True)
 class NetSurface:
-    """Sampled Chebyshev net with its first fundamental form and angle."""
+    """Sampled Chebyshev net with its first fundamental form and angle.
+
+    A net is immutable: to change its values, build a new ``NetSurface``.
+    Its shape operator (``euclidean_shape``) is computed on first use and
+    kept on the object, with read-only arrays, for every later call.
+    """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
     E: np.ndarray
@@ -43,6 +49,10 @@ class NetSurface:
     p0: np.ndarray
     # check_disjointness report of the generators (first-kind nets only)
     disjointness: Optional["DisjointnessReport"] = None
+
+    @cached_property
+    def _shape(self) -> "EuclideanShape":
+        return _shape_of(self.grid)
 
 
 @dataclass(frozen=True)
@@ -358,9 +368,19 @@ def check_sum_one(g, tol: float = 1e-8) -> SumOneReport:
                         sup_f=sup_f, tol=tol)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array kept on a surface read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
 def euclidean_shape(n: NetSurface) -> EuclideanShape:
-    """Gauss map, second form and Gaussian curvature of the net in E."""
-    g = n.grid
+    """Gauss map, second form and Gaussian curvature of the net in E,
+    computed once per net; its arrays are read-only."""
+    return n._shape
+
+
+def _shape_of(g: Grid2D) -> EuclideanShape:
     Xu, Xv, E, F, G = _partials_and_form(g)
     det = E * G - F * F
     if det.min() <= 1e-9:
@@ -375,7 +395,22 @@ def euclidean_shape(n: NetSurface) -> EuclideanShape:
     f = np.einsum("ijk,ijk->ij", Xuv, gauss)
     gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
     K_T = (e * gg - f * f) / det
-    return EuclideanShape(gauss_map=gauss, e=e, f=f, g=gg, K_T=K_T)
+    return EuclideanShape(
+        gauss_map=_read_only(gauss), e=_read_only(e), f=_read_only(f),
+        g=_read_only(gg), K_T=_read_only(K_T))
+
+
+def _angle_partials(tg: Grid2D, which: tuple) -> tuple:
+    """The partials of the angle grid ``tg`` named in ``which``, a subset
+    of ("u", "v", "uv") returned in that order.  theta_u is always
+    differenced, and theta_uv is differenced from it along v."""
+    tu = diff_samples(tg.values, tg.du, 1, axis=0)
+    out = {"u": tu}
+    if "v" in which:
+        out["v"] = diff_samples(tg.values, tg.dv, 1, axis=1)
+    if "uv" in which:
+        out["uv"] = diff_samples(tu, tg.dv, 1, axis=1)
+    return tuple(out[w] for w in which)
 
 
 def sine_gordon_residual(n: NetSurface, shape: EuclideanShape) -> Grid2D:
@@ -386,9 +421,7 @@ def sine_gordon_residual(n: NetSurface, shape: EuclideanShape) -> Grid2D:
     there should be judged with the usual degenerate-angle mask.
     """
     g = n.grid
-    theta_grid = Grid2D(u_min=g.u_min, v_min=g.v_min, du=g.du, dv=g.dv,
-                        values=n.theta)
-    theta_uv = partials(theta_grid, "uv").values
+    theta_uv, = _angle_partials(g.with_values(n.theta), ("uv",))
     res = theta_uv + shape.K_T * np.sin(n.theta)
     it = slice(2, -2)
     return Grid2D(u_min=g.u_min + 2 * g.du, v_min=g.v_min + 2 * g.dv,

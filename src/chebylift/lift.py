@@ -7,20 +7,24 @@ the sums of two lightlike curves f = P0 + (u+v) d0 + int n0 + int n3 with
 n0, n3 on the unit sphere of E.
 
 Nodes where the net angle approaches 0 or pi are excluded from the
-quantities that divide by sin theta or 1 - cos theta; every such operation
-returns the offending-node mask instead of failing globally.
+quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
+``gaussian_curvature`` and ``normal_frame`` return the offending-node mask
+with their values (NaN on it), and ``h_parallel_e2`` takes its sups off
+it.  All but ``normal_frame`` raise ``DegenerateAngle`` when the mask
+covers the whole grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import minkowski as mk
-from .chebnet import (NetSurface, build_first_kind, equivalent_immersion,
-                      euclidean_shape)
+from .chebnet import (NetSurface, _angle_partials, _read_only,
+                      build_first_kind, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal)
 from .numerics import Grid2D, SphereCurve, partials, masked_sup
@@ -39,6 +43,11 @@ class LiftSurface:
 
     ``coords`` is "null" for (u, v) lifts with lightlike coordinate curves
     and "isothermal" for the (t, s) form f~ = t d0 + X~(t, s).
+
+    A surface is immutable: to change its values, build a new
+    ``LiftSurface``.  Its first partials f_u and f_v are differenced on
+    first use and kept on the object as read-only arrays, for
+    ``verify_null_coords``, ``normal_frame`` and ``decompose_minimal``.
     """
 
     grid: Grid2D            # payload (nu, nv, 4)
@@ -46,6 +55,10 @@ class LiftSurface:
     g12: np.ndarray         # -1 + cos theta
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
+
+    @cached_property
+    def _first_partials(self) -> tuple:
+        return tuple(_read_only(partials(self.grid, w).values) for w in "uv")
 
 
 @dataclass(frozen=True)
@@ -108,8 +121,7 @@ def verify_null_coords(s: LiftSurface) -> NullCoordReport:
     interior (centered-stencil) nodes, two rows in from each edge."""
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
-    fu = partials(s.grid, "u").values
-    fv = partials(s.grid, "v").values
+    fu, fv = s._first_partials
     it = slice(2, -2)
     r1 = np.abs(mk.inner(fu, fu))[it, it]
     r2 = np.abs(mk.inner(fv, fv))[it, it]
@@ -131,13 +143,13 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    fuv = partials(partials(s.grid, "u"), "v").values
+    fuv = partials(s.grid, "uv").values
     sin2 = (1.0 - np.cos(s.theta)) / 2.0
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
         raise DegenerateAngle("sin(theta/2) vanishes on the whole grid")
     denom = np.where(degenerate, 1.0, sin2)
-    H = -fuv / (2.0 * denom)[..., None]
+    H = fuv / (-2.0 * denom)[..., None]
     H[degenerate] = np.nan
     return MaskedField(values=H, degenerate=degenerate)
 
@@ -148,15 +160,17 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
     sin theta <= 1e-8 are masked."""
     if s.coords != NULL_COORDS:
         raise BadGrid("normal frame needs the null-coordinate form")
-    Xu = mk.spatial(partials(s.grid, "u").values)
-    Xv = mk.spatial(partials(s.grid, "v").values)
+    Xu, Xv = (mk.spatial(d) for d in s._first_partials)
     sth = np.sin(s.theta)
     degenerate = sth <= 1e-8
     denom = np.where(degenerate, 1.0, sth)
     cth = np.cos(s.theta)
-    et_sp = (Xu + Xv) / denom[..., None]
-    etilde = np.concatenate([((1.0 + cth) / denom)[..., None], et_sp], axis=-1)
-    e2 = mk.embed_e(np.cross(Xu, Xv) / denom[..., None])
+    etilde = np.empty_like(s.grid.values)
+    etilde[..., 0] = (1.0 + cth) / denom
+    np.add(Xu, Xv, out=etilde[..., 1:])
+    etilde[..., 1:] /= denom[..., None]
+    e2 = np.zeros_like(etilde)
+    np.divide(np.cross(Xu, Xv), denom[..., None], out=e2[..., 1:])
     etilde[degenerate] = np.nan
     e2[degenerate] = np.nan
     return NormalFrame(etilde=etilde, e2=e2, degenerate=degenerate)
@@ -169,10 +183,8 @@ def h_parallel_e2(s: LiftSurface) -> HParallelReport:
     H = mean_curvature(s)
     fr = normal_frame(s)
     keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
-    if not np.any(keep):
-        raise DegenerateAngle("net angle degenerate on the whole grid")
-    dot = mk.inner(H.values, fr.e2)
-    off = H.values - dot[..., None] * fr.e2
+    off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
+    np.subtract(H.values, off, out=off)
     return HParallelReport(
         sup_off_e2=masked_sup(off, keep),
         sup_dot_etilde=masked_sup(mk.inner(H.values, fr.etilde), keep))
@@ -190,22 +202,20 @@ def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:
         raise BadGrid("gaussian curvature needs the null-coordinate form")
     if route not in ("direct", "via_net"):
         raise BadGrid(f"unknown route {route!r}")
-    g = s.grid
-    tg = Grid2D(u_min=g.u_min, v_min=g.v_min, du=g.du, dv=g.dv, values=s.theta)
-    tu = partials(tg, "u").values
-    tv = partials(tg, "v").values
+    tg = s.grid.with_values(s.theta)
     denom = (1.0 - np.cos(s.theta))**2
     degenerate = _degenerate_mask(s.theta)
     if np.all(degenerate):
         raise DegenerateAngle("net angle degenerate on the whole grid")
     denom = np.where(degenerate, 1.0, denom)
     if route == "direct":
-        tuv = partials(partials(tg, "u"), "v").values
+        tu, tv, tuv = _angle_partials(tg, ("u", "v", "uv"))
         K = (tu * tv - tuv * np.sin(s.theta)) / denom
     else:
         if s.source is None:
             raise MissingSource("via_net route needs the source net")
         K_T = euclidean_shape(s.source).K_T
+        tu, tv = _angle_partials(tg, ("u", "v"))
         K = (tu * tv + K_T * np.sin(s.theta)**2) / denom
     K = np.where(degenerate, np.nan, K)
     return MaskedField(values=K, degenerate=degenerate)
@@ -244,8 +254,7 @@ def decompose_minimal(s: LiftSurface) -> tuple:
     h_sup = mean_curvature(s).sup()
     if h_sup > MINIMAL_TOL:
         raise NotMinimal(f"sup |H| = {h_sup:.3e} exceeds {MINIMAL_TOL:g}")
-    fu = mk.spatial(partials(s.grid, "u").values)
-    fv = mk.spatial(partials(s.grid, "v").values)
+    fu, fv = (mk.spatial(d) for d in s._first_partials)
     n0_pts = fu.mean(axis=1)
     n3_pts = fv.mean(axis=0)
     dev = max(np.abs(fu - n0_pts[:, None, :]).max(),

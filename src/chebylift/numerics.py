@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadGrid, BadSphereCurve, NotRegular
+from .errors import BadGrid, BadSphereCurve, DegenerateAngle, NotRegular
 
 KAPPA_TOL = 1e-7
 STENCIL_WIDTH = 5
@@ -378,12 +378,12 @@ def sup_and_l2(g: Grid2D) -> tuple:
 
 
 def masked_sup(values: np.ndarray, mask: Optional[np.ndarray] = None) -> float:
-    """Sup of |values| over unmasked nodes (mask True = keep)."""
-    a = np.abs(np.asarray(values, dtype=float))
-    if a.ndim == 3:
-        a = np.linalg.norm(a, axis=-1)
+    """Sup of |values| over unmasked nodes (mask True = keep); raises
+    ``DegenerateAngle`` when the mask keeps no node."""
+    a = np.asarray(values, dtype=float)
+    a = np.linalg.norm(a, axis=-1) if a.ndim == 3 else np.abs(a)
     if mask is not None:
         if not np.any(mask):
-            return 0.0
+            raise DegenerateAngle("no node is left after masking")
         a = a[mask]
     return float(a.max())

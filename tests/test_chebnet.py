@@ -1,7 +1,11 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from chebylift import numerics
 from chebylift.chebnet import (
     build_first_kind, check_disjointness, check_sum_one, equivalent_immersion,
     euclidean_shape, first_form, gallery, gallery_generators, is_chebyshev,
@@ -35,6 +39,24 @@ def random_net_pair(rng, n=201, t_range=(-0.5, 0.5)):
     T1 = normalized_trig_curve(rng, n, t_range, center=np.array([1.0, 0.0, 0.0]))
     T2 = normalized_trig_curve(rng, n, t_range, center=np.array([0.0, 0.0, 1.0]))
     return T1, T2
+
+
+def record_diff_samples(monkeypatch) -> list:
+    """Route every ``diff_samples`` call of the package, from-import copies
+    included, through a recorder; returns the list of (values, axis) pairs
+    it appends to."""
+    original = numerics.diff_samples
+    seen = []
+
+    def recorded(values, h, order, axis=0):
+        seen.append((values, axis))
+        return original(values, h, order, axis)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("chebylift")
+                and getattr(mod, "diff_samples", None) is original):
+            monkeypatch.setattr(mod, "diff_samples", recorded)
+    return seen
 
 
 class TestBuildFirstKind:
@@ -303,6 +325,32 @@ class TestEuclideanShape:
         shape = euclidean_shape(net)
         assert np.abs(shape.K_T).max() < 1e-9
         assert np.abs(shape.e).max() < 1e-9
+
+    def test_computed_once_per_net(self, monkeypatch):
+        T1, T2 = random_net_pair(np.random.default_rng(5), n=61)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        shape = euclidean_shape(net)
+        seen = record_diff_samples(monkeypatch)
+        assert euclidean_shape(net) is shape
+        assert seen == []
+
+    def test_arrays_read_only(self):
+        T1, T2 = random_net_pair(np.random.default_rng(5), n=61)
+        shape = euclidean_shape(build_first_kind(T1, T2, np.zeros(3)))
+        for a in (shape.gauss_map, shape.e, shape.f, shape.g, shape.K_T):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_rebuilt_net_recomputes(self):
+        T1, T2 = random_net_pair(np.random.default_rng(5), n=61)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        shape = euclidean_shape(net)
+        scaled = replace(net, grid=net.grid.with_values(2.0 * net.grid.values))
+        # doubling the points doubles the second form and multiplies
+        # EG - F^2 by 16, so K_T drops to a quarter
+        assert np.allclose(euclidean_shape(scaled).K_T, shape.K_T / 4.0,
+                           rtol=1e-12, atol=0.0)
+        assert euclidean_shape(net) is shape
 
 
 class TestSineGordon:

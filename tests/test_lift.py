@@ -1,8 +1,15 @@
+import tracemalloc
+from dataclasses import fields, is_dataclass, replace
+
 import numpy as np
 import pytest
 
 from chebylift import minkowski as mk
-from chebylift.chebnet import build_first_kind, gallery, gallery_generators
+from chebylift.bjorling import solve
+from chebylift.chebnet import (
+    build_first_kind, euclidean_shape, gallery, gallery_generators,
+    is_chebyshev, sine_gordon_residual,
+)
 from chebylift.errors import DegenerateAngle, MissingSource, NotMinimal
 from chebylift.lift import (
     build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
@@ -11,7 +18,8 @@ from chebylift.lift import (
 )
 from chebylift.numerics import SphereCurve, sample_curve
 
-from test_chebnet import random_net_pair
+from test_bjorling import critical_lift_data
+from test_chebnet import random_net_pair, record_diff_samples
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +326,139 @@ class TestInvariants:
             P_frame = mk.plane_projector(frame.tau, frame.nu)
             P_tan = mk.plane_projector(fu[idx], fv[idx])
             assert np.abs(P_frame - P_tan).max() <= 1e-6
+
+
+def surface_chain(T1, T2):
+    """Build, check, shape, lift, curvature and decomposition of one
+    first-kind net, the call sequence of the benchmark's surface op."""
+    net = build_first_kind(T1, T2, np.zeros(3))
+    cheb = is_chebyshev(net)
+    shape = euclidean_shape(net)
+    sg = sine_gordon_residual(net, shape)
+    s = lift_net(net)
+    null = verify_null_coords(s)
+    hpar = h_parallel_e2(s)
+    Kd = gaussian_curvature(s, "direct")
+    Kv = gaussian_curvature(s, "via_net")
+    n0, n3, _ = decompose_minimal(s)
+    return dict(net=net, cheb=cheb, shape=shape, sg=sg, null=null,
+                hpar=hpar, Kd=Kd, Kv=Kv, n0=n0, n3=n3, s=s)
+
+
+def unshared_surface_chain(T1, T2):
+    """``surface_chain`` with a fresh copy of the net or lift for every
+    call, so that no call reads what another one memoized."""
+    net = build_first_kind(T1, T2, np.zeros(3))
+    fresh_net = lambda: replace(net)
+    s = lift_net(fresh_net())
+    fresh_lift = lambda: replace(s, source=fresh_net())
+    cheb = is_chebyshev(fresh_net())
+    shape = euclidean_shape(fresh_net())
+    sg = sine_gordon_residual(fresh_net(), shape)
+    null = verify_null_coords(fresh_lift())
+    hpar = h_parallel_e2(fresh_lift())
+    Kd = gaussian_curvature(fresh_lift(), "direct")
+    Kv = gaussian_curvature(fresh_lift(), "via_net")
+    n0, n3, _ = decompose_minimal(fresh_lift())
+    return dict(net=net, cheb=cheb, shape=shape, sg=sg, null=null,
+                hpar=hpar, Kd=Kd, Kv=Kv, n0=n0, n3=n3, s=s)
+
+
+def leaves(obj, path="result"):
+    """(path, value) of every array and scalar inside nested results."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from leaves(v, f"{path}.{k}")
+    elif isinstance(obj, tuple):
+        for i, v in enumerate(obj):
+            yield from leaves(v, f"{path}[{i}]")
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
+    else:
+        yield path, obj
+
+
+def surface_inputs():
+    return {"critical": gallery_generators(201),
+            "random": random_net_pair(np.random.default_rng(31), n=201)}
+
+
+#: tracemalloc peak of ``surface_chain`` plus one ``mean_curvature`` on the
+#: critical net at n = 201, in bytes, measured before the net's shape and
+#: the lift's first partials were kept on the surfaces (numpy 2.4,
+#: Python 3.11): about 14.1 float (n, n, 4) arrays.
+SURFACE_CHAIN_PEAK = 18_293_585
+
+
+class TestMemo:
+    def test_via_net_reuses_the_shape(self, monkeypatch):
+        T1, T2 = random_net_pair(np.random.default_rng(6), n=61)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        euclidean_shape(net)
+        seen = record_diff_samples(monkeypatch)
+        gaussian_curvature(lift_net(net), "via_net")
+        # theta_u and theta_v only: no pass over the net's points
+        assert [(np.shape(v), axis) for v, axis in seen] == \
+            [(net.theta.shape, 0), (net.theta.shape, 1)]
+
+    def test_first_partials_differenced_once(self, monkeypatch):
+        s = lift_net(build_first_kind(*gallery_generators(101), np.zeros(3)))
+        seen = record_diff_samples(monkeypatch)
+        verify_null_coords(s)
+        normal_frame(s)
+        decompose_minimal(s)
+        f = s.grid.values
+        # f_u and f_v once, then the mixed stencil of mean_curvature (f along
+        # u, that along v), which decompose_minimal calls and which keeps
+        # nothing on the surface
+        assert [(v is f, axis) for v, axis in seen] == \
+            [(True, 0), (True, 1), (True, 0), (False, 1)]
+
+    def test_first_partials_read_only(self):
+        s = lift_net(build_first_kind(*gallery_generators(61), np.zeros(3)))
+        verify_null_coords(s)
+        for d in s._first_partials:
+            with pytest.raises(ValueError):
+                d[0, 0, 0] = 0.0
+
+    def test_rebuilt_lift_recomputes(self):
+        s = lift_net(build_first_kind(*gallery_generators(61), np.zeros(3)))
+        assert verify_null_coords(s).sup_cross <= 1e-5
+        scaled = replace(s, grid=s.grid.with_values(2.0 * s.grid.values))
+        # <2 f_u, 2 f_v> = 4 g12 now misses g12 by 3 |g12|
+        assert verify_null_coords(scaled).sup_cross >= 1.0
+
+    def test_solve_result_keeps_no_memo(self):
+        # a solution is kept while the caller works on, so arrays memoized
+        # on it would add to every later peak
+        _, d = critical_lift_data()
+        sol, _ = solve(d)
+        for obj in (sol, sol.source):
+            assert set(vars(obj)) == {f.name for f in fields(obj)}
+
+
+class TestSurfaceChain:
+    @pytest.mark.parametrize("name", ["critical", "random"])
+    def test_bit_identical_to_unshared_calls(self, name):
+        T1, T2 = surface_inputs()[name]
+        got = list(leaves(surface_chain(T1, T2)))
+        want = list(leaves(unshared_surface_chain(T1, T2)))
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (path, a), (_, b) in zip(got, want):
+            if isinstance(a, np.ndarray):
+                nan = a.dtype.kind == "f"
+                assert np.array_equal(a, b, equal_nan=nan), path
+            else:
+                assert a == b, path
+
+    def test_traced_peak(self):
+        T1, T2 = surface_inputs()["critical"]
+        tracemalloc.start()
+        try:
+            r = surface_chain(T1, T2)
+            mean_curvature(r["s"]).sup()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= SURFACE_CHAIN_PEAK

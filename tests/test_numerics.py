@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from chebylift.errors import BadGrid, BadSphereCurve, NotRegular
+from chebylift.errors import (
+    BadGrid, BadSphereCurve, DegenerateAngle, NotRegular,
+)
 from chebylift.numerics import (
     Grid2D, SampledCurve, SphereCurve, cumulative_integral, diff_samples,
-    frenet, grid_from_ranges, partials, sample_curve, sup_and_l2,
+    frenet, grid_from_ranges, masked_sup, partials, sample_curve, sup_and_l2,
 )
 
 
@@ -195,3 +197,18 @@ class TestNorms:
         vals[5, 5] = 1.0
         g = grid_from_ranges((0, 1), (0, 1), vals)
         assert sup_and_l2(g)[0] == 1.0
+
+    def test_masked_sup_of_vectors(self):
+        vals = np.zeros((3, 4, 2))
+        vals[1, 2] = [-3.0, 4.0]
+        vals[0, 0] = [0.0, -7.0]
+        keep = np.ones((3, 4), dtype=bool)
+        assert masked_sup(vals) == 7.0
+        keep[0, 0] = False
+        assert masked_sup(vals, keep) == 5.0
+        assert masked_sup(-vals[..., 0], keep) == 3.0
+
+    def test_masked_sup_over_no_node_raises(self):
+        # a sup over an empty set is no evidence of a small residual
+        with pytest.raises(DegenerateAngle, match="no node is left"):
+            masked_sup(np.ones((5, 5)), np.zeros((5, 5), dtype=bool))
