@@ -18,7 +18,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import (BadGrid, DegenerateMetric, DisjointnessViolated,
                      EmptyOverlap)
-from .numerics import (Grid2D, SphereCurve, cumulative_integral,
+from .numerics import (Grid2D, SphereCurve, cross, cumulative_integral,
                        cumulative_samples, diff_samples, grid_from_ranges,
                        partials, sample_curve)
 
@@ -386,8 +386,8 @@ def _shape_of(g: Grid2D) -> EuclideanShape:
     if det.min() <= 1e-9:
         raise DegenerateMetric(
             f"EG - F^2 reaches {det.min():.3e}; shape quantities undefined")
-    cross = np.cross(Xu, Xv)
-    gauss = cross / np.linalg.norm(cross, axis=-1)[..., None]
+    normal = cross(Xu, Xv)
+    gauss = normal / np.linalg.norm(normal, axis=-1)[..., None]
     Xuu = partials(g, "uu").values
     Xvv = partials(g, "vv").values
     Xuv = partials(g.with_values(Xu), "v").values

@@ -27,7 +27,8 @@ from .chebnet import (NetSurface, _angle_partials, _read_only,
                       build_first_kind, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal)
-from .numerics import Grid2D, SphereCurve, partials, masked_sup
+from .numerics import (Grid2D, SphereCurve, cross, diff_samples, masked_sup,
+                       partials)
 
 #: nodes with 1 - |cos theta| below this are excluded from angle-divided sups
 ANGLE_MARGIN = 0.1
@@ -139,11 +140,18 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
 
     The x0 part of f is the separable sum u + v, so f_uv equals X_uv and
     the mixed stencil annihilates it exactly on sums of lightlike curves.
-    Nodes with sin^2(theta/2) <= 1e-9 are masked, not fatal.
+    Nodes with sin^2(theta/2) <= 1e-9 are masked, not fatal.  When the
+    surface already holds f_u, f_uv is differenced from it along v (the
+    same composition as ``partials(grid, "uv")``); otherwise nothing is
+    kept on the surface.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    fuv = partials(s.grid, "uv").values
+    kept = vars(s).get("_first_partials")
+    if kept is None:
+        fuv = partials(s.grid, "uv").values
+    else:
+        fuv = diff_samples(kept[0], s.grid.dv, 1, axis=1)
     sin2 = (1.0 - np.cos(s.theta)) / 2.0
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
@@ -170,7 +178,7 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
     np.add(Xu, Xv, out=etilde[..., 1:])
     etilde[..., 1:] /= denom[..., None]
     e2 = np.zeros_like(etilde)
-    np.divide(np.cross(Xu, Xv), denom[..., None], out=e2[..., 1:])
+    np.divide(cross(Xu, Xv), denom[..., None], out=e2[..., 1:])
     etilde[degenerate] = np.nan
     e2[degenerate] = np.nan
     return NormalFrame(etilde=etilde, e2=e2, degenerate=degenerate)

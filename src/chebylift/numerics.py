@@ -7,7 +7,11 @@ at least O(h^3) (a 5-point one-sided third derivative is O(h^2), with 7
 times the error constant of the centred one); all are exact on polynomials
 of degree <= 2.  Every stencil is applied to differences of samples, so the
 derivative of constant data is exactly 0 in floating point, not a roundoff
-residue that later divisions and differencings would amplify.  Cumulative
+residue that later divisions and differencings would amplify.  The stencil
+kernel views its input as (P, n, Q), with the differenced axis in the
+middle, and runs over cache-sized blocks of it: the result is bit-identical
+to the unblocked stencil, and about one output array is alive while it
+runs.  ``cross`` runs ``np.cross`` over such blocks.  Cumulative
 quadrature sums a 4-point rule per interval, global error O(dt^4) and
 smooth from node to node, so quadrature error stays negligible against
 differentiation error downstream.
@@ -17,15 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import BadGrid, BadSphereCurve, DegenerateAngle, NotRegular
 
 KAPPA_TOL = 1e-7
 STENCIL_WIDTH = 5
+#: bytes of output one block of diff_samples or cross writes; sized so a
+#: block and its temporaries stay in a core's cache
+_BLOCK_BYTES = 256 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -182,44 +190,51 @@ def _window_weights(width: int, at: int, order: int) -> tuple:
 
 
 def _apply_at(y: np.ndarray, width: int, at: int, order: int, h: float,
-              start: int, count: int) -> np.ndarray:
+              start: int, out: np.ndarray) -> None:
     """Order-``order`` stencil of the ``width``-node window starting at row
-    ``start``, for the node at position ``at`` in it, on ``count``
-    consecutive rows.
+    ``start`` of axis 1 of the (P, n, Q) array ``y``, for the node at
+    position ``at`` in it, written into ``out`` of shape (P, count, Q) for
+    ``count`` consecutive rows.
 
     Every row enters as a difference, so the result is exactly 0 on
     constant data: the weight of the row at ``at`` is taken as minus the
     sum of the others.  A centred window pairs the rows at +-k, which for
     odd orders leaves one difference and one product per pair.  Terms are
-    accumulated in place, so at most two row-sized temporaries are alive.
+    accumulated in place in ``out``, so at most one temporary the size of
+    ``out`` (a block, in ``diff_samples``) is alive.
     """
     wts = _window_weights(width, at, order)
     scale = h ** -order
-    rows = lambda j: y[start + j:start + j + count]
+    count = out.shape[1]
+    rows = lambda j: y[:, start + j:start + j + count]
     ref = rows(at)
     if 2 * at + 1 != width:
-        terms = ((wts[j], np.subtract(rows(j), ref))
-                 for j in range(width) if j != at)
+        terms = [(wts[j], j) for j in range(width) if j != at]
+
+        def diff(j, o):
+            np.subtract(rows(j), ref, out=o)
     elif order % 2:
-        terms = ((0.5 * (wts[at + k] - wts[at - k]),
-                  np.subtract(rows(at + k), rows(at - k)))
-                 for k in range(1, at + 1))
+        terms = [(0.5 * (wts[at + k] - wts[at - k]), k)
+                 for k in range(1, at + 1)]
+
+        def diff(k, o):
+            np.subtract(rows(at + k), rows(at - k), out=o)
     else:
-        def pair(k):
-            t = np.subtract(rows(at + k), ref)
-            t += rows(at - k)
-            t -= ref
-            return t
-        terms = ((0.5 * (wts[at + k] + wts[at - k]), pair(k))
-                 for k in range(1, at + 1))
-    acc = None
-    for wt, diff in terms:
-        diff *= wt * scale
-        if acc is None:
-            acc = diff
-        else:
-            acc += diff
-    return acc
+        terms = [(0.5 * (wts[at + k] + wts[at - k]), k)
+                 for k in range(1, at + 1)]
+
+        def diff(k, o):
+            np.subtract(rows(at + k), ref, out=o)
+            o += rows(at - k)
+            o -= ref
+    (wt, j), *rest = terms
+    diff(j, out)
+    out *= wt * scale
+    tmp = np.empty_like(out) if rest else None
+    for wt, j in rest:
+        diff(j, tmp)
+        tmp *= wt * scale
+        out += tmp
 
 
 def diff_samples(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.ndarray:
@@ -228,23 +243,53 @@ def diff_samples(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.
     Interior rows use the centered window of min(5, n) nodes, boundary rows
     the one-sided window of min(max(5, order + 3), n) nodes.  The
     derivative of constant data is exactly 0.
+
+    The values are viewed as (P, n, Q), with the differenced axis in the
+    middle, and the stencils run over blocks of about ``_BLOCK_BYTES``: runs
+    of P when a whole (n, Q) slab fits in one, otherwise runs of rows of
+    one slab.  Each element goes through the same floating-point operations
+    in the same order as the unblocked stencil, so the result is
+    bit-identical to it.  Besides the output, about one block is alive (one
+    boundary row at the edges); an input that no (P, n, Q) view reaches,
+    such as a transpose, is copied first.  The result is C-contiguous.
     """
-    y = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = y.shape[0]
+    a = np.asarray(values, dtype=float)
+    axis = normalize_axis_index(axis, a.ndim)
+    n = a.shape[axis]
     w = min(STENCIL_WIDTH, n)
     if w <= order:
         raise BadGrid(f"need more than {order} nodes for order-{order} derivatives")
+    P, Q = prod(a.shape[:axis]), prod(a.shape[axis + 1:])
+    y = a.reshape(P, n, Q)
+    out = np.empty((P, n, Q))
     c = (w - 1) // 2
     s = n - w
-    out = np.empty_like(y)
-    out[c:s + c + 1] = _apply_at(y, w, c, order, h, 0, s + 1)
     wb = min(max(w, order + 3), n)
     sb = n - wb
+    rows = max(1, _BLOCK_BYTES // (out.itemsize * max(Q, 1)))
+    step = max(1, rows // n)
+    for p in range(0, P, step):
+        for r in range(c, s + c + 1, rows):
+            _apply_at(y[p:p + step], w, c, order, h, r - c,
+                      out[p:p + step, r:min(r + rows, s + c + 1)])
     for i in range(c):
-        out[i] = _apply_at(y, wb, i, order, h, 0, 1)[0]
+        _apply_at(y, wb, i, order, h, 0, out[:, i:i + 1])
     for i in range(s + c + 1, n):
-        out[i] = _apply_at(y, wb, i - sb, order, h, sb, 1)[0]
-    return np.moveaxis(out, 0, axis)
+        _apply_at(y, wb, i - sb, order, h, sb, out[:, i:i + 1])
+    return out.reshape(a.shape)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` of two (m, ..., 3) arrays of one shape, computed
+    over blocks of the leading axis so that its temporaries stay in cache;
+    the result equals ``np.cross(a, b)`` exactly."""
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != 3:
+        raise BadGrid("cross expects two (m, ..., 3) arrays of one shape")
+    out = np.empty(a.shape, np.result_type(a, b))
+    step = max(1, _BLOCK_BYTES // (out.itemsize * max(prod(a.shape[1:]), 1)))
+    for i in range(0, len(out), step):
+        out[i:i + step] = np.cross(a[i:i + step], b[i:i + step])
+    return out
 
 
 _PARTIALS = {"u", "v", "uu", "vv", "uv"}

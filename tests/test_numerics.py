@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chebylift import numerics
 from chebylift.errors import (
     BadGrid, BadSphereCurve, DegenerateAngle, NotRegular,
 )
 from chebylift.numerics import (
-    Grid2D, SampledCurve, SphereCurve, cumulative_integral, diff_samples,
-    frenet, grid_from_ranges, masked_sup, partials, sample_curve, sup_and_l2,
+    STENCIL_WIDTH, Grid2D, SampledCurve, SphereCurve, _window_weights, cross,
+    cumulative_integral, diff_samples, frenet, grid_from_ranges, masked_sup,
+    partials, sample_curve, sup_and_l2,
 )
 
 
@@ -136,6 +140,137 @@ class TestDiffSamples:
                     d = diff_samples(y, 0.013, order, axis=axis)
                     assert d.shape == y.shape
                     assert np.all(d == 0.0)
+
+
+def _reference_apply_at(y, width, at, order, h, start, count):
+    """The unblocked stencil kernel: one pass over all rows at once."""
+    wts = _window_weights(width, at, order)
+    scale = h ** -order
+    rows = lambda j: y[start + j:start + j + count]
+    ref = rows(at)
+    if 2 * at + 1 != width:
+        terms = ((wts[j], np.subtract(rows(j), ref))
+                 for j in range(width) if j != at)
+    elif order % 2:
+        terms = ((0.5 * (wts[at + k] - wts[at - k]),
+                  np.subtract(rows(at + k), rows(at - k)))
+                 for k in range(1, at + 1))
+    else:
+        def pair(k):
+            t = np.subtract(rows(at + k), ref)
+            t += rows(at - k)
+            t -= ref
+            return t
+        terms = ((0.5 * (wts[at + k] + wts[at - k]), pair(k))
+                 for k in range(1, at + 1))
+    acc = None
+    for wt, diff in terms:
+        diff *= wt * scale
+        if acc is None:
+            acc = diff
+        else:
+            acc += diff
+    return acc
+
+
+def reference_diff_samples(values, h, order, axis=0):
+    """``diff_samples`` with the differenced axis moved to the front and
+    full-size temporaries: the oracle the blocked kernel must equal."""
+    y = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = y.shape[0]
+    w = min(STENCIL_WIDTH, n)
+    if w <= order:
+        raise BadGrid(f"need more than {order} nodes for order-{order} derivatives")
+    c = (w - 1) // 2
+    s = n - w
+    out = np.empty_like(y)
+    out[c:s + c + 1] = _reference_apply_at(y, w, c, order, h, 0, s + 1)
+    wb = min(max(w, order + 3), n)
+    sb = n - wb
+    for i in range(c):
+        out[i] = _reference_apply_at(y, wb, i, order, h, 0, 1)[0]
+    for i in range(s + c + 1, n):
+        out[i] = _reference_apply_at(y, wb, i - sb, order, h, sb, 1)[0]
+    return np.moveaxis(out, 0, axis)
+
+
+ORACLE_SHAPES = {
+    "n": lambda n: (n,), "n-3": lambda n: (n, 3), "n-n": lambda n: (n, n),
+    "n-n-3": lambda n: (n, n, 3), "n-n-4": lambda n: (n, n, 4),
+    "n-5-4": lambda n: (n, 5, 4), "5-n-4": lambda n: (5, n, 4),
+    # slabs larger than a block: runs of rows within each of several slabs
+    "3-n-n": lambda n: (3, n, n),
+}
+
+
+def assert_matches_reference(shape, seed):
+    """Every axis in (0, 1, -1), order 1-3, on the contiguous array, its
+    transpose and its ``[..., 1:]`` view: the blocked kernel equals the
+    reference bit for bit, or both raise ``BadGrid``."""
+    base = np.random.default_rng(seed).standard_normal(shape)
+    views = [base] + ([base.T, base[..., 1:]] if base.ndim > 1 else [])
+    for y in views:
+        for axis in (0, 1, -1):
+            if axis >= y.ndim:
+                continue
+            for order in (1, 2, 3):
+                try:
+                    want = reference_diff_samples(y, 0.013, order, axis)
+                except BadGrid:
+                    with pytest.raises(BadGrid):
+                        diff_samples(y, 0.013, order, axis)
+                    continue
+                got = diff_samples(y, 0.013, order, axis)
+                assert got.shape == y.shape
+                assert np.array_equal(got, want), (y.shape, axis, order)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("n", [5, 6, 8, 201])
+    @pytest.mark.parametrize("shape", list(ORACLE_SHAPES))
+    def test_matches_unblocked_reference(self, shape, n):
+        assert_matches_reference(ORACLE_SHAPES[shape](n), seed=n)
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 13])
+    def test_small_blocks_match_reference(self, n, monkeypatch):
+        # blocks of 96 bytes: many runs of rows and of slabs, and short
+        # last runs, on every shape
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 96)
+        for make in ORACLE_SHAPES.values():
+            assert_matches_reference(make(n), seed=n)
+
+    def test_axis_out_of_range_raises(self):
+        y = np.zeros((9, 9))
+        for axis in (2, -3):
+            with pytest.raises(np.exceptions.AxisError):
+                diff_samples(y, 0.1, 1, axis=axis)
+        assert np.array_equal(diff_samples(y, 0.1, 1, axis=-2),
+                              diff_samples(y, 0.1, 1, axis=0))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_transient_memory_is_one_output(self, axis):
+        # the unblocked kernel peaks at about three outputs
+        y = np.random.default_rng(4).standard_normal((401, 401, 4))
+        diff_samples(y, 0.01, 1, axis)          # window weights cached
+        tracemalloc.start()
+        try:
+            diff_samples(y, 0.01, 1, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + 4 * numerics._BLOCK_BYTES
+
+    def test_cross_equals_np_cross(self):
+        rng = np.random.default_rng(5)
+        for n in (7, 201, 401):
+            a, b = rng.standard_normal((2, n, n, 4))
+            for x, y in [(a[..., :3].copy(), b[..., :3].copy()),
+                         (a[..., 1:], b[..., 1:]),
+                         (a[::2, :, 1:], b[::2, :, 1:]),
+                         (a[..., 1:].transpose(1, 0, 2), b[..., 1:])]:
+                assert np.array_equal(cross(x, y), np.cross(x, y))
+        with pytest.raises(BadGrid):
+            cross(np.zeros((5, 3)), np.zeros((4, 3)))
 
 
 class TestFrenet:
