@@ -48,7 +48,9 @@ class LiftSurface:
     A surface is immutable: to change its values, build a new
     ``LiftSurface``.  Its first partials f_u and f_v are differenced on
     first use and kept on the object as read-only arrays, for
-    ``verify_null_coords``, ``normal_frame`` and ``decompose_minimal``.
+    ``verify_null_coords``, ``normal_frame`` and ``decompose_minimal``;
+    the H of ``h_parallel_e2`` and ``decompose_minimal`` differences the
+    kept f_u along v.
     """
 
     grid: Grid2D            # payload (nu, nv, 4)
@@ -140,18 +142,19 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
 
     The x0 part of f is the separable sum u + v, so f_uv equals X_uv and
     the mixed stencil annihilates it exactly on sums of lightlike curves.
-    Nodes with sin^2(theta/2) <= 1e-9 are masked, not fatal.  When the
-    surface already holds f_u, f_uv is differenced from it along v (the
-    same composition as ``partials(grid, "uv")``); otherwise nothing is
+    Nodes with sin^2(theta/2) <= 1e-9 are masked, not fatal.  Nothing is
     kept on the surface.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    kept = vars(s).get("_first_partials")
-    if kept is None:
-        fuv = partials(s.grid, "uv").values
-    else:
-        fuv = diff_samples(kept[0], s.grid.dv, 1, axis=1)
+    return _mean_curvature(s, partials(s.grid, "u").values)
+
+
+def _mean_curvature(s: LiftSurface, fu: np.ndarray) -> MaskedField:
+    """``mean_curvature`` of a null lift from its f_u, which is differenced
+    along v: the composition of ``partials(grid, "uv")``, so callers that
+    keep f_u get the same H bit for bit."""
+    fuv = diff_samples(fu, s.grid.dv, 1, axis=1)
     sin2 = (1.0 - np.cos(s.theta)) / 2.0
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
@@ -188,7 +191,7 @@ def h_parallel_e2(s: LiftSurface) -> HParallelReport:
     """Sup of the component of H off the e2 line, and of <H, e~>, over the
     nodes off the degenerate-angle mask; raises ``DegenerateAngle`` when
     that mask covers the whole grid."""
-    H = mean_curvature(s)
+    H = _mean_curvature(s, s._first_partials[0])
     fr = normal_frame(s)
     keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
@@ -259,7 +262,7 @@ def decompose_minimal(s: LiftSurface) -> tuple:
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("decomposition needs the null-coordinate form")
-    h_sup = mean_curvature(s).sup()
+    h_sup = _mean_curvature(s, s._first_partials[0]).sup()
     if h_sup > MINIMAL_TOL:
         raise NotMinimal(f"sup |H| = {h_sup:.3e} exceeds {MINIMAL_TOL:g}")
     fu, fv = (mk.spatial(d) for d in s._first_partials)

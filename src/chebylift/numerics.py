@@ -25,7 +25,6 @@ from math import factorial, prod
 from typing import Optional
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import BadGrid, BadSphereCurve, DegenerateAngle, NotRegular
 
@@ -254,7 +253,9 @@ def diff_samples(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.
     such as a transpose, is copied first.  The result is C-contiguous.
     """
     a = np.asarray(values, dtype=float)
-    axis = normalize_axis_index(axis, a.ndim)
+    if not -a.ndim <= axis < a.ndim:
+        raise BadGrid(f"axis {axis} is out of range for {a.ndim}-d values")
+    axis %= a.ndim
     n = a.shape[axis]
     w = min(STENCIL_WIDTH, n)
     if w <= order:

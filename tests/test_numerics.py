@@ -242,7 +242,7 @@ class TestBlockedKernel:
     def test_axis_out_of_range_raises(self):
         y = np.zeros((9, 9))
         for axis in (2, -3):
-            with pytest.raises(np.exceptions.AxisError):
+            with pytest.raises(BadGrid):
                 diff_samples(y, 0.1, 1, axis=axis)
         assert np.array_equal(diff_samples(y, 0.1, 1, axis=-2),
                               diff_samples(y, 0.1, 1, axis=0))
