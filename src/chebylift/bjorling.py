@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -107,11 +107,6 @@ class BjorlingData:
         d5 = np.linalg.norm(np.diff(self.c.points, 5, axis=0), axis=1)
         return float(d5.max(initial=0.0) / self.c.dt
                      / np.linalg.norm(cp, axis=1).min())
-
-    def normality_residual(self) -> float:
-        cp = diff_samples(self.c.points, self.c.dt, 1)
-        return float(max(np.abs(mk.inner(cp, self.a.points)).max(),
-                         np.abs(mk.inner(cp, self.b.points)).max()))
 
 
 @dataclass(frozen=True)
@@ -310,16 +305,14 @@ def _unit_n0(c: SampledCurve) -> np.ndarray:
     return cp[:, 1:] / np.linalg.norm(cp[:, 1:], axis=1, keepdims=True)
 
 
-def decompose(d: BjorlingData,
-              orientation: Optional[str] = None) -> CurveDecomposition:
+def decompose(d: BjorlingData) -> CurveDecomposition:
     """Frenet decomposition of the data along alpha(u) = c(u) - u d0.
 
     Reparametrizes so that c0' = 1, takes T = n0 = spatial(c'), computes
     n3 from the adapted frames of D with the admissible orientation, and
     projects n3 = cos(theta) T + p N + q B on the Frenet frame.
     """
-    if orientation is None:
-        orientation = _require_necessary(d).orientation
+    orientation = _require_necessary(d).orientation
     return _decomposition(*_resampled_frenet(d), orientation)
 
 
@@ -395,7 +388,7 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # special cases
 
-def classify_special(x: Union[BjorlingData, CurveDecomposition]) -> SpecialCase:
+def classify_special(d: BjorlingData) -> SpecialCase:
     """Classify data into the line / planar / helix / generic cases.
 
     A planar alpha is recognized by tor = 0 alone: the worked constant-angle
@@ -413,13 +406,7 @@ def classify_special(x: Union[BjorlingData, CurveDecomposition]) -> SpecialCase:
     allows for the fit).  On that helix data the distance is 2e-8 clean
     and 7e-7 with noise, against 6e-3 for the generic test curve.
     """
-    if isinstance(x, BjorlingData):
-        return _classify(x, *_resampled_frenet(x))
-    sup_kappa = float(x.frenet.kappa.max())
-    if sup_kappa <= ZERO_TOL:
-        return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
-                           diagnostics={"sup_kappa": sup_kappa})
-    return _classify_curved(x, sup_kappa)
+    return _classify(d, *_resampled_frenet(d))
 
 
 def _classify(d: BjorlingData, rd: BjorlingData, alpha: SampledCurve,
@@ -434,14 +421,8 @@ def _classify(d: BjorlingData, rd: BjorlingData, alpha: SampledCurve,
             "sup_kappa": sup_kappa,
             "degenerate_nodes": int(fr.degenerate.sum())})
     dec = _decomposition(rd, alpha, fr, _require_necessary(d).orientation)
-    return _classify_curved(dec, sup_kappa)
-
-
-def _classify_curved(dec: CurveDecomposition, sup_kappa: float) -> SpecialCase:
-    """The planar / helix / generic part of ``classify_special``."""
-    du = dec.alpha.dt
-    sup_tor = float(np.abs(dec.frenet.tor).max())
-    sup_theta_u = float(np.abs(diff_samples(dec.theta0, du, 1)).max())
+    sup_tor = float(np.abs(fr.tor).max())
+    sup_theta_u = float(np.abs(diff_samples(dec.theta0, alpha.dt, 1)).max())
     sup_p = float(np.abs(dec.p0fn).max())
     diag = {"sup_kappa": sup_kappa, "sup_tor": sup_tor,
             "sup_theta_u": sup_theta_u, "sup_p": sup_p}
@@ -450,7 +431,7 @@ def _classify_curved(dec: CurveDecomposition, sup_kappa: float) -> SpecialCase:
     T = dec.n0curve.points - dec.n0curve.points.mean(axis=0)
     axis = np.linalg.eigh(T.T @ T)[1][:, 0]
     off_circle = float(np.abs(T @ axis).max())
-    tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * dec.data.derivative_error())
+    tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * rd.derivative_error())
     diag.update(off_circle=off_circle, circle_tol=tol)
     if sup_theta_u <= ZERO_TOL and sup_p <= ZERO_TOL and off_circle <= tol:
         return SpecialCase(kind=SpecialCaseKind.HELIX, diagnostics=diag)
@@ -552,7 +533,7 @@ def _extension_curve(dec: CurveDecomposition,
             or abs(theta.du - dec.alpha.dt) > 1e-9:
         raise ExtensionMismatch("theta profile must live on the data's u-grid")
     j0 = int(np.argmin(np.abs(theta.vs)))
-    if abs(theta.vs[j0]) > theta.dv / 2:
+    if abs(theta.vs[j0]) > 1e-9:
         raise ExtensionMismatch("theta profile needs a v = 0 column")
     edge = float(np.abs(theta.values[:, j0] - dec.theta0).max())
     if edge > SEED_TOL:
@@ -601,7 +582,7 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     degenerate-angle mask, and it is minimal.
     """
     rep = _require_necessary(d)
-    dec = decompose(d, orientation=rep.orientation)
+    dec = _decomposition(*_resampled_frenet(d), rep.orientation)
     comp = compatibility_residual(dec)
     if not comp.passed:
         raise IncompatibleData(

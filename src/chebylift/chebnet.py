@@ -25,8 +25,6 @@ from .numerics import (Grid2D, SphereCurve, cross, cumulative_integral,
 DISJOINT_MARGIN = 1e-6
 BISECT_DEPTH = 24        # bisections of a node cell in check_disjointness
 BISECT_CELLS = 16384     # open cells allowed at one bisection depth
-FIRST_KIND = "first_kind"
-GENERAL = "general"
 #: parameter range of both generators of the critical gallery net
 _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
@@ -35,18 +33,16 @@ _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 class NetSurface:
     """Sampled Chebyshev net with its first fundamental form and angle.
 
+    A Chebyshev net has E = G = 1 by definition, so only F = cos theta and
+    theta are stored; ``is_chebyshev`` measures E and G of a point grid.
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
     """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
-    E: np.ndarray
     F: np.ndarray
-    G: np.ndarray
     theta: np.ndarray
-    kind: str
-    p0: np.ndarray
     # check_disjointness report of the generators (first-kind nets only)
     disjointness: Optional["DisjointnessReport"] = None
 
@@ -222,17 +218,15 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     F = T1.points @ T2.points.T
     theta = np.arccos(np.clip(F, -1.0, 1.0))
     grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt, values=X)
-    ones = np.ones_like(F)
-    return NetSurface(grid=grid, E=ones, F=F, G=ones.copy(), theta=theta,
-                      kind=FIRST_KIND, p0=p0, disjointness=rep)
+    return NetSurface(grid=grid, F=F, theta=theta, disjointness=rep)
 
 
 def _partials_and_form(g: Grid2D) -> tuple:
     """X_u, X_v and the first-form coefficients E, F, G by differencing."""
     if g.values.ndim != 3 or g.values.shape[2] != 3:
         raise BadGrid("first_form expects a grid of E-points")
-    Xu = partials(g, "u").values
-    Xv = partials(g, "v").values
+    Xu = partials(g, "u")
+    Xv = partials(g, "v")
     E = np.einsum("ijk,ijk->ij", Xu, Xu)
     F = np.einsum("ijk,ijk->ij", Xu, Xv)
     G = np.einsum("ijk,ijk->ij", Xv, Xv)
@@ -388,9 +382,9 @@ def _shape_of(g: Grid2D) -> EuclideanShape:
             f"EG - F^2 reaches {det.min():.3e}; shape quantities undefined")
     normal = cross(Xu, Xv)
     gauss = normal / np.linalg.norm(normal, axis=-1)[..., None]
-    Xuu = partials(g, "uu").values
-    Xvv = partials(g, "vv").values
-    Xuv = partials(g.with_values(Xu), "v").values
+    Xuu = partials(g, "uu")
+    Xvv = partials(g, "vv")
+    Xuv = diff_samples(Xu, g.dv, 1, axis=1)
     e = np.einsum("ijk,ijk->ij", Xuu, gauss)
     f = np.einsum("ijk,ijk->ij", Xuv, gauss)
     gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
@@ -400,16 +394,17 @@ def _shape_of(g: Grid2D) -> EuclideanShape:
         g=_read_only(gg), K_T=_read_only(K_T))
 
 
-def _angle_partials(tg: Grid2D, which: tuple) -> tuple:
-    """The partials of the angle grid ``tg`` named in ``which``, a subset
-    of ("u", "v", "uv") returned in that order.  theta_u is always
-    differenced, and theta_uv is differenced from it along v."""
-    tu = diff_samples(tg.values, tg.du, 1, axis=0)
+def _angle_partials(theta: np.ndarray, g: Grid2D, which: tuple) -> tuple:
+    """The partials of the angle field ``theta`` on the nodes of ``g``
+    named in ``which``, a subset of ("u", "v", "uv") returned in that
+    order.  theta_u is always differenced, and theta_uv is differenced
+    from it along v."""
+    tu = diff_samples(theta, g.du, 1, axis=0)
     out = {"u": tu}
     if "v" in which:
-        out["v"] = diff_samples(tg.values, tg.dv, 1, axis=1)
+        out["v"] = diff_samples(theta, g.dv, 1, axis=1)
     if "uv" in which:
-        out["uv"] = diff_samples(tu, tg.dv, 1, axis=1)
+        out["uv"] = diff_samples(tu, g.dv, 1, axis=1)
     return tuple(out[w] for w in which)
 
 
@@ -421,7 +416,7 @@ def sine_gordon_residual(n: NetSurface, shape: EuclideanShape) -> Grid2D:
     there should be judged with the usual degenerate-angle mask.
     """
     g = n.grid
-    theta_uv, = _angle_partials(g.with_values(n.theta), ("uv",))
+    theta_uv, = _angle_partials(n.theta, g, ("uv",))
     res = theta_uv + shape.K_T * np.sin(n.theta)
     it = slice(2, -2)
     return Grid2D(u_min=g.u_min + 2 * g.du, v_min=g.v_min + 2 * g.dv,
@@ -458,9 +453,7 @@ def _critical_gallery(nu, nv) -> Gallery:
     grid = grid_from_ranges(_CRITICAL_RANGE, _CRITICAL_RANGE, X)
     F = np.sin(U) * np.sin(V)
     theta = np.arccos(np.clip(F, -1.0, 1.0))
-    ones = np.ones_like(F)
-    net = NetSurface(grid=grid, E=ones, F=F, G=ones.copy(), theta=theta,
-                     kind=FIRST_KIND, p0=np.zeros(3))
+    net = NetSurface(grid=grid, F=F, theta=theta)
     root = np.sqrt(1.0 - np.sin(U)**2 * np.sin(V)**2)
     oracles = {
         "F": F,
@@ -546,9 +539,7 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     grid = grid_from_ranges((us[0], us[-1]), (vs[0], vs[-1]), X)
     F = 2.0 * pr.x(Sq)**2 - 1.0
     theta = np.arccos(np.clip(F, -1.0, 1.0))
-    ones = np.ones_like(F)
-    net = NetSurface(grid=grid, E=ones, F=F, G=ones.copy(), theta=theta,
-                     kind=GENERAL, p0=X[nu // 2, nv // 2].copy())
+    net = NetSurface(grid=grid, F=F, theta=theta)
     return Gallery(name="noncritical", net=net, oracles={"F": F},
                    ts_grid=ts_grid, ts_forms=(E_ts, F_ts, G_ts))
 

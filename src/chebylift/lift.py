@@ -61,7 +61,7 @@ class LiftSurface:
 
     @cached_property
     def _first_partials(self) -> tuple:
-        return tuple(_read_only(partials(self.grid, w).values) for w in "uv")
+        return tuple(_read_only(partials(self.grid, w)) for w in "uv")
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,17 @@ class IsothermalReport:
     sup_ts: float
 
 
-def lift_net(n: NetSurface, tol: float = 1e-6) -> LiftSurface:
-    """Lift a verified Chebyshev net: f = (u + v) d0 + X."""
-    res = max(np.abs(n.E - 1.0).max(), np.abs(n.G - 1.0).max())
-    if res > tol or np.abs(n.F).max() >= 1.0:
-        raise NotChebyshev(f"net fails E = G = 1 within {tol:g} "
-                           f"(residual {res:.3e})")
+def lift_net(n: NetSurface) -> LiftSurface:
+    """Lift a Chebyshev net: f = (u + v) d0 + X.
+
+    E = G = 1 holds for a ``NetSurface`` by definition (``is_chebyshev``
+    measures it on a point grid), so the lift checks only |F| < 1, which
+    keeps g12 = F - 1 negative and the net angle off 0 and pi; it raises
+    ``NotChebyshev`` where |F| reaches 1.  The lift's grid is a new array.
+    """
+    sup_f = float(np.abs(n.F).max())
+    if sup_f >= 1.0:
+        raise NotChebyshev(f"net fails |F| < 1 (sup |F| = {sup_f:.3e})")
     g = n.grid
     x0 = g.us[:, None] + g.vs[None, :]
     vals = np.concatenate([x0[..., None], g.values], axis=-1)
@@ -124,13 +129,17 @@ def verify_null_coords(s: LiftSurface) -> NullCoordReport:
     interior (centered-stencil) nodes, two rows in from each edge."""
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
-    fu, fv = s._first_partials
+    return NullCoordReport(*_metric_sups(*s._first_partials, (0.0, 0.0, s.g12)),
+                           interior_trim=2)
+
+
+def _metric_sups(f1: np.ndarray, f2: np.ndarray, targets: tuple) -> tuple:
+    """Sups of |<f1,f1> - g11|, |<f2,f2> - g22| and |<f1,f2> - g12| over
+    the interior (centered-stencil) nodes, two rows in from each edge, for
+    ``targets`` = (g11, g22, g12), each a scalar or a nodewise array."""
     it = slice(2, -2)
-    r1 = np.abs(mk.inner(fu, fu))[it, it]
-    r2 = np.abs(mk.inner(fv, fv))[it, it]
-    r3 = np.abs(mk.inner(fu, fv) - s.g12)[it, it]
-    return NullCoordReport(sup_fu_fu=float(r1.max()), sup_fv_fv=float(r2.max()),
-                           sup_cross=float(r3.max()), interior_trim=2)
+    return tuple(float(np.abs(mk.inner(a, b) - t)[it, it].max())
+                 for (a, b), t in zip(((f1, f1), (f2, f2), (f1, f2)), targets))
 
 
 def _degenerate_mask(theta: np.ndarray) -> np.ndarray:
@@ -147,7 +156,7 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    return _mean_curvature(s, partials(s.grid, "u").values)
+    return _mean_curvature(s, partials(s.grid, "u"))
 
 
 def _mean_curvature(s: LiftSurface, fu: np.ndarray) -> MaskedField:
@@ -213,20 +222,19 @@ def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:
         raise BadGrid("gaussian curvature needs the null-coordinate form")
     if route not in ("direct", "via_net"):
         raise BadGrid(f"unknown route {route!r}")
-    tg = s.grid.with_values(s.theta)
     denom = (1.0 - np.cos(s.theta))**2
     degenerate = _degenerate_mask(s.theta)
     if np.all(degenerate):
         raise DegenerateAngle("net angle degenerate on the whole grid")
     denom = np.where(degenerate, 1.0, denom)
     if route == "direct":
-        tu, tv, tuv = _angle_partials(tg, ("u", "v", "uv"))
+        tu, tv, tuv = _angle_partials(s.theta, s.grid, ("u", "v", "uv"))
         K = (tu * tv - tuv * np.sin(s.theta)) / denom
     else:
         if s.source is None:
             raise MissingSource("via_net route needs the source net")
         K_T = euclidean_shape(s.source).K_T
-        tu, tv = _angle_partials(tg, ("u", "v"))
+        tu, tv = _angle_partials(s.theta, s.grid, ("u", "v"))
         K = (tu * tv + K_T * np.sin(s.theta)**2) / denom
     K = np.where(degenerate, np.nan, K)
     return MaskedField(values=K, degenerate=degenerate)
@@ -239,17 +247,14 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     the first-kind net of (n0, n3) and is minimal by construction.  Like
     ``build_first_kind`` it rejects generators that meet at the samples;
     the certified verdict over the whole product is ``source.disjointness``.
+    P0[0] is added to the x0 column of the fresh lift in place.
     """
     P0 = np.asarray(P0, dtype=float)
-    if P0.shape != (4,):
-        raise BadInput("P0 must be a 4-vector")
-    net = build_first_kind(n0, n3, mk.spatial(P0))
-    surf = lift_net(net)
-    vals = surf.grid.values.copy()
-    vals[..., 0] += P0[0]
-    grid = surf.grid.with_values(vals)
-    return LiftSurface(grid=grid, theta=surf.theta, g12=surf.g12,
-                       source=net, coords=NULL_COORDS)
+    if P0.shape != (4,) or not np.all(np.isfinite(P0)):
+        raise BadInput("P0 must be a finite 4-vector")
+    surf = lift_net(build_first_kind(n0, n3, mk.spatial(P0)))
+    surf.grid.values[..., 0] += P0[0]
+    return surf
 
 
 def decompose_minimal(s: LiftSurface) -> tuple:
@@ -304,40 +309,27 @@ def to_null_form(s: LiftSurface) -> tuple:
 
 
 def _change_coords(s: LiftSurface, direction: str) -> tuple:
-    g = s.grid
-    spatial_grid = g.with_values(mk.spatial(g.values))
-    x0_grid = g.with_values(g.values[..., 0])
-    theta_grid = g.with_values(s.theta)
-    new_sp = equivalent_immersion(spatial_grid, direction)
-    new_th = equivalent_immersion(theta_grid, direction).values
-    new_th = np.clip(new_th, 0.0, np.pi)
-    # x0 is affine in the parameters, so the resampling is exact on it;
-    # rebuild it from the coordinates to keep the separable structure.
-    x0_off = equivalent_immersion(x0_grid, direction).values
-    if direction == "uv_to_ts":
-        coord = new_sp.us[:, None] + 0.0 * new_sp.vs[None, :]
-        coords_tag = ISOTHERMAL_COORDS
-    else:
-        coord = new_sp.us[:, None] + new_sp.vs[None, :]
-        coords_tag = NULL_COORDS
-    const = float(np.mean(x0_off - coord))
-    vals = np.concatenate([(coord + const)[..., None], new_sp.values], axis=-1)
-    grid = new_sp.with_values(vals)
-    out = LiftSurface(grid=grid, theta=new_th, g12=np.cos(new_th) - 1.0,
-                      source=None, coords=coords_tag)
+    """Resample f and theta through ``equivalent_immersion`` and measure
+    the target metric with ``_metric_sups``.
 
-    f1 = partials(grid, "u").values
-    f2 = partials(grid, "v").values
-    sin2 = np.sin(new_th / 2.0)**2
-    it = slice(2, -2)
+    f is resampled in one call on its own (n, n, 4) grid.  Its x0 is
+    affine in the parameters, so the spline reproduces it up to roundoff;
+    x0 is rebuilt in place from the target coordinates plus the mean
+    offset, which keeps its separable structure exact.
+    """
+    grid = equivalent_immersion(s.grid, direction)
+    new_th = equivalent_immersion(s.grid.with_values(s.theta), direction).values
+    new_th = np.clip(new_th, 0.0, np.pi)
+    g12 = np.cos(new_th) - 1.0
     if direction == "uv_to_ts":
-        r_tt = np.abs(mk.inner(f1, f1) + sin2)[it, it].max()
-        r_ss = np.abs(mk.inner(f2, f2) - sin2)[it, it].max()
-        r_ts = np.abs(mk.inner(f1, f2))[it, it].max()
+        coord = grid.us[:, None] + 0.0 * grid.vs[None, :]
+        sin2 = np.sin(new_th / 2.0)**2
+        coords_tag, targets = ISOTHERMAL_COORDS, (-sin2, sin2, 0.0)
     else:
-        r_tt = np.abs(mk.inner(f1, f1))[it, it].max()
-        r_ss = np.abs(mk.inner(f2, f2))[it, it].max()
-        r_ts = np.abs(mk.inner(f1, f2) - out.g12)[it, it].max()
-    report = IsothermalReport(sup_tt=float(r_tt), sup_ss=float(r_ss),
-                              sup_ts=float(r_ts))
-    return out, report
+        coord = grid.us[:, None] + grid.vs[None, :]
+        coords_tag, targets = NULL_COORDS, (0.0, 0.0, g12)
+    x0 = grid.values[..., 0]
+    x0[...] = coord + float(np.mean(x0 - coord))
+    sups = _metric_sups(partials(grid, "u"), partials(grid, "v"), targets)
+    return (LiftSurface(grid=grid, theta=new_th, g12=g12, source=None,
+                        coords=coords_tag), IsothermalReport(*sups))

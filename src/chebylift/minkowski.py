@@ -2,7 +2,7 @@
 
 Vectors are plain numpy arrays of shape (..., 4); all operations broadcast
 over leading axes.  The Euclidean slice E = {0} x R^3 is handled through the
-``embed_e`` / ``spatial`` helpers, with E-points stored as 3-vectors.
+``spatial`` helper, with E-points stored as 3-vectors.
 
 The adapted frame of a spacelike plane span{a,b} consists of the unit
 timelike vector tau, the unit spacelike normal nu, the sphere points n0, n3
@@ -40,14 +40,6 @@ def vec4(x0: float, x1: float, x2: float, x3: float) -> np.ndarray:
     return v
 
 
-def embed_e(p: np.ndarray) -> np.ndarray:
-    """Embed E-points/vectors (..., 3) into R^4_1 with vanishing x0."""
-    p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape[:-1] + (4,))
-    out[..., 1:] = p
-    return out
-
-
 def spatial(v: np.ndarray) -> np.ndarray:
     """Spatial part (x1, x2, x3) of vectors of R^4_1."""
     return np.asarray(v, dtype=float)[..., 1:]
@@ -73,6 +65,8 @@ def causal_class(v: np.ndarray, tol: float = 0.0) -> CausalClass:
     classified lightlike (v != 0).
     """
     v = np.asarray(v, dtype=float)
+    if v.shape != (4,):
+        raise BadInput("causal_class expects one 4-vector")
     q = float(inner(v, v))
     e2 = float(v @ v)
     if e2 == 0.0:

@@ -57,8 +57,8 @@ class Grid2D:
             raise BadGrid("grid payload must be (nu, nv) or (nu, nv, k)")
         if v.shape[0] < 3 or v.shape[1] < 3:
             raise BadGrid("grids need at least 3 nodes per direction")
-        if not (self.du > 0 and self.dv > 0):
-            raise BadGrid("grid spacings must be positive")
+        if not (0 < self.du < np.inf and 0 < self.dv < np.inf):
+            raise BadGrid("grid spacings must be finite and positive")
         if not np.all(np.isfinite(v)):
             raise BadGrid("grid values must be finite")
 
@@ -111,8 +111,8 @@ class SampledCurve:
             raise BadGrid("curve points must be a (n, k) array")
         if p.shape[0] < 5:
             raise BadGrid("curves need at least 5 nodes")
-        if not self.dt > 0:
-            raise BadGrid("curve spacing must be positive")
+        if not 0 < self.dt < np.inf:
+            raise BadGrid("curve spacing must be finite and positive")
         if not np.all(np.isfinite(p)):
             raise BadGrid("curve points must be finite")
 
@@ -252,6 +252,9 @@ def diff_samples(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.
     boundary row at the edges); an input that no (P, n, Q) view reaches,
     such as a transpose, is copied first.  The result is C-contiguous.
     """
+    if not 0 < h < np.inf or order < 1:
+        raise BadGrid(f"need a finite spacing h > 0 and an order >= 1 "
+                      f"(h = {h}, order {order})")
     a = np.asarray(values, dtype=float)
     if not -a.ndim <= axis < a.ndim:
         raise BadGrid(f"axis {axis} is out of range for {a.ndim}-d values")
@@ -296,8 +299,9 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _PARTIALS = {"u", "v", "uu", "vv", "uv"}
 
 
-def partials(g: Grid2D, which: str) -> Grid2D:
-    """Partial derivative grid; ``which`` is one of u, v, uu, vv, uv.
+def partials(g: Grid2D, which: str) -> np.ndarray:
+    """Partial derivative of the grid's values, an array of their shape;
+    ``which`` is one of u, v, uu, vv, uv.
 
     The mixed partial composes the two first-derivative operators, so it
     annihilates separable sums A(u) + B(v) exactly.
@@ -315,7 +319,7 @@ def partials(g: Grid2D, which: str) -> Grid2D:
         out = diff_samples(vals, g.dv, 2, axis=1)
     else:
         out = diff_samples(diff_samples(vals, g.du, 1, axis=0), g.dv, 1, axis=1)
-    return g.with_values(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TestCheckNecessary:
         # rotate a toward the transversal null normal l3 = f_v direction:
         # stays orthonormal spacelike but leaves the normal space of c'
         from chebylift.numerics import partials
-        l3 = partials(surf.grid, "v").values[:, j0, :]
+        l3 = partials(surf.grid, "v")[:, j0, :]
         a_pert = d.a.points + np.tan(0.1) * l3
         d_pert = BjorlingData(
             c=d.c, a=SampledCurve(d.a.t_min, d.a.dt, a_pert), b=d.b)
@@ -396,6 +396,19 @@ class TestSolve:
         assert rep.passed
         K = gaussian_curvature(sol)
         assert K.sup() <= 1e-4
+
+    def test_theta_profile_off_v0_column_raises(self):
+        # the column nearest v = 0 sits 0.4 dv off it: the solution's
+        # v = 0 row would then miss c, so the profile is rejected
+        d, th0 = helix_data()
+        dec = decompose(d)
+        vs = np.linspace(-0.6, 0.6, 121)
+        dv = float(vs[1] - vs[0])
+        theta = Grid2D(u_min=dec.alpha.t_min, v_min=float(vs[0]) + 0.4 * dv,
+                       du=dec.alpha.dt, dv=dv,
+                       values=np.full((dec.alpha.n, vs.size), th0))
+        with pytest.raises(ExtensionMismatch):
+            solve(d, ExtensionChoice.from_theta(theta))
 
     def test_normal_plane_checked_at_every_node(self, monkeypatch):
         # tilt e~ out of the solution's normal plane at node 1 of the v = 0

@@ -317,11 +317,8 @@ class TestEuclideanShape:
         us = np.linspace(0, 1, 31)
         U, V = np.meshgrid(us, us, indexing="ij")
         g = grid_from_ranges((0, 1), (0, 1), np.stack([U, V, 0 * U], axis=-1))
-        ones = np.ones_like(U)
-        from chebylift.chebnet import GENERAL, NetSurface
-        net = NetSurface(grid=g, E=ones, F=0 * ones, G=ones.copy(),
-                         theta=np.full_like(U, np.pi / 2), kind=GENERAL,
-                         p0=np.zeros(3))
+        from chebylift.chebnet import NetSurface
+        net = NetSurface(grid=g, F=0 * U, theta=np.full_like(U, np.pi / 2))
         shape = euclidean_shape(net)
         assert np.abs(shape.K_T).max() < 1e-9
         assert np.abs(shape.e).max() < 1e-9

@@ -10,7 +10,8 @@ from chebylift.chebnet import (
     build_first_kind, euclidean_shape, gallery, gallery_generators,
     is_chebyshev, sine_gordon_residual,
 )
-from chebylift.errors import DegenerateAngle, MissingSource, NotMinimal
+from chebylift.errors import (ChebyliftError, DegenerateAngle, MissingSource,
+                              NotChebyshev, NotMinimal)
 from chebylift.lift import (
     build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
@@ -57,6 +58,14 @@ class TestLiftNet:
         x0 = g.values[..., 0]
         assert np.abs(x0 - (g.us[:, None] + g.vs[None, :])).max() < 1e-12
 
+    @pytest.mark.parametrize("f", [1.0, -1.0])
+    def test_f_reaching_one_raises(self, f):
+        net = gallery("critical", nu=21, nv=21).net
+        F = net.F.copy()
+        F[3, 4] = f
+        with pytest.raises(NotChebyshev):
+            lift_net(replace(net, F=F))
+
 
 class TestVerifyNullCoords:
     def test_gallery_critical(self, critical_lift):
@@ -71,12 +80,9 @@ class TestVerifyNullCoords:
         resampled = equivalent_immersion(gal.ts_grid, "ts_to_uv")
         rep = is_chebyshev(resampled, tol=1e-5)
         assert rep.passed
-        from chebylift.chebnet import GENERAL, NetSurface
-        ones = np.ones_like(rep.theta)
-        net = NetSurface(grid=resampled, E=ones, F=np.cos(rep.theta),
-                         G=ones.copy(), theta=rep.theta, kind=GENERAL,
-                         p0=resampled.values[0, 0])
-        out = verify_null_coords(lift_net(net, tol=1e-5))
+        from chebylift.chebnet import NetSurface
+        net = NetSurface(grid=resampled, F=np.cos(rep.theta), theta=rep.theta)
+        out = verify_null_coords(lift_net(net))
         assert max(out.sup_fu_fu, out.sup_fv_fv, out.sup_cross) <= 1e-5
 
     def test_corrupted_lift_detected(self, critical_lift):
@@ -119,8 +125,8 @@ class TestNormalFrame:
         assert np.abs(mk.inner(fr.e2, fr.e2) - 1)[keep].max() <= 1e-6
         # frame is normal to the surface
         from chebylift.numerics import partials
-        fu = partials(critical_lift.grid, "u").values
-        fv = partials(critical_lift.grid, "v").values
+        fu = partials(critical_lift.grid, "u")
+        fv = partials(critical_lift.grid, "v")
         for tangent in (fu, fv):
             for nrm in (fr.etilde, fr.e2):
                 assert np.abs(mk.inner(tangent, nrm)[keep]).max() <= 1e-6
@@ -208,6 +214,12 @@ class TestGaussianCurvature:
 
 
 class TestBuildMinimal:
+    @pytest.mark.parametrize("P0", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0],
+                                    [0, 0, -np.inf, 0]])
+    def test_non_finite_base_point_raises(self, P0):
+        with pytest.raises(ChebyliftError):
+            build_minimal(*gallery_generators(21), P0)
+
     def test_matches_gallery_lift(self, critical_lift):
         T1, T2 = gallery_generators(n=201)
         s = build_minimal(T1, T2, np.zeros(4))
@@ -239,8 +251,8 @@ class TestBuildMinimal:
         n0, n3 = random_net_pair(rng, n=101, t_range=(-0.1, 0.1))
         s = build_minimal(n0, n3, np.zeros(4))
         from chebylift.numerics import partials
-        fu = partials(s.grid, "u").values
-        fv = partials(s.grid, "v").values
+        fu = partials(s.grid, "u")
+        fv = partials(s.grid, "v")
         assert np.abs(fu - fu[:, :1, :]).max() <= 1e-8
         assert np.abs(fv - fv[:1, :, :]).max() <= 1e-8
 
@@ -314,8 +326,8 @@ class TestInvariants:
         s = build_minimal(n0c, n3c, np.zeros(4))
         fr = normal_frame(s)
         from chebylift.numerics import partials
-        fu = partials(s.grid, "u").values
-        fv = partials(s.grid, "v").values
+        fu = partials(s.grid, "u")
+        fv = partials(s.grid, "v")
         for idx in [(10, 17), (50, 50), (80, 3)]:
             a = fr.etilde[idx]
             b = fr.e2[idx]

@@ -66,6 +66,11 @@ class TestCausalClass:
         assert causal_class(v) is CausalClass.SPACELIKE
         assert causal_class(v, tol=1e-9) is CausalClass.LIGHTLIKE
 
+    @pytest.mark.parametrize("v", [np.zeros((2, 4)), np.zeros(3), 1.0])
+    def test_rejects_all_but_one_4_vector(self, v):
+        with pytest.raises(BadInput):
+            causal_class(v)
+
 
 class TestWedge3:
     def test_spatial_basis(self):

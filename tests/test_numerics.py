@@ -30,6 +30,15 @@ class TestTypes:
         with pytest.raises(BadGrid):
             SampledCurve(0, 0.1, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan])
+    def test_spacing_must_be_finite_positive(self, h):
+        with pytest.raises(BadGrid):
+            Grid2D(0, 0, h, 0.1, np.zeros((5, 5)))
+        with pytest.raises(BadGrid):
+            Grid2D(0, 0, 0.1, h, np.zeros((5, 5)))
+        with pytest.raises(BadGrid):
+            SampledCurve(0, h, np.zeros((5, 3)))
+
     def test_sphere_curve_validation(self):
         ts = np.linspace(0, 1, 11)
         good = np.stack([np.cos(ts), np.sin(ts), 0 * ts], axis=1)
@@ -93,19 +102,19 @@ class TestCumulativeIntegral:
 class TestPartials:
     def test_sin_field(self):
         g = scalar_grid(lambda u, v: np.sin(u), n=1001, u_range=(0, 1))
-        got = partials(g, "u").values
+        got = partials(g, "u")
         U = np.tile(g.us[:, None], (1, g.nv))
         assert np.abs(got - np.cos(U)).max() < 1e-6
 
     def test_mixed_partial_bilinear(self):
         g = scalar_grid(lambda u, v: u * v)
-        assert np.abs(partials(g, "uv").values - 1.0).max() < 1e-9
+        assert np.abs(partials(g, "uv") - 1.0).max() < 1e-9
 
     def test_constant_field(self):
         g = scalar_grid(lambda u, v: 0 * u + 3.0)
         # second-derivative stencils leave eps/h^2 rounding residue
         for which in ("u", "v", "uu", "vv", "uv"):
-            assert np.abs(partials(g, which).values).max() < 1e-10
+            assert np.abs(partials(g, which)).max() < 1e-10
 
     def test_quadratics_exact(self):
         g = scalar_grid(lambda u, v: 2 * u**2 - u * v + 3 * v**2 + u - 7)
@@ -113,14 +122,14 @@ class TestPartials:
         for which, exact in [("u", 4 * U - V + 1), ("v", -U + 6 * V),
                              ("uu", 4.0 + 0 * U), ("vv", 6.0 + 0 * U),
                              ("uv", -1.0 + 0 * U)]:
-            assert np.abs(partials(g, which).values - exact).max() < 1e-9
+            assert np.abs(partials(g, which) - exact).max() < 1e-9
 
     def test_vector_payload(self):
         us = np.linspace(0, 1, 31)
         U, V = np.meshgrid(us, us, indexing="ij")
         vals = np.stack([U * V, U**2, V**2], axis=-1)
         g = grid_from_ranges((0, 1), (0, 1), vals)
-        gu = partials(g, "u").values
+        gu = partials(g, "u")
         assert np.abs(gu[..., 0] - V).max() < 1e-9
         assert np.abs(gu[..., 1] - 2 * U).max() < 1e-9
 
@@ -140,6 +149,12 @@ class TestDiffSamples:
                     d = diff_samples(y, 0.013, order, axis=axis)
                     assert d.shape == y.shape
                     assert np.all(d == 0.0)
+
+    @pytest.mark.parametrize("h, order", [(0.0, 1), (-0.1, 1), (np.nan, 1),
+                                          (np.inf, 1), (0.1, 0), (0.1, -1)])
+    def test_bad_spacing_or_order_raises(self, h, order):
+        with pytest.raises(BadGrid):
+            diff_samples(np.arange(9.0) ** 2, h, order)
 
 
 def _reference_apply_at(y, width, at, order, h, start, count):
