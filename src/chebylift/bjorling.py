@@ -14,7 +14,7 @@ the second generator with a fixed value at v = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -23,13 +23,14 @@ from scipy.interpolate import CubicSpline
 
 from . import minkowski as mk
 from .chebnet import check_disjointness
-from .errors import (BadData, DegenerateFrenet, DisjointnessViolated,
+from .errors import (BadData, Check, DegenerateFrenet, DisjointnessViolated,
                      DivisionDegenerate, ExtensionMismatch, IncompatibleData,
-                     InconsistentSeed, NecessaryConditionFailed)
+                     InconsistentSeed, NecessaryConditionFailed, Report)
 from .lift import (MINIMAL_TOL, LiftSurface, build_minimal, mean_curvature,
                    normal_frame)
 from .numerics import (FrenetData, Grid2D, KAPPA_TOL, STENCIL_WIDTH,
-                       SampledCurve, SphereCurve, diff_samples, frenet)
+                       SampledCurve, SphereCurve, diff_samples, frenet,
+                       sup_check)
 
 NECESSARY_TOL = 1e-6
 COMPAT_TOL = 1e-5
@@ -75,21 +76,21 @@ class BjorlingData:
         residual by at most 2|d|/|c'|.  Returns err.
         """
         a, b = self.a.points, self.b.points
-        res = max(np.abs(mk.inner(a, a) - 1.0).max(),
-                  np.abs(mk.inner(b, b) - 1.0).max(),
-                  np.abs(mk.inner(a, b)).max())
-        if res > STRUCT_TOL:
-            raise BadData(f"(a, b) is not orthonormal spacelike "
-                          f"(residual {res:.3e})")
+        ts = (self.c.ts,)
+        chk = sup_check("orthonormal", np.maximum.reduce(
+            [np.abs(mk.inner(a, a) - 1.0), np.abs(mk.inner(b, b) - 1.0),
+             np.abs(mk.inner(a, b))]), STRUCT_TOL, axes=ts)
+        if not chk.passed:
+            raise BadData("(a, b) is not orthonormal spacelike", chk)
         cp = diff_samples(self.c.points, self.c.dt, 1)
         if cp[:, 0].min() <= 0:
             raise BadData("c0'(t) must be positive")
         err = self.derivative_error()
-        light = np.abs(mk.inner(cp, cp)) / np.einsum("ij,ij->i", cp, cp)
-        tol = max(STRUCT_TOL, 2.0 * err)
-        if light.max() > tol:
-            raise BadData(f"c is not lightlike (residual {light.max():.3e}, "
-                          f"tolerance {tol:.3e})")
+        light = mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp)
+        chk = sup_check("lightlike", light, max(STRUCT_TOL, 2.0 * err),
+                        axes=ts)
+        if not chk.passed:
+            raise BadData("c is not lightlike", chk)
         return err
 
     def derivative_error(self) -> float:
@@ -110,19 +111,6 @@ class BjorlingData:
 
 
 @dataclass(frozen=True)
-class NecessaryReport:
-    passed: bool
-    orientation: Optional[str]   # "ab" or "ba"
-    residual_ab: float
-    residual_ba: float
-    tol: float
-
-    @property
-    def residual(self) -> float:
-        return min(self.residual_ab, self.residual_ba)
-
-
-@dataclass(frozen=True)
 class CurveDecomposition:
     """Curve-level data on a uniform u-grid with c0'(u) = 1."""
 
@@ -139,19 +127,6 @@ class CurveDecomposition:
     @property
     def us(self) -> np.ndarray:
         return self.alpha.ts
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    sup_r1: float
-    sup_r2: float
-    sup_r3: float
-    sup_dn3: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.sup_dn3 <= self.tol
 
 
 class SpecialCaseKind(Enum):
@@ -185,18 +160,6 @@ class ExtensionChoice:
         return cls(kind="theta_profile", theta=theta)
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    passed: bool
-    orientation: str
-    extension_kind: str
-    compatibility_sup: float
-    curve_sup: float
-    projector_sup: float
-    h_sup: float
-    tols: dict
-
-
 # ---------------------------------------------------------------------------
 # necessary condition
 
@@ -218,7 +181,7 @@ def _data_n3(d: BjorlingData, orientation: str) -> np.ndarray:
     return mk.spatial(n0 if orientation == "ba" else n3)
 
 
-def check_necessary(d: BjorlingData) -> NecessaryReport:
+def check_necessary(d: BjorlingData) -> Report:
     """Check c' = c0'(d0 + n00) against both orderings of {a, b}.
 
     Swapping (a, b) flips nu and exchanges n0 with n3, so the two residuals
@@ -226,31 +189,31 @@ def check_necessary(d: BjorlingData) -> NecessaryReport:
     makes pass/fail invariant under orientation-preserving reparametrization
     of c.  It is held to max(NECESSARY_TOL, (2 + sqrt 2) err) with err the
     data's ``derivative_error``: for lightlike c, |c'| = sqrt 2 c0', and an
-    error d in c' moves c'/c0' by at most (2 + sqrt 2)|d|/|c'|.  The report
-    carries the tolerance applied.
+    error d in c' moves c'/c0' by at most (2 + sqrt 2)|d|/|c'|.  Checks
+    residual_ab, residual_ba and residual, the better one held to that
+    tolerance; info ``orientation``, "ab" or "ba" if it passes, else None.
     """
     err = d.validate_structure()
     tol = max(NECESSARY_TOL, (2.0 + np.sqrt(2.0)) * err)
     cp = diff_samples(d.c.points, d.c.dt, 1)
     l_data = cp / cp[:, :1]      # c'/c0', time component 1
     n0, n3 = _frame_nulls(d.a.points, d.b.points)
-    r_ab = float(np.linalg.norm(l_data - mk.D0 - n0, axis=1).max())
-    r_ba = float(np.linalg.norm(l_data - mk.D0 - n3, axis=1).max())
-    orientation = None
-    if min(r_ab, r_ba) <= tol:
-        orientation = "ab" if r_ab <= r_ba else "ba"
-    return NecessaryReport(passed=orientation is not None,
-                           orientation=orientation, residual_ab=r_ab,
-                           residual_ba=r_ba, tol=tol)
+    r = {o: sup_check(f"residual_{o}", np.linalg.norm(
+        l_data - mk.D0 - n, axis=1), axes=(d.c.ts,))
+        for o, n in (("ab", n0), ("ba", n3))}
+    best = "ba" if r["ba"].value < r["ab"].value else "ab"
+    residual = replace(r[best], name="residual", tol=tol)
+    return Report((residual, r["ab"], r["ba"]),
+                  {"orientation": best if residual.passed else None})
 
 
-def _require_necessary(d: BjorlingData) -> NecessaryReport:
-    """``check_necessary``, raising when both orientations fail."""
+def _require_necessary(d: BjorlingData) -> Report:
+    """``check_necessary``, raising ``NecessaryConditionFailed`` when both
+    orientations fail."""
     rep = check_necessary(d)
-    if not rep.passed:
+    if not rep["residual"].passed:
         raise NecessaryConditionFailed(
-            f"residuals {rep.residual_ab:.3e} / {rep.residual_ba:.3e} exceed "
-            f"{rep.tol:.3g}")
+            "c' misses d0 + n0 for both orderings of (a, b)", rep["residual"])
     return rep
 
 
@@ -337,7 +300,7 @@ def _decomposition(rd: BjorlingData, alpha: SampledCurve, fr: FrenetData,
                               n3curve=n3curve, orientation=orientation)
 
 
-def compatibility_residual(dec: CurveDecomposition) -> CompatibilityReport:
+def compatibility_residual(dec: CurveDecomposition) -> Report:
     """Residuals of the curve-level compatibility system at v = 0.
 
     The three equations are the Frenet decomposition of d n3/du = 0:
@@ -346,28 +309,28 @@ def compatibility_residual(dec: CurveDecomposition) -> CompatibilityReport:
     r1 = -<n3', T>, r2 = <n3', N>, r3 = <n3', B>, and that is how they are
     computed: from the one differenced n3' projected on the Frenet frame,
     not by differencing theta, p and q, which are already built from
-    second derivatives of the data.  sup |d n3/du| is the value the solver
-    gates on, against ``COMPAT_TOL``.
+    second derivatives of the data.  sup |d n3/du| (check sup_dn3) is the
+    value the solver gates on, against ``COMPAT_TOL``.
     """
     dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
     fr = dec.frenet
-    r1 = np.einsum("ij,ij->i", dn3, fr.T)
-    r2 = np.einsum("ij,ij->i", dn3, fr.N)
-    r3 = np.einsum("ij,ij->i", dn3, fr.B)
-    return CompatibilityReport(sup_r1=float(np.abs(r1).max()),
-                               sup_r2=float(np.abs(r2).max()),
-                               sup_r3=float(np.abs(r3).max()),
-                               sup_dn3=float(np.linalg.norm(dn3, axis=1).max()),
-                               tol=COMPAT_TOL)
+    us = (dec.us,)
+    return Report((
+        sup_check("sup_r1", np.einsum("ij,ij->i", dn3, fr.T), axes=us),
+        sup_check("sup_r2", np.einsum("ij,ij->i", dn3, fr.N), axes=us),
+        sup_check("sup_r3", np.einsum("ij,ij->i", dn3, fr.B), axes=us),
+        sup_check("sup_dn3", np.linalg.norm(dn3, axis=1), COMPAT_TOL,
+                  axes=us)))
 
 
 def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     """Solve the reduced system for (p, q) given a theta extension.
 
     p = -theta_u sin theta / kappa, q = (p_u + kappa cos theta) / tor; the
-    returned residual p^2 + q^2 - sin^2 theta is the consistency check an
-    admissible theta extension must satisfy.  |kappa| or |tor| at most
-    1e-9 anywhere raises ``DivisionDegenerate``.
+    returned residual p^2 + q^2 - sin^2 theta, like p and q an array on the
+    nodes of ``theta``, is the consistency check an admissible theta
+    extension must satisfy.  |kappa| or |tor| at most 1e-9 anywhere raises
+    ``DivisionDegenerate``.
     """
     kappa = np.asarray(kappa, dtype=float)
     tor = np.asarray(tor, dtype=float)
@@ -380,9 +343,7 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     p = -th_u * np.sin(th) / kappa[:, None]
     p_u = diff_samples(p, theta.du, 1, axis=0)
     q = (p_u + kappa[:, None] * np.cos(th)) / tor[:, None]
-    residual = p * p + q * q - np.sin(th)**2
-    return (theta.with_values(p), theta.with_values(q),
-            theta.with_values(residual))
+    return p, q, p * p + q * q - np.sin(th)**2
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +403,9 @@ def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
     """Solution through a lightlike straight line: f = u l0 + v d0 + int n3.
 
     ``n3(0)`` must agree with pi(tau + nu) of D at the basepoint (admissible
-    orientation) within 1e-5; the surface is ruled by the constant
-    direction l0.  n3 must stay off +-l0 on the whole product, between
-    samples too.
+    orientation) within 1e-5 (check seed_miss, else ``InconsistentSeed``);
+    the surface is ruled by the constant direction l0.  n3 must stay off
+    +-l0 on the whole product, between samples too.
     """
     rd, alpha, fr = _resampled_frenet(d)
     case = _classify(d, rd, alpha, fr)
@@ -454,10 +415,10 @@ def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
     n0_const = _unit_n0(rd.c).mean(axis=0)
     n0_const /= np.linalg.norm(n0_const)
     seed = _data_n3(rd, rep.orientation)[rd.c.base_index()]
-    miss = float(np.linalg.norm(n3.points[n3.base_index()] - seed))
-    if miss > 1e-5:
-        raise InconsistentSeed(
-            f"n3(0) differs from the frame value by {miss:.3e}")
+    chk = Check("seed_miss", float(np.linalg.norm(
+        n3.points[n3.base_index()] - seed)), 1e-5)
+    if not chk.passed:
+        raise InconsistentSeed("n3(0) differs from the frame value", chk)
     n0curve = SphereCurve(t_min=rd.c.t_min, dt=rd.c.dt,
                           points=np.tile(n0_const, (rd.c.n, 1)))
     P0 = rd.c.points[rd.c.base_index()]
@@ -520,10 +481,10 @@ def _extension_curve(dec: CurveDecomposition,
         cur = ext.curve
         if abs(cur.ts[cur.base_index()]) > 1e-9:
             raise ExtensionMismatch("extension curve needs a v = 0 node")
-        miss = float(np.linalg.norm(cur.points[cur.base_index()] - n3_seed))
-        if miss > SEED_TOL:
-            raise ExtensionMismatch(
-                f"extension seed differs from data by {miss:.3e}")
+        chk = Check("seed_miss", float(np.linalg.norm(
+            cur.points[cur.base_index()] - n3_seed)), SEED_TOL)
+        if not chk.passed:
+            raise ExtensionMismatch("extension seed differs from data", chk)
         return cur
     if ext.kind != "theta_profile":
         raise ExtensionMismatch(f"unknown extension kind {ext.kind!r}")
@@ -535,23 +496,27 @@ def _extension_curve(dec: CurveDecomposition,
     j0 = int(np.argmin(np.abs(theta.vs)))
     if abs(theta.vs[j0]) > 1e-9:
         raise ExtensionMismatch("theta profile needs a v = 0 column")
-    edge = float(np.abs(theta.values[:, j0] - dec.theta0).max())
-    if edge > SEED_TOL:
-        raise ExtensionMismatch(
-            f"theta(u, 0) differs from curve data by {edge:.3e}")
+    chk = sup_check("theta_edge", theta.values[:, j0] - dec.theta0, SEED_TOL,
+                    axes=(theta.us,))
+    if not chk.passed:
+        raise ExtensionMismatch("theta(u, 0) differs from curve data", chk)
     p, q, residual = solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
-    res = float(np.abs(residual.values).max())
-    if res > EXTENSION_TOL:
+    # NaN and inf fail this check, so no non-finite p or q gets past it
+    axes = (theta.us, theta.vs)
+    chk = sup_check("pq_residual", residual, EXTENSION_TOL, axes=axes)
+    if not chk.passed:
         raise ExtensionMismatch(
-            f"theta extension violates p^2 + q^2 = sin^2 theta by {res:.3e}")
+            "theta extension violates p^2 + q^2 = sin^2 theta", chk)
     fr = dec.frenet
     n3_field = (np.cos(theta.values)[..., None] * fr.T[:, None, :]
-                + p.values[..., None] * fr.N[:, None, :]
-                + q.values[..., None] * fr.B[:, None, :])
-    dev = float(np.abs(n3_field - n3_field.mean(axis=0)).max())
-    if dev > EXTENSION_TOL:
-        raise ExtensionMismatch(
-            f"extension's n3 varies along u by {dev:.3e}")
+                + p[..., None] * fr.N[:, None, :]
+                + q[..., None] * fr.B[:, None, :])
+    dev = np.abs(n3_field - n3_field.mean(axis=0))
+    # max of the component views: max(axis=-1) over 3 values is 4x slower
+    chk = sup_check("n3_u_variation", np.maximum(np.maximum(
+        dev[..., 0], dev[..., 1]), dev[..., 2]), EXTENSION_TOL, axes=axes)
+    if not chk.passed:
+        raise ExtensionMismatch("extension's n3 varies along u", chk)
     pts = n3_field.mean(axis=0)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     # The rebuilt curve carries the differencing error of kappa and tor, so
@@ -560,10 +525,10 @@ def _extension_curve(dec: CurveDecomposition,
     m = pts[j0]
     k = np.cross(m, n3_seed)
     cos_phi = float(m @ n3_seed)
-    anchor = float(np.linalg.norm(m - n3_seed))
-    if anchor > EXTENSION_TOL:
-        raise ExtensionMismatch(
-            f"extension's n3(0) differs from the data's by {anchor:.3e}")
+    chk = Check("n3_anchor", float(np.linalg.norm(m - n3_seed)),
+                EXTENSION_TOL)
+    if not chk.passed:
+        raise ExtensionMismatch("extension's n3(0) misses the data's", chk)
     pts = (cos_phi * pts + np.cross(k, pts)
            + np.outer(pts @ k, k) / (1.0 + cos_phi))
     pts[j0] = n3_seed
@@ -577,31 +542,30 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     compatibility gate, builds the second generator from the extension
     choice (a default rotation when none is given), certifies that the two
     generators are disjoint on the whole product, and returns the surface
-    together with the verification report: the surface interpolates c along
-    v = 0, its normal bundle there spans D at every node off the
-    degenerate-angle mask, and it is minimal.
+    together with the report of the gates passed (necessary,
+    compatibility_sup) and the postconditions: along v = 0, at the nodes of
+    the data resampled to c0' = 1, the surface interpolates c (curve_sup)
+    and its normal bundle spans D off the degenerate-angle mask
+    (projector_sup), and it is minimal (h_sup).  Info: orientation,
+    extension_kind.
     """
     rep = _require_necessary(d)
     dec = _decomposition(*_resampled_frenet(d), rep.orientation)
     comp = compatibility_residual(dec)
-    if not comp.passed:
-        raise IncompatibleData(
-            f"n3 varies along the curve: sup |dn3/du| = {comp.sup_dn3:.3e}",
-            sup_dn3=comp.sup_dn3)
+    if not comp["sup_dn3"].passed:
+        raise IncompatibleData("n3 varies along the curve", comp["sup_dn3"])
     n3curve = _extension_curve(dec, ext)
     P0 = dec.data.c.points[dec.data.c.base_index()]
     surf = _build_solution(dec.n0curve, n3curve, P0)
 
     # postconditions
-    tols = {"necessary": rep.tol, "compatibility": comp.tol, "curve": 1e-6,
-            "projector": 1e-5, "minimal": MINIMAL_TOL}
-    j0 = int(np.argmin(np.abs(surf.grid.vs)))
-    curve_sup = float(np.linalg.norm(
-        surf.grid.values[:, j0, :] - dec.data.c.points, axis=1).max())
+    g, us = surf.grid, (dec.us,)
+    j0 = int(np.argmin(np.abs(g.vs)))
+    curve = sup_check("curve_sup", np.linalg.norm(
+        g.values[:, j0, :] - dec.data.c.points, axis=1), 1e-6, axes=us)
     # the frame on the stencil-wide strip around v = 0 equals the whole
     # grid's frame on column j0: every v-derivative window of j0 lies in it.
     # The strip is not kept, so the partials it memoizes die with the call.
-    g = surf.grid
     lo = min(max(j0 - STENCIL_WIDTH // 2, 0), max(g.nv - STENCIL_WIDTH, 0))
     cols = slice(lo, lo + STENCIL_WIDTH)
     fr = normal_frame(LiftSurface(
@@ -613,16 +577,18 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
                                 fr.e2[keep, j0 - lo])
     P_data = mk.plane_projector(dec.data.a.points[keep],
                                 dec.data.b.points[keep])
-    proj_sup = float(np.abs(P_surf - P_data).max(initial=0.0))
-    h_sup = mean_curvature(surf).sup()
-    passed = (curve_sup <= tols["curve"] and proj_sup <= tols["projector"]
-              and h_sup <= tols["minimal"])
-    report = SolveReport(
-        passed=passed, orientation=rep.orientation,
-        extension_kind=ext.kind if ext is not None else "default",
-        compatibility_sup=comp.sup_dn3, curve_sup=curve_sup,
-        projector_sup=proj_sup, h_sup=h_sup, tols=tols)
-    return surf, report
+    proj = np.zeros(keep.shape)
+    proj[keep] = np.abs(P_surf - P_data).max(axis=(-2, -1))
+    H = mean_curvature(surf)
+    checks = (
+        replace(rep["residual"], name="necessary"),
+        replace(comp["sup_dn3"], name="compatibility_sup"), curve,
+        sup_check("projector_sup", proj, 1e-5, keep=keep, axes=us),
+        sup_check("h_sup", H.values, MINIMAL_TOL, keep=~H.degenerate,
+                  axes=(g.us, g.vs)))
+    return surf, Report(checks, {
+        "orientation": rep.orientation,
+        "extension_kind": ext.kind if ext is not None else "default"})
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +601,8 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     time component, n unit spacelike and normal to gamma'.  The embedding
     is c = (gamma, 0), a = (n, 0), b = d3; solutions then stay inside the
     slice x3 = 0 and solve the three-dimensional problem.  Each of these
-    conditions is held to ``STRUCT_TOL``.
+    conditions (checks lightlike, unit, normal) is held to ``STRUCT_TOL``;
+    a failed one raises ``BadData``.
     """
     if gamma.points.shape[1] != 3 or n.points.shape[1] != 3:
         raise BadData("gamma and n must be curves in R^3_1 (3 components)")
@@ -650,14 +617,15 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     gp = diff_samples(gamma.points, gamma.dt, 1)
     if gp[:, 0].min() <= 0:
         raise BadData("gamma0'(t) must be positive")
-    light = np.abs(ip3(gp, gp)) / np.einsum("ij,ij->i", gp, gp)
-    if light.max() > STRUCT_TOL:
-        raise BadData(f"gamma is not lightlike in R^3_1 "
-                      f"(residual {light.max():.3e})")
-    if np.abs(ip3(n.points, n.points) - 1.0).max() > STRUCT_TOL:
-        raise BadData("n is not unit spacelike in R^3_1")
-    if np.abs(ip3(gp, n.points)).max() > STRUCT_TOL:
-        raise BadData("n is not normal to gamma'")
+    for name, vals, msg in (
+            ("lightlike", ip3(gp, gp) / np.einsum("ij,ij->i", gp, gp),
+             "gamma is not lightlike in R^3_1"),
+            ("unit", ip3(n.points, n.points) - 1.0,
+             "n is not unit spacelike in R^3_1"),
+            ("normal", ip3(gp, n.points), "n is not normal to gamma'")):
+        chk = sup_check(name, vals, STRUCT_TOL, axes=(gamma.ts,))
+        if not chk.passed:
+            raise BadData(msg, chk)
 
     pad = lambda p: np.concatenate([p, np.zeros((p.shape[0], 1))], axis=1)
     c = SampledCurve(t_min=gamma.t_min, dt=gamma.dt, points=pad(gamma.points))

@@ -17,12 +17,13 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import (BadGrid, DegenerateMetric, DisjointnessViolated,
-                     EmptyOverlap)
+                     EmptyOverlap, Report)
 from .numerics import (Grid2D, SphereCurve, cross, cumulative_integral,
                        cumulative_samples, diff_samples, grid_from_ranges,
-                       partials, sample_curve)
+                       partials, sample_curve, sup_check)
 
 DISJOINT_MARGIN = 1e-6
+SUM_ONE_TOL = 1e-8       # check_sum_one: |E + G - 1|
 BISECT_DEPTH = 24        # bisections of a node cell in check_disjointness
 BISECT_CELLS = 16384     # open cells allowed at one bisection depth
 #: parameter range of both generators of the critical gallery net
@@ -70,25 +71,6 @@ class DisjointnessReport:
     at_u: float
     at_v: float
     sampled_separation: float    # at the sample nodes only
-
-
-@dataclass(frozen=True)
-class ChebyshevReport:
-    passed: bool
-    sup_e: float
-    sup_g: float
-    sup_f: float
-    tol: float
-    f_margin: float
-    theta: Optional[np.ndarray]
-
-
-@dataclass(frozen=True)
-class SumOneReport:
-    passed: bool
-    sup_sum: float
-    sup_f: float
-    tol: float
 
 
 def _min_affine_norm(d, a, b, al, be):
@@ -239,19 +221,19 @@ def first_form(g: Grid2D) -> tuple:
 
 
 def is_chebyshev(g: Union[Grid2D, NetSurface],
-                 tol: float = 1e-6) -> ChebyshevReport:
+                 tol: float = 1e-6) -> Report:
     """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` by differencing
-    the point grid."""
+    the point grid: checks sup_e, sup_g (``tol``) and sup_f; info
+    ``theta``, the angle field when every check passes, else None."""
     grid = g.grid if isinstance(g, NetSurface) else g
     E, F, G = first_form(grid)
-    sup_e = float(np.abs(E - 1.0).max())
-    sup_g = float(np.abs(G - 1.0).max())
-    sup_f = float(np.abs(F).max())
-    passed = sup_e <= tol and sup_g <= tol and sup_f <= 1.0 - DISJOINT_MARGIN
-    theta = np.arccos(np.clip(F, -1.0, 1.0)) if passed else None
-    return ChebyshevReport(passed=passed, sup_e=sup_e, sup_g=sup_g,
-                           sup_f=sup_f, tol=tol, f_margin=DISJOINT_MARGIN,
-                           theta=theta)
+    axes = (grid.us, grid.vs)
+    checks = (sup_check("sup_e", E - 1.0, tol, axes=axes),
+              sup_check("sup_g", G - 1.0, tol, axes=axes),
+              sup_check("sup_f", F, 1.0 - DISJOINT_MARGIN, axes=axes))
+    passed = all(c.passed for c in checks)
+    return Report(checks, {"theta": np.arccos(np.clip(F, -1.0, 1.0))
+                           if passed else None})
 
 
 def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str):
@@ -346,20 +328,13 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
                   du=float(x1[1] - x1[0]), dv=float(x2[1] - x2[0]), values=out)
 
 
-def check_sum_one(g, tol: float = 1e-8) -> SumOneReport:
-    """Check E(t,s) + G(t,s) = 1, the Chebyshev condition in (t, s) form.
-
-    Accepts a point grid (first form by differencing) or a precomputed
-    (E, F, G) triple; F is reported separately, not required to vanish.
-    """
-    if isinstance(g, Grid2D):
-        E, F, G = first_form(g)
-    else:
-        E, F, G = (np.asarray(x, dtype=float) for x in g)
-    sup_sum = float(np.abs(E + G - 1.0).max())
-    sup_f = float(np.abs(F).max())
-    return SumOneReport(passed=sup_sum <= tol, sup_sum=sup_sum,
-                        sup_f=sup_f, tol=tol)
+def check_sum_one(forms: tuple) -> Report:
+    """Check E(t,s) + G(t,s) = 1, the Chebyshev condition in (t, s) form,
+    on a first-form triple (E, F, G): check sup_sum, held to
+    ``SUM_ONE_TOL``; sup_f of |F| is reported, not required to vanish."""
+    E, F, G = (np.asarray(x, dtype=float) for x in forms)
+    return Report((sup_check("sup_sum", E + G - 1.0, SUM_ONE_TOL),
+                   sup_check("sup_f", F)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -1,8 +1,75 @@
-"""Exception hierarchy shared by all chebylift modules."""
+"""Exception hierarchy and check records shared by all chebylift modules.
+
+A ``Check`` is one measured quantity held to a tolerance, and a ``Report``
+groups the checks of one call with its results that are not measurements.
+An error raised because a check failed carries that check as ``.check``.
+"""
+
+import math
+from dataclasses import dataclass, field
+from typing import Optional
+
+
+@dataclass(frozen=True)
+class Check:
+    """A measured ``value`` held to ``tol`` (inf: reported, not bounded);
+    NaN and inf fail every check.  ``where`` is (index, parameters) of the
+    worst node, its index into the caller's full grid or curve and the
+    parameter values there, or None when the value is not a sup over
+    nodes.  ``masked`` counts the nodes a keep-mask left out."""
+
+    name: str
+    value: float
+    tol: float = math.inf
+    where: Optional[tuple] = None
+    masked: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.value) and self.value <= self.tol
+
+    def __str__(self) -> str:
+        s = f"{self.name} = {self.value:.3e} (tolerance {self.tol:.3g})"
+        if self.where is not None:
+            at = ", ".join(f"{p:.6g}" for p in self.where[1])
+            s += f", worst at node {self.where[0]}" + (at and f" = ({at})")
+        return s + (f", {self.masked} nodes masked" if self.masked else "")
+
+
+@dataclass(frozen=True)
+class Report:
+    """The checks of one call and its ``info``, results that are not
+    measurements.  ``rep.name`` is the value of the check called ``name``
+    (else the info entry), ``rep["name"]`` the check itself."""
+
+    checks: tuple
+    info: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def __getitem__(self, name: str) -> Check:
+        return {c.name: c for c in self.checks}[name]
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails; dunder names (copy, pickle,
+        # hasattr probes) and a half-built instance never reach the checks
+        d = self.__dict__
+        if name[:2] != "__" and "checks" in d:
+            found = {**d["info"], **{c.name: c.value for c in d["checks"]}}
+            if name in found:
+                return found[name]
+        raise AttributeError(f"report has no check or info {name!r}")
 
 
 class ChebyliftError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``check`` is the failed check
+    behind the error, if any, and ends its message."""
+
+    def __init__(self, message: str = "", check: Optional[Check] = None):
+        super().__init__(message if check is None else f"{message}: {check}")
+        self.check = check
 
 
 # --- input / data validation
@@ -90,10 +157,6 @@ class NecessaryConditionFailed(ChebyliftError):
 
 class IncompatibleData(ChebyliftError):
     """The second null generator varies along the initial curve."""
-
-    def __init__(self, message, sup_dn3=None):
-        super().__init__(message)
-        self.sup_dn3 = sup_dn3
 
 
 class ExtensionMismatch(ChebyliftError):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadInput, NotLightlike, ZeroTimeComponent
+from .errors import BadInput, Check, NotLightlike, Report, ZeroTimeComponent
 
 #: Metric signs (eps_0, ..., eps_3).
 ETA = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -194,21 +194,11 @@ def build_frame(a: np.ndarray, b: np.ndarray,
                           theta=theta, e1tilde=e1tilde, e2tilde=e2tilde, e=e)
 
 
-@dataclass(frozen=True)
-class FrameIdentityReport:
-    """Absolute residuals of the half-angle and frame identities."""
-
-    residuals: dict
-    not_applicable: tuple
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
-
-
-def frame_identity_residuals(f: MinkowskiFrame) -> FrameIdentityReport:
+def frame_identity_residuals(f: MinkowskiFrame) -> Report:
     """Check the half-angle identities and both printed forms of tau.
 
-    Identities through e / e1~ are reported as not applicable at tau0 = 1
+    One check per identity holds its absolute residual.  Identities through
+    e / e1~ are listed in the info ``not_applicable`` at tau0 = 1
     (theta = pi), where those fields are absent.
     """
     r = np.hypot(f.a[0], f.b[0])
@@ -230,7 +220,8 @@ def frame_identity_residuals(f: MinkowskiFrame) -> FrameIdentityReport:
         res["e1tilde_relation"] = float(
             np.abs(f.e1tilde - (D0 / np.tan(th / 2.0)
                                 + f.e / np.sin(th / 2.0))).max())
-    return FrameIdentityReport(residuals=res, not_applicable=tuple(na))
+    return Report(tuple(Check(k, float(v)) for k, v in res.items()),
+                  {"not_applicable": tuple(na)})
 
 
 def plane_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadGrid, BadSphereCurve, DegenerateAngle, NotRegular
+from .errors import (BadGrid, BadSphereCurve, Check, DegenerateAngle,
+                     NotRegular)
 
 KAPPA_TOL = 1e-7
 STENCIL_WIDTH = 5
@@ -427,13 +428,21 @@ def sup_and_l2(g: Grid2D) -> tuple:
     return sup, l2
 
 
-def masked_sup(values: np.ndarray, mask: Optional[np.ndarray] = None) -> float:
-    """Sup of |values| over unmasked nodes (mask True = keep); raises
-    ``DegenerateAngle`` when the mask keeps no node."""
+def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
+              keep: Optional[np.ndarray] = None, axes: tuple = ()) -> Check:
+    """``Check`` of the sup of |values| (the norm over the last axis of a
+    (nu, nv, k) field) over the nodes ``keep`` keeps, held to ``tol``.
+    ``where`` holds the worst node's index into ``values`` and the entries
+    of ``axes``, one parameter array per index, there.  Raises
+    ``DegenerateAngle`` when ``keep`` keeps no node."""
     a = np.asarray(values, dtype=float)
     a = np.linalg.norm(a, axis=-1) if a.ndim == 3 else np.abs(a)
-    if mask is not None:
-        if not np.any(mask):
+    masked = 0 if keep is None else keep.size - int(np.count_nonzero(keep))
+    if keep is not None:
+        if masked == keep.size:
             raise DegenerateAngle("no node is left after masking")
-        a = a[mask]
-    return float(a.max())
+        np.copyto(a, -np.inf, where=~keep)
+    at = np.unravel_index(int(np.argmax(a)), a.shape)
+    return Check(name, float(a[at]), float(tol), (
+        tuple(int(i) for i in at),
+        tuple(float(ax[i]) for ax, i in zip(axes, at))), masked)

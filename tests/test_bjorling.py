@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chebylift import minkowski as mk
 from chebylift.bjorling import (
@@ -7,15 +8,18 @@ from chebylift.bjorling import (
     classify_special, compatibility_residual, decompose, default_extension,
     reduce_from_l3, ruled_solution, solve, solve_pq,
 )
-from chebylift.chebnet import gallery
+from chebylift.chebnet import check_disjointness, gallery
 from chebylift.errors import (
     BadData, DegenerateFrenet, DisjointnessViolated, DivisionDegenerate,
     ExtensionMismatch, IncompatibleData, InconsistentSeed,
+    NecessaryConditionFailed,
 )
-from chebylift.lift import lift_net, mean_curvature, normal_frame, gaussian_curvature
-from chebylift.numerics import Grid2D, SampledCurve, SphereCurve, sample_curve
+from chebylift.lift import (build_minimal, gaussian_curvature, lift_net,
+                            mean_curvature, normal_frame)
+from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve, partials,
+                                sample_curve)
 
-from test_chebnet import normalized_trig_curve
+from test_chebnet import normalized_trig_curve, random_net_pair
 
 
 def make_curve(fn, t_range, n):
@@ -143,6 +147,31 @@ class TestCheckNecessary:
         with pytest.raises(BadData):
             check_necessary(BjorlingData(c=d.c, a=bad_a, b=d.b))
 
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), node=st.integers(0, 100),
+           eps=st.floats(1e-4, 1e-2))
+    def test_tilt_at_one_node_is_named(self, seed, node, eps):
+        # necessity: data of a minimal lift whose normal plane D is tilted
+        # at one node by the angle eps toward the transversal null normal
+        # f_v / f_v^0 (which keeps (a, b) orthonormal) has no solution,
+        # and the failed check names that node
+        T1, T2 = random_net_pair(np.random.default_rng(seed), n=101,
+                                 t_range=(-0.2, 0.2))
+        assume(check_disjointness(T1, T2).passed)
+        surf = build_minimal(T1, T2, np.zeros(4))
+        d = data_from_lift(surf)
+        j0 = int(np.argmin(np.abs(surf.grid.vs)))
+        fv = partials(surf.grid, "v")[node, j0]
+        a = d.a.points.copy()
+        a[node] += np.tan(eps) * fv / fv[0]
+        tilted = BjorlingData(c=d.c, a=SampledCurve(d.a.t_min, d.a.dt, a),
+                              b=d.b)
+        with pytest.raises(NecessaryConditionFailed) as err:
+            solve(tilted)
+        assert not err.value.check.passed
+        assert err.value.check.where[0] == (node,)
+
 
 class TestDecompose:
     def test_circle_arc(self):
@@ -223,11 +252,11 @@ class TestSolvePQ:
         vs = np.linspace(-0.5, 0.5, 101)
         theta = self.theta_grid(dec, lambda v: np.full_like(v, th0), vs)
         p, q, res = solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
-        assert np.abs(p.values).max() <= 1e-6
+        assert np.abs(p).max() <= 1e-6
         expect_q = (dec.frenet.kappa[:, None] * np.cos(theta.values)
                     / dec.frenet.tor[:, None])
-        assert np.abs(q.values - expect_q).max() <= 1e-12
-        assert np.abs(res.values).max() <= 1e-5
+        assert np.abs(q - expect_q).max() <= 1e-12
+        assert np.abs(res).max() <= 1e-5
 
     def test_invalid_extension_reports_residual(self):
         d, th0 = helix_data()
@@ -235,7 +264,7 @@ class TestSolvePQ:
         vs = np.linspace(-0.5, 0.5, 101)
         theta = self.theta_grid(dec, lambda v: th0 + 0.3 * v, vs)
         _, _, res = solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
-        assert np.abs(res.values).max() > 1e-2
+        assert np.abs(res).max() > 1e-2
 
     def test_division_degenerate(self):
         _, d = critical_lift_data()
@@ -427,7 +456,7 @@ class TestSolve:
         d, _ = helix_data(n=201)
         _, rep = solve(d)
         assert not rep.passed
-        assert rep.projector_sup > rep.tols["projector"]
+        assert rep.projector_sup > rep["projector_sup"].tol
 
     def test_extension_seed_mismatch(self):
         _, d = critical_lift_data()

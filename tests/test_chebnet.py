@@ -270,7 +270,7 @@ class TestEquivalentImmersion:
 class TestCheckSumOne:
     def test_noncritical_passes(self):
         gal = gallery("noncritical", nu=151, nv=151)
-        rep = check_sum_one(gal.ts_forms, tol=1e-8)
+        rep = check_sum_one(gal.ts_forms)
         assert rep.passed
         assert rep.sup_f < 1e-9
 

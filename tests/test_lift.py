@@ -93,6 +93,17 @@ class TestVerifyNullCoords:
                           theta=critical_lift.theta, g12=critical_lift.g12)
         rep = verify_null_coords(bad)
         assert rep.sup_fu_fu > 0.1
+        # one raised x1 sample: the worst node is named in full-grid
+        # indices, with its (u, v), and the trimmed edge counts as masked
+        vals = critical_lift.grid.values.copy()
+        vals[50, 60, 1] += 1e-3
+        bad = LiftSurface(grid=critical_lift.grid.with_values(vals),
+                          theta=critical_lift.theta, g12=critical_lift.g12)
+        chk = verify_null_coords(bad)["sup_fu_fu"]
+        (i, j), (u, v) = chk.where
+        assert j == 60 and abs(i - 50) <= 2
+        assert (u, v) == (bad.grid.us[i], bad.grid.vs[j])
+        assert chk.masked == 201 * 201 - 197 * 197
 
 
 class TestMeanCurvature:

@@ -9,8 +9,8 @@ from chebylift.errors import (
 )
 from chebylift.numerics import (
     STENCIL_WIDTH, Grid2D, SampledCurve, SphereCurve, _window_weights, cross,
-    cumulative_integral, diff_samples, frenet, grid_from_ranges, masked_sup,
-    partials, sample_curve, sup_and_l2,
+    cumulative_integral, diff_samples, frenet, grid_from_ranges, partials,
+    sample_curve, sup_and_l2, sup_check,
 )
 
 
@@ -353,12 +353,15 @@ class TestNorms:
         vals[1, 2] = [-3.0, 4.0]
         vals[0, 0] = [0.0, -7.0]
         keep = np.ones((3, 4), dtype=bool)
-        assert masked_sup(vals) == 7.0
+        assert sup_check("s", vals).value == 7.0
         keep[0, 0] = False
-        assert masked_sup(vals, keep) == 5.0
-        assert masked_sup(-vals[..., 0], keep) == 3.0
+        assert sup_check("s", vals, keep=keep).value == 5.0
+        assert sup_check("s", -vals[..., 0], keep=keep).value == 3.0
+        chk = sup_check("s", vals, keep=keep)
+        assert chk.where[0] == (1, 2)
+        assert chk.masked == 1
 
     def test_masked_sup_over_no_node_raises(self):
         # a sup over an empty set is no evidence of a small residual
         with pytest.raises(DegenerateAngle, match="no node is left"):
-            masked_sup(np.ones((5, 5)), np.zeros((5, 5), dtype=bool))
+            sup_check("s", np.ones((5, 5)), keep=np.zeros((5, 5), dtype=bool))
