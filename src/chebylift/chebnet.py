@@ -4,12 +4,16 @@ A Chebyshev net is an immersion whose first fundamental form has
 E = G = 1 and F = cos theta strictly inside (-1, 1).  First-kind nets are
 built from two sphere curves as X = p0 + int T1 + int T2; for those the
 metric coefficient F(u, v) = <T1(u), T2(v)> is evaluated directly, with no
-differentiation.  Net points are stored as 3-vectors of E throughout.
+differentiation, and the net keeps its generators: X_u = T1(u), X_v = T2(v)
+and X_uv = 0 hold exactly, so its shape operator needs only the 1-D
+derivatives T1' and T2'.  Any other net, or a net whose grid was replaced,
+has its shape operator differenced from the point grid.  Net points are
+stored as 3-vectors of E throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Union
 
@@ -31,6 +35,25 @@ _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
 
 @dataclass(frozen=True)
+class Generators:
+    """The sphere curves T1(u), T2(v) a surface was built from, and the grid
+    the builder made of them.  The curves are read-only copies.  They
+    describe that grid only: a surface whose ``grid`` is another object
+    (``dataclasses.replace(s, grid=...)``) is differenced instead."""
+
+    T1: SphereCurve
+    T2: SphereCurve
+    grid: Grid2D
+
+
+def _generators(s) -> Optional[Generators]:
+    """The generators of a net or lift ``s`` while its grid is the one
+    they were built into, else None."""
+    gen = s.generators
+    return gen if gen is not None and gen.grid is s.grid else None
+
+
+@dataclass(frozen=True)
 class NetSurface:
     """Sampled Chebyshev net with its first fundamental form and angle.
 
@@ -39,6 +62,8 @@ class NetSurface:
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
+    ``build_first_kind`` sets ``generators`` and marks the grid's values
+    read-only; the shape operator then comes from the generators.
     """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
@@ -46,10 +71,11 @@ class NetSurface:
     theta: np.ndarray
     # check_disjointness report of the generators (first-kind nets only)
     disjointness: Optional["DisjointnessReport"] = None
+    generators: Optional[Generators] = None
 
     @cached_property
     def _shape(self) -> "EuclideanShape":
-        return _shape_of(self.grid)
+        return _shape_of(self)
 
 
 @dataclass(frozen=True)
@@ -185,7 +211,9 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     so a meeting between samples is not an error here; the verdict of
     ``check_disjointness`` over the whole product is kept in
     ``disjointness`` for callers that need the continuous generators
-    disjoint, such as ``lift.build_minimal``.
+    disjoint, such as ``lift.build_minimal``.  The net keeps read-only
+    copies of T1 and T2 in ``generators``, and the grid's values are
+    read-only.
     """
     rep = check_disjointness(T1, T2)
     if rep.sampled_separation <= DISJOINT_MARGIN:
@@ -199,8 +227,11 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     X = p0[None, None, :] + I1[:, None, :] + I2[None, :, :]
     F = T1.points @ T2.points.T
     theta = np.arccos(np.clip(F, -1.0, 1.0))
-    grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt, values=X)
-    return NetSurface(grid=grid, F=F, theta=theta, disjointness=rep)
+    grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt,
+                  values=_read_only(X))
+    frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
+    return NetSurface(grid=grid, F=F, theta=theta, disjointness=rep,
+                      generators=Generators(frozen(T1), frozen(T2), grid))
 
 
 def _partials_and_form(g: Grid2D) -> tuple:
@@ -263,6 +294,33 @@ def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str):
     return ud, vd, a + b, b - a + n - 1
 
 
+def _diagonal_reader(ud: np.ndarray, vd: np.ndarray, iu: np.ndarray,
+                     iv: np.ndarray):
+    """A function of a spline ``sp`` that returns ``sp(ud, vd)[iu, iv]``,
+    bit for bit, for index maps of ``_diagonal_axes``, from two parity
+    sub-grids of the tensor grid.
+
+    iu + iv has one parity q at every target, so the targets with even iu
+    read ud[0::2] x vd[q::2] and those with odd iu read ud[1::2] x
+    vd[1-q::2]: about half of the (2n-1)^2 tensor grid.  The spline value
+    at a point does not depend on the other points evaluated with it.
+    """
+    q = int(iu[0, 0] + iv[0, 0]) % 2
+    plan = []
+    for p in (0, 1):
+        vp = vd[(p + q) % 2::2]
+        at = np.flatnonzero(iu % 2 == p)
+        plan.append((ud[p::2], vp, at,
+                     iu.flat[at] // 2 * vp.size + iv.flat[at] // 2))
+
+    def read(sp):
+        out = np.empty(iu.size)
+        for up, vp, at, src in plan:
+            out[at] = sp(up, vp).ravel()[src]
+        return out.reshape(iu.shape)
+    return read
+
+
 def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     """Resample through the linear coordinate change t = u+v, s = -u+v.
 
@@ -275,8 +333,9 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     On a square grid both target axes share one spacing, so each source
     abscissa depends on a - b or a + b of the target node (a, b) alone:
     every target is a node of the (2n-1) x (2n-1) tensor grid of those
-    abscissae, where the spline is evaluated once and read off by index.
-    A non-square grid falls back to evaluation at the n_u n_v scattered
+    abscissae, where the spline is evaluated on the two parity sub-grids
+    that hold the targets (``_diagonal_reader``) and read off by index.  A
+    non-square grid falls back to evaluation at the n_u n_v scattered
     source points.
     """
     if direction not in ("uv_to_ts", "ts_to_uv"):
@@ -305,10 +364,7 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     scalar = vals.ndim == 2
     comps = vals[..., None] if scalar else vals
     if g.nu == g.nv:
-        ud, vd, iu, iv = _diagonal_axes(x1, x2, direction)
-
-        def evaluate(sp):
-            return sp(ud, vd)[iu, iv]
+        evaluate = _diagonal_reader(*_diagonal_axes(x1, x2, direction))
     else:
         A, B = np.meshgrid(x1, x2, indexing="ij")
         if direction == "uv_to_ts":
@@ -345,24 +401,49 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def euclidean_shape(n: NetSurface) -> EuclideanShape:
     """Gauss map, second form and Gaussian curvature of the net in E,
-    computed once per net; its arrays are read-only."""
+    computed once per net; its arrays are read-only.
+
+    For a net with generators (``build_first_kind``) they are exact in the
+    generators: N = T1 x T2 / |T1 x T2|, e = <T1'(u), N>, f = 0,
+    g = <T2'(v), N> and K_T = e g / (1 - F^2), with T1' and T2' differenced
+    along the curves.  Otherwise every partial is differenced from the grid.
+    """
     return n._shape
 
 
-def _shape_of(g: Grid2D) -> EuclideanShape:
-    Xu, Xv, E, F, G = _partials_and_form(g)
-    det = E * G - F * F
+def _generator_tangents(gen: Generators) -> tuple:
+    """T1(u) and T2(v) as read-only (nu, nv, 3) broadcast views."""
+    shape = (gen.T1.n, gen.T2.n, 3)
+    return (np.broadcast_to(gen.T1.points[:, None, :], shape),
+            np.broadcast_to(gen.T2.points[None, :, :], shape))
+
+
+def _shape_of(n: NetSurface) -> EuclideanShape:
+    gen, g = _generators(n), n.grid
+    if gen is None:
+        Xu, Xv, E, F, G = _partials_and_form(g)
+        det = E * G - F * F
+    else:
+        Xu, Xv = _generator_tangents(gen)
+        det = 1.0 - n.F * n.F
     if det.min() <= 1e-9:
         raise DegenerateMetric(
             f"EG - F^2 reaches {det.min():.3e}; shape quantities undefined")
-    normal = cross(Xu, Xv)
-    gauss = normal / np.linalg.norm(normal, axis=-1)[..., None]
-    Xuu = partials(g, "uu")
-    Xvv = partials(g, "vv")
-    Xuv = diff_samples(Xu, g.dv, 1, axis=1)
-    e = np.einsum("ijk,ijk->ij", Xuu, gauss)
-    f = np.einsum("ijk,ijk->ij", Xuv, gauss)
-    gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
+    gauss = cross(Xu, Xv)
+    gauss /= np.linalg.norm(gauss, axis=-1)[..., None]
+    if gen is None:
+        Xuu = partials(g, "uu")
+        Xvv = partials(g, "vv")
+        Xuv = diff_samples(Xu, g.dv, 1, axis=1)
+        e = np.einsum("ijk,ijk->ij", Xuu, gauss)
+        f = np.einsum("ijk,ijk->ij", Xuv, gauss)
+        gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
+    else:
+        T1p = diff_samples(gen.T1.points, gen.T1.dt, 1)
+        T2p = diff_samples(gen.T2.points, gen.T2.dt, 1)
+        e = np.einsum("ik,ijk->ij", T1p, gauss)
+        f = np.zeros_like(e)
+        gg = np.einsum("jk,ijk->ij", T2p, gauss)
     K_T = (e * gg - f * f) / det
     return EuclideanShape(
         gauss_map=_read_only(gauss), e=_read_only(e), f=_read_only(f),

@@ -6,6 +6,17 @@ i.e. g12 = -1 + cos theta = -2 sin^2(theta/2).  Minimal lifts are exactly
 the sums of two lightlike curves f = P0 + (u+v) d0 + int n0 + int n3 with
 n0, n3 on the unit sphere of E.
 
+Lifts made by ``build_minimal``, or by ``lift_net`` of a
+``build_first_kind`` net, keep those generators (n0 = T1, n3 = T2) and
+have read-only values.  While a lift's grid is the one its builder made,
+its tangents are exact: f_u = d0 + n0(u) and f_v = d0 + n3(v), with
+n0 and n3 read as broadcast views, and f_uv = 0.  ``mean_curvature``, ``normal_frame``,
+``h_parallel_e2`` and ``decompose_minimal`` then use them and difference
+nothing.  Every other lift (gallery nets, the (t, s) forms and their
+resamples, hand-built surfaces, a lift whose grid was replaced) has its
+partials differenced from the grid.  ``verify_null_coords`` always
+differences the grid: it checks the samples themselves.
+
 Nodes where the net angle approaches 0 or pi are excluded from the
 quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
 ``gaussian_curvature`` and ``normal_frame`` return the offending-node mask
@@ -18,14 +29,15 @@ raised with the error it names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import minkowski as mk
-from .chebnet import (NetSurface, _angle_partials, _read_only,
+from .chebnet import (Generators, NetSurface, _angle_partials,
+                      _generator_tangents, _generators, _read_only,
                       build_first_kind, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
@@ -50,9 +62,11 @@ class LiftSurface:
     A surface is immutable: to change its values, build a new
     ``LiftSurface``.  Its first partials f_u and f_v are differenced on
     first use and kept on the object as read-only arrays, for
-    ``verify_null_coords``, ``normal_frame`` and ``decompose_minimal``;
-    the H of ``h_parallel_e2`` and ``decompose_minimal`` differences the
-    kept f_u along v.
+    ``verify_null_coords``, and, on a lift without live ``generators``,
+    for ``normal_frame`` and ``decompose_minimal``; the H of
+    ``h_parallel_e2`` and ``decompose_minimal`` then differences the kept
+    f_u along v.  ``generators`` is set by the builders (see the module
+    docstring) and is live while ``grid`` is the grid they made.
     """
 
     grid: Grid2D            # payload (nu, nv, 4)
@@ -60,6 +74,7 @@ class LiftSurface:
     g12: np.ndarray         # -1 + cos theta
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
+    generators: Optional[Generators] = None
 
     @cached_property
     def _first_partials(self) -> tuple:
@@ -93,17 +108,27 @@ def lift_net(n: NetSurface) -> LiftSurface:
     measures it on a point grid), so the lift checks only |F| < 1, which
     keeps g12 = F - 1 negative and the net angle off 0 and pi; it raises
     ``NotChebyshev`` where |F| reaches 1 (tolerance: the float below 1).
-    The lift's grid is a new array.
+    The lift's grid is a new array.  The lift of a net with generators
+    keeps them, and its values are read-only.
     """
+    return _lift(n, 0.0)
+
+
+def _lift(n: NetSurface, t0: float) -> LiftSurface:
+    """``lift_net`` with x0 = t0 + u + v."""
     g = n.grid
     chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0), axes=(g.us, g.vs))
     if not chk.passed:
         raise NotChebyshev("net fails |F| < 1", chk)
-    x0 = g.us[:, None] + g.vs[None, :]
+    x0 = g.us[:, None] + g.vs[None, :] + t0
     vals = np.concatenate([x0[..., None], g.values], axis=-1)
+    gen = _generators(n)
+    if gen is not None:
+        _read_only(vals)
     grid = Grid2D(u_min=g.u_min, v_min=g.v_min, du=g.du, dv=g.dv, values=vals)
     return LiftSurface(grid=grid, theta=n.theta, g12=n.F - 1.0, source=n,
-                       coords=NULL_COORDS)
+                       coords=NULL_COORDS, generators=None if gen is None
+                       else Generators(gen.T1, gen.T2, grid))
 
 
 def verify_null_coords(s: LiftSurface) -> Report:
@@ -135,27 +160,33 @@ def _degenerate_mask(theta: np.ndarray) -> np.ndarray:
 def mean_curvature(s: LiftSurface) -> MaskedField:
     """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)).
 
-    The x0 part of f is the separable sum u + v, so f_uv equals X_uv and
-    the mixed stencil annihilates it exactly on sums of lightlike curves.
-    Nodes with sin^2(theta/2) <= 1e-9 are masked, not fatal.  Nothing is
-    kept on the surface.
+    On a lift with live generators f_uv = 0 exactly, so H is 0.  Otherwise
+    f_uv is differenced: the x0 part of f is the separable sum u + v, so
+    f_uv equals X_uv and the mixed stencil annihilates it exactly on sums
+    of lightlike curves.  Nodes with sin^2(theta/2) <= 1e-9 are masked
+    (NaN), not fatal.  Nothing is kept on the surface.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    return _mean_curvature(s, partials(s.grid, "u"))
+    return _mean_curvature(s, kept=False)
 
 
-def _mean_curvature(s: LiftSurface, fu: np.ndarray) -> MaskedField:
-    """``mean_curvature`` of a null lift from its f_u, which is differenced
-    along v: the composition of ``partials(grid, "uv")``, so callers that
-    keep f_u get the same H bit for bit."""
-    fuv = diff_samples(fu, s.grid.dv, 1, axis=1)
+def _mean_curvature(s: LiftSurface, kept: bool) -> MaskedField:
+    """``mean_curvature`` of a null lift.  Off the generator route f_u is
+    differenced along v: the kept f_u when ``kept``, else a fresh one, the
+    composition of ``partials(grid, "uv")`` either way, so both give the
+    same H bit for bit."""
     sin2 = (1.0 - np.cos(s.theta)) / 2.0
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
         raise DegenerateAngle("sin(theta/2) vanishes on the whole grid")
-    denom = np.where(degenerate, 1.0, sin2)
-    H = fuv / (-2.0 * denom)[..., None]
+    if _generators(s) is not None:
+        H = np.zeros(s.grid.values.shape)
+    else:
+        fu = s._first_partials[0] if kept else partials(s.grid, "u")
+        fuv = diff_samples(fu, s.grid.dv, 1, axis=1)
+        denom = np.where(degenerate, 1.0, sin2)
+        H = fuv / (-2.0 * denom)[..., None]
     H[degenerate] = np.nan
     return MaskedField(values=H, degenerate=degenerate)
 
@@ -163,10 +194,13 @@ def _mean_curvature(s: LiftSurface, fu: np.ndarray) -> MaskedField:
 def normal_frame(s: LiftSurface) -> NormalFrame:
     """Orthonormal normal frame e~ = ((1+cos)d0 + X_u + X_v)/sin theta,
     e2 = (X_u x X_v)/sin theta (Euclidean cross product in E); nodes with
-    sin theta <= 1e-8 are masked."""
+    sin theta <= 1e-8 are masked.  X_u = n0(u) and X_v = n3(v) exactly on
+    a lift with live generators; otherwise they are differenced."""
     if s.coords != NULL_COORDS:
         raise BadGrid("normal frame needs the null-coordinate form")
-    Xu, Xv = (mk.spatial(d) for d in s._first_partials)
+    gen = _generators(s)
+    Xu, Xv = (_generator_tangents(gen) if gen is not None
+              else (mk.spatial(d) for d in s._first_partials))
     sth = np.sin(s.theta)
     degenerate = sth <= 1e-8
     denom = np.where(degenerate, 1.0, sth)
@@ -186,7 +220,7 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     """Checks sup_off_e2 and sup_dot_etilde of the component of H off the
     e2 line and of <H, e~> off the degenerate-angle mask; raises
     ``DegenerateAngle`` when that mask covers the whole grid."""
-    H = _mean_curvature(s, s._first_partials[0])
+    H = _mean_curvature(s, kept=True)
     fr = normal_frame(s)
     keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
@@ -235,28 +269,36 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     the first-kind net of (n0, n3) and is minimal by construction.  Like
     ``build_first_kind`` it rejects generators that meet at the samples;
     the certified verdict over the whole product is ``source.disjointness``.
-    P0[0] is added to the x0 column of the fresh lift in place.
+    The lift keeps n0 and n3 as its generators, and its values are
+    read-only.
     """
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (4,) or not np.all(np.isfinite(P0)):
         raise BadInput("P0 must be a finite 4-vector")
-    surf = lift_net(build_first_kind(n0, n3, mk.spatial(P0)))
-    surf.grid.values[..., 0] += P0[0]
-    return surf
+    return _lift(build_first_kind(n0, n3, mk.spatial(P0)), P0[0])
 
 
 def decompose_minimal(s: LiftSurface) -> tuple:
     """Recover the lightlike generators (n0, n3, P0) of a minimal lift.
 
-    The lift must have sup |H| <= ``MINIMAL_TOL`` (check h_sup).  n0(u) is
-    the spatial part of f_u averaged over the rows (which agree within 1e-6
-    on a genuine sum of two lightlike curves: check generator_dev),
-    likewise n3(v) over the columns; P0 = f at the (0, 0) node.
+    P0 = f at the node nearest (0, 0).  A lift with live generators is a
+    sum of two lightlike curves by construction: n0 and n3 are copies of
+    its generators, and no check is needed.  Otherwise the lift must have
+    sup |H| <= ``MINIMAL_TOL`` (check h_sup); n0(u) is the spatial part of
+    the differenced f_u averaged over the rows (which agree within 1e-6 on
+    a genuine sum of two lightlike curves: check generator_dev), likewise
+    n3(v) over the columns.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("decomposition needs the null-coordinate form")
     g = s.grid
-    H = _mean_curvature(s, s._first_partials[0])
+    i0, j0 = g.base_index()
+    gen = _generators(s)
+    if gen is not None:
+        return (replace(gen.T1, points=gen.T1.points.copy()),
+                replace(gen.T2, points=gen.T2.points.copy()),
+                g.values[i0, j0].copy())
+    H = _mean_curvature(s, kept=True)
     chk = sup_check("h_sup", H.values, MINIMAL_TOL, keep=~H.degenerate,
                     axes=(g.us, g.vs))
     if not chk.passed:
@@ -276,7 +318,6 @@ def decompose_minimal(s: LiftSurface) -> tuple:
     n3_pts = n3_pts / np.linalg.norm(n3_pts, axis=1, keepdims=True)
     n0 = SphereCurve(t_min=g.u_min, dt=g.du, points=n0_pts)
     n3 = SphereCurve(t_min=g.v_min, dt=g.dv, points=n3_pts)
-    i0, j0 = g.base_index()
     P0 = g.values[i0, j0].copy()
     return n0, n3, P0
 

@@ -413,21 +413,6 @@ def frenet(alpha: SampledCurve) -> FrenetData:
 # ---------------------------------------------------------------------------
 # norms
 
-def sup_and_l2(g: Grid2D) -> tuple:
-    """Sup norm and trapezoid-weighted L2 norm of a scalar grid."""
-    v = g.values
-    if v.ndim != 2:
-        raise BadGrid("sup_and_l2 expects a scalar grid")
-    wu = np.ones(g.nu)
-    wu[0] = wu[-1] = 0.5
-    wv = np.ones(g.nv)
-    wv[0] = wv[-1] = 0.5
-    weights = np.outer(wu, wv) * g.du * g.dv
-    sup = float(np.abs(v).max())
-    l2 = float(np.sqrt(np.sum(weights * v * v)))
-    return sup, l2
-
-
 def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
               keep: Optional[np.ndarray] = None, axes: tuple = ()) -> Check:
     """``Check`` of the sup of |values| (the norm over the last axis of a

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -405,6 +407,17 @@ class TestSolve:
         sol, rep = solve(d)
         assert rep.passed
         assert rep.extension_kind == "default"
+
+    def test_solution_minimal_on_its_samples(self):
+        # a solution keeps its generators, so its H is exactly 0; the same
+        # samples on a new grid are differenced and must be minimal too
+        _, d = critical_lift_data()
+        sol, rep = solve(d)
+        assert rep.h_sup == 0.0
+        assert mean_curvature(sol).sup() == 0.0
+        g = sol.grid
+        rebuilt = replace(sol, grid=g.with_values(g.values.copy()))
+        assert mean_curvature(rebuilt).sup() <= 1e-5
 
     def test_incompatible_data(self):
         d = data_from_null_pair(

@@ -7,9 +7,9 @@ from scipy.interpolate import RectBivariateSpline
 
 from chebylift import numerics
 from chebylift.chebnet import (
-    build_first_kind, check_disjointness, check_sum_one, equivalent_immersion,
-    euclidean_shape, first_form, gallery, gallery_generators, is_chebyshev,
-    sine_gordon_residual,
+    _diagonal_axes, _diagonal_reader, build_first_kind, check_disjointness,
+    check_sum_one, equivalent_immersion, euclidean_shape, first_form, gallery,
+    gallery_generators, is_chebyshev, sine_gordon_residual,
 )
 from chebylift.errors import DisjointnessViolated
 from chebylift.numerics import SphereCurve, grid_from_ranges, sample_curve
@@ -252,6 +252,20 @@ class TestEquivalentImmersion:
              for k in range(g.values.shape[-1])], axis=-1)
         assert np.abs(out.values - ref).max() < 1e-13
 
+    @pytest.mark.parametrize("direction", ["uv_to_ts", "ts_to_uv"])
+    @pytest.mark.parametrize("n", [40, 41, 200, 201])
+    def test_parity_subgrids_read_the_tensor_grid(self, n, direction):
+        # the two parity sub-grids hold every target, bit for bit
+        gal = gallery("noncritical", nu=n, nv=n)
+        g = gal.net.grid if direction == "uv_to_ts" else gal.ts_grid
+        out = equivalent_immersion(g, direction)
+        ud, vd, iu, iv = _diagonal_axes(out.us, out.vs, direction)
+        read = _diagonal_reader(ud, vd, iu, iv)
+        for k in range(3):
+            sp = RectBivariateSpline(g.us, g.vs, g.values[..., k], kx=3,
+                                     ky=3, s=0)
+            assert np.array_equal(read(sp), sp(ud, vd)[iu, iv])
+
     @pytest.mark.parametrize("nu, nv", [(161, 161), (161, 201), (201, 161)])
     def test_point_set_preserved(self, nu, nv):
         gal = gallery("noncritical", nu=nu, nv=nv)
@@ -323,6 +337,19 @@ class TestEuclideanShape:
         assert np.abs(shape.K_T).max() < 1e-9
         assert np.abs(shape.e).max() < 1e-9
 
+    @pytest.mark.parametrize("n", [51, 201, 401])
+    def test_generators_no_farther_from_closed_form(self, n):
+        # the exact route against the differenced one on the same points
+        net = build_first_kind(*gallery_generators(n), np.zeros(3))
+        g = net.grid
+        exact = euclidean_shape(net)
+        differenced = euclidean_shape(
+            replace(net, grid=g.with_values(g.values.copy())))
+        oracles = gallery("critical", nu=n, nv=n).oracles
+        for name in ("K_T", "gauss_map"):
+            err = lambda s: np.abs(getattr(s, name) - oracles[name]).max()
+            assert err(exact) <= err(differenced), name
+
     def test_computed_once_per_net(self, monkeypatch):
         T1, T2 = random_net_pair(np.random.default_rng(5), n=61)
         net = build_first_kind(T1, T2, np.zeros(3))
@@ -342,10 +369,14 @@ class TestEuclideanShape:
         T1, T2 = random_net_pair(np.random.default_rng(5), n=61)
         net = build_first_kind(T1, T2, np.zeros(3))
         shape = euclidean_shape(net)
+        # a replaced grid is differenced, so compare like with like: the
+        # same points on a new grid against the doubled points
+        plain = replace(net, grid=net.grid.with_values(net.grid.values.copy()))
         scaled = replace(net, grid=net.grid.with_values(2.0 * net.grid.values))
         # doubling the points doubles the second form and multiplies
         # EG - F^2 by 16, so K_T drops to a quarter
-        assert np.allclose(euclidean_shape(scaled).K_T, shape.K_T / 4.0,
+        assert np.allclose(euclidean_shape(scaled).K_T,
+                           euclidean_shape(plain).K_T / 4.0,
                            rtol=1e-12, atol=0.0)
         assert euclidean_shape(net) is shape
 

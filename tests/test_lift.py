@@ -3,12 +3,13 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chebylift import minkowski as mk
 from chebylift.bjorling import solve
 from chebylift.chebnet import (
-    build_first_kind, euclidean_shape, gallery, gallery_generators,
-    is_chebyshev, sine_gordon_residual,
+    build_first_kind, check_disjointness, euclidean_shape, gallery,
+    gallery_generators, is_chebyshev, sine_gordon_residual,
 )
 from chebylift.errors import (ChebyliftError, DegenerateAngle, MissingSource,
                               NotChebyshev, NotMinimal)
@@ -17,7 +18,7 @@ from chebylift.lift import (
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
     verify_null_coords,
 )
-from chebylift.numerics import SphereCurve, sample_curve
+from chebylift.numerics import SphereCurve, diff_samples, sample_curve
 
 from test_bjorling import critical_lift_data
 from test_chebnet import random_net_pair, record_diff_samples
@@ -351,6 +352,91 @@ class TestInvariants:
             assert np.abs(P_frame - P_tan).max() <= 1e-6
 
 
+class TestGeneratorRoute:
+    """The exact generator partials against the differenced oracle: the
+    same surface on a copy of its grid, which leaves its generators stale."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([41, 81]),
+           half=st.floats(0.2, 0.5))
+    def test_matches_differenced_oracle(self, seed, n, half):
+        T1, T2 = random_net_pair(np.random.default_rng(seed), n=n,
+                                 t_range=(-half, half))
+        assume(check_disjointness(T1, T2).passed)
+        s = build_minimal(T1, T2, np.zeros(4))
+        net = s.source
+        oracle = replace(s, grid=s.grid.with_values(s.grid.values.copy()))
+        net_oracle = replace(net, grid=net.grid.with_values(
+            net.grid.values.copy()))
+        keep = 1.0 - np.abs(np.cos(s.theta)) >= 0.1
+        assume(keep.any())
+        # the oracle's one-sided boundary stencils are O(h^4) for first and
+        # O(h^3) for second derivatives of X; the fifth derivatives of X,
+        # the fourth derivatives of T1 and T2, set their error constant
+        d4 = max(np.abs(diff_samples(c.points, c.dt, 4)).max()
+                 for c in (T1, T2))
+        tol1, tol2 = T1.dt**4 * d4, 2.0 * T1.dt**3 * d4
+
+        def gap(a, b):
+            d = np.abs(a - b)
+            return (d.max(axis=-1) if d.ndim == 3 else d)[keep]
+
+        ex, dif = euclidean_shape(net), euclidean_shape(net_oracle)
+        assert gap(ex.gauss_map, dif.gauss_map).max() <= tol1
+        assert gap(ex.e, dif.e).max() <= tol2
+        assert gap(ex.g, dif.g).max() <= tol2
+        assert not ex.f.any() and np.abs(dif.f)[keep].max() <= tol2
+        # K_T = e g / (1 - F^2) moves by (|e| + |g|) tol2 / (1 - F^2)
+        k_tol = (np.abs(ex.e) + np.abs(ex.g)) * tol2 / (1.0 - net.F**2)
+        assert np.all(gap(ex.K_T, dif.K_T) <= k_tol[keep])
+
+        fr, fr_dif = normal_frame(s), normal_frame(oracle)
+        assert np.array_equal(fr.degenerate, fr_dif.degenerate)
+        for name in ("etilde", "e2"):
+            assert np.all(gap(getattr(fr, name), getattr(fr_dif, name))
+                          <= tol1 / np.sin(s.theta)[keep]), name
+
+        H, H_dif = mean_curvature(s), mean_curvature(oracle)
+        assert np.array_equal(H.degenerate, H_dif.degenerate)
+        assert np.all(np.isnan(H.values[H.degenerate]))
+        assert not H.values[~H.degenerate].any()
+        # the mixed stencil annihilates the sampled sum up to roundoff
+        assert H_dif.sup() <= 1e-8
+
+        n0, n3, P0 = decompose_minimal(s)
+        m0, m3, Q0 = decompose_minimal(oracle)
+        assert np.array_equal(n0.points, T1.points)
+        assert np.array_equal(n3.points, T2.points)
+        assert np.abs(n0.points - m0.points).max() <= tol1
+        assert np.abs(n3.points - m3.points).max() <= tol1
+        assert np.array_equal(P0, Q0)
+
+    def test_replaced_grid_is_differenced(self):
+        s = build_minimal(*gallery_generators(101), np.zeros(4))
+        g = s.grid
+        vals = g.values.copy()
+        # a bump 1e-3 u (v - v_min) in x1 makes f_uv = 1e-3 d1: the
+        # samples are no longer minimal
+        vals[..., 1] += 1e-3 * g.us[:, None] * (g.vs[None, :] - g.vs[0])
+        bumped = replace(s, grid=g.with_values(vals))
+        assert mean_curvature(s).sup() == 0.0
+        assert mean_curvature(bumped).sup() >= 1e-4
+        with pytest.raises(NotMinimal):
+            decompose_minimal(bumped)
+
+    def test_builder_payloads_are_read_only(self):
+        s = build_minimal(*gallery_generators(41), np.zeros(4))
+        for a in (s.grid.values, s.source.grid.values,
+                  s.generators.T1.points, s.source.generators.T2.points):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        # decompose_minimal hands out copies the caller may write
+        n0, n3, _ = decompose_minimal(s)
+        n0.points[0, 0] = 1.0
+        assert s.generators.T1.points[0, 0] != 1.0
+
+
 def surface_chain(T1, T2):
     """Build, check, shape, lift, curvature and decomposition of one
     first-kind net, the call sequence of the benchmark's surface op."""
@@ -408,13 +494,13 @@ def surface_inputs():
 
 
 #: tracemalloc peak of ``surface_chain`` plus one ``mean_curvature`` on the
-#: critical net at n = 201, in bytes, with the blocked stencil kernel
-#: (numpy 2.4, Python 3.11): the largest figure measured in fresh processes
-#: over both nets, first and repeated runs (16,614,885-16,620,004; about
-#: 12.9 float (n, n, 4) arrays), plus a margin of one 256 KiB kernel block
-#: (1.6%) for allocator and test-order noise.  The unblocked kernel peaks
-#: at 17,553,211.
-SURFACE_CHAIN_PEAK = 16_620_004 + 256 * 1024
+#: critical net at n = 201, in bytes, with the blocked stencil kernel and the
+#: exact generator partials (numpy 2.4, Python 3.11): the largest figure
+#: measured under pytest in fresh processes over both nets, first and
+#: repeated runs (15,985,371-15,992,776; the peak is in ``h_parallel_e2``),
+#: plus a margin of one 256 KiB kernel block (1.6%) for allocator and
+#: test-order noise.
+SURFACE_CHAIN_PEAK = 15_992_776 + 256 * 1024
 
 
 class TestMemo:
@@ -429,7 +515,9 @@ class TestMemo:
             [(net.theta.shape, 0), (net.theta.shape, 1)]
 
     def test_first_partials_differenced_once(self, monkeypatch):
-        s = lift_net(build_first_kind(*gallery_generators(101), np.zeros(3)))
+        built = lift_net(build_first_kind(*gallery_generators(101),
+                                          np.zeros(3)))
+        s = replace(built, generators=None)
         seen = record_diff_samples(monkeypatch)
         verify_null_coords(s)
         normal_frame(s)
@@ -440,6 +528,13 @@ class TestMemo:
         assert [(v is f, axis) for v, axis in seen] == \
             [(True, 0), (True, 1), (False, 1)]
         assert seen[2][0] is s._first_partials[0]
+        # with its generators the lift differences only for the grid check
+        seen.clear()
+        verify_null_coords(built)
+        normal_frame(built)
+        decompose_minimal(built)
+        assert [(v is built.grid.values, axis) for v, axis in seen] == \
+            [(True, 0), (True, 1)]
 
     def test_first_partials_read_only(self):
         s = lift_net(build_first_kind(*gallery_generators(61), np.zeros(3)))

@@ -10,7 +10,7 @@ from chebylift.errors import (
 from chebylift.numerics import (
     STENCIL_WIDTH, Grid2D, SampledCurve, SphereCurve, _window_weights, cross,
     cumulative_integral, diff_samples, frenet, grid_from_ranges, partials,
-    sample_curve, sup_and_l2, sup_check,
+    sample_curve, sup_check,
 )
 
 
@@ -332,22 +332,6 @@ class TestFrenet:
 
 
 class TestNorms:
-    def test_zero_field(self):
-        g = scalar_grid(lambda u, v: 0.0 * u)
-        assert sup_and_l2(g) == (0.0, 0.0)
-
-    def test_constant_on_unit_square(self):
-        g = scalar_grid(lambda u, v: 2.0 + 0 * u)
-        sup, l2 = sup_and_l2(g)
-        assert sup == 2.0
-        assert l2 == pytest.approx(2.0, abs=1e-12)
-
-    def test_single_spike(self):
-        vals = np.zeros((11, 11))
-        vals[5, 5] = 1.0
-        g = grid_from_ranges((0, 1), (0, 1), vals)
-        assert sup_and_l2(g)[0] == 1.0
-
     def test_masked_sup_of_vectors(self):
         vals = np.zeros((3, 4, 2))
         vals[1, 2] = [-3.0, 4.0]
