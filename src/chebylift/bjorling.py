@@ -10,12 +10,19 @@ second null generator, and assembles solutions as sums of two lightlike
 curves.  Solutions are classified into the line / helix / planar-alpha
 special cases, and non-uniqueness is realized by exchanging extensions of
 the second generator with a fixed value at v = 0.
+
+Each public function runs that chain on a ``CurveDecomposition`` of its
+argument, and errors come in chain order: ``BadData`` on the structure,
+``NecessaryConditionFailed``, ``BadData`` on the resample, then
+``DegenerateFrenet``; ``classify_special`` checks the necessary condition
+only on data that is neither a straight line nor Frenet-degenerate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -75,23 +82,7 @@ class BjorlingData:
         where err is ``derivative_error()``: an error d in c' moves that
         residual by at most 2|d|/|c'|.  Returns err.
         """
-        a, b = self.a.points, self.b.points
-        ts = (self.c.ts,)
-        chk = sup_check("orthonormal", np.maximum.reduce(
-            [np.abs(mk.inner(a, a) - 1.0), np.abs(mk.inner(b, b) - 1.0),
-             np.abs(mk.inner(a, b))]), STRUCT_TOL, axes=ts)
-        if not chk.passed:
-            raise BadData("(a, b) is not orthonormal spacelike", chk)
-        cp = diff_samples(self.c.points, self.c.dt, 1)
-        if cp[:, 0].min() <= 0:
-            raise BadData("c0'(t) must be positive")
-        err = self.derivative_error()
-        light = mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp)
-        chk = sup_check("lightlike", light, max(STRUCT_TOL, 2.0 * err),
-                        axes=ts)
-        if not chk.passed:
-            raise BadData("c is not lightlike", chk)
-        return err
+        return CurveDecomposition(self)._structure_error
 
     def derivative_error(self) -> float:
         """Estimated relative error max |d c'| / min |c'| of the differenced
@@ -104,29 +95,197 @@ class BjorlingData:
         about 16 times the noise.  It is 0 for curves of degree <= 4 and for
         curves too short to have a fifth difference.
         """
-        cp = diff_samples(self.c.points, self.c.dt, 1)
-        d5 = np.linalg.norm(np.diff(self.c.points, 5, axis=0), axis=1)
-        return float(d5.max(initial=0.0) / self.c.dt
-                     / np.linalg.norm(cp, axis=1).min())
+        return _derivative_error(self.c, diff_samples(self.c.points,
+                                                      self.c.dt, 1))
+
+
+def _derivative_error(c: SampledCurve, cp: np.ndarray) -> float:
+    """``derivative_error`` of data with curve c, given c' = cp."""
+    d5 = np.linalg.norm(np.diff(c.points, 5, axis=0), axis=1)
+    return float(d5.max(initial=0.0) / c.dt / np.linalg.norm(cp, axis=1).min())
 
 
 @dataclass(frozen=True)
 class CurveDecomposition:
-    """Curve-level data on a uniform u-grid with c0'(u) = 1."""
+    """The chain on ``source``, each stage computed once, on first use: c'
+    and the ``necessary`` report of ``source``, its admissible
+    ``orientation`` (which raises ``NecessaryConditionFailed``), the
+    resample ``data`` with c0'(u) = 1, ``alpha`` = c - u d0 and its
+    ``frenet`` apparatus, the resample's c', n0 and frame n3 (which reads
+    ``orientation`` first), ``theta0``, ``p0fn``, ``q0fn``, ``n0curve``,
+    ``n3curve`` and the ``special`` case.  Each public call builds its own
+    and drops it on return; nothing is kept on ``source``, so a second call
+    on the same data computes everything again.
+    """
 
-    data: BjorlingData           # reparametrized copy
-    alpha: SampledCurve          # spatial curve in E
-    frenet: FrenetData
-    theta0: np.ndarray
-    p0fn: np.ndarray
-    q0fn: np.ndarray
-    n0curve: SphereCurve
-    n3curve: SphereCurve
-    orientation: str
+    source: BjorlingData
+
+    @cached_property
+    def _dc(self) -> np.ndarray:
+        c = self.source.c
+        return diff_samples(c.points, c.dt, 1)
+
+    @cached_property
+    def _structure_error(self) -> float:
+        """``validate_structure`` of the source."""
+        d = self.source
+        a, b = d.a.points, d.b.points
+        ts = (d.c.ts,)
+        chk = sup_check("orthonormal", np.maximum.reduce(
+            [np.abs(mk.inner(a, a) - 1.0), np.abs(mk.inner(b, b) - 1.0),
+             np.abs(mk.inner(a, b))]), STRUCT_TOL, axes=ts)
+        if not chk.passed:
+            raise BadData("(a, b) is not orthonormal spacelike", chk)
+        cp = self._dc
+        if cp[:, 0].min() <= 0:
+            raise BadData("c0'(t) must be positive")
+        err = _derivative_error(d.c, cp)
+        light = mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp)
+        chk = sup_check("lightlike", light, max(STRUCT_TOL, 2.0 * err),
+                        axes=ts)
+        if not chk.passed:
+            raise BadData("c is not lightlike", chk)
+        return err
+
+    @cached_property
+    def necessary(self) -> Report:
+        """``check_necessary`` of the source."""
+        d = self.source
+        tol = max(NECESSARY_TOL, (2.0 + np.sqrt(2.0)) * self._structure_error)
+        l_data = self._dc / self._dc[:, :1]      # c'/c0', time component 1
+        n0, n3 = _frame_nulls(d.a.points, d.b.points)
+        r = {o: sup_check(f"residual_{o}", np.linalg.norm(
+            l_data - mk.D0 - n, axis=1), axes=(d.c.ts,))
+            for o, n in (("ab", n0), ("ba", n3))}
+        best = "ba" if r["ba"].value < r["ab"].value else "ab"
+        residual = replace(r[best], name="residual", tol=tol)
+        return Report((residual, r["ab"], r["ba"]),
+                      {"orientation": best if residual.passed else None})
+
+    @cached_property
+    def orientation(self) -> str:
+        """The ordering of (a, b) that passes the necessary check."""
+        rep = self.necessary
+        if not rep["residual"].passed:
+            raise NecessaryConditionFailed(
+                "c' misses d0 + n0 for both orderings of (a, b)",
+                rep["residual"])
+        return rep.orientation
+
+    @cached_property
+    def data(self) -> BjorlingData:
+        """The source reparametrized to u = c0(t) - c0(t_base) on a uniform
+        grid with a u = 0 node; there c0'(u) = 1 up to interpolation error."""
+        d = self.source
+        ts = d.c.ts
+        c0 = d.c.points[:, 0]
+        if np.any(np.diff(c0) <= 0):
+            raise BadData("c0(t) must be strictly increasing")
+        u_of_t = c0 - c0[d.c.base_index()]
+        span = u_of_t[-1] - u_of_t[0]
+        du = span / (d.c.n - 1)
+        k_lo = int(np.ceil(u_of_t[0] / du - 1e-9))
+        k_hi = int(np.floor(u_of_t[-1] / du + 1e-9))
+        if k_hi - k_lo < 4:
+            raise BadData("curve too short to resample")
+        us = du * np.arange(k_lo, k_hi + 1)
+        t_of_u = CubicSpline(u_of_t, ts)
+        t_new = np.clip(t_of_u(us), ts[0], ts[-1])
+        c_new, a_new, b_new = (CubicSpline(ts, cur.points, axis=0)(t_new)
+                               for cur in (d.c, d.a, d.b))
+        # restore exact orthonormality lost to interpolation
+        a_new = a_new / np.sqrt(mk.inner(a_new, a_new))[:, None]
+        b_new = b_new - mk.inner(a_new, b_new)[:, None] * a_new
+        b_new = b_new / np.sqrt(mk.inner(b_new, b_new))[:, None]
+        t0 = float(us[0])
+        mkc = lambda pts: SampledCurve(t_min=t0, dt=float(du), points=pts)
+        return BjorlingData(c=mkc(c_new), a=mkc(a_new), b=mkc(b_new))
+
+    @cached_property
+    def alpha(self) -> SampledCurve:
+        """The spatial curve alpha(u) = c(u) - u d0 in E."""
+        c = self.data.c
+        return SampledCurve(t_min=c.t_min, dt=c.dt,
+                            points=mk.spatial(c.points))
+
+    @cached_property
+    def frenet(self) -> FrenetData:
+        return frenet(self.alpha)
 
     @property
     def us(self) -> np.ndarray:
         return self.alpha.ts
+
+    @cached_property
+    def _dc_resampled(self) -> np.ndarray:
+        c = self.data.c
+        return diff_samples(c.points, c.dt, 1)
+
+    @cached_property
+    def n0curve(self) -> SphereCurve:
+        """n0 = spatial(c') / |spatial(c')|, the unit tangent T of alpha."""
+        sp = self._dc_resampled[:, 1:]
+        return SphereCurve(t_min=self.alpha.t_min, dt=self.alpha.dt,
+                           points=sp / np.linalg.norm(sp, axis=1,
+                                                      keepdims=True))
+
+    @cached_property
+    def _n3(self) -> np.ndarray:
+        """Spatial n3 = pi(tau + nu) of the resample's frames, in the
+        admissible orientation: swapping (a, b) exchanges n0 and n3."""
+        orientation = self.orientation
+        n0, n3 = _frame_nulls(self.data.a.points, self.data.b.points)
+        return mk.spatial(n0 if orientation == "ba" else n3)
+
+    @cached_property
+    def n3curve(self) -> SphereCurve:
+        return SphereCurve(t_min=self.alpha.t_min, dt=self.alpha.dt,
+                           points=self._n3 / np.linalg.norm(
+                               self._n3, axis=1, keepdims=True))
+
+    @cached_property
+    def theta0(self) -> np.ndarray:
+        return np.arccos(np.clip(np.einsum(
+            "ij,ij->i", self.n0curve.points, self._n3), -1.0, 1.0))
+
+    @cached_property
+    def p0fn(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self._n3, self.frenet.N)
+
+    @cached_property
+    def q0fn(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self._n3, self.frenet.B)
+
+    @cached_property
+    def special(self) -> SpecialCase:
+        """``classify_special`` of the source."""
+        fr = self.frenet
+        sup_kappa = float(fr.kappa.max())
+        if sup_kappa <= ZERO_TOL:
+            return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
+                               diagnostics={"sup_kappa": sup_kappa})
+        if np.any(fr.degenerate):
+            return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics={
+                "sup_kappa": sup_kappa,
+                "degenerate_nodes": int(fr.degenerate.sum())})
+        sup_tor = float(np.abs(fr.tor).max())
+        sup_theta_u = float(np.abs(diff_samples(self.theta0, self.alpha.dt,
+                                                1)).max())
+        sup_p = float(np.abs(self.p0fn).max())
+        diag = {"sup_kappa": sup_kappa, "sup_tor": sup_tor,
+                "sup_theta_u": sup_theta_u, "sup_p": sup_p}
+        if sup_tor <= ZERO_TOL:
+            return SpecialCase(kind=SpecialCaseKind.PLANAR_ALPHA,
+                               diagnostics=diag)
+        T = self.n0curve.points - self.n0curve.points.mean(axis=0)
+        axis = np.linalg.eigh(T.T @ T)[1][:, 0]
+        off_circle = float(np.abs(T @ axis).max())
+        tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * _derivative_error(
+            self.data.c, self._dc_resampled))
+        diag.update(off_circle=off_circle, circle_tol=tol)
+        if sup_theta_u <= ZERO_TOL and sup_p <= ZERO_TOL and off_circle <= tol:
+            return SpecialCase(kind=SpecialCaseKind.HELIX, diagnostics=diag)
+        return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics=diag)
 
 
 class SpecialCaseKind(Enum):
@@ -161,7 +320,7 @@ class ExtensionChoice:
 
 
 # ---------------------------------------------------------------------------
-# necessary condition
+# necessary condition and decomposition
 
 def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b)."""
@@ -172,13 +331,6 @@ def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
         n0[i] = f.n0
         n3[i] = f.n3
     return n0, n3
-
-
-def _data_n3(d: BjorlingData, orientation: str) -> np.ndarray:
-    """Spatial part of n3 = pi(tau + nu) of the frames of D, with the
-    admissible orientation: swapping (a, b) exchanges n0 and n3."""
-    n0, n3 = _frame_nulls(d.a.points, d.b.points)
-    return mk.spatial(n0 if orientation == "ba" else n3)
 
 
 def check_necessary(d: BjorlingData) -> Report:
@@ -193,79 +345,7 @@ def check_necessary(d: BjorlingData) -> Report:
     residual_ab, residual_ba and residual, the better one held to that
     tolerance; info ``orientation``, "ab" or "ba" if it passes, else None.
     """
-    err = d.validate_structure()
-    tol = max(NECESSARY_TOL, (2.0 + np.sqrt(2.0)) * err)
-    cp = diff_samples(d.c.points, d.c.dt, 1)
-    l_data = cp / cp[:, :1]      # c'/c0', time component 1
-    n0, n3 = _frame_nulls(d.a.points, d.b.points)
-    r = {o: sup_check(f"residual_{o}", np.linalg.norm(
-        l_data - mk.D0 - n, axis=1), axes=(d.c.ts,))
-        for o, n in (("ab", n0), ("ba", n3))}
-    best = "ba" if r["ba"].value < r["ab"].value else "ab"
-    residual = replace(r[best], name="residual", tol=tol)
-    return Report((residual, r["ab"], r["ba"]),
-                  {"orientation": best if residual.passed else None})
-
-
-def _require_necessary(d: BjorlingData) -> Report:
-    """``check_necessary``, raising ``NecessaryConditionFailed`` when both
-    orientations fail."""
-    rep = check_necessary(d)
-    if not rep["residual"].passed:
-        raise NecessaryConditionFailed(
-            "c' misses d0 + n0 for both orderings of (a, b)", rep["residual"])
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# reparametrization and decomposition
-
-def _resample(d: BjorlingData) -> BjorlingData:
-    """Reparametrize to u = c0(t) - c0(t_base) on a uniform grid with a
-    u = 0 node; after this c0'(u) = 1 up to interpolation error."""
-    ts = d.c.ts
-    c0 = d.c.points[:, 0]
-    if np.any(np.diff(c0) <= 0):
-        raise BadData("c0(t) must be strictly increasing")
-    u_of_t = c0 - c0[d.c.base_index()]
-    span = u_of_t[-1] - u_of_t[0]
-    du = span / (d.c.n - 1)
-    k_lo = int(np.ceil(u_of_t[0] / du - 1e-9))
-    k_hi = int(np.floor(u_of_t[-1] / du + 1e-9))
-    if k_hi - k_lo < 4:
-        raise BadData("curve too short to resample")
-    us = du * np.arange(k_lo, k_hi + 1)
-    t_of_u = CubicSpline(u_of_t, ts)
-    t_new = np.clip(t_of_u(us), ts[0], ts[-1])
-
-    def resampled(cur: SampledCurve) -> np.ndarray:
-        return CubicSpline(ts, cur.points, axis=0)(t_new)
-
-    c_new = resampled(d.c)
-    a_new = resampled(d.a)
-    b_new = resampled(d.b)
-    # restore exact orthonormality lost to interpolation
-    a_new = a_new / np.sqrt(mk.inner(a_new, a_new))[:, None]
-    b_new = b_new - mk.inner(a_new, b_new)[:, None] * a_new
-    b_new = b_new / np.sqrt(mk.inner(b_new, b_new))[:, None]
-    t0 = float(us[0])
-    mkc = lambda pts: SampledCurve(t_min=t0, dt=float(du), points=pts)
-    return BjorlingData(c=mkc(c_new), a=mkc(a_new), b=mkc(b_new))
-
-
-def _resampled_frenet(d: BjorlingData) -> tuple:
-    """Resample d to c0' = 1 (``_resample``); return it with the spatial
-    curve alpha(u) = c(u) - u d0 and the Frenet apparatus of alpha."""
-    rd = _resample(d)
-    alpha = SampledCurve(t_min=rd.c.t_min, dt=rd.c.dt,
-                         points=mk.spatial(rd.c.points))
-    return rd, alpha, frenet(alpha)
-
-
-def _unit_n0(c: SampledCurve) -> np.ndarray:
-    """n0 = spatial(c') / |spatial(c')| at every node."""
-    cp = diff_samples(c.points, c.dt, 1)
-    return cp[:, 1:] / np.linalg.norm(cp[:, 1:], axis=1, keepdims=True)
+    return CurveDecomposition(d).necessary
 
 
 def decompose(d: BjorlingData) -> CurveDecomposition:
@@ -273,31 +353,18 @@ def decompose(d: BjorlingData) -> CurveDecomposition:
 
     Reparametrizes so that c0' = 1, takes T = n0 = spatial(c'), computes
     n3 from the adapted frames of D with the admissible orientation, and
-    projects n3 = cos(theta) T + p N + q B on the Frenet frame.
+    projects n3 = cos(theta) T + p N + q B on the Frenet frame.  Every
+    stage that can raise has run when it returns.
     """
-    orientation = _require_necessary(d).orientation
-    return _decomposition(*_resampled_frenet(d), orientation)
-
-
-def _decomposition(rd: BjorlingData, alpha: SampledCurve, fr: FrenetData,
-                   orientation: str) -> CurveDecomposition:
-    """``decompose`` of data already resampled by ``_resampled_frenet``."""
+    dec = CurveDecomposition(d)
+    dec.orientation                 # NecessaryConditionFailed comes first
+    fr = dec.frenet
     if np.any(fr.degenerate):
         raise DegenerateFrenet(
             f"kappa <= {KAPPA_TOL:g} on {int(fr.degenerate.sum())} nodes; "
             "use classify_special / ruled_solution for straight-line data")
-    n3_sp = _data_n3(rd, orientation)
-    n0_sp = _unit_n0(rd.c)
-    theta0 = np.arccos(np.clip(np.einsum("ij,ij->i", n0_sp, n3_sp), -1.0, 1.0))
-    p0fn = np.einsum("ij,ij->i", n3_sp, fr.N)
-    q0fn = np.einsum("ij,ij->i", n3_sp, fr.B)
-    n0curve = SphereCurve(t_min=alpha.t_min, dt=alpha.dt, points=n0_sp)
-    n3curve = SphereCurve(t_min=alpha.t_min, dt=alpha.dt,
-                          points=n3_sp / np.linalg.norm(n3_sp, axis=1,
-                                                        keepdims=True))
-    return CurveDecomposition(data=rd, alpha=alpha, frenet=fr, theta0=theta0,
-                              p0fn=p0fn, q0fn=q0fn, n0curve=n0curve,
-                              n3curve=n3curve, orientation=orientation)
+    dec.theta0, dec.n3curve         # the frames of the resample
+    return dec
 
 
 def compatibility_residual(dec: CurveDecomposition) -> Report:
@@ -367,36 +434,7 @@ def classify_special(d: BjorlingData) -> SpecialCase:
     allows for the fit).  On that helix data the distance is 2e-8 clean
     and 7e-7 with noise, against 6e-3 for the generic test curve.
     """
-    return _classify(d, *_resampled_frenet(d))
-
-
-def _classify(d: BjorlingData, rd: BjorlingData, alpha: SampledCurve,
-              fr: FrenetData) -> SpecialCase:
-    """``classify_special`` of d, given its ``_resampled_frenet``."""
-    sup_kappa = float(fr.kappa.max())
-    if sup_kappa <= ZERO_TOL:
-        return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
-                           diagnostics={"sup_kappa": sup_kappa})
-    if np.any(fr.degenerate):
-        return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics={
-            "sup_kappa": sup_kappa,
-            "degenerate_nodes": int(fr.degenerate.sum())})
-    dec = _decomposition(rd, alpha, fr, _require_necessary(d).orientation)
-    sup_tor = float(np.abs(fr.tor).max())
-    sup_theta_u = float(np.abs(diff_samples(dec.theta0, alpha.dt, 1)).max())
-    sup_p = float(np.abs(dec.p0fn).max())
-    diag = {"sup_kappa": sup_kappa, "sup_tor": sup_tor,
-            "sup_theta_u": sup_theta_u, "sup_p": sup_p}
-    if sup_tor <= ZERO_TOL:
-        return SpecialCase(kind=SpecialCaseKind.PLANAR_ALPHA, diagnostics=diag)
-    T = dec.n0curve.points - dec.n0curve.points.mean(axis=0)
-    axis = np.linalg.eigh(T.T @ T)[1][:, 0]
-    off_circle = float(np.abs(T @ axis).max())
-    tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * rd.derivative_error())
-    diag.update(off_circle=off_circle, circle_tol=tol)
-    if sup_theta_u <= ZERO_TOL and sup_p <= ZERO_TOL and off_circle <= tol:
-        return SpecialCase(kind=SpecialCaseKind.HELIX, diagnostics=diag)
-    return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics=diag)
+    return CurveDecomposition(d).special
 
 
 def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
@@ -407,22 +445,21 @@ def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
     the surface is ruled by the constant direction l0.  n3 must stay off
     +-l0 on the whole product, between samples too.
     """
-    rd, alpha, fr = _resampled_frenet(d)
-    case = _classify(d, rd, alpha, fr)
+    dec = CurveDecomposition(d)
+    case = dec.special
     if case.kind is not SpecialCaseKind.LIGHTLIKE_LINE:
         raise BadData(f"data classifies as {case.kind.value}, not a line")
-    rep = _require_necessary(d)
-    n0_const = _unit_n0(rd.c).mean(axis=0)
+    c = dec.data.c
+    seed = dec._n3[c.base_index()]
+    n0_const = dec.n0curve.points.mean(axis=0)
     n0_const /= np.linalg.norm(n0_const)
-    seed = _data_n3(rd, rep.orientation)[rd.c.base_index()]
     chk = Check("seed_miss", float(np.linalg.norm(
         n3.points[n3.base_index()] - seed)), 1e-5)
     if not chk.passed:
         raise InconsistentSeed("n3(0) differs from the frame value", chk)
-    n0curve = SphereCurve(t_min=rd.c.t_min, dt=rd.c.dt,
-                          points=np.tile(n0_const, (rd.c.n, 1)))
-    P0 = rd.c.points[rd.c.base_index()]
-    return _build_solution(n0curve, n3, P0)
+    n0curve = SphereCurve(t_min=c.t_min, dt=c.dt,
+                          points=np.tile(n0_const, (c.n, 1)))
+    return _build_solution(n0curve, n3, c.points[c.base_index()])
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +586,8 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     (projector_sup), and it is minimal (h_sup).  Info: orientation,
     extension_kind.
     """
-    rep = _require_necessary(d)
-    dec = _decomposition(*_resampled_frenet(d), rep.orientation)
+    dec = decompose(d)
+    rep = dec.necessary
     comp = compatibility_residual(dec)
     if not comp["sup_dn3"].passed:
         raise IncompatibleData("n3 varies along the curve", comp["sup_dn3"])

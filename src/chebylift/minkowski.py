@@ -32,14 +32,6 @@ D3 = np.array([0.0, 0.0, 0.0, 1.0])
 DEFAULT_ORTHO_TOL = 1e-9
 
 
-def vec4(x0: float, x1: float, x2: float, x3: float) -> np.ndarray:
-    """Build a vector of R^4_1 from its components in the standard basis."""
-    v = np.array([x0, x1, x2, x3], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise BadInput("vector components must be finite")
-    return v
-
-
 def spatial(v: np.ndarray) -> np.ndarray:
     """Spatial part (x1, x2, x3) of vectors of R^4_1."""
     return np.asarray(v, dtype=float)[..., 1:]

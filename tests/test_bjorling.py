@@ -320,6 +320,24 @@ class TestClassify:
             a=dl.a, b=dl.b)
         assert classify_special(dl2).kind is SpecialCaseKind.LIGHTLIKE_LINE
 
+    def test_line_failing_necessary_raises_that_first(self):
+        # D = span{d1, d2} along c = t (d0 + d1): nu = +-d3, so c'/c0' - d0
+        # = d1 misses n0 = +-d3 in both orderings.  The classifier looks only
+        # at alpha; decompose and solve check the necessary condition before
+        # the Frenet apparatus, and ruled_solution once the data classifies
+        # as a line, so none of them reports a degenerate Frenet frame.
+        d = line_data()
+        d = BjorlingData(c=d.c, a=make_curve(
+            lambda t: np.tile(mk.D1, (t.size, 1)), (-1.0, 1.0), d.c.n), b=d.b)
+        assert not check_necessary(d).passed
+        assert classify_special(d).kind is SpecialCaseKind.LIGHTLIKE_LINE
+        n3 = sample_curve(
+            lambda v: np.stack([0 * v, np.sin(v), np.cos(v)], axis=-1),
+            (-1, 1), 101, cls=SphereCurve)
+        for call in (decompose, solve, lambda d: ruled_solution(d, n3)):
+            with pytest.raises(NecessaryConditionFailed):
+                call(d)
+
 
 class TestRuledSolution:
     @staticmethod
@@ -532,3 +550,73 @@ class TestReduceFromL3:
         sol, rep = solve(d)
         assert rep.passed
         assert mean_curvature(sol).sup() <= 1e-5
+
+
+class TestOneChainPerCall:
+    """Each public call runs the chain on its own CurveDecomposition: it
+    fits the resample splines once, frames the data and the resample once
+    each, differences c' once per curve, and keeps nothing on its argument,
+    so a second call computes everything again."""
+
+    CALLS = ("check_necessary", "decompose", "classify_special",
+             "ruled_solution", "solve")
+
+    @staticmethod
+    def case(name):
+        if name == "ruled_solution":
+            d, n3 = TestRuledSolution.line_with_n3(
+                lambda v: np.stack([0 * v, np.sin(v), np.cos(v)], axis=-1),
+                n=101)
+            return d, lambda d: ruled_solution(d, n3)
+        d, _ = helix_data(n=101)
+        return d, {"check_necessary": check_necessary, "decompose": decompose,
+                   "classify_special": classify_special,
+                   "solve": solve}[name]
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_work_per_call(self, name, monkeypatch):
+        from chebylift import bjorling
+        d, call = self.case(name)
+        counts = {"fits": 0, "frames": 0, "tangents": 0}
+
+        def counted(key, fn, applies=lambda *args: True):
+            def wrapped(*args, **kwargs):
+                counts[key] += applies(*args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(bjorling, "CubicSpline",
+                            counted("fits", bjorling.CubicSpline))
+        monkeypatch.setattr(mk, "build_frame",
+                            counted("frames", mk.build_frame))
+        # c' of a curve in R^4_1: the data's or the resample's
+        monkeypatch.setattr(bjorling, "diff_samples", counted(
+            "tangents", bjorling.diff_samples,
+            lambda f, *args: f.ndim == 2 and f.shape[1] == 4))
+        curves = 1 if name == "check_necessary" else 2
+        for calls in (1, 2):
+            call(d)
+            assert counts["fits"] == calls * 4 * (curves - 1)
+            assert counts["frames"] <= calls * curves * d.c.n
+            assert counts["tangents"] <= calls * curves
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_argument_untouched(self, name):
+        d, call = self.case(name)
+        fields = dict(vars(d))
+        curves = {k: (dict(vars(cur)), cur.points.copy())
+                  for k, cur in fields.items()}
+        call(d)
+        assert vars(d).keys() == fields.keys()
+        assert all(vars(d)[k] is cur for k, cur in fields.items())
+        for k, (attrs, pts) in curves.items():
+            assert vars(fields[k]).keys() == attrs.keys()
+            assert all(vars(fields[k])[a] is v for a, v in attrs.items())
+            assert np.array_equal(fields[k].points, pts)
+
+    def test_solve_twice_bit_identical(self):
+        d, _ = helix_data(n=101)
+        sol1, rep1 = solve(d)
+        sol2, rep2 = solve(d)
+        assert np.array_equal(sol1.grid.values, sol2.grid.values)
+        assert rep1.checks == rep2.checks and rep1.info == rep2.info

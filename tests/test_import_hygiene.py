@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private name a module defines at top level is read somewhere in the library.
 
 Standard library only: each ``src/chebylift/*.py`` is parsed with ``ast``;
 a name counts as used when it occurs as a name anywhere in the module,
-including inside string annotations such as ``Optional["Report"]``.
+including inside string annotations such as ``Optional["Report"]``.  A
+private function, class or constant counts as read when a statement other
+than its own definition loads it as a name or an attribute.
 """
 
 import ast
@@ -23,7 +26,8 @@ def imported_names(tree: ast.Module) -> set:
     return names
 
 
-def used_names(tree: ast.Module) -> set:
+def with_string_annotations(tree: ast.AST) -> list:
+    """tree, followed by the parsed string annotations inside it."""
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.arg):
@@ -35,8 +39,50 @@ def used_names(tree: ast.Module) -> set:
     strings = [sub.value for ann in annotations if ann is not None
                for sub in ast.walk(ann)
                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
-    trees = [tree] + [ast.parse(s, mode="eval") for s in strings]
-    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return [tree] + [ast.parse(s, mode="eval") for s in strings]
+
+
+def used_names(tree: ast.Module) -> set:
+    return {n.id for t in with_string_annotations(tree) for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def read_names(stmt: ast.stmt) -> set:
+    """Names a statement loads, as names or as attributes."""
+    nodes = [n for t in with_string_annotations(stmt) for n in ast.walk(t)]
+    return ({n.id for n in nodes
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """(name, statement) for each private name defined at top level."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        out += [(name, stmt) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def dead_private_names(trees: dict) -> list:
+    """module:name for each private top-level name that no other statement
+    of any of the modules ``trees`` (name -> parsed module) reads."""
+    reads = [(stmt, read_names(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    return [f"{mod}:{name}" for mod, tree in trees.items()
+            for name, stmt in private_definitions(tree)
+            if not any(name in names for s, names in reads if s is not stmt)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -56,3 +102,26 @@ def test_string_annotations_count_as_uses():
     unused = ast.parse("from .errors import Check, Report\n"
                        "def f() -> 'Report': ...\n")
     assert imported_names(unused) - used_names(unused) == {"Check"}
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    dead = dead_private_names(trees)
+    assert not dead, f"private names nothing reads: {dead}"
+
+
+def test_dead_private_names_are_found():
+    tree = ast.parse("_A = 1\n"
+                     "_B = _A\n"
+                     "def _f(n):\n"
+                     "    return _f(n - 1)\n"
+                     "class _C: ...\n"
+                     "def g(x: '_C') -> None: ...\n")
+    other = ast.parse("import m\n"
+                      "def h():\n"
+                      "    return m._D\n")
+    defines_d = ast.parse("_D = 2\n")
+    assert dead_private_names({"m": tree}) == ["m:_B", "m:_f"]
+    assert dead_private_names({"n": defines_d}) == ["n:_D"]
+    assert dead_private_names({"n": defines_d, "o": other}) == []

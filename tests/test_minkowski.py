@@ -5,8 +5,12 @@ from chebylift.errors import BadInput, NotLightlike, ZeroTimeComponent
 from chebylift.minkowski import (
     D0, D1, D2, D3, CausalClass, build_frame, causal_class,
     frame_identity_residuals, inner, plane_projector, project_lightlike,
-    vec4, wedge3,
+    wedge3,
 )
+
+
+def vec4(*x):
+    return np.array(x, dtype=float)
 
 
 def oracle_wedge(u, v, w):

@@ -332,7 +332,7 @@ class TestFrenet:
 
 
 class TestNorms:
-    def test_masked_sup_of_vectors(self):
+    def test_sup_check_of_vectors(self):
         vals = np.zeros((3, 4, 2))
         vals[1, 2] = [-3.0, 4.0]
         vals[0, 0] = [0.0, -7.0]
@@ -345,7 +345,7 @@ class TestNorms:
         assert chk.where[0] == (1, 2)
         assert chk.masked == 1
 
-    def test_masked_sup_over_no_node_raises(self):
+    def test_sup_check_over_no_node_raises(self):
         # a sup over an empty set is no evidence of a small residual
         with pytest.raises(DegenerateAngle, match="no node is left"):
             sup_check("s", np.ones((5, 5)), keep=np.zeros((5, 5), dtype=bool))
