@@ -14,8 +14,9 @@ the second generator with a fixed value at v = 0.
 Each public function runs that chain on a ``CurveDecomposition`` of its
 argument, and errors come in chain order: ``BadData`` on the structure,
 ``NecessaryConditionFailed``, ``BadData`` on the resample, then
-``DegenerateFrenet``; ``classify_special`` checks the necessary condition
-only on data that is neither a straight line nor Frenet-degenerate.
+``DegenerateFrenet``.  ``classify_special`` always checks the structure
+first, but the necessary condition only on data that is neither a
+straight line nor Frenet-degenerate.
 """
 
 from __future__ import annotations
@@ -79,28 +80,23 @@ class BjorlingData:
 
         (a, b) is held to ``STRUCT_TOL``.  c' is differenced, so the
         lightlike residual <c', c'>/|c'|^2 is held to max(STRUCT_TOL, 2 err),
-        where err is ``derivative_error()``: an error d in c' moves that
-        residual by at most 2|d|/|c'|.  Returns err.
+        where err is the derivative error of c (``_derivative_error``): an
+        error d in c' moves that residual by at most 2|d|/|c'|.  Returns err.
         """
         return CurveDecomposition(self)._structure_error
 
-    def derivative_error(self) -> float:
-        """Estimated relative error max |d c'| / min |c'| of the differenced
-        tangent c', read off the data itself.
-
-        max |Delta^5 c| / h covers both parts of the error of the one-sided
-        5-point stencil at the ends: its truncation error h^4 |c^(5)| / 5,
-        and its amplification of sample noise, whose weights sum to 128/12
-        in absolute value while a fifth difference of independent noise is
-        about 16 times the noise.  It is 0 for curves of degree <= 4 and for
-        curves too short to have a fifth difference.
-        """
-        return _derivative_error(self.c, diff_samples(self.c.points,
-                                                      self.c.dt, 1))
-
 
 def _derivative_error(c: SampledCurve, cp: np.ndarray) -> float:
-    """``derivative_error`` of data with curve c, given c' = cp."""
+    """Estimated relative error max |d c'| / min |c'| of the tangent
+    c' = cp differenced from the samples of c, read off the data itself.
+
+    max |Delta^5 c| / h covers both parts of the error of the one-sided
+    5-point stencil at the ends: its truncation error h^4 |c^(5)| / 5, and
+    its amplification of sample noise, whose weights sum to 128/12 in
+    absolute value while a fifth difference of independent noise is about
+    16 times the noise.  It is 0 for curves of degree <= 4 and for curves
+    too short to have a fifth difference.
+    """
     d5 = np.linalg.norm(np.diff(c.points, 5, axis=0), axis=1)
     return float(d5.max(initial=0.0) / c.dt / np.linalg.norm(cp, axis=1).min())
 
@@ -259,6 +255,7 @@ class CurveDecomposition:
     @cached_property
     def special(self) -> SpecialCase:
         """``classify_special`` of the source."""
+        self._structure_error            # BadData comes first
         fr = self.frenet
         sup_kappa = float(fr.kappa.max())
         if sup_kappa <= ZERO_TOL:
@@ -340,10 +337,11 @@ def check_necessary(d: BjorlingData) -> Report:
     come from one frame pass.  The residual is measured on c'/c0', which
     makes pass/fail invariant under orientation-preserving reparametrization
     of c.  It is held to max(NECESSARY_TOL, (2 + sqrt 2) err) with err the
-    data's ``derivative_error``: for lightlike c, |c'| = sqrt 2 c0', and an
-    error d in c' moves c'/c0' by at most (2 + sqrt 2)|d|/|c'|.  Checks
-    residual_ab, residual_ba and residual, the better one held to that
-    tolerance; info ``orientation``, "ab" or "ba" if it passes, else None.
+    error estimate of c' that ``validate_structure`` returns: for lightlike
+    c, |c'| = sqrt 2 c0', and an error d in c' moves c'/c0' by at most
+    (2 + sqrt 2)|d|/|c'|.  Checks residual_ab, residual_ba and residual,
+    the better one held to that tolerance; info ``orientation``, "ab" or
+    "ba" if it passes, else None.
     """
     return CurveDecomposition(d).necessary
 
@@ -417,7 +415,8 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
 # special cases
 
 def classify_special(d: BjorlingData) -> SpecialCase:
-    """Classify data into the line / planar / helix / generic cases.
+    """Classify data into the line / planar / helix / generic cases; data
+    that fails ``validate_structure`` raises its ``BadData`` first.
 
     A planar alpha is recognized by tor = 0 alone: the worked constant-angle
     circle data has theta_u = 0 as well, so the planar test cannot require
@@ -429,8 +428,8 @@ def classify_special(d: BjorlingData) -> SpecialCase:
     exactly when T lies on a circle of S^2, which is checked from T = n0,
     a first derivative of the data, instead of from the third derivatives
     in tor: the largest distance of T from its least-squares plane must not
-    exceed max(CIRCLE_TOL, 4 sqrt 2 err), with err the data's
-    ``derivative_error`` (T moves by at most 2 sqrt 2 err; the factor 2
+    exceed max(CIRCLE_TOL, 4 sqrt 2 err), with err the derivative error of
+    the resampled c (T moves by at most 2 sqrt 2 err; the factor 2
     allows for the fit).  On that helix data the distance is 2e-8 clean
     and 7e-7 with noise, against 6e-3 for the generic test curve.
     """
@@ -602,7 +601,7 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
         g.values[:, j0, :] - dec.data.c.points, axis=1), 1e-6, axes=us)
     # the frame on the stencil-wide strip around v = 0 equals the whole
     # grid's frame on column j0: every v-derivative window of j0 lies in it.
-    # The strip is not kept, so the partials it memoizes die with the call.
+    # Only the strip is differenced, and it dies with the call.
     lo = min(max(j0 - STENCIL_WIDTH // 2, 0), max(g.nv - STENCIL_WIDTH, 0))
     cols = slice(lo, lo + STENCIL_WIDTH)
     fr = normal_frame(LiftSurface(

@@ -10,12 +10,13 @@ Lifts made by ``build_minimal``, or by ``lift_net`` of a
 ``build_first_kind`` net, keep those generators (n0 = T1, n3 = T2) and
 have read-only values.  While a lift's grid is the one its builder made,
 its tangents are exact: f_u = d0 + n0(u) and f_v = d0 + n3(v), with
-n0 and n3 read as broadcast views, and f_uv = 0.  ``mean_curvature``, ``normal_frame``,
-``h_parallel_e2`` and ``decompose_minimal`` then use them and difference
-nothing.  Every other lift (gallery nets, the (t, s) forms and their
-resamples, hand-built surfaces, a lift whose grid was replaced) has its
-partials differenced from the grid.  ``verify_null_coords`` always
-differences the grid: it checks the samples themselves.
+n0 and n3 read as broadcast views, and f_uv = 0.  ``mean_curvature``,
+``normal_frame``, ``h_parallel_e2`` and ``decompose_minimal`` then use them
+and difference nothing.  Every other lift (gallery nets, the (t, s) forms
+and their resamples, hand-built surfaces, a lift whose grid was replaced)
+has its partials differenced from the grid by each call that needs them.
+``verify_null_coords`` always differences the grid: it checks the samples
+themselves.  Nothing is kept on a lift beyond its fields.
 
 Nodes where the net angle approaches 0 or pi are excluded from the
 quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
@@ -30,7 +31,6 @@ raised with the error it names.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,8 +41,7 @@ from .chebnet import (Generators, NetSurface, _angle_partials,
                       build_first_kind, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
-from .numerics import (Grid2D, SphereCurve, cross, diff_samples, partials,
-                       sup_check)
+from .numerics import Grid2D, SphereCurve, cross, partials, sup_check
 
 #: nodes with 1 - |cos theta| below this are excluded from angle-divided sups
 ANGLE_MARGIN = 0.1
@@ -60,13 +59,9 @@ class LiftSurface:
     and "isothermal" for the (t, s) form f~ = t d0 + X~(t, s).
 
     A surface is immutable: to change its values, build a new
-    ``LiftSurface``.  Its first partials f_u and f_v are differenced on
-    first use and kept on the object as read-only arrays, for
-    ``verify_null_coords``, and, on a lift without live ``generators``,
-    for ``normal_frame`` and ``decompose_minimal``; the H of
-    ``h_parallel_e2`` and ``decompose_minimal`` then differences the kept
-    f_u along v.  ``generators`` is set by the builders (see the module
-    docstring) and is live while ``grid`` is the grid they made.
+    ``LiftSurface``.  It keeps only its fields: no call stores a partial
+    or any other array on it.  ``generators`` is set by the builders (see
+    the module docstring) and is live while ``grid`` is the grid they made.
     """
 
     grid: Grid2D            # payload (nu, nv, 4)
@@ -75,10 +70,6 @@ class LiftSurface:
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
     generators: Optional[Generators] = None
-
-    @cached_property
-    def _first_partials(self) -> tuple:
-        return tuple(_read_only(partials(self.grid, w)) for w in "uv")
 
 
 @dataclass(frozen=True)
@@ -137,7 +128,8 @@ def verify_null_coords(s: LiftSurface) -> Report:
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
     return _metric_report(("sup_fu_fu", "sup_fv_fv", "sup_cross"), s.grid,
-                          *s._first_partials, (0.0, 0.0, s.g12))
+                          partials(s.grid, "u"), partials(s.grid, "v"),
+                          (0.0, 0.0, s.g12))
 
 
 def _metric_report(names: tuple, g: Grid2D, f1: np.ndarray, f2: np.ndarray,
@@ -161,21 +153,13 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)).
 
     On a lift with live generators f_uv = 0 exactly, so H is 0.  Otherwise
-    f_uv is differenced: the x0 part of f is the separable sum u + v, so
-    f_uv equals X_uv and the mixed stencil annihilates it exactly on sums
-    of lightlike curves.  Nodes with sin^2(theta/2) <= 1e-9 are masked
-    (NaN), not fatal.  Nothing is kept on the surface.
+    f_uv is ``partials(grid, "uv")``: the x0 part of f is the separable sum
+    u + v, so f_uv equals X_uv and the mixed stencil annihilates it exactly
+    on sums of lightlike curves.  Nodes with sin^2(theta/2) <= 1e-9 are
+    masked (NaN), not fatal.
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    return _mean_curvature(s, kept=False)
-
-
-def _mean_curvature(s: LiftSurface, kept: bool) -> MaskedField:
-    """``mean_curvature`` of a null lift.  Off the generator route f_u is
-    differenced along v: the kept f_u when ``kept``, else a fresh one, the
-    composition of ``partials(grid, "uv")`` either way, so both give the
-    same H bit for bit."""
     sin2 = (1.0 - np.cos(s.theta)) / 2.0
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
@@ -183,8 +167,7 @@ def _mean_curvature(s: LiftSurface, kept: bool) -> MaskedField:
     if _generators(s) is not None:
         H = np.zeros(s.grid.values.shape)
     else:
-        fu = s._first_partials[0] if kept else partials(s.grid, "u")
-        fuv = diff_samples(fu, s.grid.dv, 1, axis=1)
+        fuv = partials(s.grid, "uv")
         denom = np.where(degenerate, 1.0, sin2)
         H = fuv / (-2.0 * denom)[..., None]
     H[degenerate] = np.nan
@@ -200,7 +183,7 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
         raise BadGrid("normal frame needs the null-coordinate form")
     gen = _generators(s)
     Xu, Xv = (_generator_tangents(gen) if gen is not None
-              else (mk.spatial(d) for d in s._first_partials))
+              else (mk.spatial(partials(s.grid, w)) for w in "uv"))
     sth = np.sin(s.theta)
     degenerate = sth <= 1e-8
     denom = np.where(degenerate, 1.0, sth)
@@ -220,7 +203,7 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     """Checks sup_off_e2 and sup_dot_etilde of the component of H off the
     e2 line and of <H, e~> off the degenerate-angle mask; raises
     ``DegenerateAngle`` when that mask covers the whole grid."""
-    H = _mean_curvature(s, kept=True)
+    H = mean_curvature(s)
     fr = normal_frame(s)
     keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
@@ -298,12 +281,12 @@ def decompose_minimal(s: LiftSurface) -> tuple:
         return (replace(gen.T1, points=gen.T1.points.copy()),
                 replace(gen.T2, points=gen.T2.points.copy()),
                 g.values[i0, j0].copy())
-    H = _mean_curvature(s, kept=True)
+    H = mean_curvature(s)
     chk = sup_check("h_sup", H.values, MINIMAL_TOL, keep=~H.degenerate,
                     axes=(g.us, g.vs))
     if not chk.passed:
         raise NotMinimal("lift is not minimal", chk)
-    fu, fv = (mk.spatial(d) for d in s._first_partials)
+    fu, fv = (mk.spatial(partials(g, w)) for w in "uv")
     n0_pts = fu.mean(axis=1)
     n3_pts = fv.mean(axis=0)
     dev = np.abs(fu - n0_pts[:, None, :])

@@ -322,10 +322,11 @@ class TestClassify:
 
     def test_line_failing_necessary_raises_that_first(self):
         # D = span{d1, d2} along c = t (d0 + d1): nu = +-d3, so c'/c0' - d0
-        # = d1 misses n0 = +-d3 in both orderings.  The classifier looks only
-        # at alpha; decompose and solve check the necessary condition before
-        # the Frenet apparatus, and ruled_solution once the data classifies
-        # as a line, so none of them reports a degenerate Frenet frame.
+        # = d1 misses n0 = +-d3 in both orderings.  The classifier checks the
+        # structure, which holds, and then looks only at alpha; decompose and
+        # solve check the necessary condition before the Frenet apparatus,
+        # and ruled_solution once the data classifies as a line, so none of
+        # them reports a degenerate Frenet frame.
         d = line_data()
         d = BjorlingData(c=d.c, a=make_curve(
             lambda t: np.tile(mk.D1, (t.size, 1)), (-1.0, 1.0), d.c.n), b=d.b)
@@ -337,6 +338,22 @@ class TestClassify:
         for call in (decompose, solve, lambda d: ruled_solution(d, n3)):
             with pytest.raises(NecessaryConditionFailed):
                 call(d)
+
+
+    def test_line_with_bad_structure_raises_bad_data(self):
+        # (2 d3, d2) is not orthonormal: every call, the classifier too,
+        # rejects the structure before it looks at alpha
+        d = line_data(n=101)
+        d = replace(d, a=replace(d.a, points=2.0 * d.a.points))
+        n3 = sample_curve(
+            lambda v: np.stack([0 * v, np.sin(v), np.cos(v)], axis=-1),
+            (-1, 1), 101, cls=SphereCurve)
+        for call in (check_necessary, classify_special,
+                     lambda d: ruled_solution(d, n3)):
+            with pytest.raises(BadData) as err:
+                call(d)
+            assert err.value.check.name == "orthonormal"
+            assert err.value.check.value == 3.0
 
 
 class TestRuledSolution:

@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in that module, and every
-private name a module defines at top level is read somewhere in the library.
+"""Every name a library module imports is used in that module, every
+private name a module defines at top level is read somewhere in the library,
+and so is every private method or property (a memo such as a private
+``cached_property``) that a top-level class defines.
 
 Standard library only: each ``src/chebylift/*.py`` is parsed with ``ast``;
 a name counts as used when it occurs as a name anywhere in the module,
 including inside string annotations such as ``Optional["Report"]``.  A
 private function, class or constant counts as read when a statement other
-than its own definition loads it as a name or an attribute.
+than its own definition loads it as a name or an attribute; a private
+class member counts as read when code outside its own definition loads it
+as an attribute.
 """
 
 import ast
@@ -85,6 +89,26 @@ def dead_private_names(trees: dict) -> list:
             if not any(name in names for s, names in reads if s is not stmt)]
 
 
+def attribute_reads(node: ast.AST) -> list:
+    """Names loaded as attributes anywhere inside ``node``."""
+    return [n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def dead_private_members(trees: dict) -> list:
+    """module:Class.name for each private method or property of a
+    top-level class that no code of ``trees`` outside its own definition
+    loads as an attribute."""
+    reads = [a for tree in trees.values() for a in attribute_reads(tree)]
+    return [f"{mod}:{cls.name}.{stmt.name}"
+            for mod, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and reads.count(stmt.name)
+            == attribute_reads(stmt).count(stmt.name)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
@@ -125,3 +149,27 @@ def test_dead_private_names_are_found():
     assert dead_private_names({"m": tree}) == ["m:_B", "m:_f"]
     assert dead_private_names({"n": defines_d}) == ["n:_D"]
     assert dead_private_names({"n": defines_d, "o": other}) == []
+
+
+def test_every_private_member_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    dead = dead_private_members(trees)
+    assert not dead, f"private members nothing reads: {dead}"
+
+
+def test_dead_private_members_are_found():
+    tree = ast.parse("class A:\n"
+                     "    @cached_property\n"
+                     "    def _memo(self):\n"
+                     "        return self._memo\n"
+                     "    @cached_property\n"
+                     "    def _used(self): ...\n"
+                     "    def _helper(self):\n"
+                     "        self._unread = self._used\n"
+                     "    def __repr__(self): ...\n"
+                     "    def public(self): ...\n")
+    other = ast.parse("def f(a):\n"
+                      "    return a._helper()\n")
+    assert dead_private_members({"m": tree}) == ["m:A._memo", "m:A._helper"]
+    assert dead_private_members({"m": tree, "o": other}) == ["m:A._memo"]
