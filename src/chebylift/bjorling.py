@@ -253,36 +253,33 @@ class CurveDecomposition:
         return np.einsum("ij,ij->i", self._n3, self.frenet.B)
 
     @cached_property
-    def special(self) -> SpecialCase:
+    def special(self) -> Report:
         """``classify_special`` of the source."""
         self._structure_error            # BadData comes first
         fr = self.frenet
-        sup_kappa = float(fr.kappa.max())
-        if sup_kappa <= ZERO_TOL:
-            return SpecialCase(kind=SpecialCaseKind.LIGHTLIKE_LINE,
-                               diagnostics={"sup_kappa": sup_kappa})
+        us = (self.us,)
+        kappa = sup_check("sup_kappa", fr.kappa, ZERO_TOL, axes=us)
+        if kappa.passed:
+            return Report((kappa,), {"kind": SpecialCaseKind.LIGHTLIKE_LINE})
         if np.any(fr.degenerate):
-            return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics={
-                "sup_kappa": sup_kappa,
+            return Report((kappa,), {
+                "kind": SpecialCaseKind.GENERIC,
                 "degenerate_nodes": int(fr.degenerate.sum())})
-        sup_tor = float(np.abs(fr.tor).max())
-        sup_theta_u = float(np.abs(diff_samples(self.theta0, self.alpha.dt,
-                                                1)).max())
-        sup_p = float(np.abs(self.p0fn).max())
-        diag = {"sup_kappa": sup_kappa, "sup_tor": sup_tor,
-                "sup_theta_u": sup_theta_u, "sup_p": sup_p}
-        if sup_tor <= ZERO_TOL:
-            return SpecialCase(kind=SpecialCaseKind.PLANAR_ALPHA,
-                               diagnostics=diag)
+        tor = sup_check("sup_tor", fr.tor, ZERO_TOL, axes=us)
+        checks = (kappa, tor,
+                  sup_check("sup_theta_u", diff_samples(
+                      self.theta0, self.alpha.dt, 1), ZERO_TOL, axes=us),
+                  sup_check("sup_p", self.p0fn, ZERO_TOL, axes=us))
+        if tor.passed:
+            return Report(checks, {"kind": SpecialCaseKind.PLANAR_ALPHA})
         T = self.n0curve.points - self.n0curve.points.mean(axis=0)
         axis = np.linalg.eigh(T.T @ T)[1][:, 0]
-        off_circle = float(np.abs(T @ axis).max())
         tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * _derivative_error(
             self.data.c, self._dc_resampled))
-        diag.update(off_circle=off_circle, circle_tol=tol)
-        if sup_theta_u <= ZERO_TOL and sup_p <= ZERO_TOL and off_circle <= tol:
-            return SpecialCase(kind=SpecialCaseKind.HELIX, diagnostics=diag)
-        return SpecialCase(kind=SpecialCaseKind.GENERIC, diagnostics=diag)
+        checks += (sup_check("off_circle", T @ axis, tol, axes=us),)
+        helix = all(c.passed for c in checks[2:])
+        return Report(checks, {"kind": SpecialCaseKind.HELIX if helix
+                               else SpecialCaseKind.GENERIC})
 
 
 class SpecialCaseKind(Enum):
@@ -290,12 +287,6 @@ class SpecialCaseKind(Enum):
     PLANAR_ALPHA = "planar_alpha"
     LIGHTLIKE_LINE = "lightlike_line"
     HELIX = "helix"
-
-
-@dataclass(frozen=True)
-class SpecialCase:
-    kind: SpecialCaseKind
-    diagnostics: dict
 
 
 @dataclass(frozen=True)
@@ -324,7 +315,7 @@ def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):
-        f = mk.build_frame(a_pts[i], b_pts[i], ortho_tol=1e-5)
+        f = mk.build_frame(a_pts[i], b_pts[i])
         n0[i] = f.n0
         n3[i] = f.n3
     return n0, n3
@@ -414,9 +405,17 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # special cases
 
-def classify_special(d: BjorlingData) -> SpecialCase:
+def classify_special(d: BjorlingData) -> Report:
     """Classify data into the line / planar / helix / generic cases; data
     that fails ``validate_structure`` raises its ``BadData`` first.
+
+    Info ``kind`` is the ``SpecialCaseKind``.  Each check is a sup over
+    the resampled u nodes that passes when its quantity vanishes.
+    sup_kappa comes first; data with a Frenet-degenerate node stops there,
+    with info ``degenerate_nodes`` counting them.  Then come sup_tor,
+    sup_theta_u and sup_p, and off_circle when tor does not vanish.  A line
+    passes sup_kappa, a planar alpha sup_tor, and a helix sup_theta_u,
+    sup_p and off_circle.
 
     A planar alpha is recognized by tor = 0 alone: the worked constant-angle
     circle data has theta_u = 0 as well, so the planar test cannot require
@@ -427,11 +426,12 @@ def classify_special(d: BjorlingData) -> SpecialCase:
     A helix needs kappa/tor constant.  By Lancret's theorem that holds
     exactly when T lies on a circle of S^2, which is checked from T = n0,
     a first derivative of the data, instead of from the third derivatives
-    in tor: the largest distance of T from its least-squares plane must not
-    exceed max(CIRCLE_TOL, 4 sqrt 2 err), with err the derivative error of
-    the resampled c (T moves by at most 2 sqrt 2 err; the factor 2
-    allows for the fit).  On that helix data the distance is 2e-8 clean
-    and 7e-7 with noise, against 6e-3 for the generic test curve.
+    in tor: the largest distance of T from its least-squares plane
+    (off_circle) must not exceed max(CIRCLE_TOL, 4 sqrt 2 err), with err
+    the derivative error of the resampled c (T moves by at most 2 sqrt 2
+    err; the factor 2 allows for the fit).  On that helix data the
+    distance is 2e-8 clean and 7e-7 with noise, against 6e-3 for the
+    generic test curve.
     """
     return CurveDecomposition(d).special
 

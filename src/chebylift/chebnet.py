@@ -28,6 +28,7 @@ from .numerics import (Grid2D, SphereCurve, cross, cumulative_integral,
 
 DISJOINT_MARGIN = 1e-6
 SUM_ONE_TOL = 1e-8       # check_sum_one: |E + G - 1|
+CHEBYSHEV_TOL = 1e-6     # is_chebyshev: |E - 1| and |G - 1|
 BISECT_DEPTH = 24        # bisections of a node cell in check_disjointness
 BISECT_CELLS = 16384     # open cells allowed at one bisection depth
 #: parameter range of both generators of the critical gallery net
@@ -251,16 +252,15 @@ def first_form(g: Grid2D) -> tuple:
     return _partials_and_form(g)[2:]
 
 
-def is_chebyshev(g: Union[Grid2D, NetSurface],
-                 tol: float = 1e-6) -> Report:
+def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
     """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` by differencing
-    the point grid: checks sup_e, sup_g (``tol``) and sup_f; info
-    ``theta``, the angle field when every check passes, else None."""
+    the point grid: checks sup_e, sup_g (``CHEBYSHEV_TOL``) and sup_f;
+    info ``theta``, the angle field when every check passes, else None."""
     grid = g.grid if isinstance(g, NetSurface) else g
     E, F, G = first_form(grid)
     axes = (grid.us, grid.vs)
-    checks = (sup_check("sup_e", E - 1.0, tol, axes=axes),
-              sup_check("sup_g", G - 1.0, tol, axes=axes),
+    checks = (sup_check("sup_e", E - 1.0, CHEBYSHEV_TOL, axes=axes),
+              sup_check("sup_g", G - 1.0, CHEBYSHEV_TOL, axes=axes),
               sup_check("sup_f", F, 1.0 - DISJOINT_MARGIN, axes=axes))
     passed = all(c.passed for c in checks)
     return Report(checks, {"theta": np.arccos(np.clip(F, -1.0, 1.0))
@@ -610,7 +610,7 @@ def gallery(name: str, nu: int = 201, nv: int = 201) -> Gallery:
     raise BadGrid(f"unknown gallery entry {name!r}")
 
 
-def gallery_generators(n: int = 201):
+def gallery_generators(n: int):
     """Sphere-curve generators of the critical gallery net."""
     T1 = sample_curve(lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1),
                       _CRITICAL_RANGE, n, cls=SphereCurve)

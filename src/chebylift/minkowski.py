@@ -6,16 +6,14 @@ over leading axes.  The Euclidean slice E = {0} x R^3 is handled through the
 
 The adapted frame of a spacelike plane span{a,b} consists of the unit
 timelike vector tau, the unit spacelike normal nu, the sphere points n0, n3
-obtained by projecting the lightlike directions tau -+ nu, the angle theta
-with cos theta = <n0,n3>, and (when tau0 > 1) the auxiliary orthonormal
-basis e1~, e2~ of the plane together with the sphere point e.
+obtained by projecting the lightlike directions tau -+ nu, and the angle
+theta with cos theta = <n0,n3>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +27,8 @@ D1 = np.array([0.0, 1.0, 0.0, 0.0])
 D2 = np.array([0.0, 0.0, 1.0, 0.0])
 D3 = np.array([0.0, 0.0, 0.0, 1.0])
 
-DEFAULT_ORTHO_TOL = 1e-9
+#: how far from orthonormal ``build_frame`` accepts its pair (a, b)
+ORTHO_TOL = 1e-5
 
 
 def spatial(v: np.ndarray) -> np.ndarray:
@@ -50,12 +49,9 @@ class CausalClass(Enum):
     LIGHTLIKE = "lightlike"
 
 
-def causal_class(v: np.ndarray, tol: float = 0.0) -> CausalClass:
-    """Causal trichotomy of a single vector; v = 0 counts as spacelike.
-
-    With ``tol > 0``, vectors with |<v,v>| <= tol * |v|^2_euclid are
-    classified lightlike (v != 0).
-    """
+def causal_class(v: np.ndarray) -> CausalClass:
+    """Causal trichotomy of a single vector by the exact sign of <v,v>;
+    v = 0 counts as spacelike."""
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise BadInput("causal_class expects one 4-vector")
@@ -63,8 +59,6 @@ def causal_class(v: np.ndarray, tol: float = 0.0) -> CausalClass:
     e2 = float(v @ v)
     if e2 == 0.0:
         return CausalClass.SPACELIKE
-    if abs(q) <= tol * e2:
-        return CausalClass.LIGHTLIKE
     if q > 0.0:
         return CausalClass.SPACELIKE
     if q < 0.0:
@@ -93,17 +87,18 @@ def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.stack([-m0, -m1, m2, -m3], axis=-1)
 
 
-def project_lightlike(L: np.ndarray, light_tol: float = 1e-9) -> np.ndarray:
+def project_lightlike(L: np.ndarray) -> np.ndarray:
     """Project a lightlike vector onto the unit sphere of E.
 
     Returns (0, L1/L0, L2/L0, L3/L0); the result has unit Euclidean norm
     exactly when L is exactly lightlike, and is invariant under positive
-    rescaling of L.
+    rescaling of L.  L counts as lightlike when |<L,L>| <= 1e-9
+    max(|L|^2, 1), a roundoff floor.
     """
     L = np.asarray(L, dtype=float)
     q = inner(L, L)
     e2 = np.einsum("...i,...i->...", L, L)
-    if np.any(np.abs(q) > light_tol * np.maximum(e2, 1.0)):
+    if np.any(np.abs(q) > 1e-9 * np.maximum(e2, 1.0)):
         raise NotLightlike("projection requires a lightlike vector")
     L0 = L[..., 0]
     if np.any(np.abs(L0) <= 1e-12):
@@ -115,11 +110,7 @@ def project_lightlike(L: np.ndarray, light_tol: float = 1e-9) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinkowskiFrame:
-    """Adapted frame (tau, a, b, nu) of a spacelike plane span{a, b}.
-
-    ``e1tilde``, ``e2tilde`` and ``e`` are present only when tau0 > 1,
-    i.e. when the plane is not contained in E.
-    """
+    """Adapted frame (tau, a, b, nu) of a spacelike plane span{a, b}."""
 
     a: np.ndarray
     b: np.ndarray
@@ -129,22 +120,20 @@ class MinkowskiFrame:
     n0: np.ndarray
     n3: np.ndarray
     theta: float
-    e1tilde: Optional[np.ndarray] = None
-    e2tilde: Optional[np.ndarray] = None
-    e: Optional[np.ndarray] = None
 
 
-def build_frame(a: np.ndarray, b: np.ndarray,
-                ortho_tol: float = DEFAULT_ORTHO_TOL) -> MinkowskiFrame:
+def build_frame(a: np.ndarray, b: np.ndarray) -> MinkowskiFrame:
     """Construct the adapted frame of the spacelike plane span{a, b}.
 
-    ``a`` and ``b`` must be orthonormal spacelike within ``ortho_tol``.
+    ``a`` and ``b`` must be orthonormal spacelike within ``ORTHO_TOL``,
+    which leaves room above the 1e-6 to which the Cauchy solver checks the
+    pairs of its data before it frames them.
     nu is evaluated as -tau^a^b through the triple wedge, which is unit;
     the printed cofactor shortcut Delta_23 d1 - Delta_13 d2 + Delta_12 d3
     equals tau0 * nu and is therefore not unit when tau0 > 1.
 
     tau and nu are normalized before tau -+ nu is projected.  A pair off
-    orthonormal by up to ``ortho_tol`` leaves tau and nu off unit by about
+    orthonormal by up to ``ORTHO_TOL`` leaves tau and nu off unit by about
     as much, and tau -+ nu would then be off lightlike by more than the
     projection's roundoff-level tolerance; normalized, tau -+ nu is
     lightlike to roundoff (nu is orthogonal to tau through the wedge), so
@@ -155,7 +144,7 @@ def build_frame(a: np.ndarray, b: np.ndarray,
     if a.shape != (4,) or b.shape != (4,):
         raise BadInput("frame inputs must be single 4-vectors")
     res = max(abs(inner(a, a) - 1.0), abs(inner(b, b) - 1.0), abs(inner(a, b)))
-    if res > ortho_tol:
+    if res > ORTHO_TOL:
         raise BadInput(
             f"inputs are not an orthonormal spacelike pair (residual {res:.3e})")
 
@@ -164,7 +153,7 @@ def build_frame(a: np.ndarray, b: np.ndarray,
     tau = (D0 + a0 * a + b0 * b) / tau0
     nu = -wedge3(tau, a, b)
     nu2 = inner(nu, nu)
-    if abs(nu2 - 1.0) > 1e3 * ortho_tol + 1e-12:
+    if abs(nu2 - 1.0) > 1e3 * ORTHO_TOL + 1e-12:
         raise BadInput("span{a,b} is not a spacelike plane (nu not unit)")
     tau = tau / np.sqrt(-inner(tau, tau))
     nu = nu / np.sqrt(nu2)
@@ -173,27 +162,21 @@ def build_frame(a: np.ndarray, b: np.ndarray,
     n3 = project_lightlike(tau + nu)
     cos_theta = float(np.clip(inner(n0, n3), -1.0, 1.0))
     theta = float(np.arccos(cos_theta))
-
-    e1tilde = e2tilde = e = None
-    r2 = a0 * a0 + b0 * b0
-    if r2 > ortho_tol:
-        r = np.sqrt(r2)
-        e1tilde = (a0 * a + b0 * b) / r
-        e2tilde = (-b0 * a + a0 * b) / r
-        e = (n0 + n3) / (2.0 * np.cos(theta / 2.0))
-
     return MinkowskiFrame(a=a, b=b, tau=tau, nu=nu, tau0=tau0, n0=n0, n3=n3,
-                          theta=theta, e1tilde=e1tilde, e2tilde=e2tilde, e=e)
+                          theta=theta)
 
 
 def frame_identity_residuals(f: MinkowskiFrame) -> Report:
     """Check the half-angle identities and both printed forms of tau.
 
-    One check per identity holds its absolute residual.  Identities through
-    e / e1~ are listed in the info ``not_applicable`` at tau0 = 1
-    (theta = pi), where those fields are absent.
+    One check per identity holds its absolute residual.  The forms through
+    the half-angle basis, e1~ = (a0 a + b0 b) / r with r^2 = a0^2 + b0^2
+    and the sphere point e = (n0 + n3) / (2 cos(theta/2)), are listed in
+    the info ``not_applicable`` when r^2 <= 1e-9: at tau0 = 1 (theta = pi)
+    that basis is undefined.
     """
-    r = np.hypot(f.a[0], f.b[0])
+    a0, b0 = f.a[0], f.b[0]
+    r = np.hypot(a0, b0)
     t0 = f.tau0
     th = f.theta
     res = {
@@ -202,16 +185,19 @@ def frame_identity_residuals(f: MinkowskiFrame) -> Report:
         "cos_half": abs(np.cos(th / 2.0) - r / t0),
     }
     na = []
-    if f.e is None:
+    r2 = a0 * a0 + b0 * b0
+    if r2 <= 1e-9:
         na += ["tau_form1", "tau_form2", "e1tilde_relation"]
     else:
+        e1tilde = (a0 * f.a + b0 * f.b) / np.sqrt(r2)
+        e = (f.n0 + f.n3) / (2.0 * np.cos(th / 2.0))
         res["tau_form1"] = float(
-            np.abs(f.tau - (D0 + r * f.e1tilde) / t0).max())
+            np.abs(f.tau - (D0 + r * e1tilde) / t0).max())
         res["tau_form2"] = float(
-            np.abs(f.tau - (t0 * D0 + t0 * np.cos(th / 2.0) * f.e)).max())
+            np.abs(f.tau - (t0 * D0 + t0 * np.cos(th / 2.0) * e)).max())
         res["e1tilde_relation"] = float(
-            np.abs(f.e1tilde - (D0 / np.tan(th / 2.0)
-                                + f.e / np.sin(th / 2.0))).max())
+            np.abs(e1tilde - (D0 / np.tan(th / 2.0)
+                              + e / np.sin(th / 2.0))).max())
     return Report(tuple(Check(k, float(v)) for k, v in res.items()),
                   {"not_applicable": tuple(na)})
 

@@ -334,17 +334,13 @@ def cumulative_samples(values: np.ndarray, h: float) -> np.ndarray:
     shifted 4-point rules on the first and last interval.  Every node then
     carries the same smooth O(h^4) error; alternating rules for even and
     odd nodes would leave an odd/even error pattern that differencing
-    amplifies.  Three nodes fall back to Simpson with a 3-point closure.
+    amplifies.  Fewer than 4 nodes raise ``BadGrid``.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
-    if n < 3:
-        raise BadGrid("cumulative integration needs at least 3 nodes")
+    if n < 4:
+        raise BadGrid("cumulative integration needs at least 4 nodes")
     out = np.zeros_like(y)
-    if n == 3:
-        out[1] = (h / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-        out[2] = (h / 3.0) * (y[0] + 4.0 * y[1] + y[2])
-        return out
     step = np.empty_like(y[1:])
     step[0] = 9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]
     step[1:-1] = 13.0 * (y[1:n - 2] + y[2:n - 1]) - (y[0:n - 3] + y[3:n])
@@ -353,18 +349,11 @@ def cumulative_samples(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def cumulative_integral(c: SampledCurve, base_index: Optional[int] = None) -> SampledCurve:
-    """Node-wise integral of the curve, zero at ``base_index``.
-
-    Defaults to the node nearest t = 0, matching the integral-from-zero
-    convention used by the net constructions.
-    """
-    if base_index is None:
-        base_index = c.base_index()
-    if not 0 <= base_index < c.n:
-        raise BadGrid("base index outside the sample range")
+def cumulative_integral(c: SampledCurve) -> SampledCurve:
+    """Node-wise integral of the curve, zero at the node nearest t = 0:
+    the integral-from-zero convention of the net constructions."""
     acc = cumulative_samples(c.points, c.dt)
-    acc = acc - acc[base_index]
+    acc = acc - acc[c.base_index()]
     return SampledCurve(t_min=c.t_min, dt=c.dt, points=acc)
 
 

@@ -286,6 +286,10 @@ class TestClassify:
         d, _ = helix_data()
         case = classify_special(d)
         assert case.kind is SpecialCaseKind.HELIX
+        # a helix curves and twists, and passes every other check
+        assert [c.name for c in case.checks if not c.passed] == [
+            "sup_kappa", "sup_tor"]
+        assert case["off_circle"].where is not None
 
     def test_planar_alpha(self):
         _, d = critical_lift_data()

@@ -200,7 +200,7 @@ class TestFirstFormAndChebyshev:
     def test_noncritical_ts_fails_uv_passes(self):
         gal = gallery("noncritical", nu=101, nv=101)
         assert not is_chebyshev(gal.ts_grid).passed
-        rep = is_chebyshev(gal.net, tol=1e-6)
+        rep = is_chebyshev(gal.net)
         assert rep.passed
         assert rep.theta is not None
 
@@ -230,7 +230,7 @@ class TestEquivalentImmersion:
     def test_noncritical_resample_is_chebyshev(self):
         gal = gallery("noncritical", nu=201, nv=201)
         out = equivalent_immersion(gal.ts_grid, "ts_to_uv")
-        rep = is_chebyshev(out, tol=1e-5)
+        rep = is_chebyshev(out)
         assert rep.passed
 
     @pytest.mark.parametrize("direction", ["uv_to_ts", "ts_to_uv"])

@@ -11,8 +11,8 @@ from chebylift.chebnet import (
     build_first_kind, check_disjointness, euclidean_shape, gallery,
     gallery_generators, is_chebyshev, sine_gordon_residual,
 )
-from chebylift.errors import (ChebyliftError, DegenerateAngle, MissingSource,
-                              NotChebyshev, NotMinimal)
+from chebylift.errors import (BadGrid, ChebyliftError, DegenerateAngle,
+                              MissingSource, NotChebyshev, NotMinimal)
 from chebylift.lift import (
     build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
@@ -79,7 +79,7 @@ class TestVerifyNullCoords:
         from chebylift.chebnet import equivalent_immersion, is_chebyshev
         gal = gallery("noncritical")
         resampled = equivalent_immersion(gal.ts_grid, "ts_to_uv")
-        rep = is_chebyshev(resampled, tol=1e-5)
+        rep = is_chebyshev(resampled)
         assert rep.passed
         from chebylift.chebnet import NetSurface
         net = NetSurface(grid=resampled, F=np.cos(rep.theta), theta=rep.theta)
@@ -326,6 +326,23 @@ class TestIsothermal:
                           np.sin(V)], axis=-1)
         assert np.abs(back.grid.values - exact).max() <= 1e-5
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(f, m, id=f.__name__) for f, m in (
+            (verify_null_coords, "null-coordinate check needs"),
+            (mean_curvature, "mean curvature needs"),
+            (normal_frame, "normal frame needs"),
+            (gaussian_curvature, "gaussian curvature needs"),
+            (decompose_minimal, "decomposition needs"),
+            (isothermal_form, "isothermal_form expects"),
+            (to_null_form, "to_null_form expects"))])
+    def test_rejects_the_other_coords(self, call, message):
+        # the (t, s) form is not a null lift, and to_null_form needs it;
+        # each call's own guard raises, before any call it makes
+        null = planar_lift(n=21)
+        s = null if call is to_null_form else isothermal_form(null)[0]
+        with pytest.raises(BadGrid, match=message):
+            call(s)
+
 
 class TestInvariants:
     def test_g12_identity(self, critical_lift):
@@ -344,8 +361,7 @@ class TestInvariants:
             a = fr.etilde[idx]
             b = fr.e2[idx]
             frame = mk.build_frame(a / np.sqrt(mk.inner(a, a)),
-                                   b / np.sqrt(mk.inner(b, b)),
-                                   ortho_tol=1e-5)
+                                   b / np.sqrt(mk.inner(b, b)))
             # complement span{tau, nu} is the tangent plane
             P_frame = mk.plane_projector(frame.tau, frame.nu)
             P_tan = mk.plane_projector(fu[idx], fv[idx])

@@ -68,7 +68,6 @@ class TestCausalClass:
     def test_tolerance_variant(self):
         v = vec4(1.0, 1.0 + 1e-12, 0.0, 0.0)
         assert causal_class(v) is CausalClass.SPACELIKE
-        assert causal_class(v, tol=1e-9) is CausalClass.LIGHTLIKE
 
     @pytest.mark.parametrize("v", [np.zeros((2, 4)), np.zeros(3), 1.0])
     def test_rejects_all_but_one_4_vector(self, v):
@@ -129,7 +128,7 @@ class TestProjectLightlike:
         with pytest.raises(NotLightlike):
             project_lightlike(D0)
         with pytest.raises(ZeroTimeComponent):
-            project_lightlike(vec4(0, 0, 0, 0), light_tol=1.0)
+            project_lightlike(vec4(0, 0, 0, 0))
 
 
 class TestBuildFrame:
@@ -140,7 +139,6 @@ class TestBuildFrame:
         assert np.allclose(f.n0, vec4(0, 0, 0, -1))
         assert np.allclose(f.n3, vec4(0, 0, 0, 1))
         assert f.theta == pytest.approx(np.pi)
-        assert f.e1tilde is None and f.e2tilde is None and f.e is None
 
     def test_boosted_plane(self):
         a = vec4(1.0, np.sqrt(2.0), 0.0, 0.0)
@@ -151,9 +149,6 @@ class TestBuildFrame:
         assert np.allclose(f.n0, vec4(0, s, 0, -s))
         assert np.allclose(f.n3, vec4(0, s, 0, s))
         assert f.theta == pytest.approx(np.pi / 2)
-        assert np.allclose(f.e1tilde, a)
-        assert np.allclose(f.e2tilde, D2)
-        assert np.allclose(f.e, vec4(0, 1, 0, 0))
 
     def test_paper_half_angle_value(self):
         # any valid pair with a0 = b0 = 1 has tau0 = sqrt(3), cos theta = 1/3

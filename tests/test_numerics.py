@@ -9,8 +9,8 @@ from chebylift.errors import (
 )
 from chebylift.numerics import (
     STENCIL_WIDTH, Grid2D, SampledCurve, SphereCurve, _window_weights, cross,
-    cumulative_integral, diff_samples, frenet, grid_from_ranges, partials,
-    sample_curve, sup_check,
+    cumulative_integral, cumulative_samples, diff_samples, frenet,
+    grid_from_ranges, partials, sample_curve, sup_check,
 )
 
 
@@ -58,7 +58,7 @@ class TestTypes:
 class TestCumulativeIntegral:
     def test_constant_integrand(self):
         c = SampledCurve(0.0, 0.1, np.tile([0.0, 1.0, 0.0, 0.0], (11, 1)))
-        I = cumulative_integral(c, base_index=0)
+        I = cumulative_integral(c)
         assert np.allclose(I.points[-1], [0.0, 1.0, 0.0, 0.0])
         assert np.allclose(I.points[0], 0.0)
 
@@ -66,7 +66,7 @@ class TestCumulativeIntegral:
         c = sample_curve(
             lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=1),
             (0.0, np.pi / 2), 201)
-        I = cumulative_integral(c, base_index=0)
+        I = cumulative_integral(c)
         assert np.allclose(I.points[-1], [1.0, 1.0, 0.0], atol=1e-10)
 
     def test_integrate_then_differentiate(self):
@@ -74,7 +74,7 @@ class TestCumulativeIntegral:
         ts = np.linspace(0, 2, 21)
         c = SampledCurve(0.0, ts[1] - ts[0],
                          np.stack([3 * ts**2, ts + 1, 0 * ts], axis=1))
-        I = cumulative_integral(c, base_index=0)
+        I = cumulative_integral(c)
         back = diff_samples(I.points, c.dt, 1)
         assert np.abs(back - c.points).max() < 1e-8
 
@@ -83,11 +83,19 @@ class TestCumulativeIntegral:
         for n in (51, 101, 201):
             c = sample_curve(lambda t: np.stack([np.sin(3 * t)], axis=1),
                              (0.0, 1.0), n)
-            I = cumulative_integral(c, base_index=0)
+            I = cumulative_integral(c)
             exact = (1 - np.cos(3 * c.ts)) / 3.0
             errs.append(np.abs(I.points[:, 0] - exact).max())
         assert errs[0] / errs[1] > 12
         assert errs[1] / errs[2] > 12
+
+    def test_four_nodes_at_least(self):
+        # the 4-point rules are exact on cubics; fewer nodes have no rule
+        t = np.arange(4.0)
+        assert np.array_equal(cumulative_samples(t**3, 1.0), t**4 / 4.0)
+        for n in (2, 3):
+            with pytest.raises(BadGrid):
+                cumulative_samples(np.ones(n), 0.1)
 
     def test_base_shift(self):
         c = sample_curve(lambda t: np.stack([np.exp(t)], axis=1), (-1.0, 1.0), 201)
