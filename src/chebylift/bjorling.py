@@ -34,11 +34,10 @@ from .chebnet import check_disjointness
 from .errors import (BadData, Check, DegenerateFrenet, DisjointnessViolated,
                      DivisionDegenerate, ExtensionMismatch, IncompatibleData,
                      InconsistentSeed, NecessaryConditionFailed, Report)
-from .lift import (MINIMAL_TOL, LiftSurface, build_minimal, mean_curvature,
-                   normal_frame)
-from .numerics import (FrenetData, Grid2D, KAPPA_TOL, STENCIL_WIDTH,
-                       SampledCurve, SphereCurve, diff_samples, frenet,
-                       sup_check)
+from .lift import (MINIMAL_TOL, LiftSurface, _frame, build_minimal,
+                   mean_curvature)
+from .numerics import (FrenetData, Grid2D, KAPPA_TOL, SampledCurve,
+                       SphereCurve, diff_samples, frenet, sup_check)
 
 NECESSARY_TOL = 1e-6
 COMPAT_TOL = 1e-5
@@ -469,7 +468,7 @@ def _build_solution(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     generators must be disjoint on the whole product, between samples
     too: the certified verdict of ``check_disjointness`` must pass."""
     surf = build_minimal(n0, n3, P0)
-    rep = surf.source.disjointness
+    rep = surf.generators.disjointness
     if not rep.passed:
         raise DisjointnessViolated(
             f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g}, "
@@ -487,10 +486,10 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
     ``solve`` applies to the assembled generators, with the separation
     ``DEFAULT_EXT_MARGIN`` that keeps |<n0, n3>| below 1 - 1e-3 on the
     whole product, so the solver never rejects the extension it built.
-    The grid is symmetric, so v = 0 is an exact node.
+    The grid is symmetric, so its middle node is v = 0 within roundoff
+    (8.9e-16 at half-width 1), and the extension takes the data's n3 there.
     """
-    n3c = dec.n3curve.points.mean(axis=0)
-    n3c /= np.linalg.norm(n3c)
+    n3c = dec.n3curve.points[dec.n3curve.base_index()]
     e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
     nrm = np.linalg.norm(e2)
     if nrm < 1e-9:
@@ -582,7 +581,9 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     compatibility_sup) and the postconditions: along v = 0, at the nodes of
     the data resampled to c0' = 1, the surface interpolates c (curve_sup)
     and its normal bundle spans D off the degenerate-angle mask
-    (projector_sup), and it is minimal (h_sup).  Info: orientation,
+    (projector_sup), and it is minimal (h_sup).  The normal bundle is the
+    frame of the solution's own generators, X_u = n0(u) and X_v = n3(0),
+    so nothing of the solution is differenced.  Info: orientation,
     extension_kind.
     """
     dec = decompose(d)
@@ -594,23 +595,16 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     P0 = dec.data.c.points[dec.data.c.base_index()]
     surf = _build_solution(dec.n0curve, n3curve, P0)
 
-    # postconditions
-    g, us = surf.grid, (dec.us,)
+    # postconditions, on the v = 0 row
+    g, gen, us = surf.grid, surf.generators, (dec.us,)
     j0 = int(np.argmin(np.abs(g.vs)))
     curve = sup_check("curve_sup", np.linalg.norm(
         g.values[:, j0, :] - dec.data.c.points, axis=1), 1e-6, axes=us)
-    # the frame on the stencil-wide strip around v = 0 equals the whole
-    # grid's frame on column j0: every v-derivative window of j0 lies in it.
-    # Only the strip is differenced, and it dies with the call.
-    lo = min(max(j0 - STENCIL_WIDTH // 2, 0), max(g.nv - STENCIL_WIDTH, 0))
-    cols = slice(lo, lo + STENCIL_WIDTH)
-    fr = normal_frame(LiftSurface(
-        grid=Grid2D(u_min=g.u_min, v_min=float(g.vs[lo]), du=g.du, dv=g.dv,
-                    values=g.values[:, cols]),
-        theta=surf.theta[:, cols], g12=surf.g12[:, cols]))
-    keep = ~fr.degenerate[:, j0 - lo]
-    P_surf = mk.plane_projector(fr.etilde[keep, j0 - lo],
-                                fr.e2[keep, j0 - lo])
+    n0 = gen.T1.points
+    fr = _frame(n0, np.broadcast_to(gen.T2.points[j0], n0.shape),
+                surf.theta[:, j0])
+    keep = ~fr.degenerate
+    P_surf = mk.plane_projector(fr.etilde[keep], fr.e2[keep])
     P_data = mk.plane_projector(dec.data.a.points[keep],
                                 dec.data.b.points[keep])
     proj = np.zeros(keep.shape)

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import (BadGrid, DegenerateMetric, DisjointnessViolated,
@@ -37,14 +38,16 @@ _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
 @dataclass(frozen=True)
 class Generators:
-    """The sphere curves T1(u), T2(v) a surface was built from, and the grid
-    the builder made of them.  The curves are read-only copies.  They
+    """The sphere curves T1(u), T2(v) a surface was built from, the grid
+    the builder made of them, and the certified ``check_disjointness``
+    verdict on the curves.  The curves are read-only copies.  They
     describe that grid only: a surface whose ``grid`` is another object
     (``dataclasses.replace(s, grid=...)``) is differenced instead."""
 
     T1: SphereCurve
     T2: SphereCurve
     grid: Grid2D
+    disjointness: DisjointnessReport
 
 
 def _generators(s) -> Optional[Generators]:
@@ -63,15 +66,14 @@ class NetSurface:
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
-    ``build_first_kind`` sets ``generators`` and marks the grid's values
-    read-only; the shape operator then comes from the generators.
+    ``build_first_kind`` sets ``generators``, with their disjointness
+    verdict, and marks the grid's values read-only; the shape operator then
+    comes from the generators.
     """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
     F: np.ndarray
     theta: np.ndarray
-    # check_disjointness report of the generators (first-kind nets only)
-    disjointness: Optional["DisjointnessReport"] = None
     generators: Optional[Generators] = None
 
     @cached_property
@@ -211,10 +213,10 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     ``DISJOINT_MARGIN``) are rejected.  The net is judged at its samples,
     so a meeting between samples is not an error here; the verdict of
     ``check_disjointness`` over the whole product is kept in
-    ``disjointness`` for callers that need the continuous generators
-    disjoint, such as ``lift.build_minimal``.  The net keeps read-only
-    copies of T1 and T2 in ``generators``, and the grid's values are
-    read-only.
+    ``generators.disjointness`` for callers that need the continuous
+    generators disjoint, such as ``bjorling.solve``.  The net keeps
+    read-only copies of T1 and T2 in ``generators``, and the grid's values
+    are read-only.
     """
     rep = check_disjointness(T1, T2)
     if rep.sampled_separation <= DISJOINT_MARGIN:
@@ -231,8 +233,8 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt,
                   values=_read_only(X))
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
-    return NetSurface(grid=grid, F=F, theta=theta, disjointness=rep,
-                      generators=Generators(frozen(T1), frozen(T2), grid))
+    return NetSurface(grid=grid, F=F, theta=theta,
+                      generators=Generators(frozen(T1), frozen(T2), grid, rep))
 
 
 def _partials_and_form(g: Grid2D) -> tuple:
@@ -267,13 +269,20 @@ def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
                            if passed else None})
 
 
-def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str):
-    """Source abscissae of the square target grid x1 x x2, and index maps.
+def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):
+    """A function of a spline ``sp`` that returns its values on the square
+    target grid x1 x x2, bit for bit, from two parity sub-grids of the
+    tensor grid ud x vd of source abscissae.
 
-    Returns increasing axes ud, vd of 2n - 1 values each and (n, n) integer
-    maps iu, iv such that target node (a, b) reads source point
-    (ud[iu[a, b]], vd[iv[a, b]]).  Each axis value is computed from one
-    representative pair (a, b) of x1 and x2 entries.
+    ud and vd increase and hold 2n - 1 values each, each computed from one
+    representative pair of x1 and x2 entries.  Target node (a, b) reads
+    (ud[iu], vd[iv]) with (iu, iv) = M (a, b) + o.  iu + iv has the parity
+    q of n - 1 at every target, so the targets with even iu read ud[0::2] x
+    vd[q::2] and those with odd iu read ud[1::2] x vd[1-q::2]: about half
+    of the tensor grid.  On each parity class (a mod 2, b mod 2) iu and iv
+    step by +-2, so the class is one strided view of one sub-grid.  The
+    spline value at a point does not depend on the other points evaluated
+    with it.
     """
     n = x1.size
     k = np.arange(2 * n - 1)
@@ -282,42 +291,27 @@ def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str):
     # with sum k
     hi, lo = np.maximum(d, 0), np.maximum(-d, 0)
     ka = np.minimum(k, n - 1)
-    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
     if direction == "uv_to_ts":
         # u = (x1[a] - x2[b]) / 2 by a - b, v = (x1[a] + x2[b]) / 2 by a + b
         ud = (x1[hi] - x2[lo]) / 2.0
         vd = (x1[ka] + x2[k - ka]) / 2.0
-        return ud, vd, a - b + n - 1, a + b
-    # u = x1[a] + x2[b] by a + b, v = x2[b] - x1[a] by b - a
-    ud = x1[ka] + x2[k - ka]
-    vd = x2[hi] - x1[lo]
-    return ud, vd, a + b, b - a + n - 1
-
-
-def _diagonal_reader(ud: np.ndarray, vd: np.ndarray, iu: np.ndarray,
-                     iv: np.ndarray):
-    """A function of a spline ``sp`` that returns ``sp(ud, vd)[iu, iv]``,
-    bit for bit, for index maps of ``_diagonal_axes``, from two parity
-    sub-grids of the tensor grid.
-
-    iu + iv has one parity q at every target, so the targets with even iu
-    read ud[0::2] x vd[q::2] and those with odd iu read ud[1::2] x
-    vd[1-q::2]: about half of the (2n-1)^2 tensor grid.  The spline value
-    at a point does not depend on the other points evaluated with it.
-    """
-    q = int(iu[0, 0] + iv[0, 0]) % 2
-    plan = []
-    for p in (0, 1):
-        vp = vd[(p + q) % 2::2]
-        at = np.flatnonzero(iu % 2 == p)
-        plan.append((ud[p::2], vp, at,
-                     iu.flat[at] // 2 * vp.size + iv.flat[at] // 2))
+        M, o = np.array([[1, -1], [1, 1]]), (n - 1, 0)
+    else:
+        # u = x1[a] + x2[b] by a + b, v = x2[b] - x1[a] by b - a
+        ud = x1[ka] + x2[k - ka]
+        vd = x2[hi] - x1[lo]
+        M, o = np.array([[1, 1], [-1, 1]]), (0, n - 1)
+    q = (n - 1) % 2
 
     def read(sp):
-        out = np.empty(iu.size)
-        for up, vp, at, src in plan:
-            out[at] = sp(up, vp).ravel()[src]
-        return out.reshape(iu.shape)
+        sub = [sp(ud[p::2], vd[(p + q) % 2::2]) for p in (0, 1)]
+        out = np.empty((n, n))
+        for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            iu, iv = M @ (pa, pb) + o
+            s, target = sub[iu % 2], out[pa::2, pb::2]
+            target[...] = as_strided(s[iu // 2, iv // 2:], target.shape,
+                                     M.T @ s.strides, writeable=False)
+        return out
     return read
 
 
@@ -364,7 +358,7 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     scalar = vals.ndim == 2
     comps = vals[..., None] if scalar else vals
     if g.nu == g.nv:
-        evaluate = _diagonal_reader(*_diagonal_axes(x1, x2, direction))
+        evaluate = _diagonal_reader(x1, x2, direction)
     else:
         A, B = np.meshgrid(x1, x2, indexing="ij")
         if direction == "uv_to_ts":

@@ -119,7 +119,7 @@ def _lift(n: NetSurface, t0: float) -> LiftSurface:
     grid = Grid2D(u_min=g.u_min, v_min=g.v_min, du=g.du, dv=g.dv, values=vals)
     return LiftSurface(grid=grid, theta=n.theta, g12=n.F - 1.0, source=n,
                        coords=NULL_COORDS, generators=None if gen is None
-                       else Generators(gen.T1, gen.T2, grid))
+                       else replace(gen, grid=grid))
 
 
 def verify_null_coords(s: LiftSurface) -> Report:
@@ -184,11 +184,17 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
     gen = _generators(s)
     Xu, Xv = (_generator_tangents(gen) if gen is not None
               else (mk.spatial(partials(s.grid, w)) for w in "uv"))
-    sth = np.sin(s.theta)
+    return _frame(Xu, Xv, s.theta)
+
+
+def _frame(Xu: np.ndarray, Xv: np.ndarray, theta: np.ndarray) -> NormalFrame:
+    """The frame of ``normal_frame`` at nodes of any shape, from the
+    tangents X_u, X_v in E, arrays of that shape by 3, and the angle."""
+    sth = np.sin(theta)
     degenerate = sth <= 1e-8
     denom = np.where(degenerate, 1.0, sth)
-    cth = np.cos(s.theta)
-    etilde = np.empty_like(s.grid.values)
+    cth = np.cos(theta)
+    etilde = np.empty(theta.shape + (4,))
     etilde[..., 0] = (1.0 + cth) / denom
     np.add(Xu, Xv, out=etilde[..., 1:])
     etilde[..., 1:] /= denom[..., None]
@@ -251,9 +257,9 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     Requires |<n0(u), n3(v)>| < 1 on the product; the result is the lift of
     the first-kind net of (n0, n3) and is minimal by construction.  Like
     ``build_first_kind`` it rejects generators that meet at the samples;
-    the certified verdict over the whole product is ``source.disjointness``.
-    The lift keeps n0 and n3 as its generators, and its values are
-    read-only.
+    the certified verdict over the whole product is
+    ``generators.disjointness``.  The lift keeps n0 and n3 as its
+    generators, and its values are read-only.
     """
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (4,) or not np.all(np.isfinite(P0)):

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chebylift import minkowski as mk
 from chebylift.bjorling import (
-    BjorlingData, ExtensionChoice, SpecialCaseKind, check_necessary,
-    classify_special, compatibility_residual, decompose, default_extension,
-    reduce_from_l3, ruled_solution, solve, solve_pq,
+    STRUCT_TOL, BjorlingData, ExtensionChoice, SpecialCaseKind,
+    check_necessary, classify_special, compatibility_residual, decompose,
+    default_extension, reduce_from_l3, ruled_solution, solve, solve_pq,
 )
 from chebylift.chebnet import check_disjointness, gallery
 from chebylift.errors import (
@@ -16,8 +16,8 @@ from chebylift.errors import (
     ExtensionMismatch, IncompatibleData, InconsistentSeed,
     NecessaryConditionFailed,
 )
-from chebylift.lift import (build_minimal, gaussian_curvature, lift_net,
-                            mean_curvature, normal_frame)
+from chebylift.lift import (ANGLE_MARGIN, build_minimal, gaussian_curvature,
+                            lift_net, mean_curvature, normal_frame)
 from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve, partials,
                                 sample_curve)
 
@@ -447,6 +447,17 @@ class TestSolve:
         assert rep.passed
         assert rep.extension_kind == "default"
 
+    def test_default_extension_starts_at_the_data_n3(self):
+        # the default rotation starts at n3(0) itself, not at the normalized
+        # mean of n3 along the curve (6.2e-10 away on this data)
+        _, d = critical_lift_data()
+        dec = decompose(d)
+        ext = default_extension(dec)
+        n3 = dec.n3curve
+        assert abs(ext.ts[ext.base_index()]) <= 1e-15
+        assert np.abs(ext.points[ext.base_index()]
+                      - n3.points[n3.base_index()]).max() <= 1e-13
+
     def test_solution_minimal_on_its_samples(self):
         # a solution keeps its generators, so its H is exactly 0; the same
         # samples on a new grid are differenced and must be minimal too
@@ -496,15 +507,16 @@ class TestSolve:
         # row only: the postcondition must see it wherever it sits
         from chebylift import bjorling
         from chebylift.lift import NormalFrame
+        frame = bjorling._frame
 
-        def tilted(s):
-            fr = normal_frame(s)
+        def tilted(Xu, Xv, theta):
+            fr = frame(Xu, Xv, theta)
             etilde = fr.etilde.copy()
-            etilde[1, int(np.argmin(np.abs(s.grid.vs)))] += 0.1 * mk.D1
+            etilde[1] += 0.1 * mk.D1
             return NormalFrame(etilde=etilde, e2=fr.e2,
                                degenerate=fr.degenerate)
 
-        monkeypatch.setattr(bjorling, "normal_frame", tilted)
+        monkeypatch.setattr(bjorling, "_frame", tilted)
         d, _ = helix_data(n=201)
         _, rep = solve(d)
         assert not rep.passed
@@ -517,6 +529,51 @@ class TestSolve:
             (-1.0, 1.0), 101, cls=SphereCurve))
         with pytest.raises(ExtensionMismatch):
             solve(d, ext)
+
+
+class TestSufficiency:
+    """Sufficiency: the Cauchy data (c, D) along v = 0 of a minimal lift
+    whose generators are certified disjoint, solved with the lift's own n3
+    as the extension, pass every check and give that lift back to the
+    benchmark's round-trip bound."""
+
+    @staticmethod
+    def lift(seed):
+        T1, T2 = random_net_pair(np.random.default_rng(seed), n=101,
+                                 t_range=(-0.2, 0.2))
+        return check_disjointness(T1, T2).passed, T2, build_minimal(
+            T1, T2, np.zeros(4))
+
+    @staticmethod
+    def assert_round_trip(T2, surf, d):
+        sol, rep = solve(d, ExtensionChoice.from_curve(T2))
+        assert rep.passed, [c for c in rep.checks if not c.passed]
+        assert np.abs(sol.grid.values - surf.grid.values).max() <= 1e-6
+
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_lift_data_give_the_lift_back(self, seed):
+        certified, T2, surf = self.lift(seed)
+        assume(certified)
+        d = data_from_lift(surf)
+        # curve_sup and projector_sup have fixed tolerances, so they can
+        # only hold where the data's own c' error estimate keeps the
+        # lightlike tolerance at its fixed floor and where the angle along
+        # c stays ANGLE_MARGIN off 0 and pi (the frame divides by sin theta)
+        assume(2.0 * d.validate_structure() <= STRUCT_TOL)
+        j0 = int(np.argmin(np.abs(surf.grid.vs)))
+        assume((1.0 - np.abs(np.cos(surf.theta[:, j0]))).min()
+               >= ANGLE_MARGIN)
+        self.assert_round_trip(T2, surf, d)
+
+    @pytest.mark.parametrize("seed", [78, 145, 249])
+    def test_edge_nodes_of_random_lifts(self, seed):
+        # a differenced postcondition frame fails projector_sup on these
+        # draws (6.5e-4, 7.9e-5 and 1.0e-4, at edge node 100 and node 28)
+        certified, T2, surf = self.lift(seed)
+        assert certified
+        self.assert_round_trip(T2, surf, data_from_lift(surf))
 
 
 class TestReduceFromL3:

@@ -7,7 +7,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from chebylift import numerics
 from chebylift.chebnet import (
-    _diagonal_axes, _diagonal_reader, build_first_kind, check_disjointness,
+    _diagonal_reader, build_first_kind, check_disjointness,
     check_sum_one, equivalent_immersion, euclidean_shape, first_form, gallery,
     gallery_generators, is_chebyshev, sine_gordon_residual,
 )
@@ -39,6 +39,23 @@ def random_net_pair(rng, n=201, t_range=(-0.5, 0.5)):
     T1 = normalized_trig_curve(rng, n, t_range, center=np.array([1.0, 0.0, 0.0]))
     T2 = normalized_trig_curve(rng, n, t_range, center=np.array([0.0, 0.0, 1.0]))
     return T1, T2
+
+
+def diagonal_axes(x1, x2, direction):
+    """Source abscissae ud, vd of the square target grid x1 x x2 and (n, n)
+    index maps iu, iv: target node (a, b) reads ud[iu[a, b]], vd[iv[a, b]]."""
+    n = x1.size
+    k = np.arange(2 * n - 1)
+    d = k - (n - 1)
+    hi, lo = np.maximum(d, 0), np.maximum(-d, 0)
+    ka = np.minimum(k, n - 1)
+    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
+    if direction == "uv_to_ts":
+        # u = (x1[a] - x2[b]) / 2 by a - b, v = (x1[a] + x2[b]) / 2 by a + b
+        return ((x1[hi] - x2[lo]) / 2.0, (x1[ka] + x2[k - ka]) / 2.0,
+                a - b + n - 1, a + b)
+    # u = x1[a] + x2[b] by a + b, v = x2[b] - x1[a] by b - a
+    return x1[ka] + x2[k - ka], x2[hi] - x1[lo], a + b, b - a + n - 1
 
 
 def record_diff_samples(monkeypatch) -> list:
@@ -259,8 +276,8 @@ class TestEquivalentImmersion:
         gal = gallery("noncritical", nu=n, nv=n)
         g = gal.net.grid if direction == "uv_to_ts" else gal.ts_grid
         out = equivalent_immersion(g, direction)
-        ud, vd, iu, iv = _diagonal_axes(out.us, out.vs, direction)
-        read = _diagonal_reader(ud, vd, iu, iv)
+        ud, vd, iu, iv = diagonal_axes(out.us, out.vs, direction)
+        read = _diagonal_reader(out.us, out.vs, direction)
         for k in range(3):
             sp = RectBivariateSpline(g.us, g.vs, g.values[..., k], kx=3,
                                      ky=3, s=0)
