@@ -34,8 +34,7 @@ from .chebnet import check_disjointness
 from .errors import (BadData, Check, DegenerateFrenet, DisjointnessViolated,
                      DivisionDegenerate, ExtensionMismatch, IncompatibleData,
                      InconsistentSeed, NecessaryConditionFailed, Report)
-from .lift import (MINIMAL_TOL, LiftSurface, _frame, build_minimal,
-                   mean_curvature)
+from .lift import LiftSurface, _frame, build_minimal
 from .numerics import (FrenetData, Grid2D, KAPPA_TOL, SampledCurve,
                        SphereCurve, diff_samples, frenet, sup_check)
 
@@ -581,10 +580,13 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     compatibility_sup) and the postconditions: along v = 0, at the nodes of
     the data resampled to c0' = 1, the surface interpolates c (curve_sup)
     and its normal bundle spans D off the degenerate-angle mask
-    (projector_sup), and it is minimal (h_sup).  The normal bundle is the
-    frame of the solution's own generators, X_u = n0(u) and X_v = n3(0),
-    so nothing of the solution is differenced.  Info: orientation,
-    extension_kind.
+    (projector_sup).  The normal bundle is the frame of the solution's own
+    generators, X_u = n0(u) and X_v = n3(0), so nothing of the solution is
+    differenced.  Minimality is not measured: the solution is a sum of two
+    lightlike curves, n0 and n3 on the unit sphere, which
+    ``_build_solution`` certifies disjoint on the whole product, so its
+    angle stays off 0 and pi, f_uv = 0 and H = 0 exactly.  Info:
+    orientation, extension_kind, and h_sup = 0.0, that exact value.
     """
     dec = decompose(d)
     rep = dec.necessary
@@ -609,16 +611,14 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
                                 dec.data.b.points[keep])
     proj = np.zeros(keep.shape)
     proj[keep] = np.abs(P_surf - P_data).max(axis=(-2, -1))
-    H = mean_curvature(surf)
     checks = (
         replace(rep["residual"], name="necessary"),
         replace(comp["sup_dn3"], name="compatibility_sup"), curve,
-        sup_check("projector_sup", proj, 1e-5, keep=keep, axes=us),
-        sup_check("h_sup", H.values, MINIMAL_TOL, keep=~H.degenerate,
-                  axes=(g.us, g.vs)))
+        sup_check("projector_sup", proj, 1e-5, keep=keep, axes=us))
     return surf, Report(checks, {
         "orientation": rep.orientation,
-        "extension_kind": ext.kind if ext is not None else "default"})
+        "extension_kind": ext.kind if ext is not None else "default",
+        "h_sup": 0.0})
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ Lifts made by ``build_minimal``, or by ``lift_net`` of a
 have read-only values.  While a lift's grid is the one its builder made,
 its tangents are exact: f_u = d0 + n0(u) and f_v = d0 + n3(v), with
 n0 and n3 read as broadcast views, and f_uv = 0.  ``mean_curvature``,
-``normal_frame``, ``h_parallel_e2`` and ``decompose_minimal`` then use them
-and difference nothing.  Every other lift (gallery nets, the (t, s) forms
-and their resamples, hand-built surfaces, a lift whose grid was replaced)
-has its partials differenced from the grid by each call that needs them.
+``normal_frame`` and ``decompose_minimal`` then use them and difference
+nothing, and ``h_parallel_e2`` measures nothing: H = 0 exactly, so it
+states its two sups, 0 by construction, and its route as info.  Every
+other lift (gallery nets, the (t, s) forms and their resamples, hand-built
+surfaces, a lift whose grid was replaced) has its partials differenced
+from the grid by each call that needs them.
 ``verify_null_coords`` always differences the grid: it checks the samples
 themselves.  Nothing is kept on a lift beyond its fields.
 
@@ -208,7 +210,19 @@ def _frame(Xu: np.ndarray, Xv: np.ndarray, theta: np.ndarray) -> NormalFrame:
 def h_parallel_e2(s: LiftSurface) -> Report:
     """Checks sup_off_e2 and sup_dot_etilde of the component of H off the
     e2 line and of <H, e~> off the degenerate-angle mask; raises
-    ``DegenerateAngle`` when that mask covers the whole grid."""
+    ``DegenerateAngle`` when that mask covers the whole grid.  Info: route,
+    "differenced" or "generators".
+
+    On a lift with live generators H = 0 exactly, so both sups are 0 by
+    construction: the call builds neither H nor the frame, makes no check,
+    and states sup_off_e2 = sup_dot_etilde = 0.0 as info."""
+    if s.coords != NULL_COORDS:
+        raise BadGrid("h_parallel_e2 needs the null-coordinate form")
+    if _generators(s) is not None:
+        if np.all(_degenerate_mask(s.theta)):
+            raise DegenerateAngle("net angle degenerate on the whole grid")
+        return Report((), {"route": "generators", "sup_off_e2": 0.0,
+                           "sup_dot_etilde": 0.0})
     H = mean_curvature(s)
     fr = normal_frame(s)
     keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
@@ -218,7 +232,7 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     return Report((
         sup_check("sup_off_e2", off, keep=keep, axes=axes),
         sup_check("sup_dot_etilde", mk.inner(H.values, fr.etilde), keep=keep,
-                  axes=axes)))
+                  axes=axes)), {"route": "differenced"})
 
 
 def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chebylift import minkowski as mk
-from chebylift.bjorling import solve
+from chebylift import lift, minkowski as mk
+from chebylift.bjorling import ExtensionChoice, solve
 from chebylift.chebnet import (
     build_first_kind, check_disjointness, euclidean_shape, gallery,
     gallery_generators, is_chebyshev, sine_gordon_residual,
 )
 from chebylift.errors import (BadGrid, ChebyliftError, DegenerateAngle,
-                              MissingSource, NotChebyshev, NotMinimal)
+                              MissingSource, NotChebyshev, NotMinimal, Report)
 from chebylift.lift import (
     build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
@@ -20,7 +20,7 @@ from chebylift.lift import (
 )
 from chebylift.numerics import SphereCurve, diff_samples, sample_curve
 
-from test_bjorling import critical_lift_data
+from test_bjorling import critical_lift_data, data_from_lift
 from test_chebnet import random_net_pair, record_diff_samples
 
 
@@ -40,6 +40,13 @@ def planar_lift(n=41):
         (-1.0, 1.0), n, cls=SphereCurve)
     net = build_first_kind(mk_curve([1, 0, 0]), mk_curve([0, 1, 0]), np.zeros(3))
     return lift_net(net)
+
+
+def random_lift():
+    """The lift of a random first-kind net, which keeps its generators."""
+    T1, T2 = random_net_pair(np.random.default_rng(21), n=161,
+                             t_range=(-0.4, 0.4))
+    return lift_net(build_first_kind(T1, T2, np.zeros(3)))
 
 
 class TestLiftNet:
@@ -155,11 +162,33 @@ class TestHParallel:
         assert rep.sup_off_e2 <= 1e-6
 
     def test_random_net(self):
-        rng = np.random.default_rng(21)
-        T1, T2 = random_net_pair(rng, n=161, t_range=(-0.4, 0.4))
-        s = lift_net(build_first_kind(T1, T2, np.zeros(3)))
-        rep = h_parallel_e2(s)
+        # without its generators the lift is differenced and measured
+        rep = h_parallel_e2(replace(random_lift(), generators=None))
+        assert rep.route == "differenced"
         assert rep.sup_off_e2 <= 1e-4
+
+    def test_generator_route_measures_nothing(self, monkeypatch):
+        # H = 0 exactly on a sum of two lightlike curves: both sups are
+        # stated as info, no check is made and nothing is differenced
+        s = random_lift()
+        called = []
+
+        def counted(name):
+            original = getattr(lift, name)
+
+            def call(*args):
+                called.append(name)
+                return original(*args)
+            return call
+
+        for name in ("normal_frame", "mean_curvature"):
+            monkeypatch.setattr(lift, name, counted(name))
+        seen = record_diff_samples(monkeypatch)
+        rep = h_parallel_e2(s)
+        assert rep.checks == ()
+        assert rep.info == {"route": "generators", "sup_off_e2": 0.0,
+                            "sup_dot_etilde": 0.0}
+        assert called == [] and seen == []
 
     def test_degenerate_everywhere_raises(self):
         # 1 - |cos theta| lies in [0.020, 0.084] on the whole grid, below
@@ -331,6 +360,7 @@ class TestIsothermal:
             (verify_null_coords, "null-coordinate check needs"),
             (mean_curvature, "mean curvature needs"),
             (normal_frame, "normal frame needs"),
+            (h_parallel_e2, "h_parallel_e2 needs"),
             (gaussian_curvature, "gaussian curvature needs"),
             (decompose_minimal, "decomposition needs"),
             (isothermal_form, "isothermal_form expects"),
@@ -511,13 +541,16 @@ def surface_inputs():
 
 #: tracemalloc peak of ``surface_chain`` plus one ``mean_curvature`` on the
 #: critical net at n = 201, in bytes, with the blocked stencil kernel, the
-#: exact generator partials and no partials kept on the lift (numpy 2.4,
+#: exact generator partials, no partials kept on the lift and nothing
+#: computed by ``h_parallel_e2`` on the generator route (numpy 2.4,
 #: Python 3.11): the largest figure measured under pytest in fresh
 #: processes over both nets, first and repeated runs, alone and in the
-#: whole suite (13,396,365-13,406,006; the peak is in ``h_parallel_e2``),
-#: plus a margin of one 256 KiB kernel block (2.0%) for allocator and
-#: test-order noise.  A lift that kept its f_u and f_v (15.99 MB) fails it.
-SURFACE_CHAIN_PEAK = 13_406_006 + 256 * 1024
+#: whole suite (10,209,536-10,222,231; the peak is in the closing
+#: ``mean_curvature(...).sup()``, 3.3 MB above its base, then in
+#: ``verify_null_coords``), plus a margin of one 256 KiB kernel block
+#: (2.6%) for allocator and test-order noise.  An ``h_parallel_e2`` that
+#: builds the normal frame and a zero H on this route (13.41 MB) fails it.
+SURFACE_CHAIN_PEAK = 10_222_231 + 256 * 1024
 
 
 class TestMemo:
@@ -590,3 +623,33 @@ class TestSurfaceChain:
         finally:
             tracemalloc.stop()
         assert peak <= SURFACE_CHAIN_PEAK
+
+
+#: the checks that each public call of ``surface_chain``, and ``solve`` of
+#: data taken from its lift, returns on a lift with live generators.  A sup
+#: that is 0 by construction there (sup_off_e2, sup_dot_etilde, h_sup) is
+#: stated as info, never as a check that cannot fail.
+GENERATOR_ROUTE_CHECKS = {
+    "cheb": ("sup_e", "sup_g", "sup_f"),
+    "null": ("sup_fu_fu", "sup_fv_fv", "sup_cross"),
+    "hpar": (),
+    "solve": ("necessary", "compatibility_sup", "curve_sup",
+              "projector_sup"),
+}
+
+
+class TestNoCheckByConstruction:
+    @pytest.mark.parametrize("name", ["critical", "random"])
+    def test_every_check_is_measured(self, name):
+        T1, T2 = surface_inputs()[name]
+        r = surface_chain(T1, T2)
+        reports = {k: v for k, v in r.items() if isinstance(v, Report)}
+        _, reports["solve"] = solve(data_from_lift(r["s"]),
+                                    ExtensionChoice.from_curve(T2))
+        assert {k: tuple(c.name for c in rep.checks)
+                for k, rep in reports.items()} == GENERATOR_ROUTE_CHECKS
+        for k, rep in reports.items():
+            for c in rep.checks:
+                # a sup over the sampled nodes, located at one; a value
+                # fixed by construction would read exactly 0
+                assert c.where is not None and c.value > 0.0, (k, c.name)
