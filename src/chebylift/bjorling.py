@@ -464,15 +464,14 @@ def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
 
 def _build_solution(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     """``build_minimal`` for a solution of the Cauchy problem, whose
-    generators must be disjoint on the whole product, between samples
-    too: the certified verdict of ``check_disjointness`` must pass."""
+    generators must be disjoint on the whole product, between samples too:
+    else ``DisjointnessViolated`` carries the failed uncertified_cells
+    check of their ``check_disjointness`` report."""
     surf = build_minimal(n0, n3, P0)
     rep = surf.generators.disjointness
     if not rep.passed:
-        raise DisjointnessViolated(
-            f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g}, "
-            f"between samples (certified separation "
-            f"{rep.min_separation:.3e})", u=rep.at_u, v=rep.at_v)
+        raise DisjointnessViolated("generators meet between samples",
+                                   rep["uncertified_cells"])
     return surf
 
 

@@ -14,14 +14,14 @@ stored as 3-vectors of E throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .errors import (BadGrid, DegenerateMetric, DisjointnessViolated,
+from .errors import (BadGrid, Check, DegenerateMetric, DisjointnessViolated,
                      EmptyOverlap, Report)
 from .numerics import (Grid2D, SphereCurve, cross, cumulative_integral,
                        cumulative_samples, diff_samples, grid_from_ranges,
@@ -39,15 +39,15 @@ _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 @dataclass(frozen=True)
 class Generators:
     """The sphere curves T1(u), T2(v) a surface was built from, the grid
-    the builder made of them, and the certified ``check_disjointness``
-    verdict on the curves.  The curves are read-only copies.  They
-    describe that grid only: a surface whose ``grid`` is another object
+    the builder made of them, and the ``check_disjointness`` report on the
+    curves.  The curves are read-only copies.  They describe that grid
+    only: a surface whose ``grid`` is another object
     (``dataclasses.replace(s, grid=...)``) is differenced instead."""
 
     T1: SphereCurve
     T2: SphereCurve
     grid: Grid2D
-    disjointness: DisjointnessReport
+    disjointness: Report
 
 
 def _generators(s) -> Optional[Generators]:
@@ -92,16 +92,6 @@ class EuclideanShape:
     K_T: np.ndarray
 
 
-@dataclass(frozen=True)
-class DisjointnessReport:
-    passed: bool
-    min_separation: float        # certified over the whole product
-    margin: float
-    at_u: float
-    at_v: float
-    sampled_separation: float    # at the sample nodes only
-
-
 def _min_affine_norm(d, a, b, al, be):
     """Rowwise min of |d + a x + b y| over |x| <= al, |y| <= be.
 
@@ -129,7 +119,7 @@ def _min_affine_norm(d, a, b, al, be):
 
 
 def check_disjointness(T1: SphereCurve, T2: SphereCurve,
-                       margin: float = DISJOINT_MARGIN) -> DisjointnessReport:
+                       margin: float = DISJOINT_MARGIN) -> Report:
     """Certify T1(u) != +-T2(v) on the whole parameter product.
 
     The separation s(u, v) = min(|T1 - T2|, |T1 + T2|) is bounded from
@@ -145,10 +135,14 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
     resolved curves, whose derivatives between samples do not exceed their
     sampled maxima.
 
-    A cell still not certified after ``BISECT_DEPTH`` bisections, or more
-    than ``BISECT_CELLS`` open cells at one depth, fails the check.
-    ``min_separation`` is the certified lower bound of s over the product
-    (clipped at 0), and (at_u, at_v) is where that bound is smallest.
+    Check uncertified_cells, held to 0, counts the cells still open after
+    ``BISECT_DEPTH`` bisections or at more than ``BISECT_CELLS`` open cells
+    at one depth.  Its ``where`` is the node and (u, v) of the smallest
+    open bound, or if none is open of the smallest bound of the closed
+    cells and unbisected nodes; info at_u, at_v repeat that (u, v).  Info
+    min_separation is that certified lower bound of s over the product,
+    clipped at 0 (0.0 if the check fails); also margin, and
+    sampled_separation, the smallest s at the nodes.
     """
     P1, P2 = T1.points, T2.points
     D1 = [diff_samples(P1, T1.dt, k) for k in (1, 2, 3)]
@@ -166,8 +160,11 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
     ii, jj = np.nonzero(absF >= 1.0 - 0.5 * (margin + slack) ** 2)
     absF[ii, jj] = -1.0
     i, j = np.unravel_index(int(np.argmax(absF)), absF.shape)
-    best = 2.0 if absF[i, j] < 0 else np.sqrt(2.0 - 2.0 * absF[i, j]) - slack
-    at = (T1.ts[i], T2.ts[j])
+    # [closed, open]: the smallest bound, with its node and (u, v), over
+    # the nodes never bisected and the cells that close, and the open cells
+    best = [2.0 if absF[i, j] < 0 else np.sqrt(2.0 - 2.0 * absF[i, j]) - slack,
+            np.inf]
+    at = [((int(i), int(j)), (T1.ts[i], T2.ts[j]))] * 2
     sg = np.where(np.einsum("ij,ij->i", P1[ii], P2[jj]) < 0.0, -1.0, 1.0)
     # node cells, clipped to the parameter ranges
     lo_u, hi_u = np.where(ii == 0, 0.0, -hu), np.where(ii == T1.n - 1, 0.0, hu)
@@ -184,22 +181,26 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
         q2 = P2[jj] + dv[:, None] * (D2[0][jj] + 0.5 * dv[:, None] * c2)
         lb = (_min_affine_norm(q1 - sg[:, None] * q2, a, b, al, be)
               - 0.5 * (nrm(c1) * al**2 + nrm(c2) * be**2) - rem3)
-        k = int(np.argmin(lb))
-        if lb[k] < best:
-            best = float(lb[k])
-            at = (T1.ts[ii[k]] + du[k], T2.ts[jj[k]] + dv[k])
         open_ = lb <= margin
+        for o in (0, 1):
+            part = np.where(open_ == o, lb, np.inf)
+            k = int(np.argmin(part))
+            if part[k] < best[o]:
+                best[o] = float(part[k])
+                at[o] = ((int(ii[k]), int(jj[k])),
+                         (T1.ts[ii[k]] + du[k], T2.ts[jj[k]] + dv[k]))
         ii, jj, sg = (np.tile(x[open_], 4) for x in (ii, jj, sg))
         al, be = 0.5 * al[open_], 0.5 * be[open_]
         du = np.concatenate([du[open_] + s * al for s in (-1, -1, 1, 1)])
         dv = np.concatenate([dv[open_] + s * be for s in (-1, 1, -1, 1)])
         al, be = np.tile(al, 4), np.tile(be, 4)
-    certified = ii.size == 0
-    sep = max(float(best), 0.0) if certified else 0.0
-    return DisjointnessReport(passed=certified,
-                              min_separation=sep, margin=margin,
-                              at_u=float(at[0]), at_v=float(at[1]),
-                              sampled_separation=sampled)
+    node, (u, v) = at[ii.size > 0]
+    chk = Check("uncertified_cells", float(ii.size), 0.0,
+                (node, (float(u), float(v))))
+    return Report((chk,), {
+        "min_separation": 0.0 if ii.size else max(float(best[0]), 0.0),
+        "margin": margin, "at_u": float(u), "at_v": float(v),
+        "sampled_separation": sampled})
 
 
 def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
@@ -210,9 +211,9 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     exact.
 
     Generators that meet at the samples (sampled separation at most
-    ``DISJOINT_MARGIN``) are rejected.  The net is judged at its samples,
-    so a meeting between samples is not an error here; the verdict of
-    ``check_disjointness`` over the whole product is kept in
+    ``DISJOINT_MARGIN``) raise ``DisjointnessViolated``.  The net is judged
+    at its samples, so a meeting between samples is not an error here; the
+    report of ``check_disjointness`` over the whole product is kept in
     ``generators.disjointness`` for callers that need the continuous
     generators disjoint, such as ``bjorling.solve``.  The net keeps
     read-only copies of T1 and T2 in ``generators``, and the grid's values
@@ -222,8 +223,7 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     if rep.sampled_separation <= DISJOINT_MARGIN:
         raise DisjointnessViolated(
             f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g} "
-            f"(sampled separation {rep.sampled_separation:.3e})",
-            u=rep.at_u, v=rep.at_v)
+            f"(sampled separation {rep.sampled_separation:.3e})")
     p0 = np.asarray(p0, dtype=float)
     I1 = cumulative_integral(T1).points
     I2 = cumulative_integral(T2).points
@@ -487,7 +487,6 @@ class Gallery:
     carries the Chebyshev-equivalent (u, v) immersion evaluated exactly.
     """
 
-    name: str
     net: NetSurface
     oracles: dict
     ts_grid: Optional[Grid2D] = None
@@ -515,61 +514,39 @@ def _critical_gallery(nu, nv) -> Gallery:
         "second_g": -np.cos(U) / root,
         "K_T": np.cos(U) * np.cos(V) / root**4,
     }
-    return Gallery(name="critical", net=net, oracles=oracles)
+    return Gallery(net=net, oracles=oracles)
 
 
-class _NoncriticalProfile:
-    """Profile functions of the rotational example: x = tanh(s)/2 and y by
-    quadrature of y' = sqrt(4 - tanh^2 s - sech^4 s)/2."""
-
-    def __init__(self):
-        from scipy.interpolate import CubicSpline
-        sf = np.linspace(0.0, 2.5, 25001)   # step 1e-4
-        yv = cumulative_samples(self.yp(sf), sf[1] - sf[0])
-        self._yspl = CubicSpline(sf, yv)
-
-    @staticmethod
-    def x(s):
-        return np.tanh(s) / 2.0
-
-    @staticmethod
-    def xp(s):
-        return 1.0 / np.cosh(s)**2 / 2.0
-
-    @staticmethod
-    def yp(s):
-        return 0.5 * np.sqrt(4.0 - np.tanh(s)**2 - 1.0 / np.cosh(s)**4)
-
-    def y(self, s):
-        return self._yspl(s)
-
-    def y_deriv(self, s):
-        return self._yspl(s, 1)
+def _profile_x(s):
+    """x = tanh(s)/2, the radius of the rotational example's profile."""
+    return np.tanh(s) / 2.0
 
 
-_PROFILE = None
+def _profile_yp(s):
+    return 0.5 * np.sqrt(4.0 - np.tanh(s)**2 - 1.0 / np.cosh(s)**4)
 
 
-def _profile() -> _NoncriticalProfile:
-    global _PROFILE
-    if _PROFILE is None:
-        _PROFILE = _NoncriticalProfile()
-    return _PROFILE
+@lru_cache(maxsize=None)
+def _profile_y() -> CubicSpline:
+    """The profile's height y, a spline of the quadrature of
+    y' = sqrt(4 - tanh^2 s - sech^4 s)/2 on [0, 2.5] at step 1e-4."""
+    sf = np.linspace(0.0, 2.5, 25001)
+    return CubicSpline(sf, cumulative_samples(_profile_yp(sf), sf[1] - sf[0]))
 
 
 def _noncritical_gallery(nu, nv) -> Gallery:
     t_range = (-np.pi + 0.05, np.pi - 0.05)
     s_range = (0.25, 2.0)  # s = 0 degenerates the immersion
-    pr = _profile()
+    x, y = _profile_x, _profile_y()
     ts = np.linspace(*t_range, nu)
     ss = np.linspace(*s_range, nv)
     T, S = np.meshgrid(ts, ss, indexing="ij")
-    Y = np.stack([pr.x(S) * np.cos(T), pr.x(S) * np.sin(T), pr.y(S)], axis=-1)
+    Y = np.stack([x(S) * np.cos(T), x(S) * np.sin(T), y(S)], axis=-1)
     ts_grid = grid_from_ranges(t_range, s_range, Y)
-    Yt = np.stack([-pr.x(S) * np.sin(T), pr.x(S) * np.cos(T),
+    Yt = np.stack([-x(S) * np.sin(T), x(S) * np.cos(T),
                    np.zeros_like(S)], axis=-1)
-    Ys = np.stack([pr.xp(S) * np.cos(T), pr.xp(S) * np.sin(T),
-                   pr.y_deriv(S)], axis=-1)
+    xp = 1.0 / np.cosh(S)**2 / 2.0
+    Ys = np.stack([xp * np.cos(T), xp * np.sin(T), y(S, 1)], axis=-1)
     E_ts = np.einsum("ijk,ijk->ij", Yt, Yt)
     F_ts = np.einsum("ijk,ijk->ij", Yt, Ys)
     G_ts = np.einsum("ijk,ijk->ij", Ys, Ys)
@@ -584,13 +561,12 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     vs = np.linspace(vc - half, vc + half, nv)
     U, V = np.meshgrid(us, vs, indexing="ij")
     Tq, Sq = U + V, V - U
-    X = np.stack([pr.x(Sq) * np.cos(Tq), pr.x(Sq) * np.sin(Tq),
-                  pr.y(Sq)], axis=-1)
+    X = np.stack([x(Sq) * np.cos(Tq), x(Sq) * np.sin(Tq), y(Sq)], axis=-1)
     grid = grid_from_ranges((us[0], us[-1]), (vs[0], vs[-1]), X)
-    F = 2.0 * pr.x(Sq)**2 - 1.0
+    F = 2.0 * x(Sq)**2 - 1.0
     theta = np.arccos(np.clip(F, -1.0, 1.0))
     net = NetSurface(grid=grid, F=F, theta=theta)
-    return Gallery(name="noncritical", net=net, oracles={"F": F},
+    return Gallery(net=net, oracles={"F": F},
                    ts_grid=ts_grid, ts_forms=(E_ts, F_ts, G_ts))
 
 

@@ -105,12 +105,9 @@ class NotRegular(ChebyliftError):
 # --- geometric degeneracies
 
 class DisjointnessViolated(ChebyliftError):
-    """Generator curves meet (or meet antipodally) on the parameter product."""
-
-    def __init__(self, message, u=None, v=None):
-        super().__init__(message)
-        self.u = u
-        self.v = v
+    """Generator curves meet (or meet antipodally) on the parameter product;
+    ``check`` is the uncertified_cells check of ``check_disjointness``, if
+    that failed, whose ``where`` locates the meeting."""
 
 
 class DegenerateMetric(ChebyliftError):

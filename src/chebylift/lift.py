@@ -147,8 +147,8 @@ def _metric_report(names: tuple, g: Grid2D, f1: np.ndarray, f2: np.ndarray,
                                    targets)))
 
 
-def _degenerate_mask(theta: np.ndarray) -> np.ndarray:
-    return (1.0 - np.abs(np.cos(theta))) < ANGLE_MARGIN
+def _degenerate_mask(cos_theta: np.ndarray) -> np.ndarray:
+    return (1.0 - np.abs(cos_theta)) < ANGLE_MARGIN
 
 
 def mean_curvature(s: LiftSurface) -> MaskedField:
@@ -219,13 +219,13 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     if s.coords != NULL_COORDS:
         raise BadGrid("h_parallel_e2 needs the null-coordinate form")
     if _generators(s) is not None:
-        if np.all(_degenerate_mask(s.theta)):
+        if np.all(_degenerate_mask(np.cos(s.theta))):
             raise DegenerateAngle("net angle degenerate on the whole grid")
         return Report((), {"route": "generators", "sup_off_e2": 0.0,
                            "sup_dot_etilde": 0.0})
     H = mean_curvature(s)
     fr = normal_frame(s)
-    keep = ~(_degenerate_mask(s.theta) | H.degenerate | fr.degenerate)
+    keep = ~(_degenerate_mask(np.cos(s.theta)) | H.degenerate | fr.degenerate)
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
     np.subtract(H.values, off, out=off)
     axes = (s.grid.us, s.grid.vs)
@@ -247,11 +247,12 @@ def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:
         raise BadGrid("gaussian curvature needs the null-coordinate form")
     if route not in ("direct", "via_net"):
         raise BadGrid(f"unknown route {route!r}")
-    denom = (1.0 - np.cos(s.theta))**2
-    degenerate = _degenerate_mask(s.theta)
+    cth = np.cos(s.theta)
+    degenerate = _degenerate_mask(cth)
     if np.all(degenerate):
         raise DegenerateAngle("net angle degenerate on the whole grid")
-    denom = np.where(degenerate, 1.0, denom)
+    denom = np.where(degenerate, 1.0, (1.0 - cth)**2)
+    del cth                 # one (n, n) grid fewer alive below
     if route == "direct":
         tu, tv, tuv = _angle_partials(s.theta, s.grid, ("u", "v", "uv"))
         K = (tu * tv - tuv * np.sin(s.theta)) / denom

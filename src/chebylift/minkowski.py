@@ -13,7 +13,6 @@ theta with cos theta = <n0,n3>.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -41,29 +40,6 @@ def inner(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     return np.einsum("...i,i,...i->...", v, ETA, w)
-
-
-class CausalClass(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-
-
-def causal_class(v: np.ndarray) -> CausalClass:
-    """Causal trichotomy of a single vector by the exact sign of <v,v>;
-    v = 0 counts as spacelike."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (4,):
-        raise BadInput("causal_class expects one 4-vector")
-    q = float(inner(v, v))
-    e2 = float(v @ v)
-    if e2 == 0.0:
-        return CausalClass.SPACELIKE
-    if q > 0.0:
-        return CausalClass.SPACELIKE
-    if q < 0.0:
-        return CausalClass.TIMELIKE
-    return CausalClass.LIGHTLIKE
 
 
 def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

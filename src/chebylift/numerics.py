@@ -147,10 +147,7 @@ class SphereCurve(SampledCurve):
 def sample_curve(fn, t_range, n, cls=SampledCurve):
     """Sample a vectorized callable on n uniform nodes over [t0, t1]."""
     ts = np.linspace(t_range[0], t_range[1], n)
-    pts = np.asarray(fn(ts), dtype=float)
-    if pts.shape[0] != n:
-        pts = pts.T
-    return cls(t_min=float(ts[0]), dt=float(ts[1] - ts[0]), points=pts)
+    return cls(t_min=float(ts[0]), dt=float(ts[1] - ts[0]), points=fn(ts))
 
 
 @dataclass(frozen=True)
@@ -167,26 +164,21 @@ class FrenetData:
     kappa: np.ndarray
     tor: np.ndarray
     degenerate: np.ndarray
-    arclength: bool
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 
-def fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Stencil weights (in units of h^-order) for nodes at integer offsets."""
-    p = len(offsets)
-    A = np.array([[o**k / factorial(k) for o in offsets] for k in range(p)])
-    rhs = np.zeros(p)
-    rhs[order] = 1.0
-    return np.linalg.solve(A, rhs)
-
-
 @lru_cache(maxsize=None)
 def _window_weights(width: int, at: int, order: int) -> tuple:
     """Weights of the ``width``-node window for the node at position ``at``
-    within it, as an immutable tuple (h = 1)."""
-    return tuple(fd_weights(np.arange(width) - at, order))
+    within it, as an immutable tuple (h = 1): the stencil exact on
+    polynomials of degree below ``width``."""
+    A = np.array([[o**k / factorial(k) for o in np.arange(width) - at]
+                  for k in range(width)])
+    rhs = np.zeros(width)
+    rhs[order] = 1.0
+    return tuple(np.linalg.solve(A, rhs))
 
 
 def _apply_at(y: np.ndarray, width: int, at: int, order: int, h: float,
@@ -393,10 +385,8 @@ def frenet(alpha: SampledCurve) -> FrenetData:
         N[ok] = Tp[ok] / Tpn[ok, None]
         B[ok] = np.cross(T[ok], N[ok])
         tor[ok] = np.einsum("ij,ij->i", cr[ok], d3[ok]) / crn[ok]**2
-
-    arclength = bool(np.abs(speed - 1.0).max() < 1e-6)
     return FrenetData(T=T, N=N, B=B, kappa=kappa, tor=tor,
-                      degenerate=degenerate, arclength=arclength)
+                      degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

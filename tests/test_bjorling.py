@@ -18,8 +18,8 @@ from chebylift.errors import (
 )
 from chebylift.lift import (ANGLE_MARGIN, build_minimal, gaussian_curvature,
                             lift_net, mean_curvature, normal_frame)
-from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve, partials,
-                                sample_curve)
+from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve,
+                                diff_samples, partials, sample_curve)
 
 from test_chebnet import normalized_trig_curve, random_net_pair
 
@@ -182,7 +182,9 @@ class TestDecompose:
         # alpha is the unit-speed circle arc with kappa = 1, tor = 0
         assert np.abs(dec.frenet.kappa - 1.0).max() < 1e-5
         assert np.abs(dec.frenet.tor).max() < 1e-3
-        assert dec.frenet.arclength
+        speed = np.linalg.norm(diff_samples(dec.alpha.points, dec.alpha.dt, 1),
+                               axis=1)
+        assert np.abs(speed - 1.0).max() < 1e-6
         exp = np.stack([np.sin(dec.us), 1 - np.cos(dec.us),
                         np.zeros_like(dec.us)], axis=1)
         assert np.abs(dec.alpha.points - exp).max() < 1e-6
@@ -393,6 +395,18 @@ class TestRuledSolution:
         with pytest.raises(DisjointnessViolated):
             ruled_solution(d, n3)
 
+    def test_crossing_n3_error_carries_the_open_cells(self):
+        # n3 meets +-n0 = +-e1 at v = +-pi/2; the error carries the
+        # certified check of the generators, located at a meeting
+        d, n3 = self.line_with_n3(
+            lambda v: np.stack([np.sin(v), 0 * v, np.cos(v)], axis=-1),
+            J=(-2.0, 2.0))
+        with pytest.raises(DisjointnessViolated) as err:
+            ruled_solution(d, n3)
+        chk = err.value.check
+        assert chk.name == "uncertified_cells" and chk.value > 0.0
+        assert abs(abs(chk.where[1][1]) - np.pi / 2) < n3.dt
+
     def test_bad_seed(self):
         d, n3 = self.line_with_n3(
             lambda v: np.stack([0 * v, np.cos(v), np.sin(v)], axis=-1))
@@ -529,6 +543,145 @@ class TestSolve:
             (-1.0, 1.0), 101, cls=SphereCurve))
         with pytest.raises(ExtensionMismatch):
             solve(d, ext)
+
+    def test_default_extension_truncates(self):
+        # n0 sweeps a quarter circle from e1 to w = n0(1); the default
+        # rotation of n3 = e3 toward e2 reaches w at v = -0.9, so it meets
+        # n0 at half-width 1 and clears the margin once cut back to 0.8
+        e1, e2, e3 = np.eye(3)
+        w = np.cos(0.9) * e3 + np.sin(0.9) * e2
+        d = data_from_null_pair(
+            lambda u: (np.outer(np.cos(np.pi * u / 2), e1)
+                       + np.outer(np.sin(np.pi * u / 2), w)),
+            lambda u: np.tile(e3, (u.size, 1)), n=201)
+        ext = default_extension(decompose(d))
+        assert ext.ts[0] == -0.8
+        assert ext.ts[-1] == pytest.approx(0.8, abs=1e-12)
+        _, rep = solve(d)
+        assert rep.passed and rep.extension_kind == "default"
+
+
+class TestExtensionRejections:
+    """Each rejection of a supplied extension raises ExtensionMismatch,
+    with the failed check where one is measured."""
+
+    @staticmethod
+    def profile(dec, values, vs=np.linspace(-0.6, 0.6, 121), u_shift=0.0):
+        return ExtensionChoice.from_theta(Grid2D(
+            u_min=dec.alpha.t_min + u_shift, v_min=float(vs[0]),
+            du=dec.alpha.dt, dv=float(vs[1] - vs[0]), values=values))
+
+    def test_curve_without_a_v0_node(self):
+        _, d = critical_lift_data()
+        ext = ExtensionChoice.from_curve(sample_curve(
+            lambda v: np.stack([0 * v, np.sin(v), np.cos(v)], axis=-1),
+            (0.1, 1.0), 101, cls=SphereCurve))
+        with pytest.raises(ExtensionMismatch, match="needs a v = 0 node") \
+                as err:
+            solve(d, ext)
+        assert err.value.check is None
+
+    def test_profile_off_the_u_grid(self):
+        d, th0 = helix_data(n=201)
+        dec = decompose(d)
+        ext = self.profile(dec, np.full((dec.alpha.n, 121), th0),
+                           u_shift=0.5 * dec.alpha.dt)
+        with pytest.raises(ExtensionMismatch, match="data's u-grid") as err:
+            solve(d, ext)
+        assert err.value.check is None
+
+    @pytest.mark.parametrize("name", ["theta_edge", "pq_residual",
+                                      "n3_u_variation"])
+    def test_profile_check_fails(self, name):
+        d, th0 = helix_data(n=201)
+        dec = decompose(d)
+        vs = np.linspace(-0.6, 0.6, 121)
+        us = dec.alpha.ts[:, None]
+        if name == "theta_edge":        # misses theta(u, 0) of the data
+            values = np.full((us.size, vs.size), th0 + 0.01)
+        elif name == "pq_residual":     # no (p, q) off v = 0
+            values = np.tile(th0 + 0.3 * vs, (us.size, 1))
+        else:
+            # off v = 0, theta_u = -kappa gives q = 0 and p = sin theta:
+            # p^2 + q^2 = sin^2 theta holds, but n3 = cos theta T + sin
+            # theta N turns along u
+            values = np.where(np.abs(vs) < 1e-9, th0, np.pi / 2 - 0.5 * us)
+        with pytest.raises(ExtensionMismatch) as err:
+            solve(d, self.profile(dec, values, vs))
+        assert err.value.check.name == name
+        assert not err.value.check.passed
+
+    def test_n3_anchor(self, monkeypatch):
+        # on compatible data the n3 rebuilt from theta, kappa and tor is the
+        # data's own up to differencing error, so the data's n3 is turned
+        # 1e-3 about e1 here; the flat profile passes every other check
+        from chebylift import bjorling
+        n3curve = bjorling.CurveDecomposition.n3curve.func
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        monkeypatch.setattr(
+            bjorling.CurveDecomposition, "n3curve", property(
+                lambda dec: replace(n3curve(dec),
+                                    points=n3curve(dec).points @ rot.T)))
+        d, th0 = helix_data(n=201)
+        dec = decompose(d)
+        with pytest.raises(ExtensionMismatch) as err:
+            solve(d, self.profile(dec, np.full((dec.alpha.n, 121), th0)))
+        assert err.value.check.name == "n3_anchor"
+        assert err.value.check.value == pytest.approx(1e-3, rel=0.05)
+
+
+class TestBadData:
+    @staticmethod
+    def line(phi, n=101):
+        """c = phi(t) (d0 + d1), D = span{d3, d2}: lightlike for any phi,
+        and D passes the necessary condition."""
+        c = make_curve(lambda t: np.outer(phi(t), mk.D0 + mk.D1),
+                       (-1.0, 1.0), n)
+        a = make_curve(lambda t: np.tile(mk.D3, (t.size, 1)), (-1.0, 1.0), n)
+        b = make_curve(lambda t: np.tile(mk.D2, (t.size, 1)), (-1.0, 1.0), n)
+        return BjorlingData(c=c, a=a, b=b)
+
+    @pytest.mark.parametrize("field, curve, message", [
+        ("c", lambda d: replace(d.c, points=d.c.points[:, :3]),
+         "a curve in R"),
+        ("a", lambda d: replace(d.a, points=d.a.points[:-1]), "sample grid"),
+        ("b", lambda d: replace(d.b, t_min=d.b.t_min + d.b.dt),
+         "sample grid")], ids=["3-vectors", "fewer-nodes", "shifted-grid"])
+    def test_construction(self, field, curve, message):
+        d = line_data(n=101)
+        with pytest.raises(BadData, match=message):
+            replace(d, **{field: curve(d)})
+
+    def test_time_running_backwards(self):
+        with pytest.raises(BadData, match="c0'") as err:
+            self.line(lambda t: -t).validate_structure()
+        assert err.value.check is None
+
+    def test_not_lightlike(self):
+        d = replace(line_data(n=101), c=make_curve(
+            lambda t: np.outer(t, mk.D0 + 2.0 * mk.D1), (-1.0, 1.0), 101))
+        with pytest.raises(BadData) as err:
+            d.validate_structure()
+        assert err.value.check.name == "lightlike"
+        assert err.value.check.value == pytest.approx(0.6)
+
+    def test_resample_needs_increasing_time(self):
+        # one repeated sample of c0 leaves the differenced c0' positive
+        def step(t):
+            t = t.copy()
+            t[51] = t[50]
+            return t
+        d = self.line(step)
+        assert d.validate_structure() >= 0.0
+        with pytest.raises(BadData, match="strictly increasing"):
+            decompose(d)
+
+    def test_resample_too_short(self):
+        # 5 nodes whose time c0 = t + 0.3 t^2 spans -0.7 .. 1.3 from the
+        # base node: the uniform u-grid through u = 0 keeps only 4 of them
+        with pytest.raises(BadData, match="too short"):
+            decompose(self.line(lambda t: t + 0.3 * t * t, n=5))
 
 
 class TestSufficiency:

@@ -11,7 +11,8 @@ from chebylift.chebnet import (
     check_sum_one, equivalent_immersion, euclidean_shape, first_form, gallery,
     gallery_generators, is_chebyshev, sine_gordon_residual,
 )
-from chebylift.errors import DisjointnessViolated
+from chebylift.errors import (DegenerateMetric, DisjointnessViolated,
+                              EmptyOverlap)
 from chebylift.numerics import SphereCurve, grid_from_ranges, sample_curve
 
 
@@ -170,6 +171,40 @@ class TestCheckDisjointness:
                 (o2 - 0.5, o2 + 0.5), n2, cls=SphereCurve)
             assert not check_disjointness(c1, crossing).passed
 
+    def test_verdict_is_the_uncertified_cells_check(self):
+        T1, T2 = gallery_generators(n=101)
+        for rep, open_cells in ((check_disjointness(T1, T2), False),
+                                (check_disjointness(T1, SphereCurve(
+                                    T1.t_min, T1.dt, -T1.points)), True)):
+            chk = rep["uncertified_cells"]
+            assert rep.checks == (chk,) and chk.tol == 0.0
+            assert rep.passed is not open_cells
+            assert (chk.value > 0.0) is open_cells
+            assert chk.where[1] == (rep.at_u, rep.at_v)
+
+    def test_passing_bound_clears_its_margin(self):
+        # pair 73 of this draw passes at the default extension's margin
+        # after bisecting cells that closed later; a bound that took those
+        # cells while they were open read 0.04465 against 0.04472
+        def draw(rng, n):
+            T1 = normalized_trig_curve(rng, n, (-0.5, 0.5))
+            centre = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.9, 0.9, 3)
+            return T1, normalized_trig_curve(rng, n, (-0.5, 0.5),
+                                             center=centre)
+
+        rng = np.random.default_rng(5)
+        for _ in range(74):
+            state = rng.bit_generator.state
+            T1, T2 = draw(rng, 101)
+        rng.bit_generator.state = state
+        fine = draw(rng, 801)          # the same curves, 8 times finer
+        margin = float(np.sqrt(2e-3))
+        rep = check_disjointness(T1, T2, margin)
+        assert rep.passed
+        assert rep.min_separation > margin
+        absF = np.abs(fine[0].points @ fine[1].points.T).max()
+        assert rep.min_separation <= np.sqrt(2.0 - 2.0 * absF)
+
     def test_orthogonal_great_circles_pass(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -269,6 +304,11 @@ class TestEquivalentImmersion:
              for k in range(g.values.shape[-1])], axis=-1)
         assert np.abs(out.values - ref).max() < 1e-13
 
+    def test_grid_too_small_for_the_spline(self):
+        g = grid_from_ranges((0, 1), (0, 1), np.zeros((3, 9, 3)))
+        with pytest.raises(EmptyOverlap, match="too small"):
+            equivalent_immersion(g)
+
     @pytest.mark.parametrize("direction", ["uv_to_ts", "ts_to_uv"])
     @pytest.mark.parametrize("n", [40, 41, 200, 201])
     def test_parity_subgrids_read_the_tensor_grid(self, n, direction):
@@ -283,18 +323,23 @@ class TestEquivalentImmersion:
                                      ky=3, s=0)
             assert np.array_equal(read(sp), sp(ud, vd)[iu, iv])
 
-    @pytest.mark.parametrize("nu, nv", [(161, 161), (161, 201), (201, 161)])
-    def test_point_set_preserved(self, nu, nv):
+    @pytest.mark.parametrize(
+        "nu, nv, direction",
+        [(161, 161, "ts_to_uv"), (161, 201, "ts_to_uv"),
+         (201, 161, "ts_to_uv"), (161, 201, "uv_to_ts")],
+        ids=["161-161", "161-201", "201-161", "161-201-uv_to_ts"])
+    def test_point_set_preserved(self, nu, nv, direction):
+        # a non-square grid is evaluated at scattered points, not through
+        # the diagonal reader
         gal = gallery("noncritical", nu=nu, nv=nv)
-        out = equivalent_immersion(gal.ts_grid, "ts_to_uv")
+        source = gal.ts_grid if direction == "ts_to_uv" else gal.net.grid
+        out = equivalent_immersion(source, direction)
         # resampled points must reproduce the closed-form immersion
-        exact = gal.net  # same map, exact evaluation on its own square
         U, V = np.meshgrid(out.us, out.vs, indexing="ij")
-        from chebylift.chebnet import _profile
-        pr = _profile()
-        T, S = U + V, V - U
-        X = np.stack([pr.x(S) * np.cos(T), pr.x(S) * np.sin(T), pr.y(S)],
-                     axis=-1)
+        from chebylift.chebnet import _profile_x, _profile_y
+        T, S = (U + V, V - U) if direction == "ts_to_uv" else (U, V)
+        X = np.stack([_profile_x(S) * np.cos(T), _profile_x(S) * np.sin(T),
+                      _profile_y()(S)], axis=-1)
         assert np.abs(out.values - X).max() < 1e-7
 
 
@@ -353,6 +398,17 @@ class TestEuclideanShape:
         shape = euclidean_shape(net)
         assert np.abs(shape.K_T).max() < 1e-9
         assert np.abs(shape.e).max() < 1e-9
+
+    def test_degenerate_metric_raises(self):
+        # X = (u + v, 0, 0) has X_u = X_v, so EG - F^2 = 0 everywhere
+        us = np.linspace(0, 1, 21)
+        U, V = np.meshgrid(us, us, indexing="ij")
+        g = grid_from_ranges((0, 1), (0, 1),
+                             np.stack([U + V, 0 * U, 0 * U], axis=-1))
+        from chebylift.chebnet import NetSurface
+        net = NetSurface(grid=g, F=np.ones_like(U), theta=np.zeros_like(U))
+        with pytest.raises(DegenerateMetric):
+            euclidean_shape(net)
 
     @pytest.mark.parametrize("n", [51, 201, 401])
     def test_generators_no_farther_from_closed_form(self, n):

@@ -1,7 +1,9 @@
 """Every name a library module imports is used in that module, every
 private name a module defines at top level is read somewhere in the library,
 and so is every private method or property (a memo such as a private
-``cached_property``) that a top-level class defines.
+``cached_property``) that a top-level class defines.  Every public
+top-level function or class is loaded by the library or the benchmark, or
+is listed in ``PAPER_NAMES`` with the statement of the paper it carries.
 
 Standard library only: each ``src/chebylift/*.py`` is parsed with ``ast``;
 a name counts as used when it occurs as a name anywhere in the module,
@@ -9,7 +11,8 @@ including inside string annotations such as ``Optional["Report"]``.  A
 private function, class or constant counts as read when a statement other
 than its own definition loads it as a name or an attribute; a private
 class member counts as read when code outside its own definition loads it
-as an attribute.
+as an attribute.  A public name counts as loaded by the same rule, over
+the statements of ``src/chebylift/`` and ``perfbench/``.
 """
 
 import ast
@@ -18,6 +21,16 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chebylift"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: public names that only tests load, kept for the statement they check
+PAPER_NAMES = {
+    "check_necessary": "necessity: c' = c0' (d0 + n0), n0 from the frame of D",
+    "classify_special": "the lightlike line, planar and helix special cases",
+    "reduce_from_l3": "Cauchy data in L^3 embed as data in R^4_1",
+    "check_sum_one": "a Chebyshev net has E + G = 1 in (t, s) coordinates",
+    "gallery_generators": "the critical example as a first-kind net",
+    "frame_identity_residuals": "the half-angle identities of the frame",
+}
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -89,6 +102,21 @@ def dead_private_names(trees: dict) -> list:
             if not any(name in names for s, names in reads if s is not stmt)]
 
 
+def unloaded_public_names(trees: dict, callers: list) -> list:
+    """module:name for each public top-level function or class of ``trees``
+    that no statement of the parsed files ``callers`` (which hold the
+    trees themselves) loads, other than its own definition."""
+    reads = [(stmt, read_names(stmt)) for tree in callers
+             for stmt in tree.body]
+    return [f"{mod}:{stmt.name}" for mod, tree in trees.items()
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and not any(stmt.name in names for s, names in reads
+                        if s is not stmt)]
+
+
 def attribute_reads(node: ast.AST) -> list:
     """Names loaded as attributes anywhere inside ``node``."""
     return [n.attr for n in ast.walk(node)
@@ -149,6 +177,38 @@ def test_dead_private_names_are_found():
     assert dead_private_names({"m": tree}) == ["m:_B", "m:_f"]
     assert dead_private_names({"n": defines_d}) == ["n:_D"]
     assert dead_private_names({"n": defines_d, "o": other}) == []
+
+
+def test_every_public_name_is_loaded_or_states_the_paper():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(BENCH.rglob("*.py"))]
+    unloaded = unloaded_public_names(trees, [*trees.values(), *bench])
+    names = {u.split(":")[1] for u in unloaded}
+    assert names <= PAPER_NAMES.keys(), (
+        f"public names that src/ and perfbench/ never load: "
+        f"{sorted(u for u in unloaded if u.split(':')[1] not in PAPER_NAMES)}")
+    assert PAPER_NAMES.keys() <= names, (
+        f"PAPER_NAMES entries that code loads or that do not exist: "
+        f"{sorted(PAPER_NAMES.keys() - names)}")
+
+
+def test_unloaded_public_names_are_found():
+    tree = ast.parse("def f(n):\n"
+                     "    return f(n - 1)\n"
+                     "def g(): ...\n"
+                     "class C: ...\n"
+                     "class D:\n"
+                     "    def make(self) -> 'D': ...\n"
+                     "def _p():\n"
+                     "    return g()\n")
+    bench = ast.parse("import m\n"
+                      "m.C()\n")
+    assert unloaded_public_names({"m": tree}, [tree]) == [
+        "m:f", "m:C", "m:D"]
+    assert unloaded_public_names({"m": tree}, [tree, bench]) == [
+        "m:f", "m:D"]
 
 
 def test_every_private_member_is_read():

@@ -125,6 +125,12 @@ class TestMeanCurvature:
         # zero up to eps/h^2 rounding in the mixed stencil
         assert mean_curvature(planar_lift()).sup() < 1e-11
 
+    def test_zero_angle_everywhere_raises(self):
+        s = planar_lift(n=21)
+        flat = replace(s, theta=np.zeros_like(s.theta))
+        with pytest.raises(DegenerateAngle, match="whole grid"):
+            mean_curvature(flat)
+
 
 class TestNormalFrame:
     def test_center_values(self, critical_lift):
@@ -319,6 +325,19 @@ class TestDecomposeMinimal:
         n0, n3, _ = decompose_minimal(s)
         assert np.abs(n0.points - [1, 0, 0]).max() < 1e-10
         assert np.abs(n3.points - [0, 0, 1]).max() < 1e-10
+
+    def test_not_a_sum_of_generators(self):
+        # f + 5e-6 u v d3 has H = -5e-6 d3 at theta = pi/2, within the
+        # minimality tolerance, but its f_u moves by 5e-6 along each row
+        s = planar_lift(n=41)
+        g = s.grid
+        vals = g.values.copy()
+        vals[..., 3] += 5e-6 * g.us[:, None] * g.vs[None, :]
+        bumped = replace(s, grid=g.with_values(vals))
+        assert mean_curvature(bumped).sup() <= 1e-5
+        with pytest.raises(NotMinimal) as err:
+            decompose_minimal(bumped)
+        assert err.value.check.name == "generator_dev"
 
     def test_noncritical_rejected(self, noncritical_lift):
         with pytest.raises(NotMinimal):

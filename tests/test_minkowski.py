@@ -3,9 +3,8 @@ import pytest
 
 from chebylift.errors import BadInput, NotLightlike, ZeroTimeComponent
 from chebylift.minkowski import (
-    D0, D1, D2, D3, CausalClass, build_frame, causal_class,
-    frame_identity_residuals, inner, plane_projector, project_lightlike,
-    wedge3,
+    D0, D1, D2, D3, build_frame, frame_identity_residuals, inner,
+    plane_projector, project_lightlike, wedge3,
 )
 
 
@@ -54,25 +53,6 @@ class TestInner:
             assert inner(u, v) == pytest.approx(inner(v, u), abs=1e-12)
             assert inner(s * u + t * w, v) == pytest.approx(
                 s * inner(u, v) + t * inner(w, v), abs=1e-12)
-
-
-class TestCausalClass:
-    def test_zero_is_spacelike(self):
-        assert causal_class(np.zeros(4)) is CausalClass.SPACELIKE
-
-    def test_basis(self):
-        assert causal_class(D0) is CausalClass.TIMELIKE
-        assert causal_class(D0 + D3) is CausalClass.LIGHTLIKE
-        assert causal_class(D1) is CausalClass.SPACELIKE
-
-    def test_tolerance_variant(self):
-        v = vec4(1.0, 1.0 + 1e-12, 0.0, 0.0)
-        assert causal_class(v) is CausalClass.SPACELIKE
-
-    @pytest.mark.parametrize("v", [np.zeros((2, 4)), np.zeros(3), 1.0])
-    def test_rejects_all_but_one_4_vector(self, v):
-        with pytest.raises(BadInput):
-            causal_class(v)
 
 
 class TestWedge3:
@@ -164,6 +144,22 @@ class TestBuildFrame:
             build_frame(2.0 * D1, D2)
         with pytest.raises(BadInput):
             build_frame(D1, D1)
+
+    @pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 4)), 1.0])
+    def test_not_one_4_vector(self, a):
+        with pytest.raises(BadInput, match="single 4-vectors"):
+            build_frame(a, D2)
+
+    def test_nu_lost_to_roundoff(self):
+        # with components near 1e5 the pair is orthonormal to 1e-6, within
+        # the tolerance, but the triple wedge sums terms near 1e15 and its
+        # roundoff leaves nu off unit
+        a, b = random_spacelike_pair(np.random.default_rng(2), span=1e5)
+        res = max(abs(inner(a, a) - 1.0), abs(inner(b, b) - 1.0),
+                  abs(inner(a, b)))
+        assert res <= 1e-5
+        with pytest.raises(BadInput, match="nu not unit"):
+            build_frame(a, b)
 
     def test_random_frame_invariants(self):
         rng = np.random.default_rng(5)
