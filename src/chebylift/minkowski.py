@@ -1,8 +1,9 @@
 """Lorentz-Minkowski vector algebra with signature (-,+,+,+).
 
-Vectors are plain numpy arrays of shape (..., 4); all operations broadcast
-over leading axes.  The Euclidean slice E = {0} x R^3 is handled through the
-``spatial`` helper, with E-points stored as 3-vectors.
+Vectors are plain numpy arrays of shape (..., 4); all operations but
+``build_frame`` broadcast over leading axes.  The Euclidean slice
+E = {0} x R^3 is handled through the ``spatial`` helper, with E-points
+stored as 3-vectors.
 
 The adapted frame of a spacelike plane span{a,b} consists of the unit
 timelike vector tau, the unit spacelike normal nu, the sphere points n0, n3
@@ -12,6 +13,7 @@ theta with cos theta = <n0,n3>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,45 +103,52 @@ class MinkowskiFrame:
 def build_frame(a: np.ndarray, b: np.ndarray) -> MinkowskiFrame:
     """Construct the adapted frame of the spacelike plane span{a, b}.
 
-    ``a`` and ``b`` must be orthonormal spacelike within ``ORTHO_TOL``,
-    which leaves room above the 1e-6 to which the Cauchy solver checks the
-    pairs of its data before it frames them.
-    nu is evaluated as -tau^a^b through the triple wedge, which is unit;
-    the printed cofactor shortcut Delta_23 d1 - Delta_13 d2 + Delta_12 d3
-    equals tau0 * nu and is therefore not unit when tau0 > 1.
-
-    tau and nu are normalized before tau -+ nu is projected.  A pair off
-    orthonormal by up to ``ORTHO_TOL`` leaves tau and nu off unit by about
-    as much, and tau -+ nu would then be off lightlike by more than the
-    projection's roundoff-level tolerance; normalized, tau -+ nu is
-    lightlike to roundoff (nu is orthogonal to tau through the wedge), so
-    every pair this function accepts has a frame.
+    ``a`` and ``b`` must be finite and orthonormal spacelike within
+    ``ORTHO_TOL``, which leaves room above the 1e-6 to which the Cauchy
+    solver checks the pairs of its data before it frames them.
+    nu is the printed cofactor vector (0, Delta_23, -Delta_13, Delta_12)
+    over tau0.  It equals -tau^a^b, since tau - d0/tau0 lies in span{a, b},
+    but unlike the triple wedge it sums no terms that cancel.  With e the
+    largest Gram residual of the pair, |<nu,nu> - 1| <= 2e + 2e^2, so at
+    most about 2 ``ORTHO_TOL``; so is |<tau,tau> + 1|, which is computed
+    from those residuals.  tau and nu are normalized, so tau -+ nu is
+    lightlike to roundoff and every pair accepted has a frame.  The kernel
+    works in Python floats: numpy's overhead per call on 4-vectors would
+    cost several times the arithmetic.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (4,) or b.shape != (4,):
         raise BadInput("frame inputs must be single 4-vectors")
-    res = max(abs(inner(a, a) - 1.0), abs(inner(b, b) - 1.0), abs(inner(a, b)))
+    a0, a1, a2, a3 = a.tolist()
+    b0, b1, b2, b3 = b.tolist()
+    eaa = -a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 - 1.0
+    ebb = -b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 - 1.0
+    eab = -a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    # a NaN or inf component, or a square that overflows, reaches the sum
+    if not math.isfinite(eaa + ebb + eab):
+        raise BadInput("frame inputs and their inner products must be finite")
+    res = max(abs(eaa), abs(ebb), abs(eab))
     if res > ORTHO_TOL:
-        raise BadInput(
-            f"inputs are not an orthonormal spacelike pair (residual {res:.3e})")
+        raise BadInput("inputs are not an orthonormal spacelike pair",
+                       Check("orthonormal", res, ORTHO_TOL))
 
-    a0, b0 = a[0], b[0]
-    tau0 = float(np.sqrt(1.0 + a0 * a0 + b0 * b0))
-    tau = (D0 + a0 * a + b0 * b) / tau0
-    nu = -wedge3(tau, a, b)
-    nu2 = inner(nu, nu)
-    if abs(nu2 - 1.0) > 1e3 * ORTHO_TOL + 1e-12:
-        raise BadInput("span{a,b} is not a spacelike plane (nu not unit)")
-    tau = tau / np.sqrt(-inner(tau, tau))
-    nu = nu / np.sqrt(nu2)
-
-    n0 = project_lightlike(tau - nu)
-    n3 = project_lightlike(tau + nu)
-    cos_theta = float(np.clip(inner(n0, n3), -1.0, 1.0))
-    theta = float(np.arccos(cos_theta))
-    return MinkowskiFrame(a=a, b=b, tau=tau, nu=nu, tau0=tau0, n0=n0, n3=n3,
-                          theta=theta)
+    t2 = 1.0 + a0 * a0 + b0 * b0
+    tau0 = math.sqrt(t2)
+    # tau = (d0 + a0 a + b0 b) / tau0 has <tau,tau> = -1 + x / tau0^2
+    x = a0 * a0 * eaa + b0 * b0 * ebb + 2.0 * a0 * b0 * eab
+    tn = tau0 * math.sqrt(1.0 - x / t2)
+    tau = [t2 / tn, (a0 * a1 + b0 * b1) / tn, (a0 * a2 + b0 * b2) / tn,
+           (a0 * a3 + b0 * b3) / tn]
+    # the printed cofactor vector; its factor 1/tau0 cancels in the norm
+    nu = [0.0, a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    nn = math.sqrt(nu[1] * nu[1] + nu[2] * nu[2] + nu[3] * nu[3])
+    nu = [v / nn for v in nu]
+    n0, n3 = project_lightlike(np.array(
+        [[t - v for t, v in zip(tau, nu)], [t + v for t, v in zip(tau, nu)]]))
+    theta = math.acos(min(1.0, max(-1.0, float(n0 @ n3))))
+    return MinkowskiFrame(a=a, b=b, tau=np.array(tau), nu=np.array(nu),
+                          tau0=tau0, n0=n0, n3=n3, theta=theta)
 
 
 def frame_identity_residuals(f: MinkowskiFrame) -> Report:

@@ -5,9 +5,13 @@ import pickle
 import numpy as np
 import pytest
 
-from chebylift.errors import (Check, ChebyliftError, IncompatibleData,
-                              NotMinimal, Report)
-from chebylift.numerics import sup_check
+from chebylift.bjorling import ExtensionChoice, reduce_from_l3, solve
+from chebylift.chebnet import equivalent_immersion, first_form, gallery
+from chebylift.errors import (BadData, BadGrid, Check, ChebyliftError,
+                              EmptyOverlap, ExtensionMismatch,
+                              IncompatibleData, NotMinimal, Report)
+from chebylift.lift import gaussian_curvature, lift_net
+from chebylift.numerics import Grid2D, SampledCurve, frenet, sup_check
 
 
 class TestCheck:
@@ -74,3 +78,74 @@ class TestErrorCarriesCheck:
     def test_without_check(self):
         err = NotMinimal("plain message")
         assert err.check is None and str(err) == "plain message"
+
+
+def curve(fn, n=21):
+    ts = np.linspace(-1.0, 1.0, n)
+    return SampledCurve(t_min=-1.0, dt=float(ts[1] - ts[0]),
+                        points=np.asarray(fn(ts), dtype=float))
+
+
+def grid(values, u_min=0.0):
+    return Grid2D(u_min=u_min, v_min=0.0, du=1.0, dv=1.0, values=values)
+
+
+LINE = lambda t: np.stack([t, t, 0 * t], axis=1)         # lightlike in L^3
+UP = lambda t: np.tile([0.0, 0.0, 1.0], (t.size, 1))   # unit normal to it
+
+
+def unknown_extension_kind():
+    from test_bjorling import helix_data
+    solve(helix_data(n=101)[0], ExtensionChoice(kind="bogus"))
+
+
+#: (call, error type, message) of guards that no other test raises
+GUARDS = {
+    "grid_ndim": (lambda: grid(np.zeros(5)), BadGrid,
+                  "grid payload must be"),
+    "grid_nan": (lambda: grid(np.full((4, 4), np.nan)), BadGrid,
+                 "grid values must be finite"),
+    "curve_ndim": (lambda: SampledCurve(0.0, 0.1, np.zeros(9)), BadGrid,
+                   "curve points must be a (n, k) array"),
+    "curve_inf": (lambda: curve(lambda t: np.stack(
+        [t, np.where(t > 0.5, np.inf, t)], axis=1)),
+        BadGrid, "curve points must be finite"),
+    "frenet_4d": (lambda: frenet(curve(lambda t: np.stack([t] * 4, axis=1))),
+                  BadGrid, "frenet expects a curve in E"),
+    "first_form_4d": (lambda: first_form(grid(np.zeros((5, 5, 4)))), BadGrid,
+                      "first_form expects a grid of E-points"),
+    "direction": (lambda: equivalent_immersion(grid(np.zeros((5, 5))), "up"),
+                  BadGrid, "unknown direction 'up'"),
+    "route": (lambda: gaussian_curvature(
+        lift_net(gallery("critical", 11, 11).net), route="other"),
+        BadGrid, "unknown route 'other'"),
+    "gallery": (lambda: gallery("torus"), BadGrid,
+                "unknown gallery entry 'torus'"),
+    "l3_components": (lambda: reduce_from_l3(
+        curve(lambda t: np.stack([t, t, 0 * t, 0 * t], axis=1)), curve(UP)),
+        BadData, "curves in R^3_1 (3 components)"),
+    "l3_grid": (lambda: reduce_from_l3(curve(LINE), curve(UP, n=31)),
+                BadData, "share their sample grid"),
+    "l3_time": (lambda: reduce_from_l3(
+        curve(lambda t: np.stack([-t, t, 0 * t], axis=1)), curve(UP)),
+        BadData, "gamma0'(t) must be positive"),
+    "l3_unit": (lambda: reduce_from_l3(curve(LINE),
+                                       curve(lambda t: 2.0 * UP(t))),
+                BadData, "n is not unit spacelike"),
+    "l3_normal": (lambda: reduce_from_l3(curve(LINE), curve(
+        lambda t: np.tile([0.0, 1.0, 0.0], (t.size, 1)))),
+        BadData, "n is not normal to gamma'"),
+    "extension_kind": (unknown_extension_kind, ExtensionMismatch,
+                       "unknown extension kind 'bogus'"),
+    # us[-1] - us[0] rounds to 0 at u_min = 1e20, du = 1
+    "overlap": (lambda: equivalent_immersion(grid(np.zeros((4, 4)), 1e20)),
+                EmptyOverlap, "inscribed rectangle degenerates"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_raises(name):
+    call, error, message = GUARDS[name]
+    with pytest.raises(error) as err:
+        call()
+    assert message in str(err.value)
