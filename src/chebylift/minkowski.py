@@ -114,7 +114,10 @@ def build_frame(a: np.ndarray, b: np.ndarray) -> MinkowskiFrame:
     from those residuals.  tau and nu are normalized, so tau -+ nu is
     lightlike to roundoff and every pair accepted has a frame.  The kernel
     works in Python floats: numpy's overhead per call on 4-vectors would
-    cost several times the arithmetic.
+    cost several times the arithmetic.  pi is done in floats too, with
+    ``project_lightlike``'s two guards (``NotLightlike``,
+    ``ZeroTimeComponent``) and its quotients, so n0 and n3 are its output
+    bit for bit; cos theta is the float dot of n0 and n3.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -144,11 +147,26 @@ def build_frame(a: np.ndarray, b: np.ndarray) -> MinkowskiFrame:
     nu = [0.0, a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
     nn = math.sqrt(nu[1] * nu[1] + nu[2] * nu[2] + nu[3] * nu[3])
     nu = [v / nn for v in nu]
-    n0, n3 = project_lightlike(np.array(
-        [[t - v for t, v in zip(tau, nu)], [t + v for t, v in zip(tau, nu)]]))
-    theta = math.acos(min(1.0, max(-1.0, float(n0 @ n3))))
+    n0 = _project_floats([t - v for t, v in zip(tau, nu)])
+    n3 = _project_floats([t + v for t, v in zip(tau, nu)])
+    c = n0[1] * n3[1] + n0[2] * n3[2] + n0[3] * n3[3]
+    theta = math.acos(min(1.0, max(-1.0, c)))
     return MinkowskiFrame(a=a, b=b, tau=np.array(tau), nu=np.array(nu),
-                          tau0=tau0, n0=n0, n3=n3, theta=theta)
+                          tau0=tau0, n0=np.array(n0), n3=np.array(n3),
+                          theta=theta)
+
+
+def _project_floats(L: list) -> list:
+    """``project_lightlike`` of one 4-vector of Python floats, with its
+    guards and messages."""
+    l0, l1, l2, l3 = L
+    q = -l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+    e2 = l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+    if abs(q) > 1e-9 * max(e2, 1.0):
+        raise NotLightlike("projection requires a lightlike vector")
+    if abs(l0) <= 1e-12:
+        raise ZeroTimeComponent("lightlike vector with vanishing x0")
+    return [0.0, l1 / l0, l2 / l0, l3 / l0]
 
 
 def frame_identity_residuals(f: MinkowskiFrame) -> Report:

@@ -30,6 +30,8 @@ PAPER_NAMES = {
     "check_sum_one": "a Chebyshev net has E + G = 1 in (t, s) coordinates",
     "gallery_generators": "the critical example as a first-kind net",
     "frame_identity_residuals": "the half-angle identities of the frame",
+    "project_lightlike": "pi: a lightlike vector's point on the unit sphere "
+                         "of E (n0 = pi(tau - nu), n3 = pi(tau + nu))",
 }
 
 

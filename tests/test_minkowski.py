@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebylift import minkowski as mk
 from chebylift.errors import BadInput, Check, NotLightlike, ZeroTimeComponent
 from chebylift.minkowski import (
     D0, D1, D2, D3, ORTHO_TOL, build_frame, frame_identity_residuals, inner,
@@ -79,7 +82,7 @@ class TestWedge3:
         for _ in range(100):
             u, v, w = rng.normal(size=(3, 4))
             r = wedge3(u, v, w)
-            assert np.allclose(r, oracle_wedge(u, v, w), atol=1e-10)
+            assert np.allclose(r, oracle_wedge(u, v, w), atol=1e-10, rtol=0)
             for arg in (u, v, w):
                 assert abs(inner(r, arg)) < 1e-10
 
@@ -114,6 +117,20 @@ class TestProjectLightlike:
             project_lightlike(D0)
         with pytest.raises(ZeroTimeComponent):
             project_lightlike(vec4(0, 0, 0, 0))
+
+    @pytest.mark.parametrize("L", [
+        D0, vec4(0, 0, 0, 0), vec4(1, 0, 0, 1 + 1e-8),
+        vec4(1, 0, 0, 1 + 1e-10), vec4(2, 0, -2, 0), vec4(-1, 0.6, 0, 0.8)])
+    def test_float_copy(self, L):
+        # build_frame's float pi raises what the array pi raises, and
+        # returns what it returns
+        try:
+            ref = project_lightlike(L)
+        except (NotLightlike, ZeroTimeComponent) as err:
+            with pytest.raises(type(err), match=str(err)):
+                mk._project_floats(L.tolist())
+        else:
+            assert mk._project_floats(L.tolist()) == ref.tolist()
 
 
 class TestBuildFrame:
@@ -203,7 +220,8 @@ class TestBuildFrame:
             d23 = a[2] * b[3] - a[3] * b[2]
             d13 = a[1] * b[3] - a[3] * b[1]
             d12 = a[1] * b[2] - a[2] * b[1]
-            assert np.allclose(vec4(0, d23, -d13, d12), f.tau0 * f.nu, atol=1e-10)
+            assert np.allclose(vec4(0, d23, -d13, d12), f.tau0 * f.nu,
+                               atol=1e-10, rtol=0)
 
     @settings(derandomize=True, max_examples=300, deadline=None,
               database=None)
@@ -248,6 +266,42 @@ class TestBuildFrame:
             assert np.allclose(w / np.sqrt(inner(w, w)), f.nu, atol=1e-13,
                                rtol=0)
 
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_float_pi_is_project_lightlike(self, seed):
+        # build_frame projects tau -+ nu in floats; the array pi must give
+        # the same n0 and n3 bit for bit, and theta must be the acos of a
+        # dot within a few ulps of n0 . n3 (the sums run in another order)
+        rng = np.random.default_rng(seed)
+        a, b = random_spacelike_pair(rng, 10.0 ** rng.uniform(-3.0, 4.0))
+        f = build_frame(a, b)
+        n0, n3 = project_lightlike(np.stack([f.tau - f.nu, f.tau + f.nu]))
+        assert np.array_equal(f.n0, n0) and np.array_equal(f.n3, n3)
+        c, ulps = float(f.n0 @ f.n3), 4 * np.finfo(float).eps
+        assert (math.acos(min(1.0, c + ulps)) <= f.theta
+                <= math.acos(max(-1.0, c - ulps)))
+
+    def test_no_array_pi(self, monkeypatch):
+        # pi, the inner products and theta stay in floats: one frame calls
+        # neither the array projection nor an einsum
+        a, b = random_spacelike_pair(np.random.default_rng(11))
+        called = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                called.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("project_lightlike", "inner"):
+            counted(mk, name)
+        counted(np, "einsum")
+        build_frame(a, b)
+        assert called == []
+
     def test_lightlike_pair_metric_coefficient(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -290,12 +344,12 @@ class TestPlaneProjector:
             a, b = random_spacelike_pair(rng)
             pairs.append((a, b))
             P = plane_projector(a, b)
-            assert np.allclose(P @ P, P, atol=1e-10)
-            assert np.allclose(P @ a, a, atol=1e-10)
-            assert np.allclose(P @ b, b, atol=1e-10)
+            assert np.allclose(P @ P, P, atol=1e-10, rtol=0)
+            assert np.allclose(P @ a, a, atol=1e-10, rtol=0)
+            assert np.allclose(P @ b, b, atol=1e-10, rtol=0)
             f = build_frame(a, b)
-            assert np.allclose(P @ f.tau, 0.0, atol=1e-10)
-            assert np.allclose(P @ f.nu, 0.0, atol=1e-10)
+            assert np.allclose(P @ f.tau, 0.0, atol=1e-10, rtol=0)
+            assert np.allclose(P @ f.nu, 0.0, atol=1e-10, rtol=0)
         # stacked pairs: one projector per pair, equal to the single ones
         A = np.array([a for a, _ in pairs]).reshape(4, 5, 4)
         B = np.array([b for _, b in pairs]).reshape(4, 5, 4)
@@ -312,4 +366,5 @@ class TestPlaneProjector:
         a, b = random_spacelike_pair(rng)
         c = np.cos(0.3) * a + np.sin(0.3) * b
         d = -np.sin(0.3) * a + np.cos(0.3) * b
-        assert np.allclose(plane_projector(a, b), plane_projector(c, d), atol=1e-10)
+        assert np.allclose(plane_projector(a, b), plane_projector(c, d),
+                           atol=1e-10, rtol=0)
