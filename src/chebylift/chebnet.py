@@ -6,9 +6,9 @@ built from two sphere curves as X = p0 + int T1 + int T2; for those the
 metric coefficient F(u, v) = <T1(u), T2(v)> is evaluated directly, with no
 differentiation, and the net keeps its generators: X_u = T1(u), X_v = T2(v)
 and X_uv = 0 hold exactly, so its shape operator needs only the 1-D
-derivatives T1' and T2'.  Any other net, or a net whose grid was replaced,
-has its shape operator differenced from the point grid.  Net points are
-stored as 3-vectors of E throughout.
+derivatives T1' and T2' and (n, n) products of the curves.  Any other
+net, or a net whose grid was replaced, has its shape operator differenced
+from the point grid.  Net points are stored as 3-vectors of E throughout.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .errors import (BadGrid, Check, DegenerateMetric, DisjointnessViolated,
                      EmptyOverlap, Report)
-from .numerics import (Grid2D, SphereCurve, cross, cumulative_integral,
-                       cumulative_samples, diff_samples, grid_from_ranges,
-                       partials, sample_curve, sup_check)
+from .numerics import (Grid2D, SphereCurve, _vector_norm, cross,
+                       cumulative_integral, cumulative_samples, diff_samples,
+                       grid_from_ranges, partials, sample_curve, sup_check)
 
 DISJOINT_MARGIN = 1e-6
 SUM_ONE_TOL = 1e-8       # check_sum_one: |E + G - 1|
@@ -85,7 +85,9 @@ class NetSurface:
 class EuclideanShape:
     """Gauss map, second fundamental form and Gaussian curvature of a net."""
 
-    gauss_map: np.ndarray   # (nu, nv, 3) unit vectors
+    # (nu, nv, 3) unit vectors; on the generator route a read-only view of
+    # a component-major (3, nu, nv) array, otherwise C-contiguous
+    gauss_map: np.ndarray
     e: np.ndarray
     f: np.ndarray
     g: np.ndarray
@@ -398,9 +400,16 @@ def euclidean_shape(n: NetSurface) -> EuclideanShape:
     computed once per net; its arrays are read-only.
 
     For a net with generators (``build_first_kind``) they are exact in the
-    generators: N = T1 x T2 / |T1 x T2|, e = <T1'(u), N>, f = 0,
-    g = <T2'(v), N> and K_T = e g / (1 - F^2), with T1' and T2' differenced
-    along the curves.  Otherwise every partial is differenced from the grid.
+    generators and come from products of the 1-D curves: each component
+    (T1 x T2)_k = T1_i T2_j - T1_j T2_i, (i, j) = (k+1, k+2) mod 3, is a
+    rank-2 matrix product; N = T1 x T2 / |T1 x T2| with the norm of those
+    three grids (|T| may miss 1 by 1e-9 on a ``SphereCurve``, so it is not
+    sqrt(1 - F^2)); e = <T1', N> = ((T1' x T1) T2^T) / |T1 x T2| and
+    g = <T2', N> = (T1 (T2 x T2')^T) / |T1 x T2|, the determinants
+    det(T1', T1, T2) and det(T2', T1, T2) over |T1 x T2|; f = 0 and
+    K_T = e g / (1 - F^2).  T1' and T2' are differenced along the curves,
+    and ``gauss_map`` is a (nu, nv, 3) view of a (3, nu, nv) array.
+    Otherwise every partial is differenced from the grid.
     """
     return n._shape
 
@@ -412,20 +421,39 @@ def _generator_tangents(gen: Generators) -> tuple:
             np.broadcast_to(gen.T2.points[None, :, :], shape))
 
 
+def _generator_shape(gen: Generators) -> tuple:
+    """Gauss map, e and g of ``euclidean_shape`` on the generator route,
+    from products of the 1-D curves: the Gauss map is a (nu, nv, 3) view
+    of a read-only (3, nu, nv) array."""
+    P1, P2 = gen.T1.points, gen.T2.points
+    N = np.empty((3, gen.T1.n, gen.T2.n))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.matmul(P1[:, [i, j]], np.stack([P2[:, j], -P2[:, i]]), out=N[k])
+    norm = _vector_norm(N.transpose(1, 2, 0))
+    N /= norm
+    T1p = diff_samples(P1, gen.T1.dt, 1)
+    T2p = diff_samples(P2, gen.T2.dt, 1)
+    e = cross(T1p, P1) @ P2.T
+    e /= norm
+    g = P1 @ cross(P2, T2p).T
+    g /= norm
+    return _read_only(N).transpose(1, 2, 0), e, g
+
+
 def _shape_of(n: NetSurface) -> EuclideanShape:
     gen, g = _generators(n), n.grid
     if gen is None:
         Xu, Xv, E, F, G = _partials_and_form(g)
         det = E * G - F * F
     else:
-        Xu, Xv = _generator_tangents(gen)
         det = 1.0 - n.F * n.F
     if det.min() <= 1e-9:
         raise DegenerateMetric(
             f"EG - F^2 reaches {det.min():.3e}; shape quantities undefined")
-    gauss = cross(Xu, Xv)
-    gauss /= np.linalg.norm(gauss, axis=-1)[..., None]
     if gen is None:
+        gauss = cross(Xu, Xv)
+        gauss /= _vector_norm(gauss)[..., None]
         Xuu = partials(g, "uu")
         Xvv = partials(g, "vv")
         Xuv = diff_samples(Xu, g.dv, 1, axis=1)
@@ -433,11 +461,8 @@ def _shape_of(n: NetSurface) -> EuclideanShape:
         f = np.einsum("ijk,ijk->ij", Xuv, gauss)
         gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
     else:
-        T1p = diff_samples(gen.T1.points, gen.T1.dt, 1)
-        T2p = diff_samples(gen.T2.points, gen.T2.dt, 1)
-        e = np.einsum("ik,ijk->ij", T1p, gauss)
+        gauss, e, gg = _generator_shape(gen)
         f = np.zeros_like(e)
-        gg = np.einsum("jk,ijk->ij", T2p, gauss)
     K_T = (e * gg - f * f) / det
     return EuclideanShape(
         gauss_map=_read_only(gauss), e=_read_only(e), f=_read_only(f),
@@ -463,14 +488,24 @@ def sine_gordon_residual(n: NetSurface, shape: EuclideanShape) -> Grid2D:
 
     Interior means nodes where the centered stencils apply (two-node trim);
     near theta = 0 or pi the arccos differencing degenerates and values
-    there should be judged with the usual degenerate-angle mask.
+    there should be judged with the usual degenerate-angle mask.  sin theta
+    is read from the stored metric coefficient F = cos theta as
+    sqrt((1 - F)(1 + F)), with F clipped to [-1, 1] as theta is, and only
+    on those interior nodes.
     """
     g = n.grid
     theta_uv, = _angle_partials(n.theta, g, ("uv",))
-    res = theta_uv + shape.K_T * np.sin(n.theta)
     it = slice(2, -2)
+    F = np.clip(n.F[it, it], -1.0, 1.0)
+    res = 1.0 - F
+    F += 1.0
+    res *= F
+    del F
+    np.sqrt(res, out=res)   # sin theta
+    res *= shape.K_T[it, it]
+    res += theta_uv[it, it]
     return Grid2D(u_min=g.u_min + 2 * g.du, v_min=g.v_min + 2 * g.dv,
-                  du=g.du, dv=g.dv, values=res[it, it])
+                  du=g.du, dv=g.dv, values=res)
 
 
 # ---------------------------------------------------------------------------

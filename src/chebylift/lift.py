@@ -20,6 +20,13 @@ from the grid by each call that needs them.
 ``verify_null_coords`` always differences the grid: it checks the samples
 themselves.  Nothing is kept on a lift beyond its fields.
 
+Every curvature call reads the angle's trigonometry from the stored metric
+coefficient g12 = cos theta - 1, with no trigonometric call on the grid:
+cos theta = 1 + g12, 1 - cos theta = -g12 exactly, sin^2(theta/2) =
+-g12/2, sin^2 theta = -g12 (2 + g12) and sin theta its square root.  Only
+the normal frame, and the coordinate change that resamples theta, evaluate
+sin and cos of theta.
+
 Nodes where the net angle approaches 0 or pi are excluded from the
 quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
 ``gaussian_curvature`` and ``normal_frame`` return the offending-node mask
@@ -43,7 +50,8 @@ from .chebnet import (Generators, NetSurface, _angle_partials,
                       build_first_kind, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
-from .numerics import Grid2D, SphereCurve, cross, partials, sup_check
+from .numerics import (Grid2D, SphereCurve, cross, diff_samples, partials,
+                       sup_check)
 
 #: nodes with 1 - |cos theta| below this are excluded from angle-divided sups
 ANGLE_MARGIN = 0.1
@@ -68,7 +76,9 @@ class LiftSurface:
 
     grid: Grid2D            # payload (nu, nv, 4)
     theta: np.ndarray
-    g12: np.ndarray         # -1 + cos theta
+    # -1 + cos theta, in [-2, 0]: the curvature calls read cos theta and
+    # sin theta from it
+    g12: np.ndarray
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
     generators: Optional[Generators] = None
@@ -152,7 +162,8 @@ def _degenerate_mask(cos_theta: np.ndarray) -> np.ndarray:
 
 
 def mean_curvature(s: LiftSurface) -> MaskedField:
-    """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)).
+    """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)) = f_uv / g12,
+    with sin^2(theta/2) = -g12/2.
 
     On a lift with live generators f_uv = 0 exactly, so H is 0.  Otherwise
     f_uv is ``partials(grid, "uv")``: the x0 part of f is the separable sum
@@ -162,18 +173,33 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    sin2 = (1.0 - np.cos(s.theta)) / 2.0
+    if _generators(s) is not None:
+        return _mean_curvature(s, None)
+    return _mean_curvature(s, partials(s.grid, "uv"))
+
+
+def _mean_curvature(s: LiftSurface, fuv: Optional[np.ndarray]) -> MaskedField:
+    """H of ``mean_curvature`` from the mixed partial ``fuv``, or H = 0
+    when ``fuv`` is None (live generators)."""
+    sin2 = -0.5 * s.g12
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
         raise DegenerateAngle("sin(theta/2) vanishes on the whole grid")
-    if _generators(s) is not None:
+    if fuv is None:
         H = np.zeros(s.grid.values.shape)
     else:
-        fuv = partials(s.grid, "uv")
         denom = np.where(degenerate, 1.0, sin2)
         H = fuv / (-2.0 * denom)[..., None]
     H[degenerate] = np.nan
     return MaskedField(values=H, degenerate=degenerate)
+
+
+def _differenced_h(s: LiftSurface) -> tuple:
+    """f_u and H of a lift without live generators, from one pass along u:
+    f_uv is that f_u differenced along v, as ``partials(grid, "uv")``
+    does, so H equals ``mean_curvature(s)`` bit for bit."""
+    fu = partials(s.grid, "u")
+    return fu, _mean_curvature(s, diff_samples(fu, s.grid.dv, 1, axis=1))
 
 
 def normal_frame(s: LiftSurface) -> NormalFrame:
@@ -218,14 +244,16 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     and states sup_off_e2 = sup_dot_etilde = 0.0 as info."""
     if s.coords != NULL_COORDS:
         raise BadGrid("h_parallel_e2 needs the null-coordinate form")
+    cos_theta = 1.0 + s.g12
     if _generators(s) is not None:
-        if np.all(_degenerate_mask(np.cos(s.theta))):
+        if np.all(_degenerate_mask(cos_theta)):
             raise DegenerateAngle("net angle degenerate on the whole grid")
         return Report((), {"route": "generators", "sup_off_e2": 0.0,
                            "sup_dot_etilde": 0.0})
-    H = mean_curvature(s)
-    fr = normal_frame(s)
-    keep = ~(_degenerate_mask(np.cos(s.theta)) | H.degenerate | fr.degenerate)
+    fu, H = _differenced_h(s)
+    fr = _frame(mk.spatial(fu), mk.spatial(partials(s.grid, "v")), s.theta)
+    del fu                  # one (n, n, 4) grid fewer alive below
+    keep = ~(_degenerate_mask(cos_theta) | H.degenerate | fr.degenerate)
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
     np.subtract(H.values, off, out=off)
     axes = (s.grid.us, s.grid.vs)
@@ -241,27 +269,28 @@ def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:
     ``direct`` evaluates (theta_u theta_v - theta_uv sin theta) /
     (1 - cos theta)^2 from the theta grid; ``via_net`` substitutes the
     sine-Gordon relation and uses K_T of the source net:
-    (theta_u theta_v + K_T sin^2 theta) / (1 - cos theta)^2.
+    (theta_u theta_v + K_T sin^2 theta) / (1 - cos theta)^2.  The angle's
+    trigonometry comes from g12: 1 - cos theta = -g12 and
+    sin^2 theta = -g12 (2 + g12).
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("gaussian curvature needs the null-coordinate form")
     if route not in ("direct", "via_net"):
         raise BadGrid(f"unknown route {route!r}")
-    cth = np.cos(s.theta)
-    degenerate = _degenerate_mask(cth)
+    g12 = s.g12
+    degenerate = _degenerate_mask(1.0 + g12)
     if np.all(degenerate):
         raise DegenerateAngle("net angle degenerate on the whole grid")
-    denom = np.where(degenerate, 1.0, (1.0 - cth)**2)
-    del cth                 # one (n, n) grid fewer alive below
+    denom = np.where(degenerate, 1.0, g12 * g12)
     if route == "direct":
         tu, tv, tuv = _angle_partials(s.theta, s.grid, ("u", "v", "uv"))
-        K = (tu * tv - tuv * np.sin(s.theta)) / denom
+        K = (tu * tv - tuv * np.sqrt(-g12 * (2.0 + g12))) / denom
     else:
         if s.source is None:
             raise MissingSource("via_net route needs the source net")
         K_T = euclidean_shape(s.source).K_T
         tu, tv = _angle_partials(s.theta, s.grid, ("u", "v"))
-        K = (tu * tv + K_T * np.sin(s.theta)**2) / denom
+        K = (tu * tv + K_T * (-g12 * (2.0 + g12))) / denom
     K = np.where(degenerate, np.nan, K)
     return MaskedField(values=K, degenerate=degenerate)
 
@@ -302,12 +331,12 @@ def decompose_minimal(s: LiftSurface) -> tuple:
         return (replace(gen.T1, points=gen.T1.points.copy()),
                 replace(gen.T2, points=gen.T2.points.copy()),
                 g.values[i0, j0].copy())
-    H = mean_curvature(s)
+    fu, H = _differenced_h(s)
     chk = sup_check("h_sup", H.values, MINIMAL_TOL, keep=~H.degenerate,
                     axes=(g.us, g.vs))
     if not chk.passed:
         raise NotMinimal("lift is not minimal", chk)
-    fu, fv = (mk.spatial(partials(g, w)) for w in "uv")
+    fu, fv = mk.spatial(fu), mk.spatial(partials(g, "v"))
     n0_pts = fu.mean(axis=1)
     n3_pts = fv.mean(axis=0)
     dev = np.abs(fu - n0_pts[:, None, :])

@@ -392,6 +392,17 @@ def frenet(alpha: SampledCurve) -> FrenetData:
 # ---------------------------------------------------------------------------
 # norms
 
+def _vector_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: the root of the component
+    squares summed in index order, which is how ``np.linalg.norm(x,
+    axis=-1)`` sums them, so the result equals it bit for bit, in a few
+    whole-grid passes instead of a strided reduction."""
+    s = np.square(x[..., 0])
+    for k in range(1, x.shape[-1]):
+        s += np.square(x[..., k])
+    return np.sqrt(s, out=s)
+
+
 def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
               keep: Optional[np.ndarray] = None, axes: tuple = ()) -> Check:
     """``Check`` of the sup of |values| (the norm over the last axis of a
@@ -400,7 +411,7 @@ def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
     of ``axes``, one parameter array per index, there.  Raises
     ``DegenerateAngle`` when ``keep`` keeps no node."""
     a = np.asarray(values, dtype=float)
-    a = np.linalg.norm(a, axis=-1) if a.ndim == 3 else np.abs(a)
+    a = _vector_norm(a) if a.ndim == 3 else np.abs(a)
     masked = 0 if keep is None else keep.size - int(np.count_nonzero(keep))
     if keep is not None:
         if masked == keep.size:

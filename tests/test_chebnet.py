@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import RectBivariateSpline
 
 from chebylift import numerics
@@ -13,7 +14,8 @@ from chebylift.chebnet import (
 )
 from chebylift.errors import (DegenerateMetric, DisjointnessViolated,
                               EmptyOverlap)
-from chebylift.numerics import SphereCurve, grid_from_ranges, sample_curve
+from chebylift.numerics import (SphereCurve, diff_samples, grid_from_ranges,
+                                sample_curve)
 
 
 def normalized_trig_curve(rng, n=201, t_range=(-0.5, 0.5), max_freq=2,
@@ -422,6 +424,39 @@ class TestEuclideanShape:
         for name in ("K_T", "gauss_map"):
             err = lambda s: np.abs(getattr(s, name) - oracles[name]).max()
             assert err(exact) <= err(differenced), name
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([41, 81, 201]),
+           half=st.floats(0.2, 0.5))
+    def test_generator_products_match_grid_formulas(self, seed, n, half):
+        # N, e and g from products of the 1-D curves against the formulas
+        # on (n, n, 3) grids: the cross product of the broadcast tangents,
+        # its norm and the contractions of T1' and T2' with N
+        T1, T2 = random_net_pair(np.random.default_rng(seed), n=n,
+                                 t_range=(-half, half))
+        assume(check_disjointness(T1, T2).passed)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        shape = euclidean_shape(net)
+        X1 = np.broadcast_to(T1.points[:, None, :], (n, n, 3))
+        X2 = np.broadcast_to(T2.points[None, :, :], (n, n, 3))
+        N = np.cross(X1, X2)
+        N /= np.linalg.norm(N, axis=-1)[..., None]
+        e = np.einsum("ik,ijk->ij", diff_samples(T1.points, T1.dt, 1), N)
+        g = np.einsum("jk,ijk->ij", diff_samples(T2.points, T2.dt, 1), N)
+        K_T = e * g / (1.0 - net.F * net.F)
+
+        def rel(a, b):
+            return (np.abs(a - b) / np.maximum(1.0, np.abs(b))).max()
+
+        assert shape.gauss_map.shape == (n, n, 3)
+        assert rel(shape.gauss_map, N) <= 1e-11
+        assert rel(shape.e, e) <= 1e-11
+        assert rel(shape.g, g) <= 1e-11
+        assert rel(shape.K_T, K_T) <= 1e-11
+        assert not shape.f.any()
+        unit = np.linalg.norm(shape.gauss_map, axis=-1)
+        assert np.abs(unit - 1.0).max() <= 4 * np.finfo(float).eps
 
     def test_computed_once_per_net(self, monkeypatch):
         T1, T2 = random_net_pair(np.random.default_rng(5), n=61)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chebylift import lift, minkowski as mk
+from chebylift import chebnet, lift, minkowski as mk, numerics
 from chebylift.bjorling import ExtensionChoice, solve
 from chebylift.chebnet import (
     build_first_kind, check_disjointness, euclidean_shape, gallery,
@@ -18,7 +18,8 @@ from chebylift.lift import (
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
     verify_null_coords,
 )
-from chebylift.numerics import SphereCurve, diff_samples, sample_curve
+from chebylift.numerics import (SphereCurve, diff_samples, partials,
+                                sample_curve)
 
 from test_bjorling import critical_lift_data, data_from_lift
 from test_chebnet import random_net_pair, record_diff_samples
@@ -127,7 +128,9 @@ class TestMeanCurvature:
 
     def test_zero_angle_everywhere_raises(self):
         s = planar_lift(n=21)
-        flat = replace(s, theta=np.zeros_like(s.theta))
+        # theta = 0 and g12 = cos theta - 1 = 0: H reads the angle from g12
+        flat = replace(s, theta=np.zeros_like(s.theta),
+                       g12=np.zeros_like(s.g12))
         with pytest.raises(DegenerateAngle, match="whole grid"):
             mean_curvature(flat)
 
@@ -258,6 +261,136 @@ class TestGaussianCurvature:
         K2 = gaussian_curvature(shifted, "direct")
         keep = ~K1.degenerate
         assert np.abs(K1.values - K2.values)[keep].max() <= 1e-8
+
+
+def angle_lifts():
+    """Lifts whose curvatures read cos theta and sin theta from g12: the two
+    gallery nets (degenerate angles near the corners, resp. along an edge),
+    and a random first-kind net with and without its generators."""
+    s = random_lift()
+    return {"critical": lift_net(gallery("critical").net),
+            "noncritical": lift_net(gallery("noncritical").net),
+            "random": s, "random-differenced": replace(s, generators=None)}
+
+
+def cos_based_curvatures(s):
+    """The mean and Gaussian curvatures of a lift with cos theta and sin
+    theta evaluated on the theta grid, as (values, mask) pairs."""
+    g, th = s.grid, s.theta
+    cth = np.cos(th)
+    sin2 = (1.0 - cth) / 2.0
+    h_deg = sin2 <= 1e-9
+    if s.generators is None:
+        H = partials(g, "uv") / (-2.0 * np.where(h_deg, 1.0, sin2))[..., None]
+    else:
+        H = np.zeros(g.values.shape)
+    H[h_deg] = np.nan
+    k_deg = (1.0 - np.abs(cth)) < lift.ANGLE_MARGIN
+    denom = np.where(k_deg, 1.0, (1.0 - cth)**2)
+    tu = diff_samples(th, g.du, 1, axis=0)
+    tv = diff_samples(th, g.dv, 1, axis=1)
+    tuv = diff_samples(tu, g.dv, 1, axis=1)
+    K_T = euclidean_shape(s.source).K_T
+    direct = (tu * tv - tuv * np.sin(th)) / denom
+    via_net = (tu * tv + K_T * np.sin(th)**2) / denom
+    return {"H": (H, h_deg),
+            "direct": (np.where(k_deg, np.nan, direct), k_deg),
+            "via_net": (np.where(k_deg, np.nan, via_net), k_deg)}
+
+
+class TestAngleFromMetric:
+    """cos theta = 1 + g12 and sin^2 theta = -g12 (2 + g12) in place of
+    trigonometry on the theta grid."""
+
+    @pytest.mark.parametrize("name", ["critical", "noncritical", "random",
+                                      "random-differenced"])
+    def test_masks_and_values_match_cos_theta(self, name):
+        s = angle_lifts()[name]
+        want = cos_based_curvatures(s)
+        got = {"H": mean_curvature(s),
+               "direct": gaussian_curvature(s, "direct"),
+               "via_net": gaussian_curvature(s, "via_net")}
+        for key, field in got.items():
+            values, mask = want[key]
+            assert np.array_equal(field.degenerate, mask), key
+            assert np.array_equal(np.isnan(field.values), np.isnan(values))
+            keep = ~np.isnan(values)
+            gap = np.abs(field.values - values)[keep]
+            assert np.all(gap <= 1e-11 * np.maximum(1.0, np.abs(values[keep]))
+                          ), key
+        rep = h_parallel_e2(s)
+        if s.generators is not None:
+            return
+        # the sups of h_parallel_e2 over the cos-theta mask
+        fr = normal_frame(s)
+        H, h_deg = want["H"]
+        keep = ~(want["direct"][1] | h_deg | fr.degenerate)
+        off = H - mk.inner(H, fr.e2)[..., None] * fr.e2
+        for chk, field in ((rep["sup_off_e2"], off),
+                           (rep["sup_dot_etilde"], mk.inner(H, fr.etilde))):
+            ref = numerics.sup_check("ref", field, keep=keep)
+            assert chk.masked == ref.masked and chk.where[0] == ref.where[0]
+            assert abs(chk.value - ref.value) <= 1e-11 * max(1.0, ref.value)
+
+    def test_no_grid_sized_trigonometry_norm_or_cross(self, monkeypatch):
+        # on the generator route the shape and the curvatures make (n, n)
+        # products of 1-D curves and read the angle from F and g12; only
+        # is_chebyshev and verify_null_coords, not called here, difference
+        # the samples
+        T1, T2 = random_net_pair(np.random.default_rng(26), n=61)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        s = lift_net(net)
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append((name, max((a.size for a in args
+                                         if isinstance(a, np.ndarray)),
+                                        default=0)))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("cos", "sin", "einsum"):
+            counted(np, name)
+        counted(np.linalg, "norm")
+        for module in (numerics, chebnet, lift):
+            counted(module, "cross")
+        shape = euclidean_shape(net)
+        sine_gordon_residual(net, shape)
+        h_parallel_e2(s)
+        mean_curvature(s).sup()
+        gaussian_curvature(s, "direct")
+        gaussian_curvature(s, "via_net")
+        assert "cross" in {name for name, _ in calls}
+        assert [c for c in calls if c[1] >= net.F.size] == []
+
+    def test_differenced_route_one_fu_per_call(self, monkeypatch):
+        # f_uv is differenced from the f_u the call makes: three (n, n, 4)
+        # passes per call, and the same sups as mean_curvature and
+        # normal_frame give
+        built = random_lift()
+        s = replace(built, generators=None)
+        vals = s.grid.values
+        H, fr = mean_curvature(s), normal_frame(s)
+        keep = ~(H.degenerate | fr.degenerate
+                 | lift._degenerate_mask(1.0 + s.g12))
+        off = H.values - mk.inner(H.values, fr.e2)[..., None] * fr.e2
+        seen = record_diff_samples(monkeypatch)
+        rep = h_parallel_e2(s)
+        assert rep.route == "differenced"
+        assert rep.sup_off_e2 == numerics.sup_check("o", off, keep=keep).value
+        assert rep.sup_dot_etilde == numerics.sup_check(
+            "d", mk.inner(H.values, fr.etilde), keep=keep).value
+        passes = lambda: [(v is vals, axis) for v, axis in seen
+                          if np.shape(v) == vals.shape]
+        assert passes() == [(True, 0), (False, 1), (True, 1)]
+        seen.clear()
+        n0, n3, _ = decompose_minimal(s)
+        assert passes() == [(True, 0), (False, 1), (True, 1)]
+        for got, want in ((n0, built.generators.T1), (n3, built.generators.T2)):
+            assert np.abs(got.points - want.points).max() <= 1e-6
 
 
 class TestBuildMinimal:
@@ -560,16 +693,18 @@ def surface_inputs():
 
 #: tracemalloc peak of ``surface_chain`` plus one ``mean_curvature`` on the
 #: critical net at n = 201, in bytes, with the blocked stencil kernel, the
-#: exact generator partials, no partials kept on the lift and nothing
-#: computed by ``h_parallel_e2`` on the generator route (numpy 2.4,
-#: Python 3.11): the largest figure measured under pytest in fresh
-#: processes over both nets, first and repeated runs, alone and in the
-#: whole suite (10,209,536-10,222,231; the peak is in the closing
-#: ``mean_curvature(...).sup()``, 3.3 MB above its base, then in
-#: ``verify_null_coords``), plus a margin of one 256 KiB kernel block
-#: (2.6%) for allocator and test-order noise.  An ``h_parallel_e2`` that
-#: builds the normal frame and a zero H on this route (13.41 MB) fails it.
-SURFACE_CHAIN_PEAK = 10_222_231 + 256 * 1024
+#: exact generator partials, no partials kept on the lift, nothing computed
+#: by ``h_parallel_e2`` on the generator route, and the norm of a vector
+#: grid taken without ``np.linalg.norm`` (numpy 2.4, Python 3.11): the
+#: largest figure measured under pytest in fresh processes over both nets,
+#: first and repeated runs, alone and in the whole suite
+#: (9,463,757-9,472,622; the peak is in ``verify_null_coords``, 3.3 MB
+#: above its base, then in the closing ``mean_curvature(...).sup()``,
+#: 2.0 MB above its base), plus a margin of one 256 KiB kernel block
+#: (2.8%) for allocator and test-order noise.  An ``h_parallel_e2`` that
+#: builds the normal frame and a zero H on this route (13.41 MB) fails it,
+#: and so does a ``sup`` through ``np.linalg.norm`` (10.21 MB).
+SURFACE_CHAIN_PEAK = 9_472_622 + 256 * 1024
 
 
 class TestMemo:

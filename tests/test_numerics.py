@@ -354,6 +354,23 @@ class TestNorms:
         assert chk.where[0] == (1, 2)
         assert chk.masked == 1
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_vector_norm_equals_linalg_norm(self, k):
+        # the component squares summed in index order are what
+        # np.linalg.norm(x, axis=-1) sums, so the two agree bit for bit,
+        # on C-contiguous and on component-major layouts
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((201, 201, k)) * 10.0 ** rng.integers(
+            -140, 140, (201, 201, 1))
+        x[0, 0] = 0.0
+        x[0, 1] = -0.0
+        x[0, 2, 0] = np.finfo(float).tiny
+        want = np.linalg.norm(x, axis=-1)
+        assert np.array_equal(numerics._vector_norm(x), want)
+        major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        assert np.array_equal(
+            numerics._vector_norm(np.moveaxis(major, 0, -1)), want)
+
     def test_sup_check_over_no_node_raises(self):
         # a sup over an empty set is no evidence of a small residual
         with pytest.raises(DegenerateAngle, match="no node is left"):
