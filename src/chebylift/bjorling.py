@@ -312,8 +312,8 @@ def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), one
     float ``build_frame`` call per node, about 13 us each on a 2-core
     x86-64 box; the benchmark's traced self-check pins 402 frames per helix
-    solve at n = 201, and a batched frame waits on that (ROADMAP.md items
-    1 and 3)."""
+    solve at n = 201, and a batched frame waits on that (ROADMAP.md item
+    6)."""
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):
@@ -398,10 +398,11 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
             "generic case")
     th = theta.values
     th_u = diff_samples(th, theta.du, 1, axis=0)
-    p = -th_u * np.sin(th) / kappa[:, None]
+    sth = np.sin(th)
+    p = -th_u * sth / kappa[:, None]
     p_u = diff_samples(p, theta.du, 1, axis=0)
     q = (p_u + kappa[:, None] * np.cos(th)) / tor[:, None]
-    return p, q, p * p + q * q - np.sin(th)**2
+    return p, q, p * p + q * q - sth**2
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +608,7 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
         g.values[:, j0, :] - dec.data.c.points, axis=1), 1e-6, axes=us)
     n0 = gen.T1.points
     fr = _frame(n0, np.broadcast_to(gen.T2.points[j0], n0.shape),
-                surf.theta[:, j0])
+                surf.source.F[:, j0])
     keep = ~fr.degenerate
     P_surf = mk.plane_projector(fr.etilde[keep], fr.e2[keep])
     P_data = mk.plane_projector(dec.data.a.points[keep],

@@ -59,10 +59,11 @@ def _generators(s) -> Optional[Generators]:
 
 @dataclass(frozen=True)
 class NetSurface:
-    """Sampled Chebyshev net with its first fundamental form and angle.
+    """Sampled Chebyshev net with its first fundamental form.
 
-    A Chebyshev net has E = G = 1 by definition, so only F = cos theta and
-    theta are stored; ``is_chebyshev`` measures E and G of a point grid.
+    A Chebyshev net has E = G = 1 by definition, so only F = cos theta is
+    stored: ``theta`` is arccos of F clipped to [-1, 1], computed on each
+    read.  ``is_chebyshev`` measures E and G of a point grid.
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
@@ -73,8 +74,11 @@ class NetSurface:
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
     F: np.ndarray
-    theta: np.ndarray
     generators: Optional[Generators] = None
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.arccos(np.clip(self.F, -1.0, 1.0))
 
     @cached_property
     def _shape(self) -> "EuclideanShape":
@@ -231,11 +235,10 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     I2 = cumulative_integral(T2).points
     X = p0[None, None, :] + I1[:, None, :] + I2[None, :, :]
     F = T1.points @ T2.points.T
-    theta = np.arccos(np.clip(F, -1.0, 1.0))
     grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt,
                   values=_read_only(X))
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
-    return NetSurface(grid=grid, F=F, theta=theta,
+    return NetSurface(grid=grid, F=F,
                       generators=Generators(frozen(T1), frozen(T2), grid, rep))
 
 
@@ -258,17 +261,13 @@ def first_form(g: Grid2D) -> tuple:
 
 def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
     """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` by differencing
-    the point grid: checks sup_e, sup_g (``CHEBYSHEV_TOL``) and sup_f;
-    info ``theta``, the angle field when every check passes, else None."""
+    the point grid: checks sup_e, sup_g (``CHEBYSHEV_TOL``) and sup_f."""
     grid = g.grid if isinstance(g, NetSurface) else g
     E, F, G = first_form(grid)
     axes = (grid.us, grid.vs)
-    checks = (sup_check("sup_e", E - 1.0, CHEBYSHEV_TOL, axes=axes),
-              sup_check("sup_g", G - 1.0, CHEBYSHEV_TOL, axes=axes),
-              sup_check("sup_f", F, 1.0 - DISJOINT_MARGIN, axes=axes))
-    passed = all(c.passed for c in checks)
-    return Report(checks, {"theta": np.arccos(np.clip(F, -1.0, 1.0))
-                           if passed else None})
+    return Report((sup_check("sup_e", E - 1.0, CHEBYSHEV_TOL, axes=axes),
+                   sup_check("sup_g", G - 1.0, CHEBYSHEV_TOL, axes=axes),
+                   sup_check("sup_f", F, 1.0 - DISJOINT_MARGIN, axes=axes)))
 
 
 def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):
@@ -536,8 +535,7 @@ def _critical_gallery(nu, nv) -> Gallery:
     X = np.stack([np.sin(U), 2.0 - np.cos(U) - np.cos(V), np.sin(V)], axis=-1)
     grid = grid_from_ranges(_CRITICAL_RANGE, _CRITICAL_RANGE, X)
     F = np.sin(U) * np.sin(V)
-    theta = np.arccos(np.clip(F, -1.0, 1.0))
-    net = NetSurface(grid=grid, F=F, theta=theta)
+    net = NetSurface(grid=grid, F=F)
     root = np.sqrt(1.0 - np.sin(U)**2 * np.sin(V)**2)
     oracles = {
         "F": F,
@@ -599,8 +597,7 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     X = np.stack([x(Sq) * np.cos(Tq), x(Sq) * np.sin(Tq), y(Sq)], axis=-1)
     grid = grid_from_ranges((us[0], us[-1]), (vs[0], vs[-1]), X)
     F = 2.0 * x(Sq)**2 - 1.0
-    theta = np.arccos(np.clip(F, -1.0, 1.0))
-    net = NetSurface(grid=grid, F=F, theta=theta)
+    net = NetSurface(grid=grid, F=F)
     return Gallery(net=net, oracles={"F": F},
                    ts_grid=ts_grid, ts_forms=(E_ts, F_ts, G_ts))
 

@@ -20,12 +20,13 @@ from the grid by each call that needs them.
 ``verify_null_coords`` always differences the grid: it checks the samples
 themselves.  Nothing is kept on a lift beyond its fields.
 
-Every curvature call reads the angle's trigonometry from the stored metric
-coefficient g12 = cos theta - 1, with no trigonometric call on the grid:
-cos theta = 1 + g12, 1 - cos theta = -g12 exactly, sin^2(theta/2) =
--g12/2, sin^2 theta = -g12 (2 + g12) and sin theta its square root.  Only
-the normal frame, and the coordinate change that resamples theta, evaluate
-sin and cos of theta.
+The curvature calls and the normal frame read the angle's trigonometry
+from the metric coefficient g12 = cos theta - 1, with no trigonometric
+call on the grid: cos theta = 1 + g12, 1 - cos theta = -g12,
+sin^2(theta/2) = -g12/2, sin^2 theta = -g12 (2 + g12) and sin theta its
+square root.  theta is read only where it is differenced
+(``gaussian_curvature``) or resampled (the coordinate change, which takes
+the new g12 from its cosine).
 
 Nodes where the net angle approaches 0 or pi are excluded from the
 quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
@@ -76,8 +77,7 @@ class LiftSurface:
 
     grid: Grid2D            # payload (nu, nv, 4)
     theta: np.ndarray
-    # -1 + cos theta, in [-2, 0]: the curvature calls read cos theta and
-    # sin theta from it
+    # cos theta - 1, in [-2, 0]: every sine and cosine of theta comes from it
     g12: np.ndarray
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
@@ -212,18 +212,19 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
     gen = _generators(s)
     Xu, Xv = (_generator_tangents(gen) if gen is not None
               else (mk.spatial(partials(s.grid, w)) for w in "uv"))
-    return _frame(Xu, Xv, s.theta)
+    return _frame(Xu, Xv, 1.0 + s.g12)
 
 
-def _frame(Xu: np.ndarray, Xv: np.ndarray, theta: np.ndarray) -> NormalFrame:
+def _frame(Xu: np.ndarray, Xv: np.ndarray, c: np.ndarray) -> NormalFrame:
     """The frame of ``normal_frame`` at nodes of any shape, from the
-    tangents X_u, X_v in E, arrays of that shape by 3, and the angle."""
-    sth = np.sin(theta)
+    tangents X_u, X_v in E, arrays of that shape by 3, and c = cos theta,
+    clipped to [-1, 1] for sin theta = sqrt((1 - c)(1 + c))."""
+    cl = np.clip(c, -1.0, 1.0)
+    sth = np.sqrt((1.0 - cl) * (1.0 + cl))
     degenerate = sth <= 1e-8
     denom = np.where(degenerate, 1.0, sth)
-    cth = np.cos(theta)
-    etilde = np.empty(theta.shape + (4,))
-    etilde[..., 0] = (1.0 + cth) / denom
+    etilde = np.empty(c.shape + (4,))
+    etilde[..., 0] = (1.0 + cl) / denom
     np.add(Xu, Xv, out=etilde[..., 1:])
     etilde[..., 1:] /= denom[..., None]
     e2 = np.zeros_like(etilde)
@@ -251,7 +252,7 @@ def h_parallel_e2(s: LiftSurface) -> Report:
         return Report((), {"route": "generators", "sup_off_e2": 0.0,
                            "sup_dot_etilde": 0.0})
     fu, H = _differenced_h(s)
-    fr = _frame(mk.spatial(fu), mk.spatial(partials(s.grid, "v")), s.theta)
+    fr = _frame(mk.spatial(fu), mk.spatial(partials(s.grid, "v")), cos_theta)
     del fu                  # one (n, n, 4) grid fewer alive below
     keep = ~(_degenerate_mask(cos_theta) | H.degenerate | fr.degenerate)
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
@@ -389,7 +390,7 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
     g12 = np.cos(new_th) - 1.0
     if direction == "uv_to_ts":
         coord = grid.us[:, None] + 0.0 * grid.vs[None, :]
-        sin2 = np.sin(new_th / 2.0)**2
+        sin2 = -0.5 * g12
         coords_tag, targets = ISOTHERMAL_COORDS, (-sin2, sin2, 0.0)
     else:
         coord = grid.us[:, None] + grid.vs[None, :]

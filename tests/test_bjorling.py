@@ -1,4 +1,6 @@
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve,
                                 diff_samples, partials, sample_curve)
 
 from test_chebnet import normalized_trig_curve, random_net_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import data_from_null_pair  # noqa: E402
 
 
 def make_curve(fn, t_range, n):
@@ -53,30 +58,6 @@ def line_data(n=201, t_range=(-1.0, 1.0)):
     a = make_curve(lambda t: np.tile(mk.D3, (t.size, 1)), t_range, n)
     b = make_curve(lambda t: np.tile(mk.D2, (t.size, 1)), t_range, n)
     return BjorlingData(c=c, a=a, b=b)
-
-
-def data_from_null_pair(alpha_prime, n3_of_u, t_range=(-1.0, 1.0), n=401,
-                        seed=mk.D2):
-    """Data with c' = d0 + n0(u) and prescribed transversal null normal
-    field l3(u) = d0 + n3(u); D(u) is the orthogonal complement of
-    span{l0(u), l3(u)} computed through the triple wedge."""
-    ts = np.linspace(*t_range, n)
-    dt = ts[1] - ts[0]
-    n0 = np.asarray(alpha_prime(ts), dtype=float)
-    n3 = np.asarray(n3_of_u(ts), dtype=float)
-    from chebylift.numerics import cumulative_samples
-    alpha = cumulative_samples(n0, dt)
-    base = int(np.argmin(np.abs(ts)))
-    alpha -= alpha[base]
-    c_pts = np.concatenate([ts[:, None], alpha], axis=1)
-    l0 = np.concatenate([np.ones((n, 1)), n0], axis=1)
-    l3 = np.concatenate([np.ones((n, 1)), n3], axis=1)
-    a_raw = mk.wedge3(l0, l3, np.tile(seed, (n, 1)))
-    a_pts = a_raw / np.sqrt(mk.inner(a_raw, a_raw))[:, None]
-    b_raw = mk.wedge3(l0, l3, a_pts)
-    b_pts = b_raw / np.sqrt(mk.inner(b_raw, b_raw))[:, None]
-    mkc = lambda pts: SampledCurve(t_min=float(ts[0]), dt=float(dt), points=pts)
-    return BjorlingData(c=mkc(c_pts), a=mkc(a_pts), b=mkc(b_pts))
 
 
 def helix_data(n=801, t_range=(-2.0, 2.0)):
@@ -229,7 +210,8 @@ class TestCompatibility:
         d = data_from_null_pair(
             lambda ts: np.stack([np.cos(ts), np.sin(ts), 0 * ts], axis=1),
             lambda ts: np.stack([0 * ts, np.sin(0.3 * ts),
-                                 np.cos(0.3 * ts)], axis=1))
+                                 np.cos(0.3 * ts)], axis=1),
+            t_range=(-1.0, 1.0), n=401)
         dec = decompose(d)
         rep = compatibility_residual(dec)
         assert not rep.passed
@@ -304,7 +286,8 @@ class TestClassify:
                 [np.cos(ts), np.sin(ts) * np.cos(0.3 * ts),
                  np.sin(ts) * np.sin(0.3 * ts)], axis=1),
             lambda ts: np.stack([0 * ts, np.sin(0.2 * ts),
-                                 np.cos(0.2 * ts)], axis=1))
+                                 np.cos(0.2 * ts)], axis=1),
+            t_range=(-1.0, 1.0), n=401)
         # alpha' must be unit for a lightlike c; renormalize first
         pts = d.c.points.copy()
         case = classify_special(d)
@@ -487,7 +470,8 @@ class TestSolve:
         d = data_from_null_pair(
             lambda ts: np.stack([np.cos(ts), np.sin(ts), 0 * ts], axis=1),
             lambda ts: np.stack([0 * ts, np.sin(0.3 * ts),
-                                 np.cos(0.3 * ts)], axis=1))
+                                 np.cos(0.3 * ts)], axis=1),
+            t_range=(-1.0, 1.0), n=401)
         with pytest.raises(IncompatibleData):
             solve(d)
 
@@ -553,7 +537,7 @@ class TestSolve:
         d = data_from_null_pair(
             lambda u: (np.outer(np.cos(np.pi * u / 2), e1)
                        + np.outer(np.sin(np.pi * u / 2), w)),
-            lambda u: np.tile(e3, (u.size, 1)), n=201)
+            lambda u: np.tile(e3, (u.size, 1)), t_range=(-1.0, 1.0), n=201)
         ext = default_extension(decompose(d))
         assert ext.ts[0] == -0.8
         assert ext.ts[-1] == pytest.approx(0.8, abs=1e-12)

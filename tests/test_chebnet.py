@@ -8,7 +8,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from chebylift import numerics
 from chebylift.chebnet import (
-    _diagonal_reader, build_first_kind, check_disjointness,
+    NetSurface, _diagonal_reader, build_first_kind, check_disjointness,
     check_sum_one, equivalent_immersion, euclidean_shape, first_form, gallery,
     gallery_generators, is_chebyshev, sine_gordon_residual,
 )
@@ -111,6 +111,32 @@ class TestBuildFirstKind:
         net = build_first_kind(T1, T2, np.zeros(3))
         _, F, _ = first_form(net.grid)
         assert np.abs(F - net.F).max() < 2e-6
+
+
+class TestOneAngle:
+    """A net holds its angle once, as F = cos theta; theta is read from F."""
+
+    def test_theta_is_not_a_field(self):
+        net = gallery("critical", nu=21, nv=21).net
+        with pytest.raises(TypeError):
+            NetSurface(grid=net.grid, F=net.F, theta=net.theta)
+
+    def test_replacing_f_moves_theta(self):
+        net = gallery("critical", nu=21, nv=21).net
+        moved = replace(net, F=0.5 * net.F)
+        assert np.array_equal(moved.theta, np.arccos(0.5 * net.F))
+        assert not np.array_equal(moved.theta, net.theta)
+
+    @pytest.mark.parametrize("builder", ["first_kind", "critical",
+                                         "noncritical"])
+    def test_theta_is_arccos_of_clipped_f(self, builder):
+        if builder == "first_kind":
+            T1, T2 = random_net_pair(np.random.default_rng(5), n=41)
+            net = build_first_kind(T1, T2, np.zeros(3))
+        else:
+            net = gallery(builder, nu=41, nv=41).net
+        assert np.array_equal(net.theta,
+                              np.arccos(np.clip(net.F, -1.0, 1.0)))
 
 
 class TestCheckDisjointness:
@@ -256,7 +282,6 @@ class TestFirstFormAndChebyshev:
         assert not is_chebyshev(gal.ts_grid).passed
         rep = is_chebyshev(gal.net)
         assert rep.passed
-        assert rep.theta is not None
 
 
 class TestEquivalentImmersion:
@@ -395,8 +420,7 @@ class TestEuclideanShape:
         us = np.linspace(0, 1, 31)
         U, V = np.meshgrid(us, us, indexing="ij")
         g = grid_from_ranges((0, 1), (0, 1), np.stack([U, V, 0 * U], axis=-1))
-        from chebylift.chebnet import NetSurface
-        net = NetSurface(grid=g, F=0 * U, theta=np.full_like(U, np.pi / 2))
+        net = NetSurface(grid=g, F=0 * U)
         shape = euclidean_shape(net)
         assert np.abs(shape.K_T).max() < 1e-9
         assert np.abs(shape.e).max() < 1e-9
@@ -407,8 +431,7 @@ class TestEuclideanShape:
         U, V = np.meshgrid(us, us, indexing="ij")
         g = grid_from_ranges((0, 1), (0, 1),
                              np.stack([U + V, 0 * U, 0 * U], axis=-1))
-        from chebylift.chebnet import NetSurface
-        net = NetSurface(grid=g, F=np.ones_like(U), theta=np.zeros_like(U))
+        net = NetSurface(grid=g, F=np.ones_like(U))
         with pytest.raises(DegenerateMetric):
             euclidean_shape(net)
 

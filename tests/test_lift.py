@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -84,13 +85,14 @@ class TestVerifyNullCoords:
         assert rep.sup_cross <= 1e-6
 
     def test_noncritical_via_resampling(self):
-        from chebylift.chebnet import equivalent_immersion, is_chebyshev
+        from chebylift.chebnet import (equivalent_immersion, first_form,
+                                       is_chebyshev)
         gal = gallery("noncritical")
         resampled = equivalent_immersion(gal.ts_grid, "ts_to_uv")
         rep = is_chebyshev(resampled)
         assert rep.passed
         from chebylift.chebnet import NetSurface
-        net = NetSurface(grid=resampled, F=np.cos(rep.theta), theta=rep.theta)
+        net = NetSurface(grid=resampled, F=first_form(resampled)[1])
         out = verify_null_coords(lift_net(net))
         assert max(out.sup_fu_fu, out.sup_fv_fv, out.sup_cross) <= 1e-5
 
@@ -158,6 +160,61 @@ class TestNormalFrame:
         for tangent in (fu, fv):
             for nrm in (fr.etilde, fr.e2):
                 assert np.abs(mk.inner(tangent, nrm)[keep]).max() <= 1e-6
+
+    @staticmethod
+    def theta_frame(s):
+        """The frame with sin theta and cos theta evaluated on the theta
+        grid, from the tangents ``normal_frame`` reads."""
+        gen = s.generators
+        if gen is not None:
+            Xu, Xv = np.broadcast_arrays(gen.T1.points[:, None, :],
+                                         gen.T2.points[None, :, :])
+        else:
+            Xu, Xv = (mk.spatial(partials(s.grid, w)) for w in "uv")
+        sth = np.sin(s.theta)
+        degenerate = sth <= 1e-8
+        denom = np.where(degenerate, 1.0, sth)[..., None]
+        etilde = np.concatenate([1.0 + np.cos(s.theta)[..., None], Xu + Xv],
+                                axis=-1) / denom
+        e2 = np.concatenate([np.zeros_like(denom), np.cross(Xu, Xv)],
+                            axis=-1) / denom
+        etilde[degenerate] = e2[degenerate] = np.nan
+        return etilde, e2, degenerate
+
+    @pytest.mark.parametrize("n", [201, 801])
+    @pytest.mark.parametrize("name", ["critical", "random"])
+    def test_cosine_frame_matches_theta_frame(self, name, n):
+        if name == "critical":
+            s = lift_net(gallery(name, nu=n, nv=n).net)
+        else:
+            T1, T2 = random_net_pair(np.random.default_rng(21), n=n,
+                                     t_range=(-0.4, 0.4))
+            s = lift_net(build_first_kind(T1, T2, np.zeros(3)))
+        fr = normal_frame(s)
+        etilde, e2, degenerate = self.theta_frame(s)
+        assert np.array_equal(fr.degenerate, degenerate)
+        for got, want in ((fr.etilde, etilde), (fr.e2, e2)):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            keep = ~np.isnan(want)
+            assert np.all(np.abs(got - want)[keep] <= 1e-13 * np.maximum(
+                1.0, np.abs(want[keep])))
+
+    def test_cosine_one_ulp_above_one_is_masked(self):
+        # a hand-built g12 of 2^-52 puts 1 + g12 one ulp above 1: the frame
+        # clips it, reads sin theta = 0 and masks the node, and no square
+        # root of a negative number warns
+        s = planar_lift(n=21)
+        g12 = s.g12.copy()
+        g12[5, 7] = 2.0**-52
+        assert 1.0 + g12[5, 7] == np.nextafter(1.0, 2.0)
+        bad = replace(s, g12=g12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fr = normal_frame(bad)
+            h_parallel_e2(replace(bad, generators=None))
+        assert np.argwhere(fr.degenerate).tolist() == [[5, 7]]
+        assert np.isnan(fr.etilde[5, 7]).all() and np.isnan(fr.e2[5, 7]).all()
+        assert np.isfinite(fr.etilde[~fr.degenerate]).all()
 
 
 class TestHParallel:
