@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .errors import (BadGrid, Check, DegenerateMetric, DisjointnessViolated,
                      EmptyOverlap, Report)
-from .numerics import (Grid2D, SphereCurve, _vector_norm, cross,
+from .numerics import (Grid2D, SphereCurve, _form_sups, _vector_norm, cross,
                        cumulative_integral, cumulative_samples, diff_samples,
                        grid_from_ranges, partials, sample_curve, sup_check)
 
@@ -233,7 +233,10 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     p0 = np.asarray(p0, dtype=float)
     I1 = cumulative_integral(T1).points
     I2 = cumulative_integral(T2).points
-    X = p0[None, None, :] + I1[:, None, :] + I2[None, :, :]
+    # (p0 + I1) + I2 one component at a time
+    X = np.empty((T1.n, T2.n, 3))
+    for k in range(3):
+        np.add.outer(p0[k] + I1[:, k], I2[:, k], out=X[..., k])
     F = T1.points @ T2.points.T
     grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt,
                   values=_read_only(X))
@@ -261,13 +264,14 @@ def first_form(g: Grid2D) -> tuple:
 
 def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
     """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` by differencing
-    the point grid: checks sup_e, sup_g (``CHEBYSHEV_TOL``) and sup_f."""
+    the point grid in slabs of rows: checks sup_e, sup_g (``CHEBYSHEV_TOL``)
+    and sup_f."""
     grid = g.grid if isinstance(g, NetSurface) else g
-    E, F, G = first_form(grid)
-    axes = (grid.us, grid.vs)
-    return Report((sup_check("sup_e", E - 1.0, CHEBYSHEV_TOL, axes=axes),
-                   sup_check("sup_g", G - 1.0, CHEBYSHEV_TOL, axes=axes),
-                   sup_check("sup_f", F, 1.0 - DISJOINT_MARGIN, axes=axes)))
+    if grid.values.ndim != 3 or grid.values.shape[2] != 3:
+        raise BadGrid("is_chebyshev expects a grid of E-points")
+    return Report(_form_sups(
+        grid, ("sup_e", "sup_g", "sup_f"), (1.0, 1.0, 0.0),
+        (CHEBYSHEV_TOL, CHEBYSHEV_TOL, 1.0 - DISJOINT_MARGIN)))
 
 
 def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):

@@ -17,8 +17,8 @@ states its two sups, 0 by construction, and its route as info.  Every
 other lift (gallery nets, the (t, s) forms and their resamples, hand-built
 surfaces, a lift whose grid was replaced) has its partials differenced
 from the grid by each call that needs them.
-``verify_null_coords`` always differences the grid: it checks the samples
-themselves.  Nothing is kept on a lift beyond its fields.
+``verify_null_coords`` always differences the grid, in slabs of rows: it
+checks the samples themselves.  Nothing is kept on a lift beyond its fields.
 
 The curvature calls and the normal frame read the angle's trigonometry
 from the metric coefficient g12 = cos theta - 1, with no trigonometric
@@ -51,8 +51,8 @@ from .chebnet import (Generators, NetSurface, _angle_partials,
                       build_first_kind, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
-from .numerics import (Grid2D, SphereCurve, cross, diff_samples, partials,
-                       sup_check)
+from .numerics import (Grid2D, SphereCurve, _form_sups, cross, diff_samples,
+                       partials, sup_check)
 
 #: nodes with 1 - |cos theta| below this are excluded from angle-divided sups
 ANGLE_MARGIN = 0.1
@@ -123,8 +123,11 @@ def _lift(n: NetSurface, t0: float) -> LiftSurface:
     chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0), axes=(g.us, g.vs))
     if not chk.passed:
         raise NotChebyshev("net fails |F| < 1", chk)
-    x0 = g.us[:, None] + g.vs[None, :] + t0
-    vals = np.concatenate([x0[..., None], g.values], axis=-1)
+    vals = np.empty(g.values.shape[:2] + (4,))
+    np.add.outer(g.us, g.vs, out=vals[..., 0])
+    vals[..., 0] += t0
+    for k in range(3):
+        vals[..., k + 1] = g.values[..., k]
     gen = _generators(n)
     if gen is not None:
         _read_only(vals)
@@ -139,22 +142,8 @@ def verify_null_coords(s: LiftSurface) -> Report:
     and |<f_u,f_v> - g12| over the interior (centered-stencil) nodes."""
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
-    return _metric_report(("sup_fu_fu", "sup_fv_fv", "sup_cross"), s.grid,
-                          partials(s.grid, "u"), partials(s.grid, "v"),
-                          (0.0, 0.0, s.g12))
-
-
-def _metric_report(names: tuple, g: Grid2D, f1: np.ndarray, f2: np.ndarray,
-                   targets: tuple) -> Report:
-    """Report of |<f1,f1> - g11|, |<f2,f2> - g22| and |<f1,f2> - g12|,
-    under ``names``, for ``targets`` = (g11, g22, g12), scalars or nodewise
-    arrays, over the nodes of ``g`` two rows in from each edge (masked)."""
-    keep = np.zeros((g.nu, g.nv), dtype=bool)
-    keep[2:-2, 2:-2] = True
-    return Report(tuple(
-        sup_check(name, mk.inner(a, b) - t, keep=keep, axes=(g.us, g.vs))
-        for name, (a, b), t in zip(names, ((f1, f1), (f2, f2), (f1, f2)),
-                                   targets)))
+    return Report(_form_sups(s.grid, ("sup_fu_fu", "sup_fv_fv", "sup_cross"),
+                             (0.0, 0.0, s.g12), band=2))
 
 
 def _degenerate_mask(cos_theta: np.ndarray) -> np.ndarray:
@@ -165,7 +154,8 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)) = f_uv / g12,
     with sin^2(theta/2) = -g12/2.
 
-    On a lift with live generators f_uv = 0 exactly, so H is 0.  Otherwise
+    On a lift with live generators f_uv = 0 exactly, so H is 0: read-only
+    broadcast zeros when no node is masked.  Otherwise
     f_uv is ``partials(grid, "uv")``: the x0 part of f is the separable sum
     u + v, so f_uv equals X_uv and the mixed stencil annihilates it exactly
     on sums of lightlike curves.  Nodes with sin^2(theta/2) <= 1e-9 are
@@ -185,6 +175,9 @@ def _mean_curvature(s: LiftSurface, fuv: Optional[np.ndarray]) -> MaskedField:
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
         raise DegenerateAngle("sin(theta/2) vanishes on the whole grid")
+    if fuv is None and not degenerate.any():
+        return MaskedField(np.broadcast_to(0.0, s.grid.values.shape),
+                           degenerate)
     if fuv is None:
         H = np.zeros(s.grid.values.shape)
     else:
@@ -377,7 +370,7 @@ def to_null_form(s: LiftSurface) -> tuple:
 
 def _change_coords(s: LiftSurface, direction: str) -> tuple:
     """Resample f and theta through ``equivalent_immersion`` and measure
-    the target metric with ``_metric_report``.
+    the target metric two rows in from each edge, in slabs of rows.
 
     f is resampled in one call on its own (n, n, 4) grid.  Its x0 is
     affine in the parameters, so the spline reproduces it up to roundoff;
@@ -397,7 +390,7 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
         coords_tag, targets = NULL_COORDS, (0.0, 0.0, g12)
     x0 = grid.values[..., 0]
     x0[...] = coord + float(np.mean(x0 - coord))
-    rep = _metric_report(("sup_tt", "sup_ss", "sup_ts"), grid,
-                         partials(grid, "u"), partials(grid, "v"), targets)
+    rep = Report(_form_sups(grid, ("sup_tt", "sup_ss", "sup_ts"), targets,
+                            band=2))
     return (LiftSurface(grid=grid, theta=new_th, g12=g12, source=None,
                         coords=coords_tag), rep)

@@ -15,6 +15,14 @@ runs.  ``cross`` runs ``np.cross`` over such blocks.  Cumulative
 quadrature sums a 4-point rule per interval, global error O(dt^4) and
 smooth from node to node, so quadrature error stays negligible against
 differentiation error downstream.
+
+The metric checks (``_form_sups``) walk a grid in slabs of rows, through
+buffers made once per call.  A slab's f_u and f_v come from the
+``_apply_at`` windows of ``diff_samples``, the u stencil reading its halo
+rows from the whole grid, and its inner products are the whole grid's
+elementwise (an einsum on 3-vectors, ``mk.inner``'s sum in its order on
+4-vectors).  The first of the slabs' first maxima or NaNs is
+``np.argmax``'s, so each check equals ``sup_check``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -184,9 +192,9 @@ def _window_weights(width: int, at: int, order: int) -> tuple:
 def _apply_at(y: np.ndarray, width: int, at: int, order: int, h: float,
               start: int, out: np.ndarray) -> None:
     """Order-``order`` stencil of the ``width``-node window starting at row
-    ``start`` of axis 1 of the (P, n, Q) array ``y``, for the node at
-    position ``at`` in it, written into ``out`` of shape (P, count, Q) for
-    ``count`` consecutive rows.
+    ``start`` of axis 1 of the (P, n, ...) array ``y``, for the node at
+    position ``at`` in it, written into ``out`` of shape (P, count, ...)
+    for ``count`` consecutive rows.
 
     Every row enters as a difference, so the result is exactly 0 on
     constant data: the weight of the row at ``at`` is taken as minus the
@@ -260,20 +268,31 @@ def diff_samples(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.
     y = a.reshape(P, n, Q)
     out = np.empty((P, n, Q))
     c = (w - 1) // 2
-    s = n - w
-    wb = min(max(w, order + 3), n)
-    sb = n - wb
+    end = n - w + c + 1         # one past the last centred row
     rows = max(1, _BLOCK_BYTES // (out.itemsize * max(Q, 1)))
     step = max(1, rows // n)
     for p in range(0, P, step):
-        for r in range(c, s + c + 1, rows):
+        for r in range(c, end, rows):
             _apply_at(y[p:p + step], w, c, order, h, r - c,
-                      out[p:p + step, r:min(r + rows, s + c + 1)])
-    for i in range(c):
-        _apply_at(y, wb, i, order, h, 0, out[:, i:i + 1])
-    for i in range(s + c + 1, n):
-        _apply_at(y, wb, i - sb, order, h, sb, out[:, i:i + 1])
+                      out[p:p + step, r:min(r + rows, end)])
+    _stencil_rows(y, h, order, 0, c, out[:, :c])
+    _stencil_rows(y, h, order, end, n, out[:, end:])
     return out.reshape(a.shape)
+
+
+def _stencil_rows(y: np.ndarray, h: float, order: int, lo: int, hi: int,
+                  out: np.ndarray) -> None:
+    """Rows ``lo`` to ``hi`` - 1 of the derivative along axis 1 of ``y``
+    into ``out``, through the ``_apply_at`` windows of ``diff_samples``."""
+    n, w = y.shape[1], min(STENCIL_WIDTH, y.shape[1])
+    c = (w - 1) // 2
+    end, wb = n - w + c + 1, min(max(w, order + 3), n)
+    a, b = max(lo, c), min(hi, end)
+    if a < b:
+        _apply_at(y, w, c, order, h, a - c, out[:, a - lo:b - lo])
+    for i in [*range(lo, min(hi, c)), *range(max(lo, end), hi)]:
+        s = 0 if i < c else n - wb
+        _apply_at(y, wb, i - s, order, h, s, out[:, i - lo:i - lo + 1])
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -421,3 +440,45 @@ def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
     return Check(name, float(a[at]), float(tol), (
         tuple(int(i) for i in at),
         tuple(float(ax[i]) for ax, i in zip(axes, at))), masked)
+
+
+def _form_sups(g: Grid2D, names: tuple, targets: tuple,
+               tols: tuple = (np.inf,) * 3, band: int = 0) -> tuple:
+    """``Check``s ``names`` (held to ``tols``) of |<f_u,f_u> - g11|,
+    |<f_v,f_v> - g22|, |<f_u,f_v> - g12| for ``targets`` (g11, g22, g12),
+    scalars or (nu, nv) arrays, over the nodes ``band`` rows in from each
+    edge, in slabs: <,> is E's dot product on 3-vectors, the Minkowski one
+    on 4-vectors.  Raises ``DegenerateAngle`` if the band keeps no node."""
+    vals = g.values
+    if vals.ndim != 3 or vals.shape[2] not in (3, 4):
+        raise BadGrid("metric checks need a grid of 3- or 4-vectors")
+    nu, nv, k = vals.shape
+    width, end = nv - 2 * band, nu - band
+    if end <= band or width <= 0:
+        raise DegenerateAngle("no node is left after masking")
+    rows = min(max(1, _BLOCK_BYTES // (8 * width * k)), end - band)
+    fu, fv = np.empty((2, rows, width, k))
+    res, tmp = np.empty((2, rows, width))
+    sups = [[] for _ in names]      # per check: (sup, node) of each slab
+    for r in range(band, end, rows):
+        m = min(rows, end - r)
+        a, b, out = fu[:m], fv[:m], res[:m]
+        _stencil_rows(vals[None, :, band:nv - band], g.du, 1, r, r + m,
+                      a[None])
+        _stencil_rows(vals[r:r + m], g.dv, 1, band, nv - band, b)
+        for sup, (x, y), t in zip(sups, ((a, a), (b, b), (a, b)), targets):
+            if k == 3:
+                np.einsum("ijk,ijk->ij", x, y, out=out)
+            else:           # -x0 y0 + x1 y1 + x2 y2 + x3 y3, as mk.inner
+                np.negative(np.multiply(x[..., 0], y[..., 0], out=out),
+                            out=out)
+                for i in (1, 2, 3):
+                    out += np.multiply(x[..., i], y[..., i], out=tmp[:m])
+            out -= t if np.ndim(t) == 0 else t[r:r + m, band:nv - band]
+            j = int(np.argmax(np.abs(out, out=out)))
+            sup.append((out.flat[j], (r + j // width, band + j % width)))
+    masked = nu * nv - (end - band) * width
+    best = [s[int(np.argmax([v for v, _ in s]))] for s in sups]
+    return tuple(Check(name, float(v), float(tol), (
+        (i, j), (float(g.us[i]), float(g.vs[j]))), masked)
+        for name, tol, (v, (i, j)) in zip(names, tols, best))

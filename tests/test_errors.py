@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from chebylift.bjorling import ExtensionChoice, reduce_from_l3, solve
-from chebylift.chebnet import equivalent_immersion, first_form, gallery
+from chebylift.chebnet import (equivalent_immersion, first_form, gallery,
+                               is_chebyshev)
 from chebylift.errors import (BadData, BadGrid, Check, ChebyliftError,
                               EmptyOverlap, ExtensionMismatch,
                               IncompatibleData, NotMinimal, Report)
@@ -114,6 +115,8 @@ GUARDS = {
                   BadGrid, "frenet expects a curve in E"),
     "first_form_4d": (lambda: first_form(grid(np.zeros((5, 5, 4)))), BadGrid,
                       "first_form expects a grid of E-points"),
+    "is_chebyshev_4d": (lambda: is_chebyshev(grid(np.zeros((5, 5, 4)))),
+                        BadGrid, "is_chebyshev expects a grid of E-points"),
     "direction": (lambda: equivalent_immersion(grid(np.zeros((5, 5))), "up"),
                   BadGrid, "unknown direction 'up'"),
     "route": (lambda: gaussian_curvature(

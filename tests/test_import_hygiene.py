@@ -28,6 +28,7 @@ PAPER_NAMES = {
     "classify_special": "the lightlike line, planar and helix special cases",
     "reduce_from_l3": "Cauchy data in L^3 embed as data in R^4_1",
     "check_sum_one": "a Chebyshev net has E + G = 1 in (t, s) coordinates",
+    "first_form": "a Chebyshev net has E = G = 1",
     "gallery_generators": "the critical example as a first-kind net",
     "frame_identity_residuals": "the half-angle identities of the frame",
     "project_lightlike": "pi: a lightlike vector's point on the unit sphere "

@@ -680,6 +680,28 @@ class TestGeneratorRoute:
         with pytest.raises(NotMinimal):
             decompose_minimal(bumped)
 
+    def test_generator_h_is_broadcast_zeros(self):
+        s = build_minimal(*gallery_generators(201), np.zeros(4))
+        mean_curvature(s)
+        tracemalloc.start()
+        try:
+            H = mean_curvature(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, n) angle mask, not an (n, n, 4) grid of zeros
+        assert peak < s.grid.values.nbytes / 2
+        assert H.values.shape == s.grid.values.shape
+        assert not H.values.flags.writeable and not H.values.any()
+        chk = numerics.sup_check("sup", H.values, keep=~H.degenerate)
+        assert (chk.value, chk.where[0], chk.masked) == (0.0, (0, 0), 0)
+        # a masked node still gets its NaN, on a writable grid of zeros
+        g12 = s.g12.copy()
+        g12[3, 4] = -1e-12
+        H = mean_curvature(replace(s, g12=g12))
+        assert np.argwhere(np.isnan(H.values[..., 0])).tolist() == [[3, 4]]
+        assert H.values.flags.writeable and H.sup() == 0.0
+
     def test_builder_payloads_are_read_only(self):
         s = build_minimal(*gallery_generators(41), np.zeros(4))
         for a in (s.grid.values, s.source.grid.values,
@@ -751,17 +773,40 @@ def surface_inputs():
 #: tracemalloc peak of ``surface_chain`` plus one ``mean_curvature`` on the
 #: critical net at n = 201, in bytes, with the blocked stencil kernel, the
 #: exact generator partials, no partials kept on the lift, nothing computed
-#: by ``h_parallel_e2`` on the generator route, and the norm of a vector
-#: grid taken without ``np.linalg.norm`` (numpy 2.4, Python 3.11): the
+#: by ``h_parallel_e2`` on the generator route, the norm of a vector grid
+#: taken without ``np.linalg.norm``, the two sample checks in slabs and H
+#: on the generator route as broadcast zeros (numpy 2.4, Python 3.11): the
 #: largest figure measured under pytest in fresh processes over both nets,
 #: first and repeated runs, alone and in the whole suite
-#: (9,463,757-9,472,622; the peak is in ``verify_null_coords``, 3.3 MB
-#: above its base, then in the closing ``mean_curvature(...).sup()``,
-#: 2.0 MB above its base), plus a margin of one 256 KiB kernel block
-#: (2.8%) for allocator and test-order noise.  An ``h_parallel_e2`` that
-#: builds the normal frame and a zero H on this route (13.41 MB) fails it,
-#: and so does a ``sup`` through ``np.linalg.norm`` (10.21 MB).
-SURFACE_CHAIN_PEAK = 9_472_622 + 256 * 1024
+#: (8,167,191-8,180,413; the peak is in ``gaussian_curvature``'s via_net
+#: route, 2.0 MB above its base, then in its direct route, 2.3 MB above a
+#: lower base), plus a margin of one 256 KiB kernel block (3.2%) for
+#: allocator and test-order noise.  Whole-grid partials in
+#: ``verify_null_coords`` (9.15 MB, 3.3 MB above its base) fail it, and so
+#: does a zero H allocated as an (n, n, 4) grid (8.59 MB).
+SURFACE_CHAIN_PEAK = 8_180_413 + 256 * 1024
+
+#: tracemalloc bound on each sample check at n = 801: the slab buffers
+#: take about 1 MB, where whole-grid partials took 46 MB (``is_chebyshev``)
+#: and 53 MB (``verify_null_coords``)
+CHECK_PEAK_801 = 10_000_000
+
+
+def record_grid_reads(monkeypatch) -> list:
+    """``record_diff_samples``, with each call of the one-pass metric
+    checks (``numerics._form_sups``, as ``chebnet`` and ``lift`` load it)
+    recorded as the two passes it makes over its grid: (values, 0) along u
+    and (values, 1) along v."""
+    seen = record_diff_samples(monkeypatch)
+    original = numerics._form_sups
+
+    def recorded(g, *args, **kwargs):
+        seen.extend([(g.values, 0), (g.values, 1)])
+        return original(g, *args, **kwargs)
+
+    for mod in (chebnet, lift):
+        monkeypatch.setattr(mod, "_form_sups", recorded)
+    return seen
 
 
 class TestMemo:
@@ -778,7 +823,7 @@ class TestMemo:
     def test_first_partials_differenced_once(self, monkeypatch):
         built = lift_net(build_first_kind(*gallery_generators(101),
                                           np.zeros(3)))
-        seen = record_diff_samples(monkeypatch)
+        seen = record_grid_reads(monkeypatch)
         # with its generators the lift differences only for the grid check
         verify_null_coords(built)
         normal_frame(built)
@@ -834,6 +879,20 @@ class TestSurfaceChain:
         finally:
             tracemalloc.stop()
         assert peak <= SURFACE_CHAIN_PEAK
+
+    @pytest.mark.parametrize("check", ["is_chebyshev", "verify_null_coords"])
+    def test_check_peak_at_801(self, check):
+        net = build_first_kind(*gallery_generators(801), np.zeros(3))
+        call, arg = ((is_chebyshev, net) if check == "is_chebyshev"
+                     else (verify_null_coords, lift_net(net)))
+        want = call(arg)
+        tracemalloc.start()
+        try:
+            got = call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < CHECK_PEAK_801
 
 
 #: the checks that each public call of ``surface_chain``, and ``solve`` of

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from chebylift import numerics
+from chebylift import minkowski as mk, numerics
 from chebylift.errors import (
     BadGrid, BadSphereCurve, DegenerateAngle, NotRegular,
 )
@@ -375,3 +376,102 @@ class TestNorms:
         # a sup over an empty set is no evidence of a small residual
         with pytest.raises(DegenerateAngle, match="no node is left"):
             sup_check("s", np.ones((5, 5)), keep=np.zeros((5, 5), dtype=bool))
+
+
+def reference_form_sups(g, names, targets, tols=(np.inf,) * 3, band=0):
+    """The checks of ``_form_sups`` by the full-grid formula: whole-grid
+    partials, their einsum (k = 3) or ``mk.inner`` (k = 4), then
+    ``sup_check`` over the nodes ``band`` rows in from each edge."""
+    fu, fv = partials(g, "u"), partials(g, "v")
+    inner = (mk.inner if g.values.shape[2] == 4
+             else lambda a, b: np.einsum("ijk,ijk->ij", a, b))
+    keep = None
+    if band:
+        keep = np.zeros((g.nu, g.nv), dtype=bool)
+        keep[band:-band, band:-band] = True
+    return tuple(sup_check(name, inner(a, b) - t, tol, keep=keep,
+                           axes=(g.us, g.vs))
+                 for name, (a, b), t, tol in zip(
+                     names, ((fu, fu), (fv, fv), (fu, fv)), targets, tols))
+
+
+def check_bits(checks) -> list:
+    """The checks with each value as its bytes, so that NaNs compare."""
+    return [(c.name, np.float64(c.value).tobytes(), c.tol, c.where, c.masked)
+            for c in checks]
+
+
+def assert_form_sups_match(g, targets, band, slab_rows):
+    """``_form_sups`` in slabs of ``slab_rows`` rows against the full-grid
+    reference: the same checks bit for bit, or the same error."""
+    names, tols = ("a", "b", "c"), (1e-6, 2.0, np.inf)
+    k = g.values.shape[2]
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(numerics, "_BLOCK_BYTES",
+                   8 * max(g.nv - 2 * band, 1) * k * slab_rows)
+        try:
+            want = reference_form_sups(g, names, targets, tols, band)
+        except DegenerateAngle:
+            with pytest.raises(DegenerateAngle, match="no node is left"):
+                numerics._form_sups(g, names, targets, tols, band)
+            return None
+        got = numerics._form_sups(g, names, targets, tols, band)
+    assert check_bits(got) == check_bits(want)
+    return want
+
+
+class TestFormSups:
+    """The one-pass metric checks against whole-grid partials."""
+
+    @settings(derandomize=True, database=None, max_examples=80,
+              deadline=None)
+    @given(nu=st.integers(3, 40), nv=st.integers(3, 40),
+           k=st.sampled_from([3, 4]), band=st.sampled_from([0, 2]),
+           nodewise=st.booleans(), slab_rows=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    # 11 band rows in slabs of 2: a last slab of one row
+    @example(nu=15, nv=9, k=4, band=2, nodewise=True, slab_rows=2, seed=0)
+    @example(nu=11, nv=23, k=3, band=0, nodewise=False, slab_rows=2, seed=1)
+    def test_matches_full_grid_reference(self, nu, nv, k, band, nodewise,
+                                         slab_rows, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid2D(0.3, -1.2, 0.05, 0.07, rng.standard_normal((nu, nv, k)))
+        t = rng.standard_normal((nu, nv)) if nodewise else rng.normal()
+        assert_form_sups_match(g, (t, 1.0, t), band, slab_rows)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("band", [0, 2])
+    def test_ties_resolve_to_the_first_node(self, k, band):
+        # constant samples: f_u = f_v = 0 exactly, so every residual is
+        # the constant target and every node of every slab ties
+        g = Grid2D(0.0, 0.0, 0.1, 0.1, np.full((13, 8, k), 0.7))
+        for targets in ((1.0, -2.0, 0.5), (np.full((13, 8), 3.0),) * 3):
+            want = assert_form_sups_match(g, targets, band, 3)
+            assert all(c.where[0] == (band, band) for c in want)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("band", [0, 2])
+    def test_overflow_is_located_where_sup_check_locates_it(self, k, band):
+        # samples near the float limit overflow the stencils and products:
+        # inf residuals that tie, and for k = 4 NaNs (-inf + inf) in
+        # several slabs
+        vals = np.random.default_rng(k).standard_normal((17, 12, k))
+        vals[6, 5, 1] = 1.7e308
+        vals[11, 3, 0] = -1.7e308
+        vals[12, 8] = 1e200
+        g = Grid2D(0.0, 0.0, 0.1, 0.1, vals)
+        for slab_rows in (1, 4, 17):
+            want = assert_form_sups_match(g, (0.0, 0.0, 0.0), band,
+                                          slab_rows)
+            assert not all(np.isfinite(c.value) for c in want)
+
+    def test_band_that_keeps_no_node_raises(self):
+        g = Grid2D(0.0, 0.0, 0.1, 0.1, np.ones((4, 30, 4)))
+        with pytest.raises(DegenerateAngle, match="no node is left"):
+            numerics._form_sups(g, ("a", "b", "c"), (0.0,) * 3, band=2)
+
+    def test_payloads_other_than_3_or_4_vectors_raise(self):
+        for vals in (np.ones((6, 6)), np.ones((6, 6, 2))):
+            with pytest.raises(BadGrid, match="3- or 4-vectors"):
+                numerics._form_sups(Grid2D(0.0, 0.0, 0.1, 0.1, vals),
+                                    ("a", "b", "c"), (0.0,) * 3)
