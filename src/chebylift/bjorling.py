@@ -16,7 +16,9 @@ argument, and errors come in chain order: ``BadData`` on the structure,
 ``NecessaryConditionFailed``, ``BadData`` on the resample, then
 ``DegenerateFrenet``.  ``classify_special`` always checks the structure
 first, but the necessary condition only on data that is neither a
-straight line nor Frenet-degenerate.
+straight line nor Frenet-degenerate.  ``ruled_solution`` shares
+``solve``'s compatibility gate and seed check; its order is structure,
+necessary, resample (and not-a-line ``BadData``), compatibility, seed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import minkowski as mk
 from .chebnet import check_disjointness
 from .errors import (BadData, Check, DegenerateFrenet, DisjointnessViolated,
                      DivisionDegenerate, ExtensionMismatch, IncompatibleData,
-                     InconsistentSeed, NecessaryConditionFailed, Report)
+                     NecessaryConditionFailed, Report)
 from .lift import LiftSurface, _frame, build_minimal
 from .numerics import (FrenetData, Grid2D, KAPPA_TOL, SampledCurve,
                        SphereCurve, diff_samples, frenet, sup_check)
@@ -105,11 +107,11 @@ class CurveDecomposition:
     and the ``necessary`` report of ``source``, its admissible
     ``orientation`` (which raises ``NecessaryConditionFailed``), the
     resample ``data`` with c0'(u) = 1, ``alpha`` = c - u d0 and its
-    ``frenet`` apparatus, the resample's c', n0 and frame n3 (which reads
-    ``orientation`` first), ``theta0``, ``p0fn``, ``q0fn``, ``n0curve``,
-    ``n3curve`` and the ``special`` case.  Each public call builds its own
-    and drops it on return; nothing is kept on ``source``, so a second call
-    on the same data computes everything again.
+    ``frenet`` apparatus, the resample's frame n3 (which reads
+    ``orientation`` first), ``theta0``, ``p0fn``, ``q0fn``, ``n0curve``
+    (the Frenet T), ``n3curve`` and the ``special`` case.  Each public call
+    builds its own and drops it on return; nothing is kept on ``source``,
+    so a second call on the same data computes everything again.
     """
 
     source: BjorlingData
@@ -211,17 +213,11 @@ class CurveDecomposition:
         return self.alpha.ts
 
     @cached_property
-    def _dc_resampled(self) -> np.ndarray:
-        c = self.data.c
-        return diff_samples(c.points, c.dt, 1)
-
-    @cached_property
     def n0curve(self) -> SphereCurve:
-        """n0 = spatial(c') / |spatial(c')|, the unit tangent T of alpha."""
-        sp = self._dc_resampled[:, 1:]
+        """n0 = spatial(c') / |spatial(c')|: the Frenet tangent T of alpha,
+        since spatial(c') = alpha'."""
         return SphereCurve(t_min=self.alpha.t_min, dt=self.alpha.dt,
-                           points=sp / np.linalg.norm(sp, axis=1,
-                                                      keepdims=True))
+                           points=self.frenet.T)
 
     @cached_property
     def _n3(self) -> np.ndarray:
@@ -272,8 +268,9 @@ class CurveDecomposition:
             return Report(checks, {"kind": SpecialCaseKind.PLANAR_ALPHA})
         T = self.n0curve.points - self.n0curve.points.mean(axis=0)
         axis = np.linalg.eigh(T.T @ T)[1][:, 0]
+        c = self.data.c
         tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * _derivative_error(
-            self.data.c, self._dc_resampled))
+            c, diff_samples(c.points, c.dt, 1)))
         checks += (sup_check("off_circle", T @ axis, tol, axes=us),)
         helix = all(c.passed for c in checks[2:])
         return Report(checks, {"kind": SpecialCaseKind.HELIX if helix
@@ -442,23 +439,23 @@ def classify_special(d: BjorlingData) -> Report:
 def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
     """Solution through a lightlike straight line: f = u l0 + v d0 + int n3.
 
-    ``n3(0)`` must agree with pi(tau + nu) of D at the basepoint (admissible
-    orientation) within 1e-5 (check seed_miss, else ``InconsistentSeed``);
-    the surface is ruled by the constant direction l0.  n3 must stay off
-    +-l0 on the whole product, between samples too.
+    The data's n3 must be constant along c: ``solve``'s compatibility gate,
+    sup_dn3 at most ``COMPAT_TOL``, else ``IncompatibleData``.  ``n3`` needs
+    a v = 0 node, where it must agree with the data's n3 at the basepoint
+    within ``SEED_TOL`` (check seed_miss), else ``ExtensionMismatch``; the
+    surface is ruled by the constant direction l0.  n3 must stay off +-l0
+    on the whole product, between samples too.
     """
     dec = CurveDecomposition(d)
+    dec.orientation                 # NecessaryConditionFailed comes first
     case = dec.special
     if case.kind is not SpecialCaseKind.LIGHTLIKE_LINE:
         raise BadData(f"data classifies as {case.kind.value}, not a line")
+    _compatibility_gate(dec)
+    _seeded(dec, n3)
     c = dec.data.c
-    seed = dec._n3[c.base_index()]
     n0_const = dec.n0curve.points.mean(axis=0)
     n0_const /= np.linalg.norm(n0_const)
-    chk = Check("seed_miss", float(np.linalg.norm(
-        n3.points[n3.base_index()] - seed)), 1e-5)
-    if not chk.passed:
-        raise InconsistentSeed("n3(0) differs from the frame value", chk)
     n0curve = SphereCurve(t_min=c.t_min, dt=c.dt,
                           points=np.tile(n0_const, (c.n, 1)))
     return _build_solution(n0curve, n3, c.points[c.base_index()])
@@ -510,20 +507,34 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
                                "into the admissible region")
 
 
+def _compatibility_gate(dec: CurveDecomposition) -> Check:
+    """sup_dn3 of ``compatibility_residual``; ``IncompatibleData`` carries
+    it when it fails (alone: on a line r2 and r3 are NaN)."""
+    chk = compatibility_residual(dec)["sup_dn3"]
+    if not chk.passed:
+        raise IncompatibleData("n3 varies along the curve", chk)
+    return chk
+
+
+def _seeded(dec: CurveDecomposition, cur: SphereCurve) -> SphereCurve:
+    """``cur`` if it has a v = 0 node where it takes the data's n3(0)
+    within ``SEED_TOL`` (check seed_miss), else ``ExtensionMismatch``."""
+    if abs(cur.ts[cur.base_index()]) > 1e-9:
+        raise ExtensionMismatch("extension curve needs a v = 0 node")
+    chk = Check("seed_miss", float(np.linalg.norm(
+        cur.points[cur.base_index()]
+        - dec.n3curve.points[dec.n3curve.base_index()])), SEED_TOL)
+    if not chk.passed:
+        raise ExtensionMismatch("extension seed differs from data", chk)
+    return cur
+
+
 def _extension_curve(dec: CurveDecomposition,
                      ext: Optional[ExtensionChoice]) -> SphereCurve:
-    n3_seed = dec.n3curve.points[dec.n3curve.base_index()]
     if ext is None:
         return default_extension(dec)
     if ext.kind == "sphere_curve":
-        cur = ext.curve
-        if abs(cur.ts[cur.base_index()]) > 1e-9:
-            raise ExtensionMismatch("extension curve needs a v = 0 node")
-        chk = Check("seed_miss", float(np.linalg.norm(
-            cur.points[cur.base_index()] - n3_seed)), SEED_TOL)
-        if not chk.passed:
-            raise ExtensionMismatch("extension seed differs from data", chk)
-        return cur
+        return _seeded(dec, ext.curve)
     if ext.kind != "theta_profile":
         raise ExtensionMismatch(f"unknown extension kind {ext.kind!r}")
 
@@ -557,6 +568,7 @@ def _extension_curve(dec: CurveDecomposition,
         raise ExtensionMismatch("extension's n3 varies along u", chk)
     pts = n3_field.mean(axis=0)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    n3_seed = dec.n3curve.points[dec.n3curve.base_index()]
     # The rebuilt curve carries the differencing error of kappa and tor, so
     # its v = 0 value misses the data's n3 slightly; rotate it onto the seed
     # so the solution's normal plane along c is the data's own.
@@ -594,9 +606,7 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     """
     dec = decompose(d)
     rep = dec.necessary
-    comp = compatibility_residual(dec)
-    if not comp["sup_dn3"].passed:
-        raise IncompatibleData("n3 varies along the curve", comp["sup_dn3"])
+    compat = _compatibility_gate(dec)
     n3curve = _extension_curve(dec, ext)
     P0 = dec.data.c.points[dec.data.c.base_index()]
     surf = _build_solution(dec.n0curve, n3curve, P0)
@@ -617,7 +627,7 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     proj[keep] = np.abs(P_surf - P_data).max(axis=(-2, -1))
     checks = (
         replace(rep["residual"], name="necessary"),
-        replace(comp["sup_dn3"], name="compatibility_sup"), curve,
+        replace(compat, name="compatibility_sup"), curve,
         sup_check("projector_sup", proj, 1e-5, keep=keep, axes=us))
     return surf, Report(checks, {
         "orientation": rep.orientation,
@@ -640,30 +650,19 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     """
     if gamma.points.shape[1] != 3 or n.points.shape[1] != 3:
         raise BadData("gamma and n must be curves in R^3_1 (3 components)")
-    if gamma.n != n.n or abs(gamma.t_min - n.t_min) > 1e-12 or \
-            abs(gamma.dt - n.dt) > 1e-12:
-        raise BadData("gamma and n must share their sample grid")
-    eta3 = np.array([-1.0, 1.0, 1.0])
-
-    def ip3(x, y):
-        return np.einsum("...i,i,...i->...", x, eta3, y)
-
-    gp = diff_samples(gamma.points, gamma.dt, 1)
-    if gp[:, 0].min() <= 0:
+    pad = lambda cur: SampledCurve(t_min=cur.t_min, dt=cur.dt,
+                                   points=np.pad(cur.points, ((0, 0), (0, 1))))
+    d = BjorlingData(c=pad(gamma), a=pad(n), b=SampledCurve(
+        t_min=gamma.t_min, dt=gamma.dt, points=np.tile(mk.D3, (gamma.n, 1))))
+    cp, a = diff_samples(d.c.points, d.c.dt, 1), d.a.points
+    if cp[:, 0].min() <= 0:
         raise BadData("gamma0'(t) must be positive")
     for name, vals, msg in (
-            ("lightlike", ip3(gp, gp) / np.einsum("ij,ij->i", gp, gp),
+            ("lightlike", mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp),
              "gamma is not lightlike in R^3_1"),
-            ("unit", ip3(n.points, n.points) - 1.0,
-             "n is not unit spacelike in R^3_1"),
-            ("normal", ip3(gp, n.points), "n is not normal to gamma'")):
+            ("unit", mk.inner(a, a) - 1.0, "n is not unit spacelike in R^3_1"),
+            ("normal", mk.inner(cp, a), "n is not normal to gamma'")):
         chk = sup_check(name, vals, STRUCT_TOL, axes=(gamma.ts,))
         if not chk.passed:
             raise BadData(msg, chk)
-
-    pad = lambda p: np.concatenate([p, np.zeros((p.shape[0], 1))], axis=1)
-    c = SampledCurve(t_min=gamma.t_min, dt=gamma.dt, points=pad(gamma.points))
-    a = SampledCurve(t_min=gamma.t_min, dt=gamma.dt, points=pad(n.points))
-    b = SampledCurve(t_min=gamma.t_min, dt=gamma.dt,
-                     points=np.tile(mk.D3, (gamma.n, 1)))
-    return BjorlingData(c=c, a=a, b=b)
+    return d

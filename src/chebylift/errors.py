@@ -144,10 +144,6 @@ class MissingSource(ChebyliftError):
 
 # --- Cauchy problem
 
-class InconsistentSeed(ChebyliftError):
-    """Extension seed value disagrees with the curve-level data."""
-
-
 class NecessaryConditionFailed(ChebyliftError):
     """The lightlike-tangent condition fails for both orientations."""
 

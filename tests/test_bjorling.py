@@ -15,8 +15,7 @@ from chebylift.bjorling import (
 from chebylift.chebnet import check_disjointness, gallery
 from chebylift.errors import (
     BadData, DegenerateFrenet, DisjointnessViolated, DivisionDegenerate,
-    ExtensionMismatch, IncompatibleData, InconsistentSeed,
-    NecessaryConditionFailed,
+    ExtensionMismatch, IncompatibleData, NecessaryConditionFailed,
 )
 from chebylift.lift import (ANGLE_MARGIN, build_minimal, gaussian_curvature,
                             lift_net, mean_curvature, normal_frame)
@@ -312,10 +311,9 @@ class TestClassify:
     def test_line_failing_necessary_raises_that_first(self):
         # D = span{d1, d2} along c = t (d0 + d1): nu = +-d3, so c'/c0' - d0
         # = d1 misses n0 = +-d3 in both orderings.  The classifier checks the
-        # structure, which holds, and then looks only at alpha; decompose and
-        # solve check the necessary condition before the Frenet apparatus,
-        # and ruled_solution once the data classifies as a line, so none of
-        # them reports a degenerate Frenet frame.
+        # structure, which holds, and then looks only at alpha; decompose,
+        # solve and ruled_solution check the necessary condition before the
+        # Frenet apparatus, so none of them reports a degenerate Frenet frame.
         d = line_data()
         d = BjorlingData(c=d.c, a=make_curve(
             lambda t: np.tile(mk.D1, (t.size, 1)), (-1.0, 1.0), d.c.n), b=d.b)
@@ -393,8 +391,34 @@ class TestRuledSolution:
     def test_bad_seed(self):
         d, n3 = self.line_with_n3(
             lambda v: np.stack([0 * v, np.cos(v), np.sin(v)], axis=-1))
-        with pytest.raises(InconsistentSeed):
+        with pytest.raises(ExtensionMismatch):
             ruled_solution(d, n3)
+
+    def test_extension_needs_v0_node(self):
+        # no node of J = (-1, 0.9) sits at v = 0: built from its nearest
+        # node, v = 0.007, the surface would miss c by 7e-3
+        e2, e3 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+        d, n3 = self.line_with_n3(
+            lambda v: np.cos(1e-3 * v)[:, None] * e3
+            + np.sin(1e-3 * v)[:, None] * e2, J=(-1.0, 0.9), nJ=101)
+        with pytest.raises(ExtensionMismatch, match="needs a v = 0 node"):
+            ruled_solution(d, n3)
+
+    def test_incompatible_line_rejected(self):
+        # n3 of D rotates along the line at rate 0.3, so the normal
+        # plane of a ruled solution would miss D by 0.30; the gate carries
+        # sup_dn3, not the NaN r2, r3 of a line's Frenet frame
+        d = data_from_null_pair(
+            lambda ts: np.tile([1.0, 0.0, 0.0], (ts.size, 1)),
+            lambda ts: np.stack([0 * ts, np.sin(0.3 * ts), np.cos(0.3 * ts)],
+                                axis=1), (-1.0, 1.0), 201)
+        _, n3 = self.line_with_n3(
+            lambda v: np.stack([0 * v, np.sin(v), np.cos(v)], axis=-1))
+        with pytest.raises(IncompatibleData) as err:
+            ruled_solution(d, n3)
+        chk = err.value.check
+        assert chk.name == "sup_dn3" and abs(chk.value - 0.3) < 1e-3
+        assert "nan" not in str(err.value)
 
     def test_not_a_line(self):
         _, d = critical_lift_data()
@@ -770,8 +794,9 @@ class TestReduceFromL3:
 class TestOneChainPerCall:
     """Each public call runs the chain on its own CurveDecomposition: it
     fits the resample splines once, frames the data and the resample once
-    each, differences c' once per curve, and keeps nothing on its argument,
-    so a second call computes everything again."""
+    each, differences the data's c' once (and the resample's only for
+    classify_special's off-circle tolerance), and keeps nothing on its
+    argument, so a second call computes everything again."""
 
     CALLS = ("check_necessary", "decompose", "classify_special",
              "ruled_solution", "solve")
@@ -809,11 +834,12 @@ class TestOneChainPerCall:
             "tangents", bjorling.diff_samples,
             lambda f, *args: f.ndim == 2 and f.shape[1] == 4))
         curves = 1 if name == "check_necessary" else 2
+        tangents = 2 if name == "classify_special" else 1
         for calls in (1, 2):
             call(d)
             assert counts["fits"] == calls * 4 * (curves - 1)
             assert counts["frames"] <= calls * curves * d.c.n
-            assert counts["tangents"] <= calls * curves
+            assert counts["tangents"] == calls * tangents
 
     @pytest.mark.parametrize("name", CALLS)
     def test_argument_untouched(self, name):

@@ -4,6 +4,8 @@ and so is every private method or property (a memo such as a private
 ``cached_property``) that a top-level class defines.  Every public
 top-level function or class is loaded by the library or the benchmark, or
 is listed in ``PAPER_NAMES`` with the statement of the paper it carries.
+Every ``ChebyliftError`` subclass is named by some ``raise`` in the library,
+so a replaced error type cannot stay behind as a name nothing raises.
 
 Standard library only: each ``src/chebylift/*.py`` is parsed with ``ast``;
 a name counts as used when it occurs as a name anywhere in the module,
@@ -236,3 +238,45 @@ def test_dead_private_members_are_found():
                       "    return a._helper()\n")
     assert dead_private_members({"m": tree}) == ["m:A._memo", "m:A._helper"]
     assert dead_private_members({"m": tree, "o": other}) == ["m:A._memo"]
+
+
+def error_types(tree: ast.Module) -> list:
+    """Classes of ``tree`` that derive from ``ChebyliftError``, directly or
+    through a class defined before them."""
+    found = ["ChebyliftError"]
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in found for b in stmt.bases):
+            found.append(stmt.name)
+    return found[1:]
+
+
+def unraised_errors(errors: ast.Module, trees: list) -> list:
+    """Error types of ``errors`` that no ``raise`` of ``trees`` names."""
+    raised = set().union(*(read_names(node) for tree in trees
+                           for node in ast.walk(tree)
+                           if isinstance(node, ast.Raise)))
+    return [name for name in error_types(errors) if name not in raised]
+
+
+def test_every_error_type_is_raised():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    unraised = unraised_errors(trees["errors.py"], list(trees.values()))
+    assert not unraised, f"error types nothing raises: {unraised}"
+
+
+def test_unraised_errors_are_found():
+    errors = ast.parse("class ChebyliftError(Exception): ...\n"
+                       "class A(ChebyliftError): ...\n"
+                       "class B(A): ...\n"
+                       "class C(ChebyliftError): ...\n"
+                       "class Other(Exception): ...\n")
+    use = ast.parse("import errors\n"
+                    "from errors import A\n"
+                    "def f(x):\n"
+                    "    if x:\n"
+                    "        raise errors.B('b')\n"
+                    "    return A, C\n")
+    assert error_types(errors) == ["A", "B", "C"]
+    assert unraised_errors(errors, [errors, use]) == ["A", "C"]
