@@ -7,9 +7,10 @@ n0 taken from the adapted frame of D (both orderings of {a, b} are tried,
 since the sign of nu depends on the ordering), decomposes the data along
 the spatial curve alpha(u) = c(u) - u d0, measures the compatibility of the
 second null generator, and assembles solutions as sums of two lightlike
-curves.  Solutions are classified into the line / helix / planar-alpha
-special cases, and non-uniqueness is realized by exchanging extensions of
-the second generator with a fixed value at v = 0.
+curves, whose tangents along c are the frame's n0 and n3 (only the Frenet
+apparatus of alpha is differenced from c).  Solutions are classified into
+the line / helix / planar-alpha special cases, and non-uniqueness is
+realized by exchanging extensions of n3 with a fixed value at v = 0.
 
 Each public function runs that chain on a ``CurveDecomposition`` of its
 argument, and errors come in chain order: ``BadData`` on the structure,
@@ -107,9 +108,9 @@ class CurveDecomposition:
     and the ``necessary`` report of ``source``, its admissible
     ``orientation`` (which raises ``NecessaryConditionFailed``), the
     resample ``data`` with c0'(u) = 1, ``alpha`` = c - u d0 and its
-    ``frenet`` apparatus, the resample's frame n3 (which reads
-    ``orientation`` first), ``theta0``, ``p0fn``, ``q0fn``, ``n0curve``
-    (the Frenet T), ``n3curve`` and the ``special`` case.  Each public call
+    ``frenet`` apparatus, the resample's frame nulls ``n0curve`` and
+    ``n3curve`` (one pass, which reads ``orientation`` first), ``theta0``,
+    ``p0fn``, ``q0fn`` and the ``special`` case.  Each public call
     builds its own and drops it on return; nothing is kept on ``source``,
     so a second call on the same data computes everything again.
     """
@@ -213,38 +214,36 @@ class CurveDecomposition:
         return self.alpha.ts
 
     @cached_property
-    def n0curve(self) -> SphereCurve:
-        """n0 = spatial(c') / |spatial(c')|: the Frenet tangent T of alpha,
-        since spatial(c') = alpha'."""
-        return SphereCurve(t_min=self.alpha.t_min, dt=self.alpha.dt,
-                           points=self.frenet.T)
+    def _nulls(self) -> tuple:
+        """``_frame_nulls`` of the resample as ``SphereCurve``s (n0, n3), in
+        the admissible orientation: swapping (a, b) exchanges them."""
+        orientation = self.orientation
+        t0, h = self.alpha.t_min, self.alpha.dt
+        pair = [SphereCurve(t_min=t0, dt=h, points=mk.spatial(n)) for n in
+                _frame_nulls(self.data.a.points, self.data.b.points)]
+        return tuple(pair[::-1] if orientation == "ba" else pair)
 
     @cached_property
-    def _n3(self) -> np.ndarray:
-        """Spatial n3 = pi(tau + nu) of the resample's frames, in the
-        admissible orientation: swapping (a, b) exchanges n0 and n3."""
-        orientation = self.orientation
-        n0, n3 = _frame_nulls(self.data.a.points, self.data.b.points)
-        return mk.spatial(n0 if orientation == "ba" else n3)
+    def n0curve(self) -> SphereCurve:
+        return self._nulls[0]
 
     @cached_property
     def n3curve(self) -> SphereCurve:
-        return SphereCurve(t_min=self.alpha.t_min, dt=self.alpha.dt,
-                           points=self._n3 / np.linalg.norm(
-                               self._n3, axis=1, keepdims=True))
+        return self._nulls[1]
 
     @cached_property
     def theta0(self) -> np.ndarray:
+        n0, n3 = self._nulls
         return np.arccos(np.clip(np.einsum(
-            "ij,ij->i", self.n0curve.points, self._n3), -1.0, 1.0))
+            "ij,ij->i", n0.points, n3.points), -1.0, 1.0))
 
     @cached_property
     def p0fn(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self._n3, self.frenet.N)
+        return np.einsum("ij,ij->i", self._nulls[1].points, self.frenet.N)
 
     @cached_property
     def q0fn(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self._n3, self.frenet.B)
+        return np.einsum("ij,ij->i", self._nulls[1].points, self.frenet.B)
 
     @cached_property
     def special(self) -> Report:
@@ -266,7 +265,7 @@ class CurveDecomposition:
                   sup_check("sup_p", self.p0fn, ZERO_TOL, axes=us))
         if tor.passed:
             return Report(checks, {"kind": SpecialCaseKind.PLANAR_ALPHA})
-        T = self.n0curve.points - self.n0curve.points.mean(axis=0)
+        T = fr.T - fr.T.mean(axis=0)
         axis = np.linalg.eigh(T.T @ T)[1][:, 0]
         c = self.data.c
         tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * _derivative_error(
@@ -306,11 +305,11 @@ class ExtensionChoice:
 # necessary condition and decomposition
 
 def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
-    """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), one
-    float ``build_frame`` call per node, about 13 us each on a 2-core
-    x86-64 box; the benchmark's traced self-check pins 402 frames per helix
-    solve at n = 201, and a batched frame waits on that (ROADMAP.md item
-    6)."""
+    """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), of
+    the source for ``necessary`` and of the resample for the generators;
+    one float ``build_frame`` call per node, about 13 us each on a 2-core
+    x86-64 box; the benchmark's self-check pins 402 per helix solve at
+    n = 201, and a batched frame waits on that (ROADMAP.md item 6)."""
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):
@@ -339,9 +338,9 @@ def check_necessary(d: BjorlingData) -> Report:
 def decompose(d: BjorlingData) -> CurveDecomposition:
     """Frenet decomposition of the data along alpha(u) = c(u) - u d0.
 
-    Reparametrizes so that c0' = 1, takes T = n0 = spatial(c'), computes
-    n3 from the adapted frames of D with the admissible orientation, and
-    projects n3 = cos(theta) T + p N + q B on the Frenet frame.  Every
+    Reparametrizes so that c0' = 1, takes n0 and n3 from the adapted frames
+    of D with the admissible orientation, and projects n3 = cos(theta) T +
+    p N + q B on the Frenet frame of alpha, still differenced from c.  Every
     stage that can raise has run when it returns.
     """
     dec = CurveDecomposition(d)
@@ -424,8 +423,8 @@ def classify_special(d: BjorlingData) -> Report:
     1e-8 noise on c, theta_u and p stay below 2e-4.
 
     A helix needs kappa/tor constant.  By Lancret's theorem that holds
-    exactly when T lies on a circle of S^2, which is checked from T = n0,
-    a first derivative of the data, instead of from the third derivatives
+    exactly when T lies on a circle of S^2, which is checked from the
+    Frenet T, from the resampled c', instead of from the third derivatives
     in tor: the largest distance of T from its least-squares plane
     (off_circle) must not exceed max(CIRCLE_TOL, 4 sqrt 2 err), with err
     the derivative error of the resampled c (T moves by at most 2 sqrt 2
