@@ -386,6 +386,11 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     extension must satisfy.  |kappa| or |tor| at most 1e-9 anywhere raises
     ``DivisionDegenerate``.
     """
+    return _solve_pq(theta, kappa, tor)[:3]
+
+
+def _solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
+    """``solve_pq``'s p, q and residual, then the cos theta they used."""
     kappa = np.asarray(kappa, dtype=float)
     tor = np.asarray(tor, dtype=float)
     if np.abs(kappa).min() <= 1e-9 or np.abs(tor).min() <= 1e-9:
@@ -397,8 +402,9 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     sth = np.sin(th)
     p = -th_u * sth / kappa[:, None]
     p_u = diff_samples(p, theta.du, 1, axis=0)
-    q = (p_u + kappa[:, None] * np.cos(th)) / tor[:, None]
-    return p, q, p * p + q * q - sth**2
+    cth = np.cos(th)
+    q = (p_u + kappa[:, None] * cth) / tor[:, None]
+    return p, q, p * p + q * q - sth**2, cth
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +493,9 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
     whole product, so the solver never rejects the extension it built.
     The grid is symmetric, so its middle node is v = 0 within roundoff
     (8.9e-16 at half-width 1), and the extension takes the data's n3 there.
+    Every truncation keeps that node, whose cell ``check_disjointness``
+    keeps open while n3(0) is within the margin of +-n0 at some sample;
+    then no truncation is tried and "could not truncate" is raised at once.
     """
     n3c = dec.n3curve.points[dec.n3curve.base_index()]
     e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
@@ -494,8 +503,9 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
     if nrm < 1e-9:
         raise DisjointnessViolated("n0 and n3 parallel at the basepoint")
     e2 /= nrm
+    sep2 = 2.0 - 2.0 * np.abs(dec.n0curve.points @ n3c).max()
     half = 1.0
-    for _ in range(30):
+    for _ in range(30 if np.sqrt(max(sep2, 0.0)) > DEFAULT_EXT_MARGIN else 0):
         vs = np.linspace(-half, half, 201)
         pts = np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2)
         ext = SphereCurve(t_min=-half, dt=float(vs[1] - vs[0]), points=pts)
@@ -548,7 +558,7 @@ def _extension_curve(dec: CurveDecomposition,
                     axes=(theta.us,))
     if not chk.passed:
         raise ExtensionMismatch("theta(u, 0) differs from curve data", chk)
-    p, q, residual = solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
+    p, q, residual, cth = _solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
     # NaN and inf fail this check, so no non-finite p or q gets past it
     axes = (theta.us, theta.vs)
     chk = sup_check("pq_residual", residual, EXTENSION_TOL, axes=axes)
@@ -556,7 +566,7 @@ def _extension_curve(dec: CurveDecomposition,
         raise ExtensionMismatch(
             "theta extension violates p^2 + q^2 = sin^2 theta", chk)
     fr = dec.frenet
-    n3_field = (np.cos(theta.values)[..., None] * fr.T[:, None, :]
+    n3_field = (cth[..., None] * fr.T[:, None, :]
                 + p[..., None] * fr.N[:, None, :]
                 + q[..., None] * fr.B[:, None, :])
     dev = np.abs(n3_field - n3_field.mean(axis=0))

@@ -534,22 +534,28 @@ class Gallery:
 def _critical_gallery(nu, nv) -> Gallery:
     us = np.linspace(*_CRITICAL_RANGE, nu)
     vs = np.linspace(*_CRITICAL_RANGE, nv)
-    U, V = np.meshgrid(us, vs, indexing="ij")
+    su, cu = np.sin(us)[:, None], np.cos(us)[:, None]
+    sv, cv = np.sin(vs)[None, :], np.cos(vs)[None, :]
     # X = int (cos, sin, 0) du + int (0, sin, cos) dv, in closed form
-    X = np.stack([np.sin(U), 2.0 - np.cos(U) - np.cos(V), np.sin(V)], axis=-1)
+    X = np.empty((nu, nv, 3))
+    X[..., 0], X[..., 2] = su, sv
+    np.subtract(2.0 - cu, cv, out=X[..., 1])
     grid = grid_from_ranges(_CRITICAL_RANGE, _CRITICAL_RANGE, X)
-    F = np.sin(U) * np.sin(V)
+    F = su * sv
     net = NetSurface(grid=grid, F=F)
-    root = np.sqrt(1.0 - np.sin(U)**2 * np.sin(V)**2)
+    root = su**2 * sv**2
+    np.sqrt(np.subtract(1.0, root, out=root), out=root)
+    gauss = np.empty((nu, nv, 3))
+    for k, (a, b) in enumerate(((su, cv), (-cu, cv), (cu, sv))):
+        np.multiply(a, b, out=gauss[..., k])
+    gauss /= root[..., None]
     oracles = {
         "F": F,
-        "gauss_map": np.stack([np.sin(U) * np.cos(V),
-                               -np.cos(U) * np.cos(V),
-                               np.cos(U) * np.sin(V)], axis=-1) / root[..., None],
-        "second_e": -np.cos(V) / root,
+        "gauss_map": gauss,
+        "second_e": -cv / root,
         "second_f": np.zeros_like(F),
-        "second_g": -np.cos(U) / root,
-        "K_T": np.cos(U) * np.cos(V) / root**4,
+        "second_g": -cu / root,
+        "K_T": np.divide(cu * cv, np.power(root, 4, out=root), out=root),
     }
     return Gallery(net=net, oracles=oracles)
 
@@ -577,30 +583,34 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     x, y = _profile_x, _profile_y()
     ts = np.linspace(*t_range, nu)
     ss = np.linspace(*s_range, nv)
-    T, S = np.meshgrid(ts, ss, indexing="ij")
-    Y = np.stack([x(S) * np.cos(T), x(S) * np.sin(T), y(S)], axis=-1)
+    ct, st = np.cos(ts)[:, None], np.sin(ts)[:, None]
+    xs, xp = x(ss), 1.0 / np.cosh(ss)**2 / 2.0
+    Y, Yt, Ys = (np.empty((nu, nv, 3)) for _ in range(3))
+    for out, pairs in ((Y, ((xs, ct), (xs, st))), (Yt, ((-xs, st), (xs, ct))),
+                       (Ys, ((xp, ct), (xp, st)))):
+        for k, (a, b) in enumerate(pairs):
+            np.multiply(a, b, out=out[..., k])
+    Y[..., 2], Yt[..., 2], Ys[..., 2] = y(ss), 0.0, y(ss, 1)
     ts_grid = grid_from_ranges(t_range, s_range, Y)
-    Yt = np.stack([-x(S) * np.sin(T), x(S) * np.cos(T),
-                   np.zeros_like(S)], axis=-1)
-    xp = 1.0 / np.cosh(S)**2 / 2.0
-    Ys = np.stack([xp * np.cos(T), xp * np.sin(T), y(S, 1)], axis=-1)
     E_ts = np.einsum("ijk,ijk->ij", Yt, Yt)
     F_ts = np.einsum("ijk,ijk->ij", Yt, Ys)
     G_ts = np.einsum("ijk,ijk->ij", Ys, Ys)
 
     # Chebyshev-equivalent (u, v) immersion on the inscribed square,
     # evaluated exactly through t = u + v, s = -u + v.
-    Lt, Ls = ts[-1] - ts[0], ss[-1] - ss[0]
-    half = min(Lt, Ls) / 4.0
+    half = min(ts[-1] - ts[0], ss[-1] - ss[0]) / 4.0
     uc = (ts[0] + ts[-1]) / 4.0 - (ss[0] + ss[-1]) / 4.0
     vc = (ts[0] + ts[-1]) / 4.0 + (ss[0] + ss[-1]) / 4.0
     us = np.linspace(uc - half, uc + half, nu)
     vs = np.linspace(vc - half, vc + half, nv)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    Tq, Sq = U + V, V - U
-    X = np.stack([x(Sq) * np.cos(Tq), x(Sq) * np.sin(Tq), y(Sq)], axis=-1)
+    Tq, Sq = us[:, None] + vs, vs - us[:, None]
+    xq = x(Sq)
+    X = np.empty((nu, nv, 3))
+    np.multiply(xq, np.cos(Tq), out=X[..., 0])
+    np.multiply(xq, np.sin(Tq), out=X[..., 1])
+    X[..., 2] = y(Sq)
     grid = grid_from_ranges((us[0], us[-1]), (vs[0], vs[-1]), X)
-    F = 2.0 * x(Sq)**2 - 1.0
+    F = 2.0 * xq**2 - 1.0
     net = NetSurface(grid=grid, F=F)
     return Gallery(net=net, oracles={"F": F},
                    ts_grid=ts_grid, ts_forms=(E_ts, F_ts, G_ts))
@@ -608,7 +618,12 @@ def _noncritical_gallery(nu, nv) -> Gallery:
 
 def gallery(name: str, nu: int = 201, nv: int = 201) -> Gallery:
     """The two worked examples: ``critical`` (minimal lift) and
-    ``noncritical`` (rotational surface with nonvanishing H)."""
+    ``noncritical`` (rotational surface with nonvanishing H).  Each field
+    that separates (every critical one, the noncritical (t, s) ones) is
+    built from sin, cos, x, y, y' and sech^2 taken once per axis, in the
+    node-wise formula's order of operations.  The noncritical (u, v)
+    immersion is evaluated node by node: its t = u + v and s = v - u are
+    not exact functions of i + j and j - i in floats."""
     if name == "critical":
         return _critical_gallery(nu, nv)
     if name == "noncritical":

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chebylift import minkowski as mk
 from chebylift.bjorling import (
-    BjorlingData, ExtensionChoice, SpecialCaseKind, check_necessary,
-    classify_special, compatibility_residual, decompose, default_extension,
-    reduce_from_l3, ruled_solution, solve, solve_pq,
+    DEFAULT_EXT_MARGIN, BjorlingData, ExtensionChoice, SpecialCaseKind,
+    check_necessary, classify_special, compatibility_residual, decompose,
+    default_extension, reduce_from_l3, ruled_solution, solve, solve_pq,
 )
 from chebylift.chebnet import check_disjointness, gallery
 from chebylift.errors import (
@@ -25,6 +25,7 @@ from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve,
 from test_chebnet import normalized_trig_curve, random_net_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
 from inputs import data_from_null_pair  # noqa: E402
 
 
@@ -266,6 +267,35 @@ class TestSolvePQ:
         theta = self.theta_grid(dec, lambda v: th0 + 0.3 * v, vs)
         _, _, res = solve_pq(theta, dec.frenet.kappa, dec.frenet.tor)
         assert np.abs(res).max() > 1e-2
+
+    def test_one_cosine_pass(self, monkeypatch):
+        # the benchmark's helix-theta input at n = 201: solve takes cos theta
+        # of the profile once, and its result is bit for bit the one of an
+        # n3 field that takes cos theta again, as solve_pq's callers did
+        from chebylift import bjorling
+        d, th = inputs.helix_data(201, radius=1.0)
+        vs = np.linspace(-0.6, 0.6, 121)
+        ext = ExtensionChoice.from_theta(Grid2D(
+            u_min=d.c.t_min, v_min=float(vs[0]), du=d.c.dt,
+            dv=float(vs[1] - vs[0]), values=np.full((201, vs.size), th)))
+        shapes, cos = [], np.cos
+
+        def counted(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counted)
+        sol, rep = solve(d, ext)
+        monkeypatch.undo()
+        assert shapes.count((201, vs.size)) == 1
+        core = bjorling._solve_pq
+        monkeypatch.setattr(bjorling, "_solve_pq", lambda theta, *args: (
+            *core(theta, *args)[:3], np.cos(theta.values)))
+        ref, ref_rep = solve(d, ext)
+        assert np.array_equal(sol.generators.T2.points,
+                              ref.generators.T2.points)
+        assert np.array_equal(sol.grid.values, ref.grid.values)
+        assert rep.checks == ref_rep.checks and rep.info == ref_rep.info
 
     def test_division_degenerate(self):
         _, d = critical_lift_data()
@@ -597,6 +627,47 @@ class TestSolve:
         with pytest.raises(DisjointnessViolated, match=message) as err:
             solve(d)
         assert err.value.check is None
+
+    def test_default_extension_raises_before_truncating(self, monkeypatch):
+        # the eps = 1e-4 data above: n3(0) is inside the margin of -n0(0),
+        # so no truncation can pass and none is checked
+        from chebylift import bjorling
+        eps = 1e-4
+        d = data_from_null_pair(
+            lambda u: np.stack([np.cos(u), np.sin(u), 0 * u], axis=1),
+            lambda u: np.tile([-np.cos(eps), 0.0, np.sin(eps)], (u.size, 1)),
+            t_range=(-0.5, 0.5), n=101)
+        dec = decompose(d)
+        calls = []
+        monkeypatch.setattr(bjorling, "check_disjointness",
+                            lambda *args: calls.append(args))
+        with pytest.raises(DisjointnessViolated) as err:
+            default_extension(dec)
+        assert str(err.value) == ("could not truncate the default extension "
+                                  "into the admissible region")
+        assert calls == []
+
+    def test_default_extension_is_the_first_passing_truncation(self):
+        # the rotation of n3(0) toward n0 x n3 on 201 nodes over
+        # [-half, half], half = 0.8^k, checked until one passes
+        d, _ = helix_data(n=101)
+        dec = decompose(d)
+        n3c = dec.n3curve.points[dec.n3curve.base_index()]
+        e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
+        e2 /= np.linalg.norm(e2)
+        half = 1.0
+        while True:
+            vs = np.linspace(-half, half, 201)
+            want = SphereCurve(
+                t_min=-half, dt=float(vs[1] - vs[0]),
+                points=np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2))
+            if check_disjointness(dec.n0curve, want,
+                                  DEFAULT_EXT_MARGIN).passed:
+                break
+            half *= 0.8
+        got = default_extension(dec)
+        assert (got.t_min, got.dt) == (want.t_min, want.dt)
+        assert np.array_equal(got.points, want.points)
 
 
 class TestExtensionRejections:

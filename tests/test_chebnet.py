@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from scipy.interpolate import RectBivariateSpline
 
 from chebylift import numerics
 from chebylift.chebnet import (
-    NetSurface, _diagonal_reader, build_first_kind, check_disjointness,
-    check_sum_one, equivalent_immersion, euclidean_shape, first_form, gallery,
-    gallery_generators, is_chebyshev, sine_gordon_residual,
+    _CRITICAL_RANGE, NetSurface, _diagonal_reader, _profile_x, _profile_y,
+    build_first_kind, check_disjointness, check_sum_one, equivalent_immersion,
+    euclidean_shape, first_form, gallery, gallery_generators, is_chebyshev,
+    sine_gordon_residual,
 )
 from chebylift.errors import (DegenerateMetric, DisjointnessViolated,
                               EmptyOverlap)
@@ -363,11 +365,105 @@ class TestEquivalentImmersion:
         out = equivalent_immersion(source, direction)
         # resampled points must reproduce the closed-form immersion
         U, V = np.meshgrid(out.us, out.vs, indexing="ij")
-        from chebylift.chebnet import _profile_x, _profile_y
         T, S = (U + V, V - U) if direction == "ts_to_uv" else (U, V)
         X = np.stack([_profile_x(S) * np.cos(T), _profile_x(S) * np.sin(T),
                       _profile_y()(S)], axis=-1)
         assert np.abs(out.values - X).max() < 1e-7
+
+
+def grid_axes(g) -> np.ndarray:
+    return np.array([g.u_min, g.v_min, g.du, g.dv])
+
+
+def meshgrid_gallery(name, nu, nv) -> dict:
+    """Every array of ``gallery(name, nu, nv)``, each closed form taken
+    node by node on (nu, nv) meshgrids: the reference the axis-wise
+    builders must reproduce bit for bit."""
+    if name == "critical":
+        us = np.linspace(*_CRITICAL_RANGE, nu)
+        vs = np.linspace(*_CRITICAL_RANGE, nv)
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        X = np.stack([np.sin(U), 2.0 - np.cos(U) - np.cos(V), np.sin(V)],
+                     axis=-1)
+        F = np.sin(U) * np.sin(V)
+        root = np.sqrt(1.0 - np.sin(U)**2 * np.sin(V)**2)
+        return {
+            "X": X, "F": F, "oracle F": F,
+            "net grid": grid_axes(grid_from_ranges(_CRITICAL_RANGE,
+                                                   _CRITICAL_RANGE, X)),
+            "gauss_map": np.stack([np.sin(U) * np.cos(V),
+                                   -np.cos(U) * np.cos(V),
+                                   np.cos(U) * np.sin(V)],
+                                  axis=-1) / root[..., None],
+            "second_e": -np.cos(V) / root,
+            "second_f": np.zeros_like(F),
+            "second_g": -np.cos(U) / root,
+            "K_T": np.cos(U) * np.cos(V) / root**4,
+        }
+    x, y = _profile_x, _profile_y()
+    ts = np.linspace(-np.pi + 0.05, np.pi - 0.05, nu)
+    ss = np.linspace(0.25, 2.0, nv)
+    T, S = np.meshgrid(ts, ss, indexing="ij")
+    Y = np.stack([x(S) * np.cos(T), x(S) * np.sin(T), y(S)], axis=-1)
+    Yt = np.stack([-x(S) * np.sin(T), x(S) * np.cos(T),
+                   np.zeros_like(S)], axis=-1)
+    xp = 1.0 / np.cosh(S)**2 / 2.0
+    Ys = np.stack([xp * np.cos(T), xp * np.sin(T), y(S, 1)], axis=-1)
+    Lt, Ls = ts[-1] - ts[0], ss[-1] - ss[0]
+    half = min(Lt, Ls) / 4.0
+    uc = (ts[0] + ts[-1]) / 4.0 - (ss[0] + ss[-1]) / 4.0
+    vc = (ts[0] + ts[-1]) / 4.0 + (ss[0] + ss[-1]) / 4.0
+    us = np.linspace(uc - half, uc + half, nu)
+    vs = np.linspace(vc - half, vc + half, nv)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    Tq, Sq = U + V, V - U
+    F = 2.0 * x(Sq)**2 - 1.0
+    X = np.stack([x(Sq) * np.cos(Tq), x(Sq) * np.sin(Tq), y(Sq)], axis=-1)
+    return {
+        "X": X, "F": F, "oracle F": F, "Y": Y,
+        "net grid": grid_axes(grid_from_ranges((us[0], us[-1]),
+                                               (vs[0], vs[-1]), X)),
+        "ts grid": grid_axes(grid_from_ranges(
+            (-np.pi + 0.05, np.pi - 0.05), (0.25, 2.0), Y)),
+        "E_ts": np.einsum("ijk,ijk->ij", Yt, Yt),
+        "F_ts": np.einsum("ijk,ijk->ij", Yt, Ys),
+        "G_ts": np.einsum("ijk,ijk->ij", Ys, Ys),
+    }
+
+
+class TestGalleryFromAxes:
+    """Both gallery builders take each closed form once per axis and
+    broadcast it, with every value the meshgrid formula's bit for bit."""
+
+    @pytest.mark.parametrize("name", ["critical", "noncritical"])
+    @pytest.mark.parametrize("nu, nv", [(40, 40), (41, 41), (201, 201),
+                                        (801, 801), (101, 161), (161, 201)])
+    def test_bit_identical_to_meshgrid_formulas(self, name, nu, nv):
+        gal, want = gallery(name, nu, nv), meshgrid_gallery(name, nu, nv)
+        got = {"X": gal.net.grid.values, "F": gal.net.F,
+               "net grid": grid_axes(gal.net.grid),
+               **{k if k != "F" else "oracle F": v
+                  for k, v in gal.oracles.items()}}
+        if name == "noncritical":
+            got["Y"] = gal.ts_grid.values
+            got["ts grid"] = grid_axes(gal.ts_grid)
+            got.update(zip(("E_ts", "F_ts", "G_ts"), gal.ts_forms))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key].shape == value.shape, key
+            assert np.array_equal(got[key], value), key
+
+    def test_critical_peak_at_801(self):
+        # the kept arrays plus at most two (801, 801) grids of temporaries:
+        # sin and cos are 1-D, and only the root grid is made and reused
+        tracemalloc.start()
+        try:
+            gal = gallery("critical", 801, 801)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gal.net.F.shape == (801, 801)
+        assert peak - kept <= 2 * 801 * 801 * 8 + 256 * 1024
 
 
 class TestCheckSumOne:

@@ -5,7 +5,8 @@ and so is every private method or property (a memo such as a private
 top-level function or class is loaded by the library or the benchmark, or
 is listed in ``PAPER_NAMES`` with the statement of the paper it carries.
 Every ``ChebyliftError`` subclass is named by some ``raise`` in the library,
-so a replaced error type cannot stay behind as a name nothing raises.
+so a replaced error type cannot stay behind as a name nothing raises.  No
+library function but ``MESHGRID_CALLERS`` calls ``meshgrid``.
 
 Standard library only: each ``src/chebylift/*.py`` is parsed with ``ast``;
 a name counts as used when it occurs as a name anywhere in the module,
@@ -35,7 +36,14 @@ PAPER_NAMES = {
     "frame_identity_residuals": "the half-angle identities of the frame",
     "project_lightlike": "pi: a lightlike vector's point on the unit sphere "
                          "of E (n0 = pi(tau - nu), n3 = pi(tau + nu))",
+    "solve_pq": "a theta extension gives p = -theta_u sin theta / kappa and "
+                "q = (p_u + kappa cos theta) / tor, with p^2 + q^2 = "
+                "sin^2 theta",
 }
+#: the one product grid the library builds with ``meshgrid``: the scattered
+#: source points of ``equivalent_immersion`` on a non-square grid.  A closed
+#: form over a product grid broadcasts its 1-D factors instead.
+MESHGRID_CALLERS = ["chebnet.py:equivalent_immersion"]
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -280,3 +288,35 @@ def test_unraised_errors_are_found():
                     "    return A, C\n")
     assert error_types(errors) == ["A", "B", "C"]
     assert unraised_errors(errors, [errors, use]) == ["A", "C"]
+
+
+def meshgrid_calls(tree: ast.Module) -> list:
+    """The top-level definition around each call of ``meshgrid`` in
+    ``tree``, as a name or an attribute, in order ("" at module level)."""
+    return [getattr(stmt, "name", "") for stmt in tree.body
+            for n in ast.walk(stmt) if isinstance(n, ast.Call)
+            and "meshgrid" in (getattr(n.func, "attr", None),
+                               getattr(n.func, "id", None))]
+
+
+def test_closed_forms_broadcast_their_axes():
+    calls = [f"{p.name}:{name}" for p in sorted(SRC.glob("*.py"))
+             for name in meshgrid_calls(ast.parse(p.read_text(),
+                                                  filename=str(p)))]
+    assert calls == MESHGRID_CALLERS, (
+        f"meshgrid called by {calls}: broadcast the 1-D factors of a "
+        f"closed form instead")
+
+
+def test_meshgrid_calls_are_found():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import meshgrid\n"
+                     "U = np.meshgrid([0.0], [1.0])\n"
+                     "def f(x):\n"
+                     "    def inner():\n"
+                     "        return meshgrid(x, x)\n"
+                     "    return np.sin(x), inner\n"
+                     "class C:\n"
+                     "    def g(self, x):\n"
+                     "        return np.meshgrid(x, x, indexing='ij')\n")
+    assert meshgrid_calls(tree) == ["", "f", "C"]
