@@ -306,10 +306,11 @@ class ExtensionChoice:
 
 def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), of
-    the source for ``necessary`` and of the resample for the generators;
+    the source for ``necessary`` and of the resample for the generators:
     one float ``build_frame`` call per node, about 13 us each on a 2-core
-    x86-64 box; the benchmark's self-check pins 402 per helix solve at
-    n = 201, and a batched frame waits on that (ROADMAP.md item 6)."""
+    x86-64 box.  The benchmark's self-check pins 402 per helix solve at
+    n = 201, so a batched frame waits (ROADMAP.md, "A batched Minkowski
+    frame")."""
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):
@@ -493,9 +494,10 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
     whole product, so the solver never rejects the extension it built.
     The grid is symmetric, so its middle node is v = 0 within roundoff
     (8.9e-16 at half-width 1), and the extension takes the data's n3 there.
-    Every truncation keeps that node, whose cell ``check_disjointness``
-    keeps open while n3(0) is within the margin of +-n0 at some sample;
-    then no truncation is tried and "could not truncate" is raised at once.
+    A truncation within the margin of +-n0 at a sample would fail that
+    check, which never closes the cell of such a node, so it is not
+    certified.  Every truncation keeps the node v = 0: while n3(0) is
+    within the margin none is tried, and "could not truncate" is raised.
     """
     n3c = dec.n3curve.points[dec.n3curve.base_index()]
     e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
@@ -503,14 +505,16 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
     if nrm < 1e-9:
         raise DisjointnessViolated("n0 and n3 parallel at the basepoint")
     e2 /= nrm
-    sep2 = 2.0 - 2.0 * np.abs(dec.n0curve.points @ n3c).max()
+    sep = lambda pts: np.sqrt(
+        max(2.0 - 2.0 * np.abs(dec.n0curve.points @ pts.T).max(), 0.0))
     half = 1.0
-    for _ in range(30 if np.sqrt(max(sep2, 0.0)) > DEFAULT_EXT_MARGIN else 0):
+    for _ in range(30 if sep(n3c[None]) > DEFAULT_EXT_MARGIN else 0):
         vs = np.linspace(-half, half, 201)
         pts = np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2)
-        ext = SphereCurve(t_min=-half, dt=float(vs[1] - vs[0]), points=pts)
-        if check_disjointness(dec.n0curve, ext, DEFAULT_EXT_MARGIN).passed:
-            return ext
+        if sep(pts) > DEFAULT_EXT_MARGIN:
+            ext = SphereCurve(t_min=-half, dt=float(vs[1] - vs[0]), points=pts)
+            if check_disjointness(dec.n0curve, ext, DEFAULT_EXT_MARGIN).passed:
+                return ext
         half *= 0.8
     raise DisjointnessViolated("could not truncate the default extension "
                                "into the admissible region")
@@ -607,11 +611,13 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     and its normal bundle spans D off the degenerate-angle mask
     (projector_sup).  The normal bundle is the frame of the solution's own
     generators, X_u = n0(u) and X_v = n3(0), so nothing of the solution is
-    differenced.  Minimality is not measured: the solution is a sum of two
-    lightlike curves, n0 and n3 on the unit sphere, which
-    ``_build_solution`` certifies disjoint on the whole product, so its
-    angle stays off 0 and pi, f_uv = 0 and H = 0 exactly.  Info:
-    orientation, extension_kind, and h_sup = 0.0, that exact value.
+    differenced: projector_sup tests that ``build_frame`` and
+    ``lift._frame`` are inverse to each other, to roundoff.  Minimality is
+    not measured: the solution is a sum of two lightlike curves, n0 and n3
+    on the unit sphere, which ``_build_solution`` certifies disjoint on the
+    whole product, so its angle stays off 0 and pi, f_uv = 0 and H = 0
+    exactly.  Info: orientation, extension_kind, and h_sup = 0.0, that
+    exact value.
     """
     dec = decompose(d)
     rep = dec.necessary

@@ -25,10 +25,9 @@ from .errors import (BadGrid, Check, DegenerateMetric, DisjointnessViolated,
                      EmptyOverlap, Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, _vector_norm, cross,
                        cumulative_integral, cumulative_samples, diff_samples,
-                       grid_from_ranges, partials, sample_curve, sup_check)
+                       grid_from_ranges, partials)
 
 DISJOINT_MARGIN = 1e-6
-SUM_ONE_TOL = 1e-8       # check_sum_one: |E + G - 1|
 CHEBYSHEV_TOL = 1e-6     # is_chebyshev: |E - 1| and |G - 1|
 BISECT_DEPTH = 24        # bisections of a node cell in check_disjointness
 BISECT_CELLS = 16384     # open cells allowed at one bisection depth
@@ -130,13 +129,16 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
 
     The separation s(u, v) = min(|T1 - T2|, |T1 + T2|) is bounded from
     below on the cell of every node: the points of the product nearer to
-    it than to any other node.  Far from a meeting, s at the node less
-    (du/2) max|T1'| + (dv/2) max|T2'| clears the margin.  Cells where it
-    does not are bisected.  On a sub-cell the curves are replaced by their
-    quadratic Taylor polynomials at the node; the distance of those is at
-    least the minimum of its affine part over the sub-cell less the
-    quadratic term, and the Taylor remainder
-    (1/6)(max|T1'''| (du/2)^3 + max|T2'''| (dv/2)^3) is subtracted.
+    it than to any other node.  Far from a meeting, s at the node less the
+    slack (du/2) max|T1'| + (dv/2) max|T2'| clears the margin; when it
+    does at every node, nothing is bisected and the product is not scanned
+    again.  Other cells are bisected.  On a sub-cell the curves are
+    replaced by their quadratic Taylor polynomials at the node; the
+    distance of those is at least the minimum of its affine part over the
+    sub-cell less the quadratic term, and the Taylor remainder
+    (1/6)(max|T1'''| (du/2)^3 + max|T2'''| (dv/2)^3) is subtracted.  On
+    the sub-cell that holds the node, that bound is at most s there, so a
+    node with s at most the margin never closes and the check fails.
     Derivatives come from the differenced samples, so the bound holds for
     resolved curves, whose derivatives between samples do not exceed their
     sampled maxima.
@@ -160,12 +162,17 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
 
     absF = P1 @ P2.T
     np.abs(absF, out=absF)
-    sampled = float(np.sqrt(max(2.0 - 2.0 * absF.max(), 0.0)))
+    k = int(np.argmax(absF))
+    sampled = float(np.sqrt(max(2.0 - 2.0 * absF.flat[k], 0.0)))
     # s = sqrt(2 - 2|F|) at the nodes; the cells where s - slack does not
     # clear the margin are bisected, the others bound s by s - slack
-    ii, jj = np.nonzero(absF >= 1.0 - 0.5 * (margin + slack) ** 2)
-    absF[ii, jj] = -1.0
-    i, j = np.unravel_index(int(np.argmax(absF)), absF.shape)
+    ii = jj = np.empty(0, dtype=np.intp)
+    bisect = 1.0 - 0.5 * (margin + slack) ** 2
+    if absF.flat[k] >= bisect:
+        ii, jj = np.nonzero(absF >= bisect)
+        absF[ii, jj] = -1.0
+        k = int(np.argmax(absF))
+    i, j = np.unravel_index(k, absF.shape)
     # [closed, open]: the smallest bound, with its node and (u, v), over
     # the nodes never bisected and the cells that close, and the open cells
     best = [2.0 if absF[i, j] < 0 else np.sqrt(2.0 - 2.0 * absF[i, j]) - slack,
@@ -381,15 +388,6 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
         out = out[..., 0]
     return Grid2D(u_min=float(x1[0]), v_min=float(x2[0]),
                   du=float(x1[1] - x1[0]), dv=float(x2[1] - x2[0]), values=out)
-
-
-def check_sum_one(forms: tuple) -> Report:
-    """Check E(t,s) + G(t,s) = 1, the Chebyshev condition in (t, s) form,
-    on a first-form triple (E, F, G): check sup_sum, held to
-    ``SUM_ONE_TOL``; sup_f of |F| is reported, not required to vanish."""
-    E, F, G = (np.asarray(x, dtype=float) for x in forms)
-    return Report((sup_check("sup_sum", E + G - 1.0, SUM_ONE_TOL),
-                   sup_check("sup_f", F)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -629,12 +627,3 @@ def gallery(name: str, nu: int = 201, nv: int = 201) -> Gallery:
     if name == "noncritical":
         return _noncritical_gallery(nu, nv)
     raise BadGrid(f"unknown gallery entry {name!r}")
-
-
-def gallery_generators(n: int):
-    """Sphere-curve generators of the critical gallery net."""
-    T1 = sample_curve(lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1),
-                      _CRITICAL_RANGE, n, cls=SphereCurve)
-    T2 = sample_curve(lambda t: np.stack([0 * t, np.sin(t), np.cos(t)], axis=-1),
-                      _CRITICAL_RANGE, n, cls=SphereCurve)
-    return T1, T2

@@ -598,21 +598,64 @@ class TestSolve:
         with pytest.raises(ExtensionMismatch):
             solve(d, ext)
 
-    def test_default_extension_truncates(self):
+    @staticmethod
+    def truncating_data():
         # n0 sweeps a quarter circle from e1 to w = n0(1); the default
         # rotation of n3 = e3 toward e2 reaches w at v = -0.9, so it meets
         # n0 at half-width 1 and clears the margin once cut back to 0.8
         e1, e2, e3 = np.eye(3)
         w = np.cos(0.9) * e3 + np.sin(0.9) * e2
-        d = data_from_null_pair(
+        return data_from_null_pair(
             lambda u: (np.outer(np.cos(np.pi * u / 2), e1)
                        + np.outer(np.sin(np.pi * u / 2), w)),
             lambda u: np.tile(e3, (u.size, 1)), t_range=(-1.0, 1.0), n=201)
+
+    @staticmethod
+    def first_passing_truncation(dec):
+        # the rotation of n3(0) toward n0 x n3 on 201 nodes over
+        # [-half, half], half = 0.8^k, checked until one passes
+        n3c = dec.n3curve.points[dec.n3curve.base_index()]
+        e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
+        e2 /= np.linalg.norm(e2)
+        half = 1.0
+        while True:
+            vs = np.linspace(-half, half, 201)
+            want = SphereCurve(
+                t_min=-half, dt=float(vs[1] - vs[0]),
+                points=np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2))
+            if check_disjointness(dec.n0curve, want,
+                                  DEFAULT_EXT_MARGIN).passed:
+                return want
+            half *= 0.8
+
+    def test_default_extension_truncates(self):
+        d = self.truncating_data()
         ext = default_extension(decompose(d))
         assert ext.ts[0] == -0.8
         assert ext.ts[-1] == pytest.approx(0.8, abs=1e-12)
         _, rep = solve(d)
         assert rep.passed and rep.extension_kind == "default"
+
+    def test_default_extension_certifies_only_unrefuted_rungs(
+            self, monkeypatch):
+        # rung 1.0 meets n0 at the sample v = -0.9, so its sampled
+        # separation is within the margin and it is not certified: only
+        # rung 0.8 is, and it is the first passing truncation
+        from chebylift import bjorling
+        dec = decompose(self.truncating_data())
+        want = self.first_passing_truncation(dec)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_disjointness(*args)
+
+        monkeypatch.setattr(bjorling, "check_disjointness", counted)
+        got = default_extension(dec)
+        assert len(calls) == 1
+        assert (got.t_min, got.dt) == (want.t_min, want.dt)
+        assert got.t_min == -0.8
+        assert np.array_equal(got.points, want.points)
 
     @pytest.mark.parametrize("eps, message", [
         (0.0, "parallel at the basepoint"), (1e-4, "could not truncate")])
@@ -648,23 +691,9 @@ class TestSolve:
         assert calls == []
 
     def test_default_extension_is_the_first_passing_truncation(self):
-        # the rotation of n3(0) toward n0 x n3 on 201 nodes over
-        # [-half, half], half = 0.8^k, checked until one passes
         d, _ = helix_data(n=101)
         dec = decompose(d)
-        n3c = dec.n3curve.points[dec.n3curve.base_index()]
-        e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
-        e2 /= np.linalg.norm(e2)
-        half = 1.0
-        while True:
-            vs = np.linspace(-half, half, 201)
-            want = SphereCurve(
-                t_min=-half, dt=float(vs[1] - vs[0]),
-                points=np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2))
-            if check_disjointness(dec.n0curve, want,
-                                  DEFAULT_EXT_MARGIN).passed:
-                break
-            half *= 0.8
+        want = self.first_passing_truncation(dec)
         got = default_extension(dec)
         assert (got.t_min, got.dt) == (want.t_min, want.dt)
         assert np.array_equal(got.points, want.points)

@@ -10,14 +10,34 @@ from scipy.interpolate import RectBivariateSpline
 from chebylift import numerics
 from chebylift.chebnet import (
     _CRITICAL_RANGE, NetSurface, _diagonal_reader, _profile_x, _profile_y,
-    build_first_kind, check_disjointness, check_sum_one, equivalent_immersion,
-    euclidean_shape, first_form, gallery, gallery_generators, is_chebyshev,
+    build_first_kind, check_disjointness, equivalent_immersion,
+    euclidean_shape, first_form, gallery, is_chebyshev,
     sine_gordon_residual,
 )
 from chebylift.errors import (DegenerateMetric, DisjointnessViolated,
-                              EmptyOverlap)
+                              EmptyOverlap, Report)
 from chebylift.numerics import (SphereCurve, diff_samples, grid_from_ranges,
-                                sample_curve)
+                                sample_curve, sup_check)
+
+SUM_ONE_TOL = 1e-8       # check_sum_one: |E + G - 1|
+
+
+def check_sum_one(forms: tuple) -> Report:
+    """Check E(t,s) + G(t,s) = 1, the Chebyshev condition in (t, s) form,
+    on a first-form triple (E, F, G): check sup_sum, held to
+    ``SUM_ONE_TOL``; sup_f of |F| is reported, not required to vanish."""
+    E, F, G = (np.asarray(x, dtype=float) for x in forms)
+    return Report((sup_check("sup_sum", E + G - 1.0, SUM_ONE_TOL),
+                   sup_check("sup_f", F)))
+
+
+def gallery_generators(n: int):
+    """Sphere-curve generators of the critical gallery net."""
+    T1 = sample_curve(lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1),
+                      _CRITICAL_RANGE, n, cls=SphereCurve)
+    T2 = sample_curve(lambda t: np.stack([0 * t, np.sin(t), np.cos(t)], axis=-1),
+                      _CRITICAL_RANGE, n, cls=SphereCurve)
+    return T1, T2
 
 
 def normalized_trig_curve(rng, n=201, t_range=(-0.5, 0.5), max_freq=2,
@@ -234,6 +254,46 @@ class TestCheckDisjointness:
         assert rep.min_separation > margin
         absF = np.abs(fine[0].points @ fine[1].points.T).max()
         assert rep.min_separation <= np.sqrt(2.0 - 2.0 * absF)
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n1=st.sampled_from([21, 81, 201]),
+           n2=st.sampled_from([21, 81, 201]), log_margin=st.floats(-6, -1),
+           push=st.booleans())
+    def test_sampled_refutation_and_unbisected_report(self, seed, n1, n2,
+                                                      log_margin, push):
+        # a node within the margin lies in its own cell, which never closes,
+        # so the check fails; with no node at the bisection threshold the
+        # report is the argmax node of |F| less the slack, and passes
+        rng = np.random.default_rng(seed)
+        T1 = normalized_trig_curve(rng, n1, (-0.5, 0.5))
+        centre = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.9, 0.9, 3)
+        T2 = normalized_trig_curve(rng, n2, (-0.5, 0.5), center=centre)
+        margin = 10.0 ** log_margin
+        if push:
+            # the reflection that maps node j of T2 to b, at an angle below
+            # the margin from +-T1(i)
+            i, j = rng.integers(n1), rng.integers(n2)
+            p = rng.choice([-1.0, 1.0]) * T1.points[i]
+            w = np.cross(p, rng.standard_normal(3))
+            delta = rng.uniform(0.0, 0.9) * margin
+            b = np.cos(delta) * p + np.sin(delta) * w / np.linalg.norm(w)
+            k = (T2.points[j] - b) / np.linalg.norm(T2.points[j] - b)
+            T2 = SphereCurve(T2.t_min, T2.dt,
+                             T2.points - 2.0 * np.outer(T2.points @ k, k))
+        rep = check_disjointness(T1, T2, margin)
+        absF = np.abs(T1.points @ T2.points.T)
+        nrm = lambda x: np.linalg.norm(x, axis=1)
+        slack = (0.5 * T1.dt * nrm(diff_samples(T1.points, T1.dt, 1)).max()
+                 + 0.5 * T2.dt * nrm(diff_samples(T2.points, T2.dt, 1)).max())
+        if rep.sampled_separation <= margin:
+            assert not rep.passed
+        if absF.max() < 1.0 - 0.5 * (margin + slack) ** 2:
+            i, j = np.unravel_index(int(np.argmax(absF)), absF.shape)
+            assert rep.passed
+            assert rep["uncertified_cells"].where == (
+                (i, j), (T1.ts[i], T2.ts[j]))
+            assert rep.min_separation == np.sqrt(2.0 - 2.0 * absF[i, j]) - slack
 
     def test_orthogonal_great_circles_pass(self):
         rng = np.random.default_rng(12)

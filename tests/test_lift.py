@@ -10,7 +10,7 @@ from chebylift import chebnet, lift, minkowski as mk, numerics
 from chebylift.bjorling import ExtensionChoice, solve
 from chebylift.chebnet import (
     build_first_kind, check_disjointness, euclidean_shape, gallery,
-    gallery_generators, is_chebyshev, sine_gordon_residual,
+    is_chebyshev, sine_gordon_residual,
 )
 from chebylift.errors import (BadGrid, ChebyliftError, DegenerateAngle,
                               MissingSource, NotChebyshev, NotMinimal, Report)
@@ -23,7 +23,8 @@ from chebylift.numerics import (SphereCurve, diff_samples, partials,
                                 sample_curve)
 
 from test_bjorling import critical_lift_data, data_from_lift
-from test_chebnet import random_net_pair, record_diff_samples
+from test_chebnet import (gallery_generators, random_net_pair,
+                          record_diff_samples)
 
 
 @pytest.fixture(scope="module")
