@@ -484,20 +484,14 @@ def _build_solution(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
 
 
 def default_extension(dec: CurveDecomposition) -> SphereCurve:
-    """Unit-rate rotation of n3(0) in the plane span{n3(0), e2(0)} over
-    v in [-1, 1] on 201 nodes, truncated before it violates disjointness
-    against n0.
+    """Unit-rate rotation of n3(0) in the plane span{n3(0), e2(0)} on 201
+    nodes over v in [-h, h], for the first h of 1, 0.8, 0.8^2, ... (30 at
+    most) that ``check_disjointness`` certifies against n0 at
+    ``DEFAULT_EXT_MARGIN``, so ``solve`` never rejects the extension.
 
-    The truncation uses ``check_disjointness``, the certified check that
-    ``solve`` applies to the assembled generators, with the separation
-    ``DEFAULT_EXT_MARGIN`` that keeps |<n0, n3>| below 1 - 1e-3 on the
-    whole product, so the solver never rejects the extension it built.
     The grid is symmetric, so its middle node is v = 0 within roundoff
-    (8.9e-16 at half-width 1), and the extension takes the data's n3 there.
-    A truncation within the margin of +-n0 at a sample would fail that
-    check, which never closes the cell of such a node, so it is not
-    certified.  Every truncation keeps the node v = 0: while n3(0) is
-    within the margin none is tried, and "could not truncate" is raised.
+    (8.9e-16 at half-width 1), and the extension takes the data's n3 there:
+    while n3(0) is within the margin of +-n0, "could not truncate" is raised.
     """
     n3c = dec.n3curve.points[dec.n3curve.base_index()]
     e2 = np.cross(dec.n0curve.points[dec.n0curve.base_index()], n3c)
@@ -505,16 +499,13 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
     if nrm < 1e-9:
         raise DisjointnessViolated("n0 and n3 parallel at the basepoint")
     e2 /= nrm
-    sep = lambda pts: np.sqrt(
-        max(2.0 - 2.0 * np.abs(dec.n0curve.points @ pts.T).max(), 0.0))
     half = 1.0
-    for _ in range(30 if sep(n3c[None]) > DEFAULT_EXT_MARGIN else 0):
+    for _ in range(30):
         vs = np.linspace(-half, half, 201)
         pts = np.outer(np.cos(vs), n3c) + np.outer(np.sin(vs), e2)
-        if sep(pts) > DEFAULT_EXT_MARGIN:
-            ext = SphereCurve(t_min=-half, dt=float(vs[1] - vs[0]), points=pts)
-            if check_disjointness(dec.n0curve, ext, DEFAULT_EXT_MARGIN).passed:
-                return ext
+        ext = SphereCurve(t_min=-half, dt=float(vs[1] - vs[0]), points=pts)
+        if check_disjointness(dec.n0curve, ext, DEFAULT_EXT_MARGIN).passed:
+            return ext
         half *= 0.8
     raise DisjointnessViolated("could not truncate the default extension "
                                "into the admissible region")

@@ -21,8 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .errors import (BadGrid, Check, DegenerateMetric, DisjointnessViolated,
-                     EmptyOverlap, Report)
+from .errors import (BadGrid, BadInput, Check, DegenerateMetric,
+                     DisjointnessViolated, EmptyOverlap, Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, _vector_norm, cross,
                        cumulative_integral, cumulative_samples, diff_samples,
                        grid_from_ranges, partials)
@@ -127,43 +127,53 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
                        margin: float = DISJOINT_MARGIN) -> Report:
     """Certify T1(u) != +-T2(v) on the whole parameter product.
 
-    The separation s(u, v) = min(|T1 - T2|, |T1 + T2|) is bounded from
-    below on the cell of every node: the points of the product nearer to
-    it than to any other node.  Far from a meeting, s at the node less the
-    slack (du/2) max|T1'| + (dv/2) max|T2'| clears the margin; when it
-    does at every node, nothing is bisected and the product is not scanned
-    again.  Other cells are bisected.  On a sub-cell the curves are
-    replaced by their quadratic Taylor polynomials at the node; the
-    distance of those is at least the minimum of its affine part over the
-    sub-cell less the quadratic term, and the Taylor remainder
-    (1/6)(max|T1'''| (du/2)^3 + max|T2'''| (dv/2)^3) is subtracted.  On
-    the sub-cell that holds the node, that bound is at most s there, so a
-    node with s at most the margin never closes and the check fails.
-    Derivatives come from the differenced samples, so the bound holds for
-    resolved curves, whose derivatives between samples do not exceed their
-    sampled maxima.
+    The separation s(u, v) = min(|T1 - T2|, |T1 + T2|) is bounded from below
+    on the cell of every node: the points of the product nearer to it than
+    to any other node.  No bound on a cell exceeds s at its node, so a node
+    with s at most the margin refutes the pair before either curve is
+    differenced.  Else, far from a meeting, s at the node less the slack
+    (du/2) max|T1'| + (dv/2) max|T2'| clears the margin, and the other
+    cells are bisected.  On a sub-cell the curves are replaced by their
+    quadratic Taylor polynomials at the node; the distance of those is at
+    least the minimum of its affine part over the sub-cell less the
+    quadratic term, and the Taylor remainder (1/6)(max|T1'''| (du/2)^3 +
+    max|T2'''| (dv/2)^3) is subtracted.  Derivatives come from the
+    differenced samples, so the bound holds for resolved curves, whose
+    derivatives between samples do not exceed their sampled maxima.
 
-    Check uncertified_cells, held to 0, counts the cells still open after
-    ``BISECT_DEPTH`` bisections or at more than ``BISECT_CELLS`` open cells
-    at one depth.  Its ``where`` is the node and (u, v) of the smallest
-    open bound, or if none is open of the smallest bound of the closed
-    cells and unbisected nodes; info at_u, at_v repeat that (u, v).  Info
+    Check uncertified_cells, held to 0, counts the nodes with s at most the
+    margin, at the first node of largest |F|; else the cells still open
+    after ``BISECT_DEPTH`` bisections or at more than ``BISECT_CELLS`` open
+    cells at one depth, at the node and (u, v) of the smallest open bound,
+    or if none is open of the smallest bound of the closed cells and
+    unbisected nodes; info at_u, at_v repeat that (u, v).  Info
     min_separation is that certified lower bound of s over the product,
-    clipped at 0 (0.0 if the check fails); also margin, and
-    sampled_separation, the smallest s at the nodes.
+    clipped at 0 (0.0 if the check fails); also margin, finite and >= 0
+    (else ``BadInput``), and sampled_separation, the smallest s at nodes.
     """
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise BadInput(f"margin must be finite and >= 0, got {margin!r}")
     P1, P2 = T1.points, T2.points
+    absF = P1 @ P2.T
+    np.abs(absF, out=absF)
+    k = int(np.argmax(absF))
+    sampled = float(np.sqrt(max(2.0 - 2.0 * absF.flat[k], 0.0)))
+    if sampled <= margin:
+        i, j = np.unravel_index(k, absF.shape)
+        u, v = float(T1.ts[i]), float(T2.ts[j])
+        s = np.subtract(2.0, np.multiply(absF, 2.0, out=absF), out=absF)
+        np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+        chk = Check("uncertified_cells", float(np.count_nonzero(s <= margin)),
+                    0.0, ((int(i), int(j)), (u, v)))
+        return Report((chk,), {"min_separation": 0.0, "margin": margin,
+                               "at_u": u, "at_v": v,
+                               "sampled_separation": sampled})
     D1 = [diff_samples(P1, T1.dt, k) for k in (1, 2, 3)]
     D2 = [diff_samples(P2, T2.dt, k) for k in (1, 2, 3)]
     nrm = lambda x: np.linalg.norm(x, axis=1)
     hu, hv = 0.5 * T1.dt, 0.5 * T2.dt
     slack = hu * nrm(D1[0]).max() + hv * nrm(D2[0]).max()
     rem3 = (nrm(D1[2]).max() * hu**3 + nrm(D2[2]).max() * hv**3) / 6.0
-
-    absF = P1 @ P2.T
-    np.abs(absF, out=absF)
-    k = int(np.argmax(absF))
-    sampled = float(np.sqrt(max(2.0 - 2.0 * absF.flat[k], 0.0)))
     # s = sqrt(2 - 2|F|) at the nodes; the cells where s - slack does not
     # clear the margin are bisected, the others bound s by s - slack
     ii = jj = np.empty(0, dtype=np.intp)
@@ -219,25 +229,28 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
 def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     """First-kind net X(u, v) = p0 + int_0^u T1 + int_0^v T2.
 
-    Integrals are taken from the node nearest the curve parameter 0 by
-    ``cumulative_integral``; E = G = 1 up to quadrature error and F is
-    exact.
+    p0 must be a finite 3-vector (else ``BadInput``).  Integrals are taken
+    from the node nearest the curve parameter 0 by ``cumulative_integral``;
+    E = G = 1 up to quadrature error and F is exact.
 
     Generators that meet at the samples (sampled separation at most
-    ``DISJOINT_MARGIN``) raise ``DisjointnessViolated``.  The net is judged
-    at its samples, so a meeting between samples is not an error here; the
-    report of ``check_disjointness`` over the whole product is kept in
-    ``generators.disjointness`` for callers that need the continuous
-    generators disjoint, such as ``bjorling.solve``.  The net keeps
-    read-only copies of T1 and T2 in ``generators``, and the grid's values
-    are read-only.
+    ``DISJOINT_MARGIN``) raise ``DisjointnessViolated`` with the failed
+    check of ``check_disjointness``, found without bisecting.  A meeting
+    between samples is not an error here: that report, over the whole
+    product, is kept in ``generators.disjointness`` for callers that need
+    the continuous generators disjoint, such as ``bjorling.solve``.  The
+    net keeps read-only copies of T1 and T2 in ``generators``, and the
+    grid's values are read-only.
     """
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (3,) or not np.all(np.isfinite(p0)):
+        raise BadInput("p0 must be a finite 3-vector")
     rep = check_disjointness(T1, T2)
     if rep.sampled_separation <= DISJOINT_MARGIN:
         raise DisjointnessViolated(
             f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g} "
-            f"(sampled separation {rep.sampled_separation:.3e})")
-    p0 = np.asarray(p0, dtype=float)
+            f"(sampled separation {rep.sampled_separation:.3e})",
+            rep["uncertified_cells"])
     I1 = cumulative_integral(T1).points
     I2 = cumulative_integral(T2).points
     # (p0 + I1) + I2 one component at a time
@@ -519,7 +532,7 @@ class Gallery:
     For ``critical`` the oracles are the metric coefficient F, the Gauss
     map, the second-form coefficients and K_T on the net grid.  For
     ``noncritical`` the rotational surface is provided on its native (t, s)
-    grid together with closed-form first-form coefficients, and ``net``
+    grid with its first form (x^2, 0, x'^2 + y'^2) in s, and ``net``
     carries the Chebyshev-equivalent (u, v) immersion evaluated exactly.
     """
 
@@ -581,18 +594,14 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     x, y = _profile_x, _profile_y()
     ts = np.linspace(*t_range, nu)
     ss = np.linspace(*s_range, nv)
-    ct, st = np.cos(ts)[:, None], np.sin(ts)[:, None]
-    xs, xp = x(ss), 1.0 / np.cosh(ss)**2 / 2.0
-    Y, Yt, Ys = (np.empty((nu, nv, 3)) for _ in range(3))
-    for out, pairs in ((Y, ((xs, ct), (xs, st))), (Yt, ((-xs, st), (xs, ct))),
-                       (Ys, ((xp, ct), (xp, st)))):
-        for k, (a, b) in enumerate(pairs):
-            np.multiply(a, b, out=out[..., k])
-    Y[..., 2], Yt[..., 2], Ys[..., 2] = y(ss), 0.0, y(ss, 1)
+    xs = x(ss)
+    Y = np.empty((nu, nv, 3))
+    np.multiply(xs, np.cos(ts)[:, None], out=Y[..., 0])
+    np.multiply(xs, np.sin(ts)[:, None], out=Y[..., 1])
+    Y[..., 2] = y(ss)
     ts_grid = grid_from_ranges(t_range, s_range, Y)
-    E_ts = np.einsum("ijk,ijk->ij", Yt, Yt)
-    F_ts = np.einsum("ijk,ijk->ij", Yt, Ys)
-    G_ts = np.einsum("ijk,ijk->ij", Ys, Ys)
+    ts_forms = tuple(np.broadcast_to(a, (nu, nv)) for a in (
+        xs**2, np.zeros(nv), (1.0 / np.cosh(ss)**2 / 2.0)**2 + y(ss, 1)**2))
 
     # Chebyshev-equivalent (u, v) immersion on the inscribed square,
     # evaluated exactly through t = u + v, s = -u + v.
@@ -611,7 +620,7 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     F = 2.0 * xq**2 - 1.0
     net = NetSurface(grid=grid, F=F)
     return Gallery(net=net, oracles={"F": F},
-                   ts_grid=ts_grid, ts_forms=(E_ts, F_ts, G_ts))
+                   ts_grid=ts_grid, ts_forms=ts_forms)
 
 
 def gallery(name: str, nu: int = 201, nv: int = 201) -> Gallery:

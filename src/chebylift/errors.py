@@ -106,8 +106,8 @@ class NotRegular(ChebyliftError):
 
 class DisjointnessViolated(ChebyliftError):
     """Generator curves meet (or meet antipodally) on the parameter product;
-    ``check`` is the uncertified_cells check of ``check_disjointness``, if
-    that failed, whose ``where`` locates the meeting."""
+    ``check`` is the failed uncertified_cells check of ``check_disjointness``,
+    whose ``where`` locates the meeting (none from ``default_extension``)."""
 
 
 class DegenerateMetric(ChebyliftError):

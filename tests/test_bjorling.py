@@ -22,7 +22,8 @@ from chebylift.lift import (build_minimal, gaussian_curvature, lift_net,
 from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve,
                                 diff_samples, partials, sample_curve)
 
-from test_chebnet import normalized_trig_curve, random_net_pair
+from test_chebnet import (normalized_trig_curve, random_net_pair,
+                          record_diff_samples)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
@@ -628,6 +629,25 @@ class TestSolve:
                 return want
             half *= 0.8
 
+    @staticmethod
+    def certifying_calls(monkeypatch) -> list:
+        """Route bjorling's ``check_disjointness`` through a recorder and
+        return the list of the calls that difference a curve: those that
+        certify, as a call refuted at the samples differences nothing."""
+        from chebylift import bjorling
+        seen = record_diff_samples(monkeypatch)
+        calls = []
+
+        def counted(*args):
+            before = len(seen)
+            rep = check_disjointness(*args)
+            if len(seen) > before:
+                calls.append(args)
+            return rep
+
+        monkeypatch.setattr(bjorling, "check_disjointness", counted)
+        return calls
+
     def test_default_extension_truncates(self):
         d = self.truncating_data()
         ext = default_extension(decompose(d))
@@ -639,18 +659,11 @@ class TestSolve:
     def test_default_extension_certifies_only_unrefuted_rungs(
             self, monkeypatch):
         # rung 1.0 meets n0 at the sample v = -0.9, so its sampled
-        # separation is within the margin and it is not certified: only
-        # rung 0.8 is, and it is the first passing truncation
-        from chebylift import bjorling
+        # separation is within the margin and the check refutes it there:
+        # only rung 0.8 is certified, and it is the first passing truncation
         dec = decompose(self.truncating_data())
         want = self.first_passing_truncation(dec)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return check_disjointness(*args)
-
-        monkeypatch.setattr(bjorling, "check_disjointness", counted)
+        calls = self.certifying_calls(monkeypatch)
         got = default_extension(dec)
         assert len(calls) == 1
         assert (got.t_min, got.dt) == (want.t_min, want.dt)
@@ -673,17 +686,14 @@ class TestSolve:
 
     def test_default_extension_raises_before_truncating(self, monkeypatch):
         # the eps = 1e-4 data above: n3(0) is inside the margin of -n0(0),
-        # so no truncation can pass and none is checked
-        from chebylift import bjorling
+        # so every truncation is refuted at its samples and none certified
         eps = 1e-4
         d = data_from_null_pair(
             lambda u: np.stack([np.cos(u), np.sin(u), 0 * u], axis=1),
             lambda u: np.tile([-np.cos(eps), 0.0, np.sin(eps)], (u.size, 1)),
             t_range=(-0.5, 0.5), n=101)
         dec = decompose(d)
-        calls = []
-        monkeypatch.setattr(bjorling, "check_disjointness",
-                            lambda *args: calls.append(args))
+        calls = self.certifying_calls(monkeypatch)
         with pytest.raises(DisjointnessViolated) as err:
             default_extension(dec)
         assert str(err.value) == ("could not truncate the default extension "

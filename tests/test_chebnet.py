@@ -14,7 +14,7 @@ from chebylift.chebnet import (
     euclidean_shape, first_form, gallery, is_chebyshev,
     sine_gordon_residual,
 )
-from chebylift.errors import (DegenerateMetric, DisjointnessViolated,
+from chebylift.errors import (Check, DegenerateMetric, DisjointnessViolated,
                               EmptyOverlap, Report)
 from chebylift.numerics import (SphereCurve, diff_samples, grid_from_ranges,
                                 sample_curve, sup_check)
@@ -127,6 +127,25 @@ class TestBuildFirstKind:
         with pytest.raises(DisjointnessViolated):
             build_first_kind(T1, T1, np.zeros(3))
 
+    def test_meeting_at_a_sample_raises_unbisected(self, monkeypatch):
+        # T2(v) is the great circle through T1(u_30) at v_10, leaving it
+        # along e3: the generators meet at node (30, 10) and nowhere else
+        # within the margin, which the error's check names, with no curve
+        # differenced
+        T1, _ = gallery_generators(n=41)
+        p, e3 = T1.points[30], np.array([0.0, 0.0, 1.0])
+        v10 = np.linspace(-1.0, 1.0, 41)[10]
+        T2 = sample_curve(lambda v: np.outer(np.cos(v - v10), p)
+                          + np.outer(np.sin(v - v10), e3),
+                          (-1.0, 1.0), 41, cls=SphereCurve)
+        seen = record_diff_samples(monkeypatch)
+        with pytest.raises(DisjointnessViolated, match="generators meet") \
+                as err:
+            build_first_kind(T1, T2, np.zeros(3))
+        assert seen == []
+        assert err.value.check == Check(
+            "uncertified_cells", 1.0, 0.0, ((30, 10), (T1.ts[30], T2.ts[10])))
+
     def test_direct_f_matches_differenced_f(self):
         rng = np.random.default_rng(11)
         T1, T2 = random_net_pair(rng, n=201, t_range=(-0.1, 0.1))
@@ -161,6 +180,7 @@ class TestOneAngle:
                               np.arccos(np.clip(net.F, -1.0, 1.0)))
 
 
+
 class TestCheckDisjointness:
     def test_gallery_curves_pass(self):
         T1, T2 = gallery_generators(n=201)
@@ -174,6 +194,11 @@ class TestCheckDisjointness:
         rep = check_disjointness(T1, T2)
         assert not rep.passed
         assert rep.min_separation < 1e-12
+
+    def test_zero_margin_asks_strict_disjointness(self):
+        T1, T2 = gallery_generators(n=201)
+        assert check_disjointness(T1, T2, 0.0).passed
+        assert not check_disjointness(T1, T1, 0.0).passed
 
     def test_meeting_between_samples_fails(self):
         # T2 passes through T1 = d1 at v = pi/2, half-way between two nodes,
@@ -263,8 +288,9 @@ class TestCheckDisjointness:
     def test_sampled_refutation_and_unbisected_report(self, seed, n1, n2,
                                                       log_margin, push):
         # a node within the margin lies in its own cell, which never closes,
-        # so the check fails; with no node at the bisection threshold the
-        # report is the argmax node of |F| less the slack, and passes
+        # so the check fails at once, counting such nodes, with no curve
+        # differenced; with no node at the bisection threshold the report
+        # is the argmax node of |F| less the slack, and passes
         rng = np.random.default_rng(seed)
         T1 = normalized_trig_curve(rng, n1, (-0.5, 0.5))
         centre = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.9, 0.9, 3)
@@ -281,13 +307,21 @@ class TestCheckDisjointness:
             k = (T2.points[j] - b) / np.linalg.norm(T2.points[j] - b)
             T2 = SphereCurve(T2.t_min, T2.dt,
                              T2.points - 2.0 * np.outer(T2.points @ k, k))
-        rep = check_disjointness(T1, T2, margin)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_diff_samples(mp)
+            rep = check_disjointness(T1, T2, margin)
         absF = np.abs(T1.points @ T2.points.T)
         nrm = lambda x: np.linalg.norm(x, axis=1)
         slack = (0.5 * T1.dt * nrm(diff_samples(T1.points, T1.dt, 1)).max()
                  + 0.5 * T2.dt * nrm(diff_samples(T2.points, T2.dt, 1)).max())
         if rep.sampled_separation <= margin:
-            assert not rep.passed
+            i, j = np.unravel_index(int(np.argmax(absF)), absF.shape)
+            refuted = np.sqrt(np.maximum(2.0 - 2.0 * absF, 0.0)) <= margin
+            assert not rep.passed and seen == []
+            assert rep.uncertified_cells == np.count_nonzero(refuted) >= 1
+            assert rep["uncertified_cells"].where == (
+                (i, j), (T1.ts[i], T2.ts[j]))
+            assert rep.min_separation == 0.0
         if absF.max() < 1.0 - 0.5 * (margin + slack) ** 2:
             i, j = np.unravel_index(int(np.argmax(absF)), absF.shape)
             assert rep.passed
@@ -465,10 +499,6 @@ def meshgrid_gallery(name, nu, nv) -> dict:
     ss = np.linspace(0.25, 2.0, nv)
     T, S = np.meshgrid(ts, ss, indexing="ij")
     Y = np.stack([x(S) * np.cos(T), x(S) * np.sin(T), y(S)], axis=-1)
-    Yt = np.stack([-x(S) * np.sin(T), x(S) * np.cos(T),
-                   np.zeros_like(S)], axis=-1)
-    xp = 1.0 / np.cosh(S)**2 / 2.0
-    Ys = np.stack([xp * np.cos(T), xp * np.sin(T), y(S, 1)], axis=-1)
     Lt, Ls = ts[-1] - ts[0], ss[-1] - ss[0]
     half = min(Lt, Ls) / 4.0
     uc = (ts[0] + ts[-1]) / 4.0 - (ss[0] + ss[-1]) / 4.0
@@ -485,9 +515,8 @@ def meshgrid_gallery(name, nu, nv) -> dict:
                                                (vs[0], vs[-1]), X)),
         "ts grid": grid_axes(grid_from_ranges(
             (-np.pi + 0.05, np.pi - 0.05), (0.25, 2.0), Y)),
-        "E_ts": np.einsum("ijk,ijk->ij", Yt, Yt),
-        "F_ts": np.einsum("ijk,ijk->ij", Yt, Ys),
-        "G_ts": np.einsum("ijk,ijk->ij", Ys, Ys),
+        "E_ts": x(S)**2, "F_ts": np.zeros_like(S),
+        "G_ts": (1.0 / np.cosh(S)**2 / 2.0)**2 + y(S, 1)**2,
     }
 
 
@@ -524,6 +553,22 @@ class TestGalleryFromAxes:
             tracemalloc.stop()
         assert gal.net.F.shape == (801, 801)
         assert peak - kept <= 2 * 801 * 801 * 8 + 256 * 1024
+
+    def test_noncritical_peak_at_801(self):
+        # the (t, s) first form is three broadcasts of 1-D arrays, so the
+        # kept arrays are X, F and Y (7 grids) and the temporaries at most
+        # the (u, v) immersion's three t, s, x(s) grids and one more
+        _profile_y()
+        tracemalloc.start()
+        try:
+            gal = gallery("noncritical", 801, 801)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid = 801 * 801 * 8
+        assert all(f.shape == (801, 801) for f in gal.ts_forms)
+        assert kept <= 7 * grid + 256 * 1024
+        assert peak - kept <= 4 * grid + 256 * 1024
 
 
 class TestCheckSumOne:

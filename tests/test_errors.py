@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from chebylift.bjorling import ExtensionChoice, reduce_from_l3, solve
-from chebylift.chebnet import (equivalent_immersion, first_form, gallery,
+from chebylift.chebnet import (build_first_kind, check_disjointness,
+                               equivalent_immersion, first_form, gallery,
                                is_chebyshev)
-from chebylift.errors import (BadData, BadGrid, Check, ChebyliftError,
-                              EmptyOverlap, ExtensionMismatch,
+from chebylift.errors import (BadData, BadGrid, BadInput, Check,
+                              ChebyliftError, EmptyOverlap, ExtensionMismatch,
                               IncompatibleData, NotMinimal, Report)
 from chebylift.lift import gaussian_curvature, lift_net
-from chebylift.numerics import Grid2D, SampledCurve, frenet, sup_check
+from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve, frenet,
+                                sup_check)
 
 
 class TestCheck:
@@ -95,6 +97,11 @@ LINE = lambda t: np.stack([t, t, 0 * t], axis=1)         # lightlike in L^3
 UP = lambda t: np.tile([0.0, 0.0, 1.0], (t.size, 1))   # unit normal to it
 
 
+def axis(k, n=11):
+    """The constant sphere curve at the k-th unit vector of E."""
+    return SphereCurve(-1.0, 0.2, np.tile(np.eye(3)[k], (n, 1)))
+
+
 def unknown_extension_kind():
     from test_bjorling import helix_data
     solve(helix_data(n=101)[0], ExtensionChoice(kind="bogus"))
@@ -140,6 +147,21 @@ GUARDS = {
         BadData, "n is not normal to gamma'"),
     "extension_kind": (unknown_extension_kind, ExtensionMismatch,
                        "unknown extension kind 'bogus'"),
+    "margin_nan": (lambda: check_disjointness(axis(0), axis(0), np.nan),
+                   BadInput, "margin must be finite and >= 0"),
+    "margin_inf": (lambda: check_disjointness(axis(0), axis(1), np.inf),
+                   BadInput, "margin must be finite and >= 0"),
+    "margin_negative": (lambda: check_disjointness(axis(0), axis(0), -1e-3),
+                        BadInput, "margin must be finite and >= 0"),
+    "p0_4d": (lambda: build_first_kind(axis(0), axis(1), np.zeros(4)),
+              BadInput, "p0 must be a finite 3-vector"),
+    "p0_scalar": (lambda: build_first_kind(axis(0), axis(1), 0.0),
+                  BadInput, "p0 must be a finite 3-vector"),
+    "p0_row": (lambda: build_first_kind(axis(0), axis(1), np.zeros((1, 3))),
+               BadInput, "p0 must be a finite 3-vector"),
+    "p0_nan": (lambda: build_first_kind(axis(0), axis(1),
+                                        [0.0, np.nan, 0.0]),
+               BadInput, "p0 must be a finite 3-vector"),
     # us[-1] - us[0] rounds to 0 at u_min = 1e20, du = 1
     "overlap": (lambda: equivalent_immersion(grid(np.zeros((4, 4)), 1e20)),
                 EmptyOverlap, "inscribed rectangle degenerates"),
