@@ -13,13 +13,13 @@ the line / helix / planar-alpha special cases, and non-uniqueness is
 realized by exchanging extensions of n3 with a fixed value at v = 0.
 
 Each public function runs that chain on a ``CurveDecomposition`` of its
-argument, and errors come in chain order: ``BadData`` on the structure,
-``NecessaryConditionFailed``, ``BadData`` on the resample, then
-``DegenerateFrenet``.  ``classify_special`` always checks the structure
-first, but the necessary condition only on data that is neither a
-straight line nor Frenet-degenerate.  ``ruled_solution`` shares
-``solve``'s compatibility gate and seed check; its order is structure,
-necessary, resample (and not-a-line ``BadData``), compatibility, seed.
+argument, as far as it reads it, and errors come in chain order.  ``solve``
+reads: ``BadData`` on the structure, ``NecessaryConditionFailed``, ``BadData``
+on the resample, compatibility, extension, disjointness.  After the
+resample ``ruled_solution`` adds its not-a-line ``BadData``, and
+``decompose`` its ``DegenerateFrenet``.  ``classify_special`` always checks
+the structure first, but the necessary condition only on data that is
+neither a straight line nor Frenet-degenerate.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from scipy.interpolate import CubicSpline
 
 from . import minkowski as mk
 from .chebnet import check_disjointness
-from .errors import (BadData, Check, DegenerateFrenet, DisjointnessViolated,
-                     DivisionDegenerate, ExtensionMismatch, IncompatibleData,
+from .errors import (BadData, BadInput, Check, DegenerateFrenet,
+                     DisjointnessViolated, DivisionDegenerate,
+                     ExtensionMismatch, IncompatibleData,
                      NecessaryConditionFailed, Report)
 from .lift import LiftSurface, _frame, build_minimal
 from .numerics import (FrenetData, Grid2D, KAPPA_TOL, SampledCurve,
@@ -285,20 +286,31 @@ class SpecialCaseKind(Enum):
 
 @dataclass(frozen=True)
 class ExtensionChoice:
-    """Second-generator extension: an explicit sphere curve over J, or a
-    theta profile over I x J from which p, q follow."""
+    """Second-generator extension: exactly one of an explicit sphere
+    ``curve`` over J and a scalar ``theta`` profile over I x J, from which
+    p, q follow; else ``ExtensionMismatch``.  ``kind`` names the one set."""
 
-    kind: str                    # "sphere_curve" | "theta_profile"
     curve: Optional[SphereCurve] = None
     theta: Optional[Grid2D] = None
 
+    def __post_init__(self):
+        if not (isinstance(self.curve, SphereCurve) and self.theta is None
+                or self.curve is None and isinstance(self.theta, Grid2D)
+                and self.theta.values.ndim == 2):
+            raise ExtensionMismatch("an extension is one SphereCurve or one "
+                                    "scalar Grid2D theta profile")
+
+    @property
+    def kind(self) -> str:
+        return "theta_profile" if self.curve is None else "sphere_curve"
+
     @classmethod
     def from_curve(cls, curve: SphereCurve) -> "ExtensionChoice":
-        return cls(kind="sphere_curve", curve=curve)
+        return cls(curve=curve)
 
     @classmethod
     def from_theta(cls, theta: Grid2D) -> "ExtensionChoice":
-        return cls(kind="theta_profile", theta=theta)
+        return cls(theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +353,8 @@ def decompose(d: BjorlingData) -> CurveDecomposition:
 
     Reparametrizes so that c0' = 1, takes n0 and n3 from the adapted frames
     of D with the admissible orientation, and projects n3 = cos(theta) T +
-    p N + q B on the Frenet frame of alpha, still differenced from c.  Every
+    p N + q B on the Frenet frame of alpha, still differenced from c, which
+    a theta profile needs at every node: else ``DegenerateFrenet``.  Every
     stage that can raise has run when it returns.
     """
     dec = CurveDecomposition(d)
@@ -350,7 +363,7 @@ def decompose(d: BjorlingData) -> CurveDecomposition:
     if np.any(fr.degenerate):
         raise DegenerateFrenet(
             f"kappa <= {KAPPA_TOL:g} on {int(fr.degenerate.sum())} nodes; "
-            "use classify_special / ruled_solution for straight-line data")
+            "a theta profile needs the Frenet frame")
     dec.theta0, dec.n3curve         # the frames of the resample
     return dec
 
@@ -384,9 +397,15 @@ def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     p = -theta_u sin theta / kappa, q = (p_u + kappa cos theta) / tor; the
     returned residual p^2 + q^2 - sin^2 theta, like p and q an array on the
     nodes of ``theta``, is the consistency check an admissible theta
-    extension must satisfy.  |kappa| or |tor| at most 1e-9 anywhere raises
+    extension must satisfy.  kappa and tor need one entry per u-node of a
+    scalar ``theta`` grid, else ``BadInput``.  |kappa| or |tor| at most 1e-9
+    or NaN anywhere (tor is NaN at a Frenet-degenerate node) raises
     ``DivisionDegenerate``.
     """
+    if theta.values.ndim != 2 or np.shape(kappa) != (theta.nu,) \
+            or np.shape(tor) != (theta.nu,):
+        raise BadInput("kappa and tor need one entry per u-node of a scalar "
+                       "theta grid")
     return _solve_pq(theta, kappa, tor)[:3]
 
 
@@ -394,7 +413,8 @@ def _solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
     """``solve_pq``'s p, q and residual, then the cos theta they used."""
     kappa = np.asarray(kappa, dtype=float)
     tor = np.asarray(tor, dtype=float)
-    if np.abs(kappa).min() <= 1e-9 or np.abs(tor).min() <= 1e-9:
+    # written so that a NaN fails it
+    if not (np.all(np.abs(kappa) > 1e-9) and np.all(np.abs(tor) > 1e-9)):
         raise DivisionDegenerate(
             "kappa or torsion vanishes; theta-profile extensions need the "
             "generic case")
@@ -445,42 +465,39 @@ def classify_special(d: BjorlingData) -> Report:
 def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
     """Solution through a lightlike straight line: f = u l0 + v d0 + int n3.
 
-    The data's n3 must be constant along c: ``solve``'s compatibility gate,
-    sup_dn3 at most ``COMPAT_TOL``, else ``IncompatibleData``.  ``n3`` needs
-    a v = 0 node, where it must agree with the data's n3 at the basepoint
-    within ``SEED_TOL`` (check seed_miss), else ``ExtensionMismatch``; the
-    surface is ruled by the constant direction l0.  n3 must stay off +-l0
-    on the whole product, between samples too.
+    ``solve``'s chain with the extension curve ``n3``, after ``BadData``
+    unless the data classifies as ``LIGHTLIKE_LINE``.  On a line the frame's
+    n0 is the constant direction l0, which rules the surface.  An ``n3``
+    that is not a ``SphereCurve`` raises ``ExtensionMismatch`` before the
+    compatibility gate.
     """
     dec = CurveDecomposition(d)
     dec.orientation                 # NecessaryConditionFailed comes first
     case = dec.special
     if case.kind is not SpecialCaseKind.LIGHTLIKE_LINE:
         raise BadData(f"data classifies as {case.kind.value}, not a line")
-    _compatibility_gate(dec)
-    _seeded(dec, n3)
-    c = dec.data.c
-    n0_const = dec.n0curve.points.mean(axis=0)
-    n0_const /= np.linalg.norm(n0_const)
-    n0curve = SphereCurve(t_min=c.t_min, dt=c.dt,
-                          points=np.tile(n0_const, (c.n, 1)))
-    return _build_solution(n0curve, n3, c.points[c.base_index()])
+    return _solution(dec, ExtensionChoice.from_curve(n3))[0]
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def _build_solution(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
-    """``build_minimal`` for a solution of the Cauchy problem, whose
-    generators must be disjoint on the whole product, between samples too:
-    else ``DisjointnessViolated`` carries the failed uncertified_cells
-    check of their ``check_disjointness`` report."""
-    surf = build_minimal(n0, n3, P0)
+def _solution(dec: CurveDecomposition,
+              ext: Optional[ExtensionChoice]) -> tuple:
+    """The solution f = P0 + (u+v) d0 + int n0 + int n3 through the data of
+    ``dec`` and its passed compatibility check.  The generators must be
+    disjoint on the whole product, between samples too: else
+    ``DisjointnessViolated`` carries the failed uncertified_cells check of
+    their ``check_disjointness`` report."""
+    compat = _compatibility_gate(dec)
+    n3 = _extension_curve(dec, ext)
+    c = dec.data.c
+    surf = build_minimal(dec.n0curve, n3, c.points[c.base_index()])
     rep = surf.generators.disjointness
     if not rep.passed:
         raise DisjointnessViolated("generators meet between samples",
                                    rep["uncertified_cells"])
-    return surf
+    return surf, compat
 
 
 def default_extension(dec: CurveDecomposition) -> SphereCurve:
@@ -520,27 +537,26 @@ def _compatibility_gate(dec: CurveDecomposition) -> Check:
     return chk
 
 
-def _seeded(dec: CurveDecomposition, cur: SphereCurve) -> SphereCurve:
-    """``cur`` if it has a v = 0 node where it takes the data's n3(0)
-    within ``SEED_TOL`` (check seed_miss), else ``ExtensionMismatch``."""
-    if abs(cur.ts[cur.base_index()]) > 1e-9:
-        raise ExtensionMismatch("extension curve needs a v = 0 node")
-    chk = Check("seed_miss", float(np.linalg.norm(
-        cur.points[cur.base_index()]
-        - dec.n3curve.points[dec.n3curve.base_index()])), SEED_TOL)
-    if not chk.passed:
-        raise ExtensionMismatch("extension seed differs from data", chk)
-    return cur
-
-
 def _extension_curve(dec: CurveDecomposition,
                      ext: Optional[ExtensionChoice]) -> SphereCurve:
+    """n3 of ``ext``, an ``ExtensionChoice`` or None (the default); else
+    ``ExtensionMismatch``, as for a curve without a v = 0 node where it takes
+    the data's n3(0) within ``SEED_TOL`` (check seed_miss)."""
     if ext is None:
         return default_extension(dec)
-    if ext.kind == "sphere_curve":
-        return _seeded(dec, ext.curve)
-    if ext.kind != "theta_profile":
-        raise ExtensionMismatch(f"unknown extension kind {ext.kind!r}")
+    if not isinstance(ext, ExtensionChoice):
+        raise ExtensionMismatch("extension must be an ExtensionChoice or "
+                                f"None, not {type(ext).__name__}")
+    n3_seed = dec.n3curve.points[dec.n3curve.base_index()]
+    cur = ext.curve
+    if cur is not None:
+        if abs(cur.ts[cur.base_index()]) > 1e-9:
+            raise ExtensionMismatch("extension curve needs a v = 0 node")
+        chk = Check("seed_miss", float(np.linalg.norm(
+            cur.points[cur.base_index()] - n3_seed)), SEED_TOL)
+        if not chk.passed:
+            raise ExtensionMismatch("extension seed differs from data", chk)
+        return cur
 
     theta = ext.theta
     if theta.nu != dec.alpha.n or abs(theta.u_min - dec.alpha.t_min) > 1e-9 \
@@ -572,7 +588,6 @@ def _extension_curve(dec: CurveDecomposition,
         raise ExtensionMismatch("extension's n3 varies along u", chk)
     pts = n3_field.mean(axis=0)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    n3_seed = dec.n3curve.points[dec.n3curve.base_index()]
     # The rebuilt curve carries the differencing error of kappa and tor, so
     # its v = 0 value misses the data's n3 slightly; rotate it onto the seed
     # so the solution's normal plane along c is the data's own.
@@ -592,11 +607,11 @@ def _extension_curve(dec: CurveDecomposition,
 def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     """Assemble a minimal lift solving the Cauchy problem for (c, D).
 
-    Runs the necessary-condition check, the decomposition and the
-    compatibility gate, builds the second generator from the extension
-    choice (a default rotation when none is given), certifies that the two
-    generators are disjoint on the whole product, and returns the surface
-    together with the report of the gates passed (necessary,
+    Runs the necessary-condition check, the resample, the compatibility
+    gate, the second generator from ``ext`` (a default rotation when None;
+    only a theta profile reads the Frenet frame of alpha) and the
+    certificate that the generators are disjoint on the whole product.
+    Returns the surface with the report of the gates passed (necessary,
     compatibility_sup) and the postconditions: along v = 0, at the nodes of
     the data resampled to c0' = 1, the surface interpolates c (curve_sup)
     and its normal bundle spans D off the degenerate-angle mask
@@ -605,17 +620,13 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     differenced: projector_sup tests that ``build_frame`` and
     ``lift._frame`` are inverse to each other, to roundoff.  Minimality is
     not measured: the solution is a sum of two lightlike curves, n0 and n3
-    on the unit sphere, which ``_build_solution`` certifies disjoint on the
-    whole product, so its angle stays off 0 and pi, f_uv = 0 and H = 0
-    exactly.  Info: orientation, extension_kind, and h_sup = 0.0, that
-    exact value.
+    on the unit sphere, certified disjoint on the whole product, so its
+    angle stays off 0 and pi, f_uv = 0 and H = 0 exactly.  Info:
+    orientation, extension_kind, and h_sup = 0.0, that exact value.
     """
-    dec = decompose(d)
+    dec = CurveDecomposition(d)
+    surf, compat = _solution(dec, ext)
     rep = dec.necessary
-    compat = _compatibility_gate(dec)
-    n3curve = _extension_curve(dec, ext)
-    P0 = dec.data.c.points[dec.data.c.base_index()]
-    surf = _build_solution(dec.n0curve, n3curve, P0)
 
     # postconditions, on the v = 0 row
     g, gen, us = surf.grid, surf.generators, (dec.us,)

@@ -21,8 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .errors import (BadGrid, BadInput, Check, DegenerateMetric,
-                     DisjointnessViolated, EmptyOverlap, Report)
+from .errors import (BadGrid, BadInput, BadSphereCurve, Check,
+                     DegenerateMetric, DisjointnessViolated, EmptyOverlap,
+                     Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, _vector_norm, cross,
                        cumulative_integral, cumulative_samples, diff_samples,
                        grid_from_ranges, partials)
@@ -68,12 +69,17 @@ class NetSurface:
     kept on the object, with read-only arrays, for every later call.
     ``build_first_kind`` sets ``generators``, with their disjointness
     verdict, and marks the grid's values read-only; the shape operator then
-    comes from the generators.
+    comes from the generators.  F of another shape than (nu, nv) raises
+    ``BadGrid``.
     """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
     F: np.ndarray
     generators: Optional[Generators] = None
+
+    def __post_init__(self):
+        if np.shape(self.F) != self.grid.values.shape[:2]:
+            raise BadGrid("F must have the grid's shape (nu, nv)")
 
     @property
     def theta(self) -> np.ndarray:
@@ -150,7 +156,11 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
     min_separation is that certified lower bound of s over the product,
     clipped at 0 (0.0 if the check fails); also margin, finite and >= 0
     (else ``BadInput``), and sampled_separation, the smallest s at nodes.
+    T1 and T2 must be ``SphereCurve``s, else ``BadSphereCurve``: the bound
+    reads s off <T1, T2>, which measures distance only on the sphere.
     """
+    if not (isinstance(T1, SphereCurve) and isinstance(T2, SphereCurve)):
+        raise BadSphereCurve("check_disjointness needs two SphereCurves")
     if not (np.isfinite(margin) and margin >= 0.0):
         raise BadInput(f"margin must be finite and >= 0, got {margin!r}")
     P1, P2 = T1.points, T2.points
@@ -229,8 +239,9 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
 def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     """First-kind net X(u, v) = p0 + int_0^u T1 + int_0^v T2.
 
-    p0 must be a finite 3-vector (else ``BadInput``).  Integrals are taken
-    from the node nearest the curve parameter 0 by ``cumulative_integral``;
+    p0 must be a finite 3-vector (else ``BadInput``), and T1 and T2
+    ``SphereCurve``s (else ``BadSphereCurve``).  Integrals are taken from
+    the node nearest the curve parameter 0 by ``cumulative_integral``;
     E = G = 1 up to quadrature error and F is exact.
 
     Generators that meet at the samples (sampled separation at most

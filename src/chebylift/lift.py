@@ -73,6 +73,7 @@ class LiftSurface:
     ``LiftSurface``.  It keeps only its fields: no call stores a partial
     or any other array on it.  ``generators`` is set by the builders (see
     the module docstring) and is live while ``grid`` is the grid they made.
+    theta and g12 of another shape than (nu, nv) raise ``BadGrid``.
     """
 
     grid: Grid2D            # payload (nu, nv, 4)
@@ -82,6 +83,11 @@ class LiftSurface:
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
     generators: Optional[Generators] = None
+
+    def __post_init__(self):
+        shape = self.grid.values.shape[:2]
+        if np.shape(self.theta) != shape or np.shape(self.g12) != shape:
+            raise BadGrid("theta and g12 must have the grid's shape (nu, nv)")
 
 
 @dataclass(frozen=True)
@@ -294,10 +300,10 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
 
     Requires |<n0(u), n3(v)>| < 1 on the product; the result is the lift of
     the first-kind net of (n0, n3) and is minimal by construction.  Like
-    ``build_first_kind`` it rejects generators that meet at the samples;
-    the certified verdict over the whole product is
-    ``generators.disjointness``.  The lift keeps n0 and n3 as its
-    generators, and its values are read-only.
+    ``build_first_kind`` it rejects generators that are not ``SphereCurve``s
+    or that meet at the samples; the certified verdict over the whole
+    product is ``generators.disjointness``.  The lift keeps n0 and n3 as
+    its generators, and its values are read-only.
     """
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (4,) or not np.all(np.isfinite(P0)):

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chebylift import minkowski as mk
 from chebylift.bjorling import (
-    DEFAULT_EXT_MARGIN, BjorlingData, ExtensionChoice, SpecialCaseKind,
-    check_necessary, classify_special, compatibility_residual, decompose,
+    DEFAULT_EXT_MARGIN, BjorlingData, CurveDecomposition, ExtensionChoice,
+    SpecialCaseKind, check_necessary, classify_special, compatibility_residual, decompose,
     default_extension, reduce_from_l3, ruled_solution, solve, solve_pq,
 )
 from chebylift.chebnet import check_disjointness, gallery
@@ -298,6 +298,18 @@ class TestSolvePQ:
         assert np.array_equal(sol.grid.values, ref.grid.values)
         assert rep.checks == ref_rep.checks and rep.info == ref_rep.info
 
+    def test_nan_torsion_is_division_degenerate(self):
+        # frenet's tor is NaN at a Frenet-degenerate node: it must stop the
+        # division, not leak NaN into q and the residual
+        d, th0 = helix_data(n=101)
+        dec = decompose(d)
+        tor = dec.frenet.tor.copy()
+        tor[40] = np.nan
+        theta = self.theta_grid(dec, lambda v: np.full_like(v, th0),
+                                np.linspace(-0.5, 0.5, 11))
+        with pytest.raises(DivisionDegenerate):
+            solve_pq(theta, dec.frenet.kappa, tor)
+
     def test_division_degenerate(self):
         _, d = critical_lift_data()
         dec = decompose(d)   # tor = 0 for the circle
@@ -474,6 +486,64 @@ class TestRuledSolution:
             (-1, 1), 101, cls=SphereCurve)
         with pytest.raises(BadData):
             ruled_solution(d, n3)
+
+
+class TestFrenetOnlyForTheta:
+    """``solve`` reads the Frenet frame of alpha only for a theta profile,
+    so it solves data whose alpha has an inflection node or is a line, by
+    the one chain that ``ruled_solution`` runs on a line."""
+
+    @staticmethod
+    def inflection_data(n):
+        # alpha' = n0 = (cos u^3, sin u^3, 0): kappa vanishes at u = 0 only
+        return data_from_null_pair(
+            lambda u: np.stack([np.cos(u**3), np.sin(u**3), 0 * u], axis=1),
+            lambda u: np.tile([0.0, 0.0, 1.0], (u.size, 1)), (-1.0, 1.0), n)
+
+    @staticmethod
+    def line_with_n3():
+        return TestRuledSolution.line_with_n3(
+            lambda v: np.stack([0 * v, np.sin(v), np.cos(v)], axis=-1))
+
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_inflection_node_classifies_generic(self, n):
+        case = classify_special(self.inflection_data(n))
+        assert case.kind is SpecialCaseKind.GENERIC
+        assert case.degenerate_nodes == 1
+
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_inflection_data_solved(self, n):
+        d = self.inflection_data(n)
+        with pytest.raises(DegenerateFrenet):
+            decompose(d)
+        sol, rep = solve(d)
+        assert rep.passed and rep.extension_kind == "default"
+        assert sol.generators.disjointness.passed
+        j0 = int(np.argmin(np.abs(sol.grid.vs)))
+        c = CurveDecomposition(d).data.c.points
+        assert np.abs(sol.grid.values[:, j0] - c).max() <= 1e-13
+
+    def test_line_solve_is_ruled_solution(self):
+        d, n3 = self.line_with_n3()
+        sol, rep = solve(d, ExtensionChoice.from_curve(n3))
+        assert rep.passed and rep.extension_kind == "sphere_curve"
+        assert np.array_equal(sol.grid.values,
+                              ruled_solution(d, n3).grid.values)
+        # the frame's n0 is exactly constant along the line, so the ruled
+        # surface needs no averaged n0
+        assert np.ptp(sol.generators.T1.points, axis=0).max() == 0.0
+        sol, rep = solve(d)
+        assert rep.passed and rep.extension_kind == "default"
+
+    def test_theta_profile_on_line_data(self):
+        d, _ = self.line_with_n3()
+        dec = CurveDecomposition(d)
+        vs = np.linspace(-0.5, 0.5, 51)
+        theta = Grid2D(u_min=dec.alpha.t_min, v_min=float(vs[0]),
+                       du=dec.alpha.dt, dv=float(vs[1] - vs[0]),
+                       values=np.tile(dec.theta0[:, None], (1, vs.size)))
+        with pytest.raises(DivisionDegenerate):
+            solve(d, ExtensionChoice.from_theta(theta))
 
 
 class TestSolve:

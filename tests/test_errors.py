@@ -5,14 +5,17 @@ import pickle
 import numpy as np
 import pytest
 
-from chebylift.bjorling import ExtensionChoice, reduce_from_l3, solve
-from chebylift.chebnet import (build_first_kind, check_disjointness,
-                               equivalent_immersion, first_form, gallery,
-                               is_chebyshev)
-from chebylift.errors import (BadData, BadGrid, BadInput, Check,
-                              ChebyliftError, EmptyOverlap, ExtensionMismatch,
-                              IncompatibleData, NotMinimal, Report)
-from chebylift.lift import gaussian_curvature, lift_net
+from chebylift.bjorling import (ExtensionChoice, reduce_from_l3, solve,
+                                solve_pq)
+from chebylift.chebnet import (NetSurface, build_first_kind,
+                               check_disjointness, equivalent_immersion,
+                               first_form, gallery, is_chebyshev)
+from chebylift.errors import (BadData, BadGrid, BadInput, BadSphereCurve,
+                              Check, ChebyliftError, EmptyOverlap,
+                              ExtensionMismatch, IncompatibleData, NotMinimal,
+                              Report)
+from chebylift.lift import (LiftSurface, build_minimal, gaussian_curvature,
+                            lift_net)
 from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve, frenet,
                                 sup_check)
 
@@ -104,7 +107,21 @@ def axis(k, n=11):
 
 def unknown_extension_kind():
     from test_bjorling import helix_data
-    solve(helix_data(n=101)[0], ExtensionChoice(kind="bogus"))
+    solve(helix_data(n=101)[0], ExtensionChoice(curve="bogus"))
+
+
+def extension_not_a_choice():
+    from test_bjorling import helix_data
+    solve(helix_data(n=101)[0], axis(2))
+
+
+def off_sphere(vec, n=11):
+    """The constant curve at ``vec``, a SampledCurve off the unit sphere."""
+    return SampledCurve(-1.0, 0.2, np.tile(vec, (n, 1)))
+
+
+def theta_profile(values):
+    return Grid2D(u_min=-1.0, v_min=-1.0, du=0.2, dv=0.2, values=values)
 
 
 #: (call, error type, message) of guards that no other test raises
@@ -146,7 +163,49 @@ GUARDS = {
         lambda t: np.tile([0.0, 1.0, 0.0], (t.size, 1)))),
         BadData, "n is not normal to gamma'"),
     "extension_kind": (unknown_extension_kind, ExtensionMismatch,
-                       "unknown extension kind 'bogus'"),
+                       "an extension is one SphereCurve or one scalar"),
+    "extension_no_curve": (lambda: ExtensionChoice("sphere_curve"),
+                           ExtensionMismatch, "an extension is one"),
+    "extension_empty": (lambda: ExtensionChoice(), ExtensionMismatch,
+                        "an extension is one"),
+    "extension_both": (lambda: ExtensionChoice(
+        axis(2), theta_profile(np.zeros((11, 11)))), ExtensionMismatch,
+        "an extension is one"),
+    "extension_4d_curve": (lambda: ExtensionChoice.from_curve(
+        off_sphere([0.0, 0.0, 0.0, 1.0])), ExtensionMismatch,
+        "an extension is one"),
+    "extension_vector_theta": (lambda: ExtensionChoice.from_theta(
+        theta_profile(np.zeros((11, 11, 3)))), ExtensionMismatch,
+        "scalar Grid2D theta profile"),
+    "extension_not_a_choice": (extension_not_a_choice, ExtensionMismatch,
+                               "ExtensionChoice or None, not SphereCurve"),
+    "disjointness_off_sphere": (lambda: check_disjointness(
+        off_sphere([0.5, 0.0, 0.0]), off_sphere([0.5, 0.0, 0.0])),
+        BadSphereCurve, "check_disjointness needs two SphereCurves"),
+    "disjointness_4d": (lambda: check_disjointness(
+        off_sphere(np.zeros(4)), off_sphere(np.zeros(4))),
+        BadSphereCurve, "check_disjointness needs two SphereCurves"),
+    "first_kind_off_sphere": (lambda: build_first_kind(
+        off_sphere([2.0, 0.0, 0.0]), off_sphere([0.0, 3.0, 0.0]),
+        np.zeros(3)), BadSphereCurve, "needs two SphereCurves"),
+    "minimal_off_sphere": (lambda: build_minimal(
+        axis(0), off_sphere([0.0, 0.0, 3.0]), np.zeros(4)),
+        BadSphereCurve, "needs two SphereCurves"),
+    "net_F_shape": (lambda: NetSurface(grid(np.zeros((5, 5, 3))),
+                                       np.zeros((4, 4))),
+                    BadGrid, "F must have the grid's shape"),
+    "lift_g12_shape": (lambda: LiftSurface(
+        grid(np.zeros((9, 9, 4))), np.ones((9, 9)), np.zeros((8, 8))),
+        BadGrid, "theta and g12 must have the grid's shape"),
+    "lift_theta_shape": (lambda: LiftSurface(
+        grid(np.zeros((9, 9, 4))), np.ones(9), np.zeros((9, 9))),
+        BadGrid, "theta and g12 must have the grid's shape"),
+    "pq_lengths": (lambda: solve_pq(theta_profile(np.ones((10, 5))),
+                                    np.ones(9), np.ones(9)),
+                   BadInput, "kappa and tor need one entry per u-node"),
+    "pq_vector_theta": (lambda: solve_pq(theta_profile(np.ones((10, 5, 3))),
+                                         np.ones(10), np.ones(10)),
+                        BadInput, "kappa and tor need one entry per u-node"),
     "margin_nan": (lambda: check_disjointness(axis(0), axis(0), np.nan),
                    BadInput, "margin must be finite and >= 0"),
     "margin_inf": (lambda: check_disjointness(axis(0), axis(1), np.inf),

@@ -29,6 +29,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PAPER_NAMES = {
     "check_necessary": "necessity: c' = c0' (d0 + n0), n0 from the frame of D",
     "classify_special": "the lightlike line, planar and helix special cases",
+    "decompose": "n3 = cos theta T + p N + q B along alpha = c - u d0",
     "reduce_from_l3": "Cauchy data in L^3 embed as data in R^4_1",
     "first_form": "a Chebyshev net has E = G = 1",
     "frame_identity_residuals": "the half-angle identities of the frame",
