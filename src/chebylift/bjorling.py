@@ -319,10 +319,9 @@ class ExtensionChoice:
 def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), of
     the source for ``necessary`` and of the resample for the generators:
-    one float ``build_frame`` call per node, about 13 us each on a 2-core
-    x86-64 box.  The benchmark's self-check pins 402 per helix solve at
-    n = 201, so a batched frame waits (ROADMAP.md, "A batched Minkowski
-    frame")."""
+    one float ``build_frame`` call per node.  The benchmark's self-check
+    pins 402 per helix solve at n = 201, so a batched frame waits
+    (ROADMAP.md, "A batched Minkowski frame")."""
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):
@@ -379,16 +378,23 @@ def compatibility_residual(dec: CurveDecomposition) -> Report:
     not by differencing theta, p and q, which are already built from
     second derivatives of the data.  sup |d n3/du| (check sup_dn3) is the
     value the solver gates on, against ``COMPAT_TOL``.
+
+    N and B, hence r2 and r3, are undefined at Frenet-degenerate nodes:
+    sup_r2 and sup_r3 leave them out and count them as masked.  On a line
+    every node is degenerate, and the report holds sup_r1 and sup_dn3 only.
     """
     dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
     fr = dec.frenet
     us = (dec.us,)
-    return Report((
-        sup_check("sup_r1", np.einsum("ij,ij->i", dn3, fr.T), axes=us),
-        sup_check("sup_r2", np.einsum("ij,ij->i", dn3, fr.N), axes=us),
-        sup_check("sup_r3", np.einsum("ij,ij->i", dn3, fr.B), axes=us),
+    keep = ~fr.degenerate
+    checks = (sup_check("sup_r1", np.einsum("ij,ij->i", dn3, fr.T), axes=us),)
+    if keep.any():
+        checks += tuple(sup_check(name, np.einsum("ij,ij->i", dn3, X),
+                                  keep=keep, axes=us)
+                        for name, X in (("sup_r2", fr.N), ("sup_r3", fr.B)))
+    return Report(checks + (
         sup_check("sup_dn3", np.linalg.norm(dn3, axis=1), COMPAT_TOL,
-                  axes=us)))
+                  axes=us),))
 
 
 def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
@@ -530,7 +536,8 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
 
 def _compatibility_gate(dec: CurveDecomposition) -> Check:
     """sup_dn3 of ``compatibility_residual``; ``IncompatibleData`` carries
-    it when it fails (alone: on a line r2 and r3 are NaN)."""
+    it when it fails (alone: r1, r2 and r3 are projections of the same
+    d n3/du, and a line has no r2 or r3)."""
     chk = compatibility_residual(dec)["sup_dn3"]
     if not chk.passed:
         raise IncompatibleData("n3 varies along the curve", chk)

@@ -69,8 +69,10 @@ class NetSurface:
     kept on the object, with read-only arrays, for every later call.
     ``build_first_kind`` sets ``generators``, with their disjointness
     verdict, and marks the grid's values read-only; the shape operator then
-    comes from the generators.  F of another shape than (nu, nv) raises
-    ``BadGrid``.
+    comes from the generators.  The source net of a ``lift.build_minimal``
+    lift holds no points of its own: its grid's values are the read-only
+    strided view [..., 1:] of the lift's (nu, nv, 4) array, which holds x0
+    and X.  F of another shape than (nu, nv) raises ``BadGrid``.
     """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
@@ -159,13 +161,19 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
     T1 and T2 must be ``SphereCurve``s, else ``BadSphereCurve``: the bound
     reads s off <T1, T2>, which measures distance only on the sphere.
     """
+    return _disjointness(T1, T2, margin)[0]
+
+
+def _disjointness(T1: SphereCurve, T2: SphereCurve, margin: float) -> tuple:
+    """``check_disjointness``'s guards and report, then the metric
+    coefficient F = T1 T2^T it read |F| from, formed once for both."""
     if not (isinstance(T1, SphereCurve) and isinstance(T2, SphereCurve)):
         raise BadSphereCurve("check_disjointness needs two SphereCurves")
     if not (np.isfinite(margin) and margin >= 0.0):
         raise BadInput(f"margin must be finite and >= 0, got {margin!r}")
     P1, P2 = T1.points, T2.points
-    absF = P1 @ P2.T
-    np.abs(absF, out=absF)
+    F = P1 @ P2.T
+    absF = np.abs(F)
     k = int(np.argmax(absF))
     sampled = float(np.sqrt(max(2.0 - 2.0 * absF.flat[k], 0.0)))
     if sampled <= margin:
@@ -177,7 +185,7 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
                     0.0, ((int(i), int(j)), (u, v)))
         return Report((chk,), {"min_separation": 0.0, "margin": margin,
                                "at_u": u, "at_v": v,
-                               "sampled_separation": sampled})
+                               "sampled_separation": sampled}), F
     D1 = [diff_samples(P1, T1.dt, k) for k in (1, 2, 3)]
     D2 = [diff_samples(P2, T2.dt, k) for k in (1, 2, 3)]
     nrm = lambda x: np.linalg.norm(x, axis=1)
@@ -233,7 +241,7 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
     return Report((chk,), {
         "min_separation": 0.0 if ii.size else max(float(best[0]), 0.0),
         "margin": margin, "at_u": float(u), "at_v": float(v),
-        "sampled_separation": sampled})
+        "sampled_separation": sampled}), F
 
 
 def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
@@ -256,24 +264,39 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (3,) or not np.all(np.isfinite(p0)):
         raise BadInput("p0 must be a finite 3-vector")
-    rep = check_disjointness(T1, T2)
+    return _first_kind(T1, T2, p0)[0]
+
+
+def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
+                x0: Optional[float] = None) -> tuple:
+    """The net of ``build_first_kind`` for a checked p0, with F = T1 T2^T
+    formed once by the disjointness kernel, and the read-only array its
+    grid views, written column by column from per-axis rows as
+    (p0 + I1(u)) + I2(v).  With ``x0`` the rows lead with u and v: the
+    array is the (nu, nv, 4) lift with x0 = (u + v) + x0, and the grid is
+    its view [..., 1:]."""
+    rep, F = _disjointness(T1, T2, DISJOINT_MARGIN)
     if rep.sampled_separation <= DISJOINT_MARGIN:
         raise DisjointnessViolated(
             f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g} "
             f"(sampled separation {rep.sampled_separation:.3e})",
             rep["uncertified_cells"])
-    I1 = cumulative_integral(T1).points
-    I2 = cumulative_integral(T2).points
-    # (p0 + I1) + I2 one component at a time
-    X = np.empty((T1.n, T2.n, 3))
-    for k in range(3):
-        np.add.outer(p0[k] + I1[:, k], I2[:, k], out=X[..., k])
-    F = T1.points @ T2.points.T
+    row_u = p0 + cumulative_integral(T1).points
+    row_v = cumulative_integral(T2).points
+    if x0 is not None:
+        row_u = np.column_stack((T1.ts, row_u))
+        row_v = np.column_stack((T2.ts, row_v))
+    vals = np.empty((T1.n, T2.n, row_u.shape[1]))
+    for k in range(row_u.shape[1]):
+        np.add.outer(row_u[:, k], row_v[:, k], out=vals[..., k])
+    if x0 is not None:
+        vals[..., 0] += x0
+    _read_only(vals)
     grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt,
-                  values=_read_only(X))
+                  values=vals if x0 is None else vals[..., 1:])
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
-    return NetSurface(grid=grid, F=F,
-                      generators=Generators(frozen(T1), frozen(T2), grid, rep))
+    return NetSurface(grid=grid, F=F, generators=Generators(
+        frozen(T1), frozen(T2), grid, rep)), vals
 
 
 def _partials_and_form(g: Grid2D) -> tuple:
@@ -433,7 +456,8 @@ def euclidean_shape(n: NetSurface) -> EuclideanShape:
     g = <T2', N> = (T1 (T2 x T2')^T) / |T1 x T2|, the determinants
     det(T1', T1, T2) and det(T2', T1, T2) over |T1 x T2|; f = 0 and
     K_T = e g / (1 - F^2).  T1' and T2' are differenced along the curves,
-    and ``gauss_map`` is a (nu, nv, 3) view of a (3, nu, nv) array.
+    ``gauss_map`` is a (nu, nv, 3) view of a (3, nu, nv) array and f is
+    read-only broadcast zeros, no stored grid.
     Otherwise every partial is differenced from the grid.
     """
     return n._shape
@@ -485,10 +509,12 @@ def _shape_of(n: NetSurface) -> EuclideanShape:
         e = np.einsum("ijk,ijk->ij", Xuu, gauss)
         f = np.einsum("ijk,ijk->ij", Xuv, gauss)
         gg = np.einsum("ijk,ijk->ij", Xvv, gauss)
+        K_T = (e * gg - f * f) / det
     else:
         gauss, e, gg = _generator_shape(gen)
-        f = np.zeros_like(e)
-    K_T = (e * gg - f * f) / det
+        # f = 0 by construction, and e g - 0 0 is e g bit for bit
+        f = np.broadcast_to(0.0, e.shape)
+        K_T = e * gg / det
     return EuclideanShape(
         gauss_map=_read_only(gauss), e=_read_only(e), f=_read_only(f),
         g=_read_only(gg), K_T=_read_only(K_T))

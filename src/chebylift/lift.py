@@ -8,9 +8,12 @@ n0, n3 on the unit sphere of E.
 
 Lifts made by ``build_minimal``, or by ``lift_net`` of a
 ``build_first_kind`` net, keep those generators (n0 = T1, n3 = T2) and
-have read-only values.  While a lift's grid is the one its builder made,
-its tangents are exact: f_u = d0 + n0(u) and f_v = d0 + n3(v), with
-n0 and n3 read as broadcast views, and f_uv = 0.  ``mean_curvature``,
+have read-only values.  ``build_minimal`` writes x0 and X once, into the
+lift's (nu, nv, 4) array, and its source net's grid is the read-only
+strided view [..., 1:] of that array; ``lift_net`` copies the net's points.
+While a lift's grid is the one its builder made, its tangents are exact:
+f_u = d0 + n0(u) and f_v = d0 + n3(v), with n0 and n3 read as broadcast
+views, and f_uv = 0.  ``mean_curvature``,
 ``normal_frame`` and ``decompose_minimal`` then use them and difference
 nothing, and ``h_parallel_e2`` measures nothing: H = 0 exactly, so it
 states its two sups, 0 by construction, and its route as info.  Every
@@ -46,9 +49,9 @@ from typing import Optional
 import numpy as np
 
 from . import minkowski as mk
-from .chebnet import (Generators, NetSurface, _angle_partials,
+from .chebnet import (Generators, NetSurface, _angle_partials, _first_kind,
                       _generator_tangents, _generators, _read_only,
-                      build_first_kind, equivalent_immersion, euclidean_shape)
+                      equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, cross, diff_samples,
@@ -117,28 +120,31 @@ def lift_net(n: NetSurface) -> LiftSurface:
     measures it on a point grid), so the lift checks only |F| < 1, which
     keeps g12 = F - 1 negative and the net angle off 0 and pi; it raises
     ``NotChebyshev`` where |F| reaches 1 (tolerance: the float below 1).
-    The lift's grid is a new array.  The lift of a net with generators
-    keeps them, and its values are read-only.
+    The lift's grid is a new array that X is copied into.  The lift of a
+    net with generators keeps them, and its values are read-only.
     """
-    return _lift(n, 0.0)
+    return _lift(n)
 
 
-def _lift(n: NetSurface, t0: float) -> LiftSurface:
-    """``lift_net`` with x0 = t0 + u + v."""
+def _lift(n: NetSurface, vals: Optional[np.ndarray] = None) -> LiftSurface:
+    """``lift_net``, or the lift whose (nu, nv, 4) grid ``vals`` already
+    holds x0 and the net's points (``build_minimal``'s one array)."""
     g = n.grid
     chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0), axes=(g.us, g.vs))
     if not chk.passed:
         raise NotChebyshev("net fails |F| < 1", chk)
-    vals = np.empty(g.values.shape[:2] + (4,))
-    np.add.outer(g.us, g.vs, out=vals[..., 0])
-    vals[..., 0] += t0
-    for k in range(3):
-        vals[..., k + 1] = g.values[..., k]
     gen = _generators(n)
-    if gen is not None:
-        _read_only(vals)
+    if vals is None:
+        vals = np.empty(g.values.shape[:2] + (4,))
+        np.add.outer(g.us, g.vs, out=vals[..., 0])
+        for k in range(3):
+            vals[..., k + 1] = g.values[..., k]
+        if gen is not None:
+            _read_only(vals)
+    theta = np.clip(n.F, -1.0, 1.0)     # n.theta, with arccos in place
+    np.arccos(theta, out=theta)
     grid = Grid2D(u_min=g.u_min, v_min=g.v_min, du=g.du, dv=g.dv, values=vals)
-    return LiftSurface(grid=grid, theta=n.theta, g12=n.F - 1.0, source=n,
+    return LiftSurface(grid=grid, theta=theta, g12=n.F - 1.0, source=n,
                        coords=NULL_COORDS, generators=None if gen is None
                        else replace(gen, grid=grid))
 
@@ -303,12 +309,14 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     ``build_first_kind`` it rejects generators that are not ``SphereCurve``s
     or that meet at the samples; the certified verdict over the whole
     product is ``generators.disjointness``.  The lift keeps n0 and n3 as
-    its generators, and its values are read-only.
+    its generators, and its values are read-only.  x0 and X are written
+    once, into one (nu, nv, 4) array: the source net's grid is its
+    read-only strided view [..., 1:], not a copy.
     """
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (4,) or not np.all(np.isfinite(P0)):
         raise BadInput("P0 must be a finite 4-vector")
-    return _lift(build_first_kind(n0, n3, mk.spatial(P0)), P0[0])
+    return _lift(*_first_kind(n0, n3, mk.spatial(P0), P0[0]))
 
 
 def decompose_minimal(s: LiftSurface) -> tuple:

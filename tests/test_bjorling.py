@@ -20,7 +20,8 @@ from chebylift.errors import (
 from chebylift.lift import (build_minimal, gaussian_curvature, lift_net,
                             mean_curvature, normal_frame)
 from chebylift.numerics import (Grid2D, SampledCurve, SphereCurve,
-                                diff_samples, partials, sample_curve)
+                                diff_samples, partials, sample_curve,
+                                sup_check)
 
 from test_chebnet import (normalized_trig_curve, random_net_pair,
                           record_diff_samples)
@@ -240,6 +241,35 @@ class TestCompatibility:
         rep = compatibility_residual(dec)
         assert rep.passed
         assert rep.sup_dn3 <= 1e-6
+
+    def test_inflection_node_masked(self):
+        # N and B are undefined at the inflection node u = 0: r2 and r3
+        # leave it out, where they used to read NaN and fail the report
+        d = TestFrenetOnlyForTheta.inflection_data(201)
+        rep = compatibility_residual(CurveDecomposition(d))
+        assert rep.passed
+        assert [c.masked for c in rep.checks] == [0, 1, 1, 0]
+        assert max(rep.sup_r1, rep.sup_r2, rep.sup_r3, rep.sup_dn3) <= 1e-12
+
+    def test_line_has_no_r2_or_r3(self):
+        # on a line no node has a Frenet frame
+        d, _ = TestFrenetOnlyForTheta.line_with_n3()
+        rep = compatibility_residual(CurveDecomposition(d))
+        assert rep.passed
+        assert [c.name for c in rep.checks] == ["sup_r1", "sup_dn3"]
+
+    @pytest.mark.parametrize("case", ["helix", "lift"])
+    def test_frenet_regular_data_unmasked(self, case):
+        d = inputs.helix_data(201, 1.0)[0] if case == "helix" \
+            else critical_lift_data()[1]
+        dec = CurveDecomposition(d)
+        dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
+        fr = dec.frenet
+        want = tuple(sup_check(name, np.einsum("ij,ij->i", dn3, X),
+                               axes=(dec.us,))
+                     for name, X in (("sup_r1", fr.T), ("sup_r2", fr.N),
+                                     ("sup_r3", fr.B)))
+        assert compatibility_residual(dec).checks[:3] == want
 
 
 class TestSolvePQ:
@@ -944,6 +974,93 @@ class TestSufficiency:
         certified, T2, surf = self.lift(seed, half)
         assert certified
         self.assert_round_trip(T2, surf, data_from_lift(surf))
+
+
+def translated(d: BjorlingData, P: np.ndarray) -> BjorlingData:
+    """The data moved by the translation x -> x + P of R^4_1."""
+    return replace(d, c=replace(d.c, points=d.c.points + P))
+
+
+def rotated(d: BjorlingData, R: np.ndarray) -> BjorlingData:
+    """The data moved by the rotation R of E, which fixes d0."""
+    def turn(cur):
+        pts = cur.points.copy()
+        pts[:, 1:] = pts[:, 1:] @ R.T
+        return replace(cur, points=pts)
+    return BjorlingData(c=turn(d.c), a=turn(d.a), b=turn(d.b))
+
+
+def rotation(q) -> np.ndarray:
+    """The rotation of E of the quaternion q, normalized."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+class TestEuclideanMotions:
+    """``solve`` commutes with the motions that fix d0: data translated by
+    a 4-vector P give the solution translated by P, and data rotated by
+    R in SO(3) acting on E give R applied to the solution, to roundoff
+    (below 4e-14 on helix data at n = 201 and 801).  Helix data use the
+    default extension, certified random lifts their own n3, moved along."""
+
+    MOTION_TOL = 1e-12
+    vectors = st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4)
+    examples = settings(derandomize=True, max_examples=6, deadline=None,
+                        database=None)
+
+    @staticmethod
+    def lift(seed):
+        """Data of a certified random lift and its n3, the extension."""
+        certified, T2, surf = TestSufficiency.lift(seed)
+        assume(certified)
+        return data_from_lift(surf), T2
+
+    @staticmethod
+    def solved(d, n3):
+        sol, rep = solve(d, None if n3 is None
+                         else ExtensionChoice.from_curve(n3))
+        assert rep.passed, [c for c in rep.checks if not c.passed]
+        return sol.grid.values
+
+    def check_translation(self, d, n3, P):
+        P = np.array(P)
+        moved = self.solved(translated(d, P), n3)
+        assert np.abs(moved - (self.solved(d, n3) + P)).max() \
+            <= self.MOTION_TOL
+
+    def check_rotation(self, d, n3, q):
+        assume(np.linalg.norm(q) >= 0.5)
+        R = rotation(q)
+        moved = self.solved(rotated(d, R), None if n3 is None else replace(
+            n3, points=n3.points @ R.T))
+        want = self.solved(d, n3).copy()
+        want[..., 1:] = want[..., 1:] @ R.T
+        assert np.abs(moved - want).max() <= self.MOTION_TOL
+
+    @pytest.mark.parametrize("n", [201, 801])
+    @examples
+    @given(radius=st.floats(0.8, 1.25), P=vectors)
+    def test_helix_translation(self, n, radius, P):
+        self.check_translation(inputs.helix_data(n, radius)[0], None, P)
+
+    @pytest.mark.parametrize("n", [201, 801])
+    @examples
+    @given(radius=st.floats(0.8, 1.25), q=vectors)
+    def test_helix_rotation(self, n, radius, q):
+        self.check_rotation(inputs.helix_data(n, radius)[0], None, q)
+
+    @settings(examples, max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), P=vectors)
+    def test_lift_translation(self, seed, P):
+        self.check_translation(*self.lift(seed), P)
+
+    @settings(examples, max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), q=vectors)
+    def test_lift_rotation(self, seed, q):
+        self.check_rotation(*self.lift(seed), q)
 
 
 class TestNonUniqueness:

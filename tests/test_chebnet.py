@@ -146,6 +146,22 @@ class TestBuildFirstKind:
         assert err.value.check == Check(
             "uncertified_cells", 1.0, 0.0, ((30, 10), (T1.ts[30], T2.ts[10])))
 
+    @pytest.mark.parametrize("pair", ["gallery", "random", "between"])
+    def test_report_is_check_disjointness(self, pair):
+        # the builder forms F once and runs check_disjointness's kernel on
+        # it: the same report, also when it bisects or fails between samples
+        if pair == "gallery":
+            T1, T2 = gallery_generators(n=201)
+        elif pair == "random":
+            T1, T2 = random_net_pair(np.random.default_rng(12), n=201)
+        else:
+            T1, T2 = TestCheckDisjointness.between_samples()
+        net = build_first_kind(T1, T2, np.zeros(3))
+        rep = check_disjointness(T1, T2)
+        assert net.generators.disjointness == rep
+        assert rep.passed is (pair != "between")
+        assert np.array_equal(net.F, T1.points @ T2.points.T)
+
     def test_direct_f_matches_differenced_f(self):
         rng = np.random.default_rng(11)
         T1, T2 = random_net_pair(rng, n=201, t_range=(-0.1, 0.1))
@@ -200,7 +216,8 @@ class TestCheckDisjointness:
         assert check_disjointness(T1, T2, 0.0).passed
         assert not check_disjointness(T1, T1, 0.0).passed
 
-    def test_meeting_between_samples_fails(self):
+    @staticmethod
+    def between_samples():
         # T2 passes through T1 = d1 at v = pi/2, half-way between two nodes,
         # where the nearest samples still stand 0.08 apart
         T1 = sample_curve(lambda t: np.tile([1.0, 0.0, 0.0], (t.size, 1)),
@@ -208,6 +225,10 @@ class TestCheckDisjointness:
         T2 = sample_curve(
             lambda t: np.stack([np.sin(t), 0 * t, np.cos(t)], axis=-1),
             (0.0, np.pi), 20, cls=SphereCurve)
+        return T1, T2
+
+    def test_meeting_between_samples_fails(self):
+        T1, T2 = self.between_samples()
         assert np.abs(T1.points @ T2.points.T).max() < 0.997
         rep = check_disjointness(T1, T2)
         assert not rep.passed
@@ -681,6 +702,28 @@ class TestEuclideanShape:
         assert not shape.f.any()
         unit = np.linalg.norm(shape.gauss_map, axis=-1)
         assert np.abs(unit - 1.0).max() <= 4 * np.finfo(float).eps
+
+    def test_generator_f_is_broadcast_zeros(self):
+        # f = 0 by construction on the generator route: read-only broadcast
+        # zeros, so the shape keeps the Gauss map (3 grids), e, g and K_T,
+        # one (n, n) grid fewer than a stored f, and its peak drops too
+        T1, T2 = random_net_pair(np.random.default_rng(8), n=401)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        tracemalloc.start()
+        try:
+            shape = euclidean_shape(net)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid = 401 * 401 * 8
+        assert kept <= 6 * grid + 64 * 1024
+        assert peak <= 8 * grid + 64 * 1024
+        f = shape.f
+        assert f.shape == (401, 401) and f.strides == (0, 0)
+        assert not f.flags.writeable and not f.any()
+        # e g - f f with f = 0 is e g bit for bit
+        assert np.array_equal(shape.K_T, (shape.e * shape.g - f * f)
+                              / (1.0 - net.F * net.F))
 
     def test_computed_once_per_net(self, monkeypatch):
         T1, T2 = random_net_pair(np.random.default_rng(5), n=61)

@@ -484,6 +484,51 @@ class TestBuildMinimal:
             rep = verify_null_coords(s)
             assert max(rep.sup_fu_fu, rep.sup_fv_fv, rep.sup_cross) <= 1e-8
 
+    def test_one_array_is_the_copied_lift(self):
+        # x0 and X written once into one array equal the lift of the
+        # first-kind net with P0[0] added to x0, bit for bit
+        n0, n3 = random_net_pair(np.random.default_rng(41), n=101)
+        P0 = np.array([0.7, -1.3, 2.1, 0.4])
+        s = build_minimal(n0, n3, P0)
+        ref = lift_net(build_first_kind(n0, n3, P0[1:]))
+        x = ref.grid.values.copy()
+        x[..., 0] += P0[0]
+        spacing = lambda g: (g.u_min, g.v_min, g.du, g.dv)
+        assert spacing(s.grid) == spacing(ref.grid)
+        assert np.array_equal(s.grid.values, x)
+        for a, b in ((s.theta, ref.theta), (s.g12, ref.g12),
+                     (s.source.F, ref.source.F),
+                     (s.generators.T1.points, ref.generators.T1.points),
+                     (s.generators.T2.points, ref.generators.T2.points)):
+            assert np.array_equal(a, b)
+        assert s.generators.disjointness == ref.generators.disjointness
+        assert np.array_equal(s.theta, s.source.theta)
+
+    def test_source_grid_views_the_lift(self):
+        s = build_minimal(*gallery_generators(41), np.ones(4))
+        lifted, points = s.grid.values, s.source.grid.values
+        assert np.shares_memory(lifted, points)
+        assert np.array_equal(points, lifted[..., 1:])
+        assert not lifted.flags.writeable and not points.flags.writeable
+        assert s.source.generators.grid is s.source.grid
+        # lift_net of a net it did not build copies the points
+        again = lift_net(s.source)
+        assert not np.shares_memory(again.grid.values, points)
+
+    def test_kept_memory(self):
+        # one (n, n, 4) array with F, theta and g12: 7 (n, n) grids, where
+        # a lift that copies its net's points keeps 10
+        n0, n3 = random_net_pair(np.random.default_rng(43), n=401)
+        build_minimal(n0, n3, np.zeros(4))
+        tracemalloc.start()
+        try:
+            s = build_minimal(n0, n3, np.zeros(4))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert s.grid.values.shape == (401, 401, 4)
+        assert kept <= 7 * 8 * 401 * 401 + 64 * 1024
+
     def test_generator_dependence_split(self):
         rng = np.random.default_rng(24)
         n0, n3 = random_net_pair(rng, n=101, t_range=(-0.1, 0.1))

@@ -59,27 +59,35 @@ def feed(h, x) -> None:
         raise TypeError(f"cannot digest a {type(x).__name__}")
 
 
-def digest_lines(workload: str, seed: int):
+def ops(workload: str, seed: int):
+    """(name, kind, n, rng) of every op of ``workload``, in order; the op
+    is ``kind.run(kind.make(n, rng))``."""
     import workloads as wl
 
     kinds, _ = wl.WORKLOADS[workload]
     for index, kind in enumerate(kinds):
         for n in SIZES:
             for draw in range(kind.draws):
-                rng = np.random.default_rng([seed, index, n, draw])
-                name = f"{workload} {kind.name} n={n} draw={draw}"
-                try:
-                    result = kind.run(kind.make(n, rng))
-                except Exception as e:  # the op's error is its outcome
-                    yield f"{name}: {type(e).__name__}: {e}"
-                    continue
-                h = hashlib.sha256()
-                feed(h, result)
-                yield f"{name}: {h.hexdigest()}"
+                yield (f"{workload} {kind.name} n={n} draw={draw}", kind, n,
+                       np.random.default_rng([seed, index, n, draw]))
 
 
-def main() -> None:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def digest_lines(workload: str, seed: int):
+    for name, kind, n, rng in ops(workload, seed):
+        try:
+            result = kind.run(kind.make(n, rng))
+        except Exception as e:  # the op's error is its outcome
+            yield f"{name}: {type(e).__name__}: {e}"
+            continue
+        h = hashlib.sha256()
+        feed(h, result)
+        yield f"{name}: {h.hexdigest()}"
+
+
+def tree_args(description: str) -> argparse.Namespace:
+    """--root, --workload and --seed, with TREE/src and TREE/perfbench put
+    first on the import path and no bytecode written into TREE."""
+    p = argparse.ArgumentParser(description=description)
     p.add_argument("--root", required=True, type=Path,
                    help="source tree holding src/ and perfbench/")
     p.add_argument("--workload", required=True)
@@ -88,6 +96,11 @@ def main() -> None:
     root = args.root.resolve()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    return args
+
+
+def main() -> None:
+    args = tree_args(__doc__.split("\n\n")[0])
     for line in digest_lines(args.workload, args.seed):
         print(line, flush=True)
 
