@@ -20,6 +20,10 @@ resample ``ruled_solution`` adds its not-a-line ``BadData``, and
 ``decompose`` its ``DegenerateFrenet``.  ``classify_special`` always checks
 the structure first, but the necessary condition only on data that is
 neither a straight line nor Frenet-degenerate.
+
+scipy's ``CubicSpline`` loads on the first fit, not with this module.  Every
+fit (the resample to c0' = 1) still calls this module's ``CubicSpline``, so
+a tracer or a test that rebinds that name sees each fit.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import minkowski as mk
+from ._splines import CubicSpline
 from .chebnet import check_disjointness
 from .errors import (BadData, BadInput, Check, DegenerateFrenet,
                      DisjointnessViolated, DivisionDegenerate,

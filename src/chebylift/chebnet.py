@@ -9,6 +9,10 @@ and X_uv = 0 hold exactly, so its shape operator needs only the 1-D
 derivatives T1' and T2' and (n, n) products of the curves.  Any other
 net, or a net whose grid was replaced, has its shape operator differenced
 from the point grid.  Net points are stored as 3-vectors of E throughout.
+
+scipy's spline classes load on the first fit, not with this module.  Every
+fit still calls this module's ``RectBivariateSpline`` or ``CubicSpline``, so
+a tracer or a test that rebinds one of these names sees each fit.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
+from ._splines import CubicSpline, RectBivariateSpline
 from .errors import (BadGrid, BadInput, BadSphereCurve, Check,
                      DegenerateMetric, DisjointnessViolated, EmptyOverlap,
                      Report)
@@ -618,8 +622,8 @@ def _profile_yp(s):
 
 
 @lru_cache(maxsize=None)
-def _profile_y() -> CubicSpline:
-    """The profile's height y, a spline of the quadrature of
+def _profile_y():
+    """The profile's height y, a ``CubicSpline`` of the quadrature of
     y' = sqrt(4 - tanh^2 s - sech^4 s)/2 on [0, 2.5] at step 1e-4."""
     sf = np.linspace(0.0, 2.5, 25001)
     return CubicSpline(sf, cumulative_samples(_profile_yp(sf), sf[1] - sf[0]))

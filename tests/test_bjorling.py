@@ -1063,6 +1063,66 @@ class TestEuclideanMotions:
         self.check_rotation(*self.lift(seed), q)
 
 
+def swapped(d: BjorlingData) -> BjorlingData:
+    """The data with a and b exchanged, which span the same D."""
+    return replace(d, a=d.b, b=d.a)
+
+
+def boosted(d: BjorlingData, axis: int, rapidity: float) -> BjorlingData:
+    """The data moved by the boost of the given rapidity in the plane of
+    d0 and d_axis."""
+    L = np.eye(4)
+    L[[0, axis], [0, axis]] = np.cosh(rapidity)
+    L[[0, axis], [axis, 0]] = np.sinh(rapidity)
+    move = lambda cur: replace(cur, points=cur.points @ L.T)
+    return BjorlingData(c=move(d.c), a=move(d.a), b=move(d.b))
+
+
+class TestSwappedNormals:
+    """Exchanging a and b leaves D, and so the Cauchy problem, as it is:
+    ``solve`` reports the other orientation and returns the same surface,
+    to roundoff (at most 4.4e-16 on helix data at n = 201 and 801)."""
+
+    SWAP_TOL = 1e-12
+
+    def check(self, d, n3):
+        ext = None if n3 is None else ExtensionChoice.from_curve(n3)
+        sol, rep = solve(d, ext)
+        sol_sw, rep_sw = solve(swapped(d), ext)
+        assert rep.passed and rep_sw.passed
+        assert {rep.orientation, rep_sw.orientation} == {"ab", "ba"}
+        assert np.abs(sol_sw.grid.values - sol.grid.values).max() \
+            <= self.SWAP_TOL
+
+    @pytest.mark.parametrize("n", [201, 801])
+    @TestEuclideanMotions.examples
+    @given(radius=st.floats(0.8, 1.25))
+    def test_helix(self, n, radius):
+        self.check(inputs.helix_data(n, radius)[0], None)
+
+    @settings(TestEuclideanMotions.examples, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_lift(self, seed):
+        self.check(*TestEuclideanMotions.lift(seed))
+
+
+class TestLorentzBoosts:
+    """A boost of R^4_1 keeps c lightlike with increasing c0 and D an
+    orthonormal spacelike field normal to c', so boosted Cauchy data are
+    Cauchy data too: ``solve``, which splits c along d0, passes every one
+    of its own checks on them."""
+
+    DATA = {"helix": lambda: inputs.helix_data(401, radius=1.0)[0],
+            "critical-lift": lambda: critical_lift_data()[1]}
+
+    @pytest.mark.parametrize("rapidity", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("axis", [1, 3], ids=["d1", "d3"])
+    @pytest.mark.parametrize("data", DATA)
+    def test_boosted_data_solve(self, data, axis, rapidity):
+        _, rep = solve(boosted(self.DATA[data](), axis, rapidity))
+        assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
 class TestNonUniqueness:
     """A solution is fixed only up to the extension of n3 off v = 0: two
     extensions through the data's n3(0), rotating it in orthogonal planes,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import RectBivariateSpline
 
-from chebylift import numerics
+from chebylift import chebnet, numerics
 from chebylift.chebnet import (
     _CRITICAL_RANGE, NetSurface, _diagonal_reader, _profile_x, _profile_y,
     build_first_kind, check_disjointness, equivalent_immersion,
@@ -16,6 +16,7 @@ from chebylift.chebnet import (
 )
 from chebylift.errors import (Check, DegenerateMetric, DisjointnessViolated,
                               EmptyOverlap, Report)
+from chebylift.lift import isothermal_form, lift_net, to_null_form
 from chebylift.numerics import (SphereCurve, diff_samples, grid_from_ranges,
                                 sample_curve, sup_check)
 
@@ -484,6 +485,27 @@ class TestEquivalentImmersion:
         X = np.stack([_profile_x(S) * np.cos(T), _profile_x(S) * np.sin(T),
                       _profile_y()(S)], axis=-1)
         assert np.abs(out.values - X).max() < 1e-7
+
+
+class TestSplineSeam:
+    def test_round_trip_fits_through_the_module_name(self, monkeypatch):
+        # each direction of a square lift's coordinate change fits one
+        # spline per component of f and one for theta; every fit calls
+        # chebnet.RectBivariateSpline, the name a tracer rebinds to count it
+        fits, fit = [], chebnet.RectBivariateSpline
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(chebnet, "RectBivariateSpline", counted)
+        T1, T2 = gallery_generators(n=101)
+        surf = lift_net(build_first_kind(T1, T2, np.zeros(3)))
+        assert len(fits) == 0
+        iso, _ = isothermal_form(surf)
+        assert len(fits) == 5
+        to_null_form(iso)
+        assert len(fits) == 10
 
 
 def grid_axes(g) -> np.ndarray:

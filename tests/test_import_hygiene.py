@@ -6,11 +6,14 @@ top-level function or class is loaded by the library or the benchmark, or
 is listed in ``PAPER_NAMES`` with the statement of the paper it carries.
 Every ``ChebyliftError`` subclass is named by some ``raise`` in the library,
 so a replaced error type cannot stay behind as a name nothing raises.  No
-library function but ``MESHGRID_CALLERS`` calls ``meshgrid``.
+library function but ``MESHGRID_CALLERS`` calls ``meshgrid``.  In a fresh
+interpreter, the library and a net, its lift and their curvature load no
+``scipy.interpolate``: only the first spline fit does.
 
-Standard library only: each ``src/chebylift/*.py`` is parsed with ``ast``;
-a name counts as used when it occurs as a name anywhere in the module,
-including inside string annotations such as ``Optional["Report"]``.  A
+Apart from that interpreter, standard library only: each
+``src/chebylift/*.py`` is parsed with ``ast``; a name counts as used when it
+occurs as a name anywhere in the module, including inside string
+annotations such as ``Optional["Report"]``.  A
 private function, class or constant counts as read when a statement other
 than its own definition loads it as a name or an attribute; a private
 class member counts as read when code outside its own definition loads it
@@ -19,6 +22,10 @@ the statements of ``src/chebylift/`` and ``perfbench/``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,3 +326,41 @@ def test_meshgrid_calls_are_found():
                      "    def g(self, x):\n"
                      "        return np.meshgrid(x, x, indexing='ij')\n")
     assert meshgrid_calls(tree) == ["", "f", "C"]
+
+
+#: run in a fresh interpreter with the last stage as its argument; prints
+#: whether scipy.interpolate is loaded after each stage
+COLD_IMPORT = """
+import json, sys
+import numpy as np
+from chebylift import numerics, minkowski, chebnet, lift, bjorling
+loaded = lambda: 'scipy.interpolate' in sys.modules
+stages = [loaded()]
+T1, T2 = (numerics.sample_curve(fn, (-1.5, 1.5), 101,
+                                cls=numerics.SphereCurve)
+          for fn in (lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], -1),
+                     lambda t: np.stack([0 * t, np.sin(t), np.cos(t)], -1)))
+surf = lift.lift_net(chebnet.build_first_kind(T1, T2, np.zeros(3)))
+lift.gaussian_curvature(surf)
+stages.append(loaded())
+if sys.argv[1] == 'isothermal_form':
+    _, rep = lift.isothermal_form(surf)
+    assert max(c.value for c in rep.checks) < 1e-4
+else:
+    import inputs
+    _, rep = bjorling.solve(inputs.helix_data(201, 1.0)[0])
+    assert rep.passed
+stages.append(loaded())
+print(json.dumps(stages))
+"""
+
+
+@pytest.mark.parametrize("fit", ["isothermal_form", "solve"])
+def test_scipy_interpolate_loads_on_the_first_fit(fit):
+    paths = [str(SRC.parent), str(BENCH)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT, fit], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True]
