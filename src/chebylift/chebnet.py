@@ -46,7 +46,9 @@ class Generators:
     the builder made of them, and the ``check_disjointness`` report on the
     curves.  The curves are read-only copies.  They describe that grid
     only: a surface whose ``grid`` is another object
-    (``dataclasses.replace(s, grid=...)``) is differenced instead."""
+    (``dataclasses.replace(s, grid=...)``) is differenced instead.  The
+    (t, s) form of a square lift keeps its source's curves, with its own
+    grid, whose nodes sit off the curves' samples."""
 
     T1: SphereCurve
     T2: SphereCurve
@@ -332,21 +334,11 @@ def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
         (CHEBYSHEV_TOL, CHEBYSHEV_TOL, 1.0 - DISJOINT_MARGIN)))
 
 
-def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):
-    """A function of a spline ``sp`` that returns its values on the square
-    target grid x1 x x2, bit for bit, from two parity sub-grids of the
-    tensor grid ud x vd of source abscissae.
-
-    ud and vd increase and hold 2n - 1 values each, each computed from one
-    representative pair of x1 and x2 entries.  Target node (a, b) reads
-    (ud[iu], vd[iv]) with (iu, iv) = M (a, b) + o.  iu + iv has the parity
-    q of n - 1 at every target, so the targets with even iu read ud[0::2] x
-    vd[q::2] and those with odd iu read ud[1::2] x vd[1-q::2]: about half
-    of the tensor grid.  On each parity class (a mod 2, b mod 2) iu and iv
-    step by +-2, so the class is one strided view of one sub-grid.  The
-    spline value at a point does not depend on the other points evaluated
-    with it.
-    """
+def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str) -> tuple:
+    """The source abscissae ud, vd of the square target grid x1 x x2, and
+    M, o: target node (a, b) reads (ud[iu], vd[iv]), (iu, iv) = M (a, b) +
+    o.  ud and vd increase and hold 2n - 1 values each, each computed from
+    one representative pair of x1 and x2 entries."""
     n = x1.size
     k = np.arange(2 * n - 1)
     d = k - (n - 1)
@@ -364,6 +356,22 @@ def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):
         ud = x1[ka] + x2[k - ka]
         vd = x2[hi] - x1[lo]
         M, o = np.array([[1, 1], [-1, 1]]), (0, n - 1)
+    return ud, vd, M, o
+
+
+def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):
+    """A function of a spline ``sp`` that returns its values on the square
+    target grid x1 x x2, bit for bit, from two parity sub-grids of the
+    tensor grid ud x vd of ``_diagonal_axes``.
+
+    iu + iv has the parity q of n - 1 at every target, so the targets with
+    even iu read ud[0::2] x vd[q::2] and those with odd iu read ud[1::2] x
+    vd[1-q::2]: about half of the tensor grid.  On each parity class
+    (a mod 2, b mod 2) iu and iv step by +-2, so the class is one strided
+    view of one sub-grid.  A spline's value at a point does not depend on
+    the other points evaluated with it."""
+    n = x1.size
+    ud, vd, M, o = _diagonal_axes(x1, x2, direction)
     q = (n - 1) % 2
 
     def read(sp):
@@ -395,6 +403,31 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     non-square grid falls back to evaluation at the n_u n_v scattered
     source points.
     """
+    x1, x2 = _target_axes(g, direction)
+    vals = g.values
+    scalar = vals.ndim == 2
+    comps = vals[..., None] if scalar else vals
+    if g.nu == g.nv:
+        evaluate = _diagonal_reader(x1, x2, direction)
+    else:
+        A, B = np.meshgrid(x1, x2, indexing="ij")
+        if direction == "uv_to_ts":
+            src_u, src_v = (A - B) / 2.0, (A + B) / 2.0
+        else:
+            src_u, src_v = A + B, B - A
+
+        def evaluate(sp):
+            return sp.ev(src_u.ravel(), src_v.ravel()).reshape(A.shape)
+    out = np.empty((g.nu, g.nv, comps.shape[-1]))
+    for k in range(comps.shape[-1]):
+        sp = RectBivariateSpline(g.us, g.vs, comps[..., k], kx=3, ky=3, s=0)
+        out[..., k] = evaluate(sp)
+    return _on_axes(x1, x2, out[..., 0] if scalar else out)
+
+
+def _target_axes(g: Grid2D, direction: str) -> tuple:
+    """The axes x1, x2 of ``equivalent_immersion``'s target rectangle for
+    the source grid ``g``, with its guards."""
     if direction not in ("uv_to_ts", "ts_to_uv"):
         raise BadGrid(f"unknown direction {direction!r}")
     if g.nu < 4 or g.nv < 4:
@@ -416,29 +449,14 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     shrink = 1.0 - 1e-12
     x1 = np.linspace(c1 - half1 * shrink, c1 + half1 * shrink, g.nu)
     x2 = np.linspace(c2 - half2 * shrink, c2 + half2 * shrink, g.nv)
+    return x1, x2
 
-    vals = g.values
-    scalar = vals.ndim == 2
-    comps = vals[..., None] if scalar else vals
-    if g.nu == g.nv:
-        evaluate = _diagonal_reader(x1, x2, direction)
-    else:
-        A, B = np.meshgrid(x1, x2, indexing="ij")
-        if direction == "uv_to_ts":
-            src_u, src_v = (A - B) / 2.0, (A + B) / 2.0
-        else:
-            src_u, src_v = A + B, B - A
 
-        def evaluate(sp):
-            return sp.ev(src_u.ravel(), src_v.ravel()).reshape(A.shape)
-    out = np.empty((g.nu, g.nv, comps.shape[-1]))
-    for k in range(comps.shape[-1]):
-        sp = RectBivariateSpline(us, vs, comps[..., k], kx=3, ky=3, s=0)
-        out[..., k] = evaluate(sp)
-    if scalar:
-        out = out[..., 0]
+def _on_axes(x1: np.ndarray, x2: np.ndarray, values: np.ndarray) -> Grid2D:
+    """The grid of ``values`` at the nodes x1 x x2."""
     return Grid2D(u_min=float(x1[0]), v_min=float(x2[0]),
-                  du=float(x1[1] - x1[0]), dv=float(x2[1] - x2[0]), values=out)
+                  du=float(x1[1] - x1[0]), dv=float(x2[1] - x2[0]),
+                  values=values)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -16,10 +16,12 @@ f_u = d0 + n0(u) and f_v = d0 + n3(v), with n0 and n3 read as broadcast
 views, and f_uv = 0.  ``mean_curvature``,
 ``normal_frame`` and ``decompose_minimal`` then use them and difference
 nothing, and ``h_parallel_e2`` measures nothing: H = 0 exactly, so it
-states its two sups, 0 by construction, and its route as info.  Every
-other lift (gallery nets, the (t, s) forms and their resamples, hand-built
-surfaces, a lift whose grid was replaced) has its partials differenced
-from the grid by each call that needs them.
+states its two sups, 0 by construction, and its route as info.  The
+coordinate change of a square lift resamples the 1-D generators, not
+2-D splines of the grid, and its (t, s) form keeps them, read-only, for
+the way back.  Every other lift (gallery nets, the null forms resampled
+from (t, s), hand-built surfaces, a lift whose grid was replaced) has its
+partials differenced from the grid by each call that needs them.
 ``verify_null_coords`` always differences the grid, in slabs of rows: it
 checks the samples themselves.  Nothing is kept on a lift beyond its fields.
 
@@ -28,8 +30,8 @@ from the metric coefficient g12 = cos theta - 1, with no trigonometric
 call on the grid: cos theta = 1 + g12, 1 - cos theta = -g12,
 sin^2(theta/2) = -g12/2, sin^2 theta = -g12 (2 + g12) and sin theta its
 square root.  theta is read only where it is differenced
-(``gaussian_curvature``) or resampled (the coordinate change, which takes
-the new g12 from its cosine).
+(``gaussian_curvature``) or resampled (the coordinate change without
+generators, which takes the new g12 from its cosine).
 
 Nodes where the net angle approaches 0 or pi are excluded from the
 quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
@@ -47,15 +49,18 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import minkowski as mk
-from .chebnet import (Generators, NetSurface, _angle_partials, _first_kind,
-                      _generator_tangents, _generators, _read_only,
-                      equivalent_immersion, euclidean_shape)
+from ._splines import CubicSpline
+from .chebnet import (Generators, NetSurface, _angle_partials, _diagonal_axes,
+                      _first_kind, _generator_tangents, _generators, _on_axes,
+                      _read_only, _target_axes, equivalent_immersion,
+                      euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
-from .numerics import (Grid2D, SphereCurve, _form_sups, cross, diff_samples,
-                       partials, sup_check)
+from .numerics import (Grid2D, SphereCurve, _form_sups, cross,
+                       cumulative_integral, diff_samples, partials, sup_check)
 
 #: nodes with 1 - |cos theta| below this are excluded from angle-divided sups
 ANGLE_MARGIN = 0.1
@@ -368,7 +373,9 @@ def isothermal_form(s: LiftSurface) -> tuple:
 
     Returns the tagged surface and the report of the metric checks sup_tt,
     sup_ss, sup_ts of <f_t,f_t> = -sin^2(theta/2), <f_s,f_s> =
-    +sin^2(theta/2), <f_t,f_s> = 0 over interior nodes.
+    +sin^2(theta/2), <f_t,f_s> = 0 over interior nodes.  A square lift
+    with live generators is resampled through them and the result keeps
+    them; any other lift through 2-D splines (``_change_coords``).
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("isothermal_form expects a null-coordinate lift")
@@ -376,35 +383,90 @@ def isothermal_form(s: LiftSurface) -> tuple:
 
 
 def to_null_form(s: LiftSurface) -> tuple:
-    """Inverse of :func:`isothermal_form`; checks sup_tt, sup_ss, sup_ts."""
+    """Inverse of :func:`isothermal_form`, through the generators a (t, s)
+    form kept, else 2-D splines; checks sup_tt, sup_ss, sup_ts."""
     if s.coords != ISOTHERMAL_COORDS:
         raise BadGrid("to_null_form expects an isothermal lift")
     return _change_coords(s, "ts_to_uv")
 
 
 def _change_coords(s: LiftSurface, direction: str) -> tuple:
-    """Resample f and theta through ``equivalent_immersion`` and measure
-    the target metric two rows in from each edge, in slabs of rows.
+    """Resample f and theta onto ``equivalent_immersion``'s target grid and
+    measure the target metric two rows in from each edge, in slabs of rows.
 
-    f is resampled in one call on its own (n, n, 4) grid.  Its x0 is
-    affine in the parameters, so the spline reproduces it up to roundoff;
-    x0 is rebuilt in place from the target coordinates plus the mean
-    offset, which keeps its separable structure exact.
+    A square lift with live generators is resampled through its 1-D curves
+    (``_resample_generators``), and its (t, s) form keeps them.  Any other
+    lift is resampled by ``equivalent_immersion``, f in one call on its own
+    (n, n, 4) grid and theta in a second.  That spline reproduces x0, affine
+    in the parameters, up to roundoff; x0 is rebuilt in place from the
+    target coordinates plus the mean offset, keeping it exactly separable.
     """
-    grid = equivalent_immersion(s.grid, direction)
-    new_th = equivalent_immersion(s.grid.with_values(s.theta), direction).values
-    new_th = np.clip(new_th, 0.0, np.pi)
-    g12 = np.cos(new_th) - 1.0
+    gen = _generators(s)
+    live = gen is not None and s.grid.nu == s.grid.nv
+    if live:
+        grid, g12 = _resample_generators(gen, s.grid, direction)
+        new_th = np.clip(g12, -1.0, 1.0)
+        np.arccos(new_th, out=new_th)
+        g12 -= 1.0
+    else:
+        grid = equivalent_immersion(s.grid, direction)
+        new_th = np.clip(equivalent_immersion(
+            s.grid.with_values(s.theta), direction).values, 0.0, np.pi)
+        g12 = np.cos(new_th) - 1.0
+        us, vs = grid.us[:, None], grid.vs[None, :]
+        coord = us + vs if direction == "ts_to_uv" else us + 0.0 * vs
+        x0 = grid.values[..., 0]
+        x0[...] = coord + float(np.mean(x0 - coord))
     if direction == "uv_to_ts":
-        coord = grid.us[:, None] + 0.0 * grid.vs[None, :]
         sin2 = -0.5 * g12
         coords_tag, targets = ISOTHERMAL_COORDS, (-sin2, sin2, 0.0)
     else:
-        coord = grid.us[:, None] + grid.vs[None, :]
         coords_tag, targets = NULL_COORDS, (0.0, 0.0, g12)
-    x0 = grid.values[..., 0]
-    x0[...] = coord + float(np.mean(x0 - coord))
     rep = Report(_form_sups(grid, ("sup_tt", "sup_ss", "sup_ts"), targets,
                             band=2))
+    keep = live and direction == "uv_to_ts"     # the (t, s) form keeps them
+    if keep:
+        _read_only(grid.values)
     return (LiftSurface(grid=grid, theta=new_th, g12=g12, source=None,
-                        coords=coords_tag), rep)
+                        coords=coords_tag,
+                        generators=replace(gen, grid=grid) if keep else None),
+            rep)
+
+
+def _resample_generators(gen: Generators, g: Grid2D, direction: str) -> tuple:
+    """``equivalent_immersion``'s target grid of f = P0 + (u + v) d0 +
+    I1(u) + I2(v) from the square source grid ``g``, and cos theta =
+    <T1(u), T2(v)> there, I1 and I2 the ``cumulative_integral``s of T1 and
+    T2.  I1 with T1, and I2 with T2, are resampled by one not-a-knot
+    ``CubicSpline`` at the 2n - 1 source abscissae ud, vd of
+    ``_diagonal_axes`` (forward) or the target axes (back), and gathered
+    by stride: node (a, b) reads entry M (a, b) + o.  FITPACK's bicubic is
+    the tensor product of the same 1-D interpolants, so f matches
+    ``equivalent_immersion`` up to roundoff; T1, T2 are renormalized.  P0
+    is f at node (0, 0) of ``g`` less the resamples at its (u, v)."""
+    x1, x2 = _target_axes(g, direction)
+    n = x1.size
+    if direction == "uv_to_ts":
+        *at, M, o = _diagonal_axes(x1, x2, direction)
+        base = (g.u_min, g.v_min)
+    else:
+        at, M, o = (x1, x2), np.eye(2, dtype=int), (0, 0)
+        base = ((g.u_min - g.v_min) / 2.0, (g.u_min + g.v_min) / 2.0)
+    rows = []
+    for i, c in enumerate((gen.T1, gen.T2)):
+        x = np.append(at[i], base[i])
+        r = np.empty((7, x.size))       # the abscissa, I and T there
+        r[0] = x
+        r[1:] = CubicSpline(c.ts, np.column_stack(
+            (cumulative_integral(c).points, c.points)))(x).T
+        r[4:] /= np.sqrt(np.einsum("ki,ki->i", r[4:], r[4:]))
+        rows.append(r)
+    f0 = rows[0][:4, -1] + rows[1][:4, -1]      # f - P0 at node (0, 0)
+    rows[0][:4] += (g.values[0, 0] - f0)[:, None]
+    # entry (M (a, b) + o)[i] of row i at every target node (a, b)
+    v1, v2 = (as_strided(r[:, o[i]:], (7, n, n), (
+        r.strides[0], M[i, 0] * r.strides[1], M[i, 1] * r.strides[1]),
+        writeable=False) for i, r in enumerate(rows))
+    vals = np.empty((n, n, 4))
+    np.add(v1[:4], v2[:4], out=vals.transpose(2, 0, 1))
+    return _on_axes(x1, x2, vals), np.einsum("kab,kab->ab", v1[4:], v2[4:])

@@ -489,9 +489,11 @@ class TestEquivalentImmersion:
 
 class TestSplineSeam:
     def test_round_trip_fits_through_the_module_name(self, monkeypatch):
-        # each direction of a square lift's coordinate change fits one
-        # spline per component of f and one for theta; every fit calls
-        # chebnet.RectBivariateSpline, the name a tracer rebinds to count it
+        # each direction of the coordinate change of a square lift without
+        # live generators fits one spline per component of f and one for
+        # theta; every fit calls chebnet.RectBivariateSpline, the name a
+        # tracer rebinds to count it.  A lift with live generators is
+        # resampled through its 1-D curves and fits none.
         fits, fit = [], chebnet.RectBivariateSpline
 
         def counted(*args, **kwargs):
@@ -501,9 +503,15 @@ class TestSplineSeam:
         monkeypatch.setattr(chebnet, "RectBivariateSpline", counted)
         T1, T2 = gallery_generators(n=101)
         surf = lift_net(build_first_kind(T1, T2, np.zeros(3)))
+        stale = replace(surf, grid=surf.grid.with_values(
+            surf.grid.values.copy()))
         assert len(fits) == 0
-        iso, _ = isothermal_form(surf)
+        iso, _ = isothermal_form(stale)
         assert len(fits) == 5
+        to_null_form(iso)
+        assert len(fits) == 10
+        iso, _ = isothermal_form(surf)
+        assert iso.generators is not None
         to_null_form(iso)
         assert len(fits) == 10
 

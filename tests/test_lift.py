@@ -5,6 +5,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from chebylift import chebnet, lift, minkowski as mk, numerics
 from chebylift.bjorling import ExtensionChoice, solve
@@ -19,12 +20,12 @@ from chebylift.lift import (
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
     verify_null_coords,
 )
-from chebylift.numerics import (SphereCurve, diff_samples, partials,
-                                sample_curve)
+from chebylift.numerics import (SphereCurve, cumulative_integral,
+                                diff_samples, partials, sample_curve)
 
 from test_bjorling import critical_lift_data, data_from_lift
-from test_chebnet import (gallery_generators, random_net_pair,
-                          record_diff_samples)
+from test_chebnet import (gallery_generators, normalized_trig_curve,
+                          random_net_pair, record_diff_samples)
 
 
 @pytest.fixture(scope="module")
@@ -758,6 +759,133 @@ class TestGeneratorRoute:
         n0, n3, _ = decompose_minimal(s)
         n0.points[0, 0] = 1.0
         assert s.generators.T1.points[0, 0] != 1.0
+
+
+def derivative_sups(*curves) -> tuple:
+    """max |T'''| and max |T''''| over the differenced samples of the
+    sphere curves: bounds on I'''' and T'''' of a lift's generators."""
+    return tuple(max(np.abs(diff_samples(c.points, c.dt, k)).max()
+                     for c in curves) for k in (3, 4))
+
+
+def one_d_reference(T1, T2, P0, u, v) -> tuple:
+    """f = P0 + (u + v) d0 + I1(u) + I2(v) and cos theta at the points
+    (u, v), each curve resampled by its not-a-knot cubic interpolant and
+    T1, T2 renormalized."""
+    f = np.empty(u.shape + (4,))
+    f[..., 0] = u + v + P0[0]
+    f[..., 1:] = P0[1:] + sum(
+        CubicSpline(c.ts, cumulative_integral(c).points)(x)
+        for c, x in ((T1, u), (T2, v)))
+    T = [CubicSpline(c.ts, c.points)(x) for c, x in ((T1, u), (T2, v))]
+    T = [t / np.linalg.norm(t, axis=-1, keepdims=True) for t in T]
+    return f, np.einsum("...k,...k->...", *T)
+
+
+class TestCoordinateChange:
+    """The coordinate change of a square lift through its 1-D generators
+    against the 2-D spline route, which a copy of the lift's grid takes
+    (its generators are stale)."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([41, 81]),
+           half=st.floats(0.2, 0.5),
+           x0=st.one_of(st.none(), st.floats(0.25, 2.0)))
+    def test_matches_spline_route(self, seed, n, half, x0):
+        rng = np.random.default_rng(seed)
+        T1, T2 = random_net_pair(rng, n=n, t_range=(-half, half))
+        assume(check_disjointness(T1, T2).passed)
+        p0 = rng.uniform(-1.0, 1.0, 3)
+        # x0 None: the lift of a first-kind net, else build_minimal's lift
+        # with P0[0] = x0
+        s = (lift_net(build_first_kind(T1, T2, p0)) if x0 is None
+             else build_minimal(T1, T2, np.concatenate(([x0], p0))))
+        stale = replace(s, grid=s.grid.with_values(s.grid.values.copy()))
+        iso, _ = isothermal_form(s)
+        iso_o, _ = isothermal_form(stale)
+        gen = iso.generators
+        assert gen.grid is iso.grid and iso_o.generators is None
+        assert gen.T1 is s.generators.T1 and gen.T2 is s.generators.T2
+        assert not iso.grid.values.flags.writeable
+        back, _ = to_null_form(iso)
+        back_o, _ = to_null_form(iso_o)
+        assert back.generators is None and back_o.generators is None
+        # forward, both routes evaluate the same 1-D interpolants (FITPACK's
+        # bicubic is their tensor product), so f agrees up to roundoff, n
+        # ulps of its largest entry.  Back, the spline route interpolates
+        # the (t, s) samples, so f differs by an interpolation error: h^4
+        # times max |I''''| = max |T'''| and a constant below 1/16.  theta
+        # and g12 differ by the angle's: h^4 max |T''''| times a constant
+        # below 1/16 (largest measured ratio 0.017, forward), theta off the
+        # nodes where arccos amplifies it
+        h = T1.dt
+        d3, d4 = derivative_sups(T1, T2)
+        roundoff = n * np.finfo(float).eps * np.abs(s.grid.values).max()
+        assert np.abs(iso.grid.values - iso_o.grid.values).max() <= roundoff
+        assert (np.abs(back.grid.values - back_o.grid.values).max()
+                <= h**4 * d3 / 16.0)
+        for a, b in ((iso, iso_o), (back, back_o)):
+            keep = 1.0 - np.abs(1.0 + a.g12) >= 0.1
+            assert np.abs(a.g12 - b.g12).max() <= h**4 * d4 / 16.0
+            assert np.abs(a.theta - b.theta)[keep].max(
+                initial=0.0) <= h**4 * d4 / 16.0
+
+    def test_non_square_lift_takes_the_spline_route(self):
+        rng = np.random.default_rng(41)
+        T1 = normalized_trig_curve(rng, 61, (-0.4, 0.4),
+                                   center=np.array([1.0, 0.0, 0.0]))
+        T2 = normalized_trig_curve(rng, 81, (-0.4, 0.4),
+                                   center=np.array([0.0, 0.0, 1.0]))
+        P0 = np.array([0.5, 0.1, -0.2, 0.3])
+        s = build_minimal(T1, T2, P0)
+        iso, rep = isothermal_form(s)
+        back, rep_b = to_null_form(iso)
+        assert iso.generators is None and back.generators is None
+        # FITPACK's bicubic of a sum of two curves is the sum of their 1-D
+        # interpolants, here at each node's scattered source point; theta
+        # and the way back carry interpolation errors, bounded as above
+        d3, d4 = derivative_sups(T1, T2)
+        tol = lambda d: (T1.dt**4 + T2.dt**4) * d / 16.0
+        roundoff = 81 * np.finfo(float).eps * np.abs(s.grid.values).max()
+        A, B = np.meshgrid(iso.grid.us, iso.grid.vs, indexing="ij")
+        f, cos = one_d_reference(T1, T2, P0, (A - B) / 2.0, (A + B) / 2.0)
+        assert np.abs(iso.grid.values[..., 1:] - f[..., 1:]).max() <= roundoff
+        assert np.abs(iso.grid.values[..., 0] - A - P0[0]).max() <= roundoff
+        assert np.abs(iso.g12 - (cos - 1.0)).max() <= tol(d4)
+        U, V = np.meshgrid(back.grid.us, back.grid.vs, indexing="ij")
+        f, cos = one_d_reference(T1, T2, P0, U, V)
+        assert np.abs(back.grid.values - f).max() <= tol(d3)
+        assert np.abs(back.g12 - (cos - 1.0)).max() <= tol(d4)
+        assert max(c.value for c in rep.checks + rep_b.checks) <= 1e-6
+
+    def test_observed_orders_of_the_metric_sups(self):
+        """Observed orders of convergence of the coordinate change's metric
+        sups, log2 of the ratio of the sups at n and 2n - 1 nodes, on one
+        first-kind lift (seed 0) at n = 51, 101, 201 and 401, both
+        directions and both routes.  Pinned as measured:
+
+        - forward, both routes: 9.15e-7, 1.11e-7, 1.36e-8, 1.70e-9, orders
+          3.05, 3.02, 3.01, equal to three digits on the two routes.  The
+          order-3 defect is still open; it is not the 2-D spline's.
+        - back, generators: 1.06e-7 to 2.88e-11, orders 3.89, 3.97, 3.98.
+        - back, 2-D splines: 1.22e-7 to 9.87e-11, orders 3.61, 3.57, 3.10.
+        """
+        sups = {k: [] for k in ("fwd", "fwd_o", "back", "back_o")}
+        for n in (51, 101, 201, 401):
+            T1, T2 = random_net_pair(np.random.default_rng(0), n=n)
+            s = lift_net(build_first_kind(T1, T2, np.zeros(3)))
+            stale = replace(s, grid=s.grid.with_values(s.grid.values.copy()))
+            for key, surf in (("", s), ("_o", stale)):
+                iso, rep = isothermal_form(surf)
+                _, rep_b = to_null_form(iso)
+                sups["fwd" + key].append(max(c.value for c in rep.checks))
+                sups["back" + key].append(max(c.value for c in rep_b.checks))
+        np.testing.assert_allclose(sups["fwd"], sups["fwd_o"], rtol=1e-3)
+        for key, lo, hi in (("fwd", 2.95, 3.10), ("fwd_o", 2.95, 3.10),
+                            ("back", 3.85, 4.05), ("back_o", 3.05, 3.70)):
+            order = np.log2(np.divide(sups[key][:-1], sups[key][1:]))
+            assert np.all((lo <= order) & (order <= hi)), (key, order)
 
 
 def surface_chain(T1, T2):

@@ -7,8 +7,11 @@ kind, the op's inputs are made as the benchmark makes them
 (``kind.make(n, default_rng([N, kind index, n, draw]))``) and its ``run`` is
 called once.  The line names the op and holds either the type and message
 of the error it raised, or a sha256 over every array, number, string,
-``Check`` and ``Report`` of its result.  Two trees that print the same lines
-compute the same outputs, bit for bit, on those ops; diff the two outputs.
+``Check`` and ``Report`` of its result followed by the figures the op's gate
+reads (``workloads.judge``'s ``accuracy``, as name=repr).  Two trees that
+print the same lines compute the same outputs, bit for bit, on those ops;
+diff the two outputs.  Where a digest differs, its figures show how far the
+op moved against its gate's bounds.
 
 The library is imported from TREE/src and the workloads from
 TREE/perfbench/workloads.py.  Nothing is written into TREE.  BLAS runs on
@@ -73,15 +76,21 @@ def ops(workload: str, seed: int):
 
 
 def digest_lines(workload: str, seed: int):
+    import workloads as wl
+
     for name, kind, n, rng in ops(workload, seed):
         try:
-            result = kind.run(kind.make(n, rng))
+            inputs = kind.make(n, rng)
+            result = kind.run(inputs)
         except Exception as e:  # the op's error is its outcome
             yield f"{name}: {type(e).__name__}: {e}"
             continue
         h = hashlib.sha256()
         feed(h, result)
-        yield f"{name}: {h.hexdigest()}"
+        # judge reads the op's kind and inputs, not its seed
+        accuracy = wl.judge(wl.Op(kind, n, None, inputs), result).accuracy
+        yield " ".join([f"{name}: {h.hexdigest()}"] + [
+            f"{k}={v!r}" for k, v in accuracy.items()])
 
 
 def tree_args(description: str) -> argparse.Namespace:
