@@ -323,9 +323,8 @@ class ExtensionChoice:
 def _frame_nulls(a_pts: np.ndarray, b_pts: np.ndarray) -> tuple:
     """Nodewise n0 = pi(tau - nu), n3 = pi(tau + nu) for given (a, b), of
     the source for ``necessary`` and of the resample for the generators:
-    one float ``build_frame`` call per node.  The benchmark's self-check
-    pins 402 per helix solve at n = 201, so a batched frame waits
-    (ROADMAP.md, "A batched Minkowski frame")."""
+    one float ``build_frame`` call per node, a count the benchmark's
+    self-check pins: 402 calls per helix solve at n = 201."""
     n0 = np.empty_like(a_pts)
     n3 = np.empty_like(a_pts)
     for i in range(a_pts.shape[0]):

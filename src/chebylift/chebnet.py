@@ -28,9 +28,10 @@ from ._splines import CubicSpline, RectBivariateSpline
 from .errors import (BadGrid, BadInput, BadSphereCurve, Check,
                      DegenerateMetric, DisjointnessViolated, EmptyOverlap,
                      Report)
-from .numerics import (Grid2D, SphereCurve, _form_sups, _vector_norm, cross,
-                       cumulative_integral, cumulative_samples, diff_samples,
-                       grid_from_ranges, partials)
+from .numerics import (Grid2D, SphereCurve, _form_sups, _unscanned_grid,
+                       _vector_norm, cross, cumulative_integral,
+                       cumulative_samples, diff_samples, grid_from_ranges,
+                       partials)
 
 DISJOINT_MARGIN = 1e-6
 CHEBYSHEV_TOL = 1e-6     # is_chebyshev: |E - 1| and |G - 1|
@@ -158,10 +159,11 @@ def check_disjointness(T1: SphereCurve, T2: SphereCurve,
     Check uncertified_cells, held to 0, counts the nodes with s at most the
     margin, at the first node of largest |F|; else the cells still open
     after ``BISECT_DEPTH`` bisections or at more than ``BISECT_CELLS`` open
-    cells at one depth, at the node and (u, v) of the smallest open bound,
-    or if none is open of the smallest bound of the closed cells and
-    unbisected nodes; info at_u, at_v repeat that (u, v).  Info
-    min_separation is that certified lower bound of s over the product,
+    cells at one depth (every cell, unbisected, if the Taylor remainder
+    overflows: spacings past about 1e103), at the node and (u, v) of the
+    smallest open bound, or if none is open of the smallest bound of the
+    closed cells and unbisected nodes; info at_u, at_v repeat that (u, v).
+    Info min_separation is that certified lower bound of s over the product,
     clipped at 0 (0.0 if the check fails); also margin, finite and >= 0
     (else ``BadInput``), and sampled_separation, the smallest s at nodes.
     T1 and T2 must be ``SphereCurve``s, else ``BadSphereCurve``: the bound
@@ -197,7 +199,10 @@ def _disjointness(T1: SphereCurve, T2: SphereCurve, margin: float) -> tuple:
     nrm = lambda x: np.linalg.norm(x, axis=1)
     hu, hv = 0.5 * T1.dt, 0.5 * T2.dt
     slack = hu * nrm(D1[0]).max() + hv * nrm(D2[0]).max()
-    rem3 = (nrm(D1[2]).max() * hu**3 + nrm(D2[2]).max() * hv**3) / 6.0
+    try:
+        rem3 = (nrm(D1[2]).max() * hu**3 + nrm(D2[2]).max() * hv**3) / 6.0
+    except OverflowError:   # spacings past ~1e103: no cell can be bounded
+        slack = rem3 = np.inf
     # s = sqrt(2 - 2|F|) at the nodes; the cells where s - slack does not
     # clear the margin are bisected, the others bound s by s - slack
     ii = jj = np.empty(0, dtype=np.intp)
@@ -219,7 +224,7 @@ def _disjointness(T1: SphereCurve, T2: SphereCurve, margin: float) -> tuple:
     du, al = 0.5 * (lo_u + hi_u), 0.5 * (hi_u - lo_u)
     dv, be = 0.5 * (lo_v + hi_v), 0.5 * (hi_v - lo_v)
     for _ in range(BISECT_DEPTH + 1):
-        if ii.size == 0 or ii.size > BISECT_CELLS:
+        if ii.size == 0 or ii.size > BISECT_CELLS or rem3 == np.inf:
             break
         c1, c2 = D1[1][ii], D2[1][jj]
         a = D1[0][ii] + du[:, None] * c1
@@ -265,7 +270,7 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     product, is kept in ``generators.disjointness`` for callers that need
     the continuous generators disjoint, such as ``bjorling.solve``.  The
     net keeps read-only copies of T1 and T2 in ``generators``, and the
-    grid's values are read-only.
+    grid's values are read-only and checked finite from the integrals' rows.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (3,) or not np.all(np.isfinite(p0)):
@@ -276,50 +281,40 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
 def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
                 x0: Optional[float] = None) -> tuple:
     """The net of ``build_first_kind`` for a checked p0, with F = T1 T2^T
-    formed once by the disjointness kernel, and the read-only array its
-    grid views, written column by column from per-axis rows as
+    formed once by the disjointness kernel, and a grid of the read-only
+    array its grid views, written column by column from per-axis rows as
     (p0 + I1(u)) + I2(v).  With ``x0`` the rows lead with u and v: the
     array is the (nu, nv, 4) lift with x0 = (u + v) + x0, and the grid is
-    its view [..., 1:]."""
+    its view [..., 1:].  Each component is monotone in both rows (and x0),
+    so it is finite iff the sums of the rows' minima and maxima are."""
     rep, F = _disjointness(T1, T2, DISJOINT_MARGIN)
     if rep.sampled_separation <= DISJOINT_MARGIN:
         raise DisjointnessViolated(
             f"generators meet near u={rep.at_u:.6g}, v={rep.at_v:.6g} "
             f"(sampled separation {rep.sampled_separation:.3e})",
             rep["uncertified_cells"])
-    row_u = p0 + cumulative_integral(T1).points
-    row_v = cumulative_integral(T2).points
-    if x0 is not None:
-        row_u = np.column_stack((T1.ts, row_u))
-        row_v = np.column_stack((T2.ts, row_v))
+    with np.errstate(over="ignore"):    # the extremes catch an overflow
+        row_u = p0 + cumulative_integral(T1).points
+        row_v = cumulative_integral(T2).points
+        if x0 is not None:
+            row_u = np.column_stack((T1.ts, row_u))
+            row_v = np.column_stack((T2.ts, row_v))
+        ends = np.array([row_u.min(0) + row_v.min(0),
+                         row_u.max(0) + row_v.max(0)])
+        ends[:, 0] += 0.0 if x0 is None else x0
+    if not np.isfinite(ends).all():
+        raise BadGrid("grid values must be finite")
     vals = np.empty((T1.n, T2.n, row_u.shape[1]))
     for k in range(row_u.shape[1]):
         np.add.outer(row_u[:, k], row_v[:, k], out=vals[..., k])
     if x0 is not None:
         vals[..., 0] += x0
     _read_only(vals)
-    grid = Grid2D(u_min=T1.t_min, v_min=T2.t_min, du=T1.dt, dv=T2.dt,
-                  values=vals if x0 is None else vals[..., 1:])
+    axes = (T1.t_min, T2.t_min, T1.dt, T2.dt)
+    grid = _unscanned_grid(*axes, vals if x0 is None else vals[..., 1:])
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
     return NetSurface(grid=grid, F=F, generators=Generators(
-        frozen(T1), frozen(T2), grid, rep)), vals
-
-
-def _partials_and_form(g: Grid2D) -> tuple:
-    """X_u, X_v and the first-form coefficients E, F, G by differencing."""
-    if g.values.ndim != 3 or g.values.shape[2] != 3:
-        raise BadGrid("first_form expects a grid of E-points")
-    Xu = partials(g, "u")
-    Xv = partials(g, "v")
-    E = np.einsum("ijk,ijk->ij", Xu, Xu)
-    F = np.einsum("ijk,ijk->ij", Xu, Xv)
-    G = np.einsum("ijk,ijk->ij", Xv, Xv)
-    return Xu, Xv, E, F, G
-
-
-def first_form(g: Grid2D) -> tuple:
-    """Coefficients (E, F, G) of the first fundamental form by differencing."""
-    return _partials_and_form(g)[2:]
+        frozen(T1), frozen(T2), grid, rep)), _unscanned_grid(*axes, vals)
 
 
 def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
@@ -515,7 +510,11 @@ def _generator_shape(gen: Generators) -> tuple:
 def _shape_of(n: NetSurface) -> EuclideanShape:
     gen, g = _generators(n), n.grid
     if gen is None:
-        Xu, Xv, E, F, G = _partials_and_form(g)
+        if g.values.ndim != 3 or g.values.shape[2] != 3:
+            raise BadGrid("euclidean_shape expects a grid of E-points")
+        Xu, Xv = partials(g, "u"), partials(g, "v")
+        E, F, G = (np.einsum("ijk,ijk->ij", a, b)
+                   for a, b in ((Xu, Xu), (Xu, Xv), (Xv, Xv)))
         det = E * G - F * F
     else:
         det = 1.0 - n.F * n.F

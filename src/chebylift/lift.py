@@ -131,24 +131,24 @@ def lift_net(n: NetSurface) -> LiftSurface:
     return _lift(n)
 
 
-def _lift(n: NetSurface, vals: Optional[np.ndarray] = None) -> LiftSurface:
-    """``lift_net``, or the lift whose (nu, nv, 4) grid ``vals`` already
-    holds x0 and the net's points (``build_minimal``'s one array)."""
+def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
+    """``lift_net``, or the lift on ``grid``, whose (nu, nv, 4) values
+    already hold x0 and the net's points (``build_minimal``'s one array)."""
     g = n.grid
     chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0), axes=(g.us, g.vs))
     if not chk.passed:
         raise NotChebyshev("net fails |F| < 1", chk)
     gen = _generators(n)
-    if vals is None:
+    if grid is None:
         vals = np.empty(g.values.shape[:2] + (4,))
         np.add.outer(g.us, g.vs, out=vals[..., 0])
         for k in range(3):
             vals[..., k + 1] = g.values[..., k]
         if gen is not None:
             _read_only(vals)
+        grid = g.with_values(vals)
     theta = np.clip(n.F, -1.0, 1.0)     # n.theta, with arccos in place
     np.arccos(theta, out=theta)
-    grid = Grid2D(u_min=g.u_min, v_min=g.v_min, du=g.du, dv=g.dv, values=vals)
     return LiftSurface(grid=grid, theta=theta, g12=n.F - 1.0, source=n,
                        coords=NULL_COORDS, generators=None if gen is None
                        else replace(gen, grid=grid))
@@ -264,7 +264,7 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     fu, H = _differenced_h(s)
     fr = _frame(mk.spatial(fu), mk.spatial(partials(s.grid, "v")), cos_theta)
     del fu                  # one (n, n, 4) grid fewer alive below
-    keep = ~(_degenerate_mask(cos_theta) | H.degenerate | fr.degenerate)
+    keep = ~_degenerate_mask(cos_theta)     # masks H's and the frame's too
     off = mk.inner(H.values, fr.e2)[..., None] * fr.e2
     np.subtract(H.values, off, out=off)
     axes = (s.grid.us, s.grid.vs)
@@ -315,8 +315,8 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
     or that meet at the samples; the certified verdict over the whole
     product is ``generators.disjointness``.  The lift keeps n0 and n3 as
     its generators, and its values are read-only.  x0 and X are written
-    once, into one (nu, nv, 4) array: the source net's grid is its
-    read-only strided view [..., 1:], not a copy.
+    once, into one (nu, nv, 4) array, checked finite from its rows: the
+    source net's grid is its read-only strided view [..., 1:], not a copy.
     """
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (4,) or not np.all(np.isfinite(P0)):

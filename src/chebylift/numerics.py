@@ -23,6 +23,10 @@ rows from the whole grid, and its inner products are the whole grid's
 elementwise (an einsum on 3-vectors, ``mk.inner``'s sum in its order on
 4-vectors).  The first of the slabs' first maxima or NaNs is
 ``np.argmax``'s, so each check equals ``sup_check``'s bit for bit.
+
+Values are checked where they enter: a ``Grid2D`` or ``SampledCurve``
+checks its shape, spacing and nodes and scans its values for NaN and inf,
+bar the sums of checked curves that ``_unscanned_grid`` wraps.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ _BLOCK_BYTES = 256 * 1024
 class Grid2D:
     """Uniformly spaced rectangular grid; node (i, j) sits at
     (u_min + i*du, v_min + j*dv).  ``values`` is (nu, nv) for scalar fields
-    or (nu, nv, k) for vector payloads."""
+    or (nu, nv, k) for vector payloads; nodes and values must be finite."""
 
     u_min: float
     v_min: float
@@ -59,6 +63,7 @@ class Grid2D:
     dv: float
     values: np.ndarray
 
+    @np.errstate(over="ignore")     # a last node that overflows fails
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
@@ -68,6 +73,9 @@ class Grid2D:
             raise BadGrid("grids need at least 3 nodes per direction")
         if not (0 < self.du < np.inf and 0 < self.dv < np.inf):
             raise BadGrid("grid spacings must be finite and positive")
+        if not (np.isfinite(self.u_min + self.du * (v.shape[0] - 1))
+                and np.isfinite(self.v_min + self.dv * (v.shape[1] - 1))):
+            raise BadGrid("grid nodes must be finite")
         if not np.all(np.isfinite(v)):
             raise BadGrid("grid values must be finite")
 
@@ -95,6 +103,13 @@ class Grid2D:
         return (int(np.argmin(np.abs(self.us))), int(np.argmin(np.abs(self.vs))))
 
 
+def _unscanned_grid(u_min, v_min, du, dv, values: np.ndarray) -> Grid2D:
+    """``Grid2D`` unchecked, for ``chebnet._first_kind``'s row-checked sums."""
+    g = object.__new__(Grid2D)
+    g.__dict__.update(u_min=u_min, v_min=v_min, du=du, dv=dv, values=values)
+    return g
+
+
 def grid_from_ranges(u_range, v_range, values) -> Grid2D:
     """Grid over [u0, u1] x [v0, v1] whose node counts come from ``values``."""
     values = np.asarray(values, dtype=float)
@@ -113,6 +128,7 @@ class SampledCurve:
     dt: float
     points: np.ndarray
 
+    @np.errstate(over="ignore")     # a last node that overflows fails
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", p)
@@ -122,6 +138,8 @@ class SampledCurve:
             raise BadGrid("curves need at least 5 nodes")
         if not 0 < self.dt < np.inf:
             raise BadGrid("curve spacing must be finite and positive")
+        if not np.isfinite(self.t_min + self.dt * (p.shape[0] - 1)):
+            raise BadGrid("curve nodes must be finite")
         if not np.all(np.isfinite(p)):
             raise BadGrid("curve points must be finite")
 

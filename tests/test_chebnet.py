@@ -11,14 +11,16 @@ from chebylift import chebnet, numerics
 from chebylift.chebnet import (
     _CRITICAL_RANGE, NetSurface, _diagonal_reader, _profile_x, _profile_y,
     build_first_kind, check_disjointness, equivalent_immersion,
-    euclidean_shape, first_form, gallery, is_chebyshev,
+    euclidean_shape, gallery, is_chebyshev,
     sine_gordon_residual,
 )
-from chebylift.errors import (Check, DegenerateMetric, DisjointnessViolated,
-                              EmptyOverlap, Report)
-from chebylift.lift import isothermal_form, lift_net, to_null_form
-from chebylift.numerics import (SphereCurve, diff_samples, grid_from_ranges,
-                                sample_curve, sup_check)
+from chebylift.errors import (BadGrid, Check, DegenerateMetric,
+                              DisjointnessViolated, EmptyOverlap, Report)
+from chebylift.lift import (build_minimal, isothermal_form, lift_net,
+                            to_null_form)
+from chebylift.numerics import (Grid2D, SphereCurve, cumulative_integral,
+                                diff_samples, grid_from_ranges, sample_curve,
+                                sup_check)
 
 SUM_ONE_TOL = 1e-8       # check_sum_one: |E + G - 1|
 
@@ -30,6 +32,14 @@ def check_sum_one(forms: tuple) -> Report:
     E, F, G = (np.asarray(x, dtype=float) for x in forms)
     return Report((sup_check("sup_sum", E + G - 1.0, SUM_ONE_TOL),
                    sup_check("sup_f", F)))
+
+
+def first_form(g) -> tuple:
+    """The first-form coefficients (E, F, G) of a grid of E-points, the
+    dot products of its differenced partials X_u and X_v."""
+    Xu, Xv = numerics.partials(g, "u"), numerics.partials(g, "v")
+    dot = lambda a, b: np.einsum("ijk,ijk->ij", a, b)
+    return dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
 
 
 def gallery_generators(n: int):
@@ -171,6 +181,92 @@ class TestBuildFirstKind:
         assert np.abs(F - net.F).max() < 2e-6
 
 
+def axis_curve(k: int, h: float, n: int = 9) -> SphereCurve:
+    """The constant sphere curve at the k-th unit vector of E, on n nodes
+    centred on t = 0 at spacing h."""
+    return SphereCurve(-(n // 2) * h, h, np.tile(np.eye(3)[k], (n, 1)))
+
+
+def outer_sum(T1, T2, p0, x0=None) -> np.ndarray:
+    """The first-kind array scanned whole: (p0 + I1(u)) + I2(v) component by
+    component, led by (u + v) + x0 when x0 is given, overflowing freely."""
+    with np.errstate(over="ignore"):
+        ru = p0 + cumulative_integral(T1).points
+        rv = cumulative_integral(T2).points
+        if x0 is not None:
+            ru, rv = np.column_stack((T1.ts, ru)), np.column_stack((T2.ts, rv))
+        out = np.empty((T1.n, T2.n, ru.shape[1]))
+        for k in range(ru.shape[1]):
+            np.add.outer(ru[:, k], rv[:, k], out=out[..., k])
+        if x0 is not None:
+            out[..., 0] += x0
+    return out
+
+
+class TestValidatedOnce:
+    """First-kind nets and minimal lifts are sums of checked curves: their
+    grids are checked finite from the rows, with no scan of the array."""
+
+    @staticmethod
+    def count_scans(monkeypatch) -> list:
+        seen = []
+        scan = Grid2D.__post_init__
+
+        def counted(self):
+            seen.append(self)
+            scan(self)
+        monkeypatch.setattr(Grid2D, "__post_init__", counted)
+        return seen
+
+    def test_builders_scan_no_grid(self, monkeypatch):
+        T1, T2 = gallery_generators(n=41)
+        seen = self.count_scans(monkeypatch)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        assert len(seen) == 0
+        lift = build_minimal(T1, T2, np.zeros(4))
+        assert len(seen) == 0
+        lift_net(net)               # a new array: scanned once
+        assert len(seen) == 1
+        for g in (net.grid, lift.grid, lift.source.grid):
+            g.with_values(g.values)
+        assert len(seen) == 4       # a grid made from theirs is scanned
+
+    def test_unscanned_grids_match_the_scanned_ones(self):
+        T1, T2 = gallery_generators(n=41)
+        P0 = np.array([0.5, 1.0, -2.0, 3.0])
+        lift = build_minimal(T1, T2, P0)
+        assert np.array_equal(lift.grid.values, outer_sum(T1, T2, P0[1:], 0.5))
+        for g in (lift.grid, lift.source.grid):
+            assert (g.u_min, g.v_min, g.du, g.dv) == (
+                T1.t_min, T2.t_min, T1.dt, T2.dt)
+            assert isinstance(g, Grid2D) and not g.values.flags.writeable
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_overflow_decided_as_the_scan_does(self, sign):
+        # spacing 1e292: the integrals reach 4e292, two ulps of the largest
+        # float, so p0 = +-(max - k ulp) overflows for the first few k only
+        big = np.finfo(float).max
+        ulp = big - np.nextafter(big, 0.0)
+        T1, T2 = axis_curve(0, 1e292), axis_curve(1, 1e292)
+        verdicts = set()
+        for k in range(8):
+            p = sign * (big - k * ulp)
+            for P0 in (np.array([p, 0.0, 0.0]), np.array([p, 0.0, p, 0.0])):
+                x0 = None if P0.size == 3 else P0[0]
+                scanned = outer_sum(T1, T2, P0[-3:], x0)
+                finite = bool(np.isfinite(scanned).all())
+                build = lambda: (build_first_kind(T1, T2, P0) if x0 is None
+                                 else build_minimal(T1, T2, P0))
+                if finite:
+                    assert np.array_equal(build().grid.values, scanned)
+                else:
+                    with pytest.raises(BadGrid,
+                                       match="grid values must be finite"):
+                        build()
+                verdicts.add(finite)
+        assert verdicts == {True, False}
+
+
 class TestOneAngle:
     """A net holds its angle once, as F = cos theta; theta is read from F."""
 
@@ -227,6 +323,25 @@ class TestCheckDisjointness:
             lambda t: np.stack([np.sin(t), 0 * t, np.cos(t)], axis=-1),
             (0.0, np.pi), 20, cls=SphereCurve)
         return T1, T2
+
+    @pytest.mark.parametrize("h", [1.2e103, 1e292])
+    def test_overflowing_remainder_fails_every_cell(self, h):
+        # (h/2)^3 overflows past h ~ 1.1e103: no cell can be bounded, so
+        # the check fails on all 81 node cells, with no warning, and the
+        # builders keep that verdict instead of raising
+        T1, T2 = axis_curve(0, h), axis_curve(1, h)
+        rep = check_disjointness(T1, T2)
+        assert rep["uncertified_cells"].value == 81.0 and not rep.passed
+        assert rep.min_separation == 0.0
+        assert rep.sampled_separation == np.sqrt(2.0)
+        assert build_first_kind(T1, T2, np.zeros(3)).generators \
+            .disjointness == rep
+        assert build_minimal(T1, T2, np.zeros(4)).generators \
+            .disjointness == rep
+
+    def test_finite_remainder_below_the_overflow(self):
+        rep = check_disjointness(axis_curve(0, 1e102), axis_curve(1, 1e102))
+        assert rep.passed and rep.min_separation == np.sqrt(2.0)
 
     def test_meeting_between_samples_fails(self):
         T1, T2 = self.between_samples()

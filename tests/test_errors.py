@@ -9,7 +9,7 @@ from chebylift.bjorling import (ExtensionChoice, reduce_from_l3, solve,
                                 solve_pq)
 from chebylift.chebnet import (NetSurface, build_first_kind,
                                check_disjointness, equivalent_immersion,
-                               first_form, gallery, is_chebyshev)
+                               euclidean_shape, gallery, is_chebyshev)
 from chebylift.errors import (BadData, BadGrid, BadInput, BadSphereCurve,
                               Check, ChebyliftError, EmptyOverlap,
                               ExtensionMismatch, IncompatibleData, NotMinimal,
@@ -130,6 +130,23 @@ GUARDS = {
                   "grid payload must be"),
     "grid_nan": (lambda: grid(np.full((4, 4), np.nan)), BadGrid,
                  "grid values must be finite"),
+    "grid_nan_u_min": (lambda: grid(np.zeros((4, 4)), np.nan), BadGrid,
+                       "grid nodes must be finite"),
+    "grid_inf_v_min": (lambda: Grid2D(0.0, -np.inf, 1.0, 1.0,
+                                      np.zeros((4, 4))),
+                       BadGrid, "grid nodes must be finite"),
+    # the last u node, 1e308 + 3e308, overflows
+    "grid_axis_overflow": (lambda: Grid2D(1e308, 0.0, 1e308, 1.0,
+                                          np.zeros((4, 4))),
+                           BadGrid, "grid nodes must be finite"),
+    "curve_inf_t_min": (lambda: SampledCurve(np.inf, 0.1, np.zeros((5, 3))),
+                        BadGrid, "curve nodes must be finite"),
+    "sphere_curve_inf_t_min": (lambda: SphereCurve(
+        -np.inf, 0.1, np.tile([1.0, 0.0, 0.0], (5, 1))),
+        BadGrid, "curve nodes must be finite"),
+    "curve_axis_overflow": (lambda: SampledCurve(
+        1e308, 1e308, np.zeros((5, 3))), BadGrid,
+        "curve nodes must be finite"),
     "curve_ndim": (lambda: SampledCurve(0.0, 0.1, np.zeros(9)), BadGrid,
                    "curve points must be a (n, k) array"),
     "curve_inf": (lambda: curve(lambda t: np.stack(
@@ -137,8 +154,9 @@ GUARDS = {
         BadGrid, "curve points must be finite"),
     "frenet_4d": (lambda: frenet(curve(lambda t: np.stack([t] * 4, axis=1))),
                   BadGrid, "frenet expects a curve in E"),
-    "first_form_4d": (lambda: first_form(grid(np.zeros((5, 5, 4)))), BadGrid,
-                      "first_form expects a grid of E-points"),
+    "shape_4d": (lambda: euclidean_shape(NetSurface(
+        grid(np.zeros((5, 5, 4))), np.zeros((5, 5)))), BadGrid,
+        "euclidean_shape expects a grid of E-points"),
     "is_chebyshev_4d": (lambda: is_chebyshev(grid(np.zeros((5, 5, 4)))),
                         BadGrid, "is_chebyshev expects a grid of E-points"),
     "direction": (lambda: equivalent_immersion(grid(np.zeros((5, 5))), "up"),

@@ -38,7 +38,6 @@ PAPER_NAMES = {
     "classify_special": "the lightlike line, planar and helix special cases",
     "decompose": "n3 = cos theta T + p N + q B along alpha = c - u d0",
     "reduce_from_l3": "Cauchy data in L^3 embed as data in R^4_1",
-    "first_form": "a Chebyshev net has E = G = 1",
     "frame_identity_residuals": "the half-angle identities of the frame",
     "project_lightlike": "pi: a lightlike vector's point on the unit sphere "
                          "of E (n0 = pi(tau - nu), n3 = pi(tau + nu))",

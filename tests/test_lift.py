@@ -24,8 +24,9 @@ from chebylift.numerics import (SphereCurve, cumulative_integral,
                                 diff_samples, partials, sample_curve)
 
 from test_bjorling import critical_lift_data, data_from_lift
-from test_chebnet import (gallery_generators, normalized_trig_curve,
-                          random_net_pair, record_diff_samples)
+from test_chebnet import (first_form, gallery_generators,
+                          normalized_trig_curve, random_net_pair,
+                          record_diff_samples)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +88,7 @@ class TestVerifyNullCoords:
         assert rep.sup_cross <= 1e-6
 
     def test_noncritical_via_resampling(self):
-        from chebylift.chebnet import (equivalent_immersion, first_form,
-                                       is_chebyshev)
+        from chebylift.chebnet import equivalent_immersion, is_chebyshev
         gal = gallery("noncritical")
         resampled = equivalent_immersion(gal.ts_grid, "ts_to_uv")
         rep = is_chebyshev(resampled)
