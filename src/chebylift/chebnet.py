@@ -10,9 +10,11 @@ derivatives T1' and T2' and (n, n) products of the curves.  Any other
 net, or a net whose grid was replaced, has its shape operator differenced
 from the point grid.  Net points are stored as 3-vectors of E throughout.
 
-scipy's spline classes load on the first fit, not with this module.  Every
-fit still calls this module's ``RectBivariateSpline`` or ``CubicSpline``, so
-a tracer or a test that rebinds one of these names sees each fit.
+The coordinate change fits ``_splines.RectBivariateSpline``, FITPACK's
+s = 0 bicubic with its coefficients from two banded 1-D solves, and scipy
+loads on the first fit, not with this module.  Every fit still calls this
+module's ``RectBivariateSpline`` or ``CubicSpline``, so a tracer or a test
+that rebinds one of these names sees each fit.
 """
 
 from __future__ import annotations
@@ -387,8 +389,10 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     Forward maps a (u, v) grid to X~(t, s) = X((t-s)/2, (t+s)/2); inverse
     maps a (t, s) grid to X(u, v) = Y(u+v, -u+v).  The target rectangle is
     the largest one inscribed in the rotated image of the source domain,
-    sampled with the source's node counts; values come from a bicubic
-    spline of the source samples.
+    sampled with the source's node counts; values come from one bicubic
+    spline per component through the source samples
+    (``RectBivariateSpline``: FITPACK's s = 0 knots, and coefficients from
+    one banded solve per axis over all columns).
 
     On a square grid both target axes share one spacing, so each source
     abscissa depends on a - b or a + b of the target node (a, b) alone:
@@ -415,7 +419,7 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
             return sp.ev(src_u.ravel(), src_v.ravel()).reshape(A.shape)
     out = np.empty((g.nu, g.nv, comps.shape[-1]))
     for k in range(comps.shape[-1]):
-        sp = RectBivariateSpline(g.us, g.vs, comps[..., k], kx=3, ky=3, s=0)
+        sp = RectBivariateSpline(g.us, g.vs, comps[..., k])
         out[..., k] = evaluate(sp)
     return _on_axes(x1, x2, out[..., 0] if scalar else out)
 

@@ -11,6 +11,8 @@ Lifts made by ``build_minimal``, or by ``lift_net`` of a
 have read-only values.  ``build_minimal`` writes x0 and X once, into the
 lift's (nu, nv, 4) array, and its source net's grid is the read-only
 strided view [..., 1:] of that array; ``lift_net`` copies the net's points.
+``lift_net`` holds the net to |F| < 1; ``build_minimal`` does not check it
+again, as its disjointness check bounded |F| by 1 - 5e-13.
 While a lift's grid is the one its builder made, its tangents are exact:
 f_u = d0 + n0(u) and f_v = d0 + n3(v), with n0 and n3 read as broadcast
 views, and f_uv = 0.  ``mean_curvature``,
@@ -19,9 +21,11 @@ nothing, and ``h_parallel_e2`` measures nothing: H = 0 exactly, so it
 states its two sups, 0 by construction, and its route as info.  The
 coordinate change of a square lift resamples the 1-D generators, not
 2-D splines of the grid, and its (t, s) form keeps them, read-only, for
-the way back.  Every other lift (gallery nets, the null forms resampled
-from (t, s), hand-built surfaces, a lift whose grid was replaced) has its
-partials differenced from the grid by each call that needs them.
+the way back; any other lift fits one bicubic per component of f and one
+for theta in each direction.  Every other lift (gallery nets, the null
+forms resampled from (t, s), hand-built surfaces, a lift whose grid was
+replaced) has its partials differenced from the grid by each call that
+needs them.
 ``verify_null_coords`` always differences the grid, in slabs of rows: it
 checks the samples themselves.  Nothing is kept on a lift beyond its fields.
 
@@ -133,13 +137,16 @@ def lift_net(n: NetSurface) -> LiftSurface:
 
 def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
     """``lift_net``, or the lift on ``grid``, whose (nu, nv, 4) values
-    already hold x0 and the net's points (``build_minimal``'s one array)."""
+    already hold x0 and the net's points (``build_minimal``'s one array).
+    That net's F needs no check: ``_first_kind`` refuted every sampled
+    separation sqrt(2 - 2|F|) up to 1e-6, so |F| <= 1 - 5e-13."""
     g = n.grid
-    chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0), axes=(g.us, g.vs))
-    if not chk.passed:
-        raise NotChebyshev("net fails |F| < 1", chk)
     gen = _generators(n)
     if grid is None:
+        chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0),
+                        axes=(g.us, g.vs))
+        if not chk.passed:
+            raise NotChebyshev("net fails |F| < 1", chk)
         vals = np.empty(g.values.shape[:2] + (4,))
         np.add.outer(g.us, g.vs, out=vals[..., 0])
         for k in range(3):
@@ -397,7 +404,8 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
     A square lift with live generators is resampled through its 1-D curves
     (``_resample_generators``), and its (t, s) form keeps them.  Any other
     lift is resampled by ``equivalent_immersion``, f in one call on its own
-    (n, n, 4) grid and theta in a second.  That spline reproduces x0, affine
+    (n, n, 4) grid and theta in a second: five bicubic fits, each two
+    banded solves over all columns.  That spline reproduces x0, affine
     in the parameters, up to roundoff; x0 is rebuilt in place from the
     target coordinates plus the mean offset, keeping it exactly separable.
     """
@@ -440,9 +448,9 @@ def _resample_generators(gen: Generators, g: Grid2D, direction: str) -> tuple:
     T2.  I1 with T1, and I2 with T2, are resampled by one not-a-knot
     ``CubicSpline`` at the 2n - 1 source abscissae ud, vd of
     ``_diagonal_axes`` (forward) or the target axes (back), and gathered
-    by stride: node (a, b) reads entry M (a, b) + o.  FITPACK's bicubic is
-    the tensor product of the same 1-D interpolants, so f matches
-    ``equivalent_immersion`` up to roundoff; T1, T2 are renormalized.  P0
+    by stride: node (a, b) reads entry M (a, b) + o.  The bicubic of
+    ``equivalent_immersion`` is the tensor product of the same 1-D
+    interpolants, so f matches it up to roundoff; T1, T2 are renormalized.  P0
     is f at node (0, 0) of ``g`` less the resamples at its (u, v)."""
     x1, x2 = _target_axes(g, direction)
     n = x1.size

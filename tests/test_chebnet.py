@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import RectBivariateSpline
 
-from chebylift import chebnet, numerics
+from chebylift import _splines, chebnet, numerics
 from chebylift.chebnet import (
     _CRITICAL_RANGE, NetSurface, _diagonal_reader, _profile_x, _profile_y,
     build_first_kind, check_disjointness, equivalent_immersion,
@@ -572,16 +572,18 @@ class TestEquivalentImmersion:
     @pytest.mark.parametrize("direction", ["uv_to_ts", "ts_to_uv"])
     @pytest.mark.parametrize("n", [40, 41, 200, 201])
     def test_parity_subgrids_read_the_tensor_grid(self, n, direction):
-        # the two parity sub-grids hold every target, bit for bit
+        # the two parity sub-grids hold every target, bit for bit, for the
+        # library's fit and FITPACK's: a point's value does not depend on
+        # the points evaluated with it
         gal = gallery("noncritical", nu=n, nv=n)
         g = gal.net.grid if direction == "uv_to_ts" else gal.ts_grid
         out = equivalent_immersion(g, direction)
         ud, vd, iu, iv = diagonal_axes(out.us, out.vs, direction)
         read = _diagonal_reader(out.us, out.vs, direction)
-        for k in range(3):
-            sp = RectBivariateSpline(g.us, g.vs, g.values[..., k], kx=3,
-                                     ky=3, s=0)
-            assert np.array_equal(read(sp), sp(ud, vd)[iu, iv])
+        for fit in FITS.values():
+            for k in range(3):
+                sp = fit(g.us, g.vs, g.values[..., k])
+                assert np.array_equal(read(sp), sp(ud, vd)[iu, iv])
 
     @pytest.mark.parametrize(
         "nu, nv, direction",
@@ -600,6 +602,48 @@ class TestEquivalentImmersion:
         X = np.stack([_profile_x(S) * np.cos(T), _profile_x(S) * np.sin(T),
                       _profile_y()(S)], axis=-1)
         assert np.abs(out.values - X).max() < 1e-7
+
+
+#: the library's bicubic fit and FITPACK's, its reference
+FITS = {"library": _splines.RectBivariateSpline,
+        "fitpack": lambda x, y, z: RectBivariateSpline(x, y, z, kx=3, ky=3,
+                                                       s=0)}
+
+
+class TestBicubicFit:
+    """The library's s = 0 bicubic against FITPACK's: the same knots, and
+    values on tensor grids and at scattered points, clamped points outside
+    the nodes' span among them, to the bound of
+    ``test_matches_scattered_evaluation``."""
+
+    @staticmethod
+    def assert_matches(x, y, z, rng):
+        sp, ref = (FITS[f](x, y, z) for f in ("library", "fitpack"))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((sp.tx, sp.ty), ref.get_knots()))
+        # the span of an axis and a tenth of it beyond each end
+        span = lambda a: (1.1 * a[0] - 0.1 * a[-1], 1.1 * a[-1] - 0.1 * a[0])
+        xs, ys = (np.sort(rng.uniform(*span(a), 3 * a.size)) for a in (x, y))
+        assert np.abs(sp(xs, ys) - ref(xs, ys)).max() < 1e-13
+        assert np.abs(sp(x, y) - z).max() < 1e-13
+        xs, ys = (rng.uniform(*span(a), 500) for a in (x, y))
+        assert np.abs(sp.ev(xs, ys) - ref.ev(xs, ys)).max() < 1e-13
+
+    @pytest.mark.parametrize("nu, nv", [(4, 4), (5, 5), (6, 6), (41, 41),
+                                        (201, 201), (161, 201)])
+    def test_matches_fitpack(self, nu, nv):
+        rng = np.random.default_rng(nu * nv)
+        x = np.cumsum(rng.uniform(0.5, 1.5, nu))
+        y = np.linspace(-1.0, 2.0, nv)
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        z = np.sin(X) * np.cos(2.0 * Y) + 0.1 * rng.standard_normal(X.shape)
+        self.assert_matches(x, y, z, rng)
+
+    def test_matches_fitpack_on_the_noncritical_ts_grid(self):
+        g = gallery("noncritical", nu=201, nv=201).ts_grid
+        for k in range(3):
+            self.assert_matches(g.us, g.vs, g.values[..., k],
+                                np.random.default_rng(k))
 
 
 class TestSplineSeam:

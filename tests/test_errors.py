@@ -242,6 +242,10 @@ GUARDS = {
     # us[-1] - us[0] rounds to 0 at u_min = 1e20, du = 1
     "overlap": (lambda: equivalent_immersion(grid(np.zeros((4, 4)), 1e20)),
                 EmptyOverlap, "inscribed rectangle degenerates"),
+    # at u_min = 1e16, du = 1 the first two u nodes round to one float
+    "spline_nodes": (lambda: equivalent_immersion(
+        grid(np.zeros((6, 6)), 1e16)), BadGrid,
+        "spline nodes must be strictly increasing"),
 }
 
 

@@ -73,11 +73,28 @@ class TestLiftNet:
 
     @pytest.mark.parametrize("f", [1.0, -1.0])
     def test_f_reaching_one_raises(self, f):
-        net = gallery("critical", nu=21, nv=21).net
-        F = net.F.copy()
-        F[3, 4] = f
-        with pytest.raises(NotChebyshev):
-            lift_net(replace(net, F=F))
+        # a net with generators is held to |F| < 1 too: only build_minimal,
+        # whose F the disjointness check bounded, skips the check
+        for net in (gallery("critical", nu=21, nv=21).net,
+                    build_first_kind(*gallery_generators(21), np.zeros(3))):
+            F = net.F.copy()
+            F[3, 4] = f
+            with pytest.raises(NotChebyshev):
+                lift_net(replace(net, F=F))
+
+    def test_build_minimal_scans_no_f(self, monkeypatch):
+        seen, check = [], lift.sup_check
+
+        def counted(name, *args, **kwargs):
+            seen.append(name)
+            return check(name, *args, **kwargs)
+
+        monkeypatch.setattr(lift, "sup_check", counted)
+        T1, T2 = gallery_generators(41)
+        s = build_minimal(T1, T2, np.zeros(4))
+        assert seen == []
+        lift_net(s.source)
+        assert seen == ["sup_f"]
 
 
 class TestVerifyNullCoords:

@@ -93,14 +93,17 @@ def digest_lines(workload: str, seed: int):
             f"{k}={v!r}" for k, v in accuracy.items()])
 
 
-def tree_args(description: str) -> argparse.Namespace:
-    """--root, --workload and --seed, with TREE/src and TREE/perfbench put
-    first on the import path and no bytecode written into TREE."""
+def tree_args(description: str, *options) -> argparse.Namespace:
+    """--root, --workload and --seed, then each (flag, ``add_argument``
+    keywords) of ``options``, with TREE/src and TREE/perfbench put first
+    on the import path and no bytecode written into TREE."""
     p = argparse.ArgumentParser(description=description)
     p.add_argument("--root", required=True, type=Path,
                    help="source tree holding src/ and perfbench/")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
     args = p.parse_args()
     root = args.root.resolve()
     sys.dont_write_bytecode = True
