@@ -8,7 +8,9 @@ kx = ky = 3 and s = 0 (its knots, and its coefficients up to roundoff).  It
 is the tensor product of the 1-D not-a-knot cubic interpolants of the two
 axes, so its coefficients come from two banded solves that each take every
 column of the grid at once (Dierckx, *Curve and Surface Fitting with
-Splines*, 1993; de Boor, *A Practical Guide to Splines*).
+Splines*, 1993; de Boor, *A Practical Guide to Splines*).  Its ``knots``
+depend on the nodes alone, so a caller that evaluates several fits on one
+tensor grid builds the ``design_matrix`` of each axis once.
 """
 
 import numpy as np
@@ -21,17 +23,29 @@ def CubicSpline(*args, **kwargs):
     return CubicSpline(*args, **kwargs)
 
 
+def knots(x: np.ndarray) -> np.ndarray:
+    """FITPACK's cubic s = 0 knots of the nodes ``x``: its ends four times
+    and its nodes but the second and the last but one once."""
+    return np.concatenate(((x[0],) * 4, x[2:-2], (x[-1],) * 4))
+
+
+def design_matrix(xs, t: np.ndarray):
+    """The sparse matrix B_j(xs_i) of the cubic B-splines of the knots
+    ``t``, the points clamped to the knots' span as FITPACK clamps them."""
+    from scipy.interpolate import BSpline
+    return BSpline.design_matrix(np.clip(xs, t[0], t[-1]), t, 3)
+
+
 def RectBivariateSpline(x, y, z) -> "Bicubic":
     """The bicubic spline through the values ``z`` (len(x), len(y)) at the
     nodes x × y, x and y strictly increasing with at least 4 entries each.
 
-    An axis's knots are FITPACK's s = 0 knots, its ends four times and
-    its nodes but the second and the last but one once.  The coefficients
-    C solve A_x C A_y^T = z, A the collocation matrix B_j(x_i) of an axis,
-    banded with kl = ku = 3.  Each A is LU-factored once, and C takes one
-    solve per axis over all columns.
+    An axis's knots are its ``knots``.  The coefficients C solve
+    A_x C A_y^T = z, A the collocation matrix B_j(x_i) of an axis, banded
+    with kl = ku = 3.  Each A is LU-factored once, and C takes one solve
+    per axis over all columns.  On a tensor grid its values are
+    B_x C B_y^T with the ``design_matrix``es B of the points' axes.
     """
-    from scipy.interpolate import BSpline
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -39,8 +53,8 @@ def RectBivariateSpline(x, y, z) -> "Bicubic":
         raise BadGrid("spline nodes must be strictly increasing")
     t, lu = [], []
     for a in (x, y):
-        t.append(np.concatenate(((a[0],) * 4, a[2:-2], (a[-1],) * 4)))
-        b = BSpline.design_matrix(a, t[-1], 3).tocoo()
+        t.append(knots(a))
+        b = design_matrix(a, t[-1]).tocoo()
         ab = np.zeros((10, a.size))     # LAPACK's band storage of A
         ab[6 + b.row - b.col, b.col] = b.data
         lu.append(dgbtrf(ab, 3, 3, overwrite_ab=True)[:2])
@@ -57,16 +71,6 @@ class Bicubic:
 
     def __init__(self, tx: np.ndarray, ty: np.ndarray, c: np.ndarray):
         self.tx, self.ty, self.c = tx, ty, c
-
-    def __call__(self, xs, ys) -> np.ndarray:
-        """Values on the tensor grid xs × ys, B_x C B_y^T with the sparse
-        design matrices B of the points.  Each product sums a point's own
-        row of B in one order, so a value does not depend on the other
-        points evaluated with it, bit for bit."""
-        from scipy.interpolate import BSpline
-        bx, by = (BSpline.design_matrix(np.clip(p, t[0], t[-1]), t, 3)
-                  for p, t in ((xs, self.tx), (ys, self.ty)))
-        return (by @ (bx @ self.c).T).T
 
     def ev(self, xs, ys) -> np.ndarray:
         """Values at the points (xs[i], ys[i])."""

@@ -6,11 +6,12 @@ The solver checks the lightlike-tangent condition c' = c0' (d0 + n0) with
 n0 taken from the adapted frame of D (both orderings of {a, b} are tried,
 since the sign of nu depends on the ordering), decomposes the data along
 the spatial curve alpha(u) = c(u) - u d0, measures the compatibility of the
-second null generator, and assembles solutions as sums of two lightlike
-curves, whose tangents along c are the frame's n0 and n3 (only the Frenet
-apparatus of alpha is differenced from c).  Solutions are classified into
-the line / helix / planar-alpha special cases, and non-uniqueness is
-realized by exchanging extensions of n3 with a fixed value at v = 0.
+second null generator by |n3'|, and assembles solutions as sums of two
+lightlike curves, whose tangents along c are the frame's n0 and n3 (only
+the Frenet apparatus of alpha is differenced from c, for a theta profile
+and the classifier).  Solutions are classified into the line / helix /
+planar-alpha special cases, and non-uniqueness is realized by exchanging
+extensions of n3 with a fixed value at v = 0.
 
 Each public function runs that chain on a ``CurveDecomposition`` of its
 argument, as far as it reads it, and errors come in chain order.  ``solve``
@@ -114,10 +115,11 @@ class CurveDecomposition:
     ``orientation`` (which raises ``NecessaryConditionFailed``), the
     resample ``data`` with c0'(u) = 1, ``alpha`` = c - u d0 and its
     ``frenet`` apparatus, the resample's frame nulls ``n0curve`` and
-    ``n3curve`` (one pass, which reads ``orientation`` first), ``theta0``,
-    ``p0fn``, ``q0fn`` and the ``special`` case.  Each public call
-    builds its own and drops it on return; nothing is kept on ``source``,
-    so a second call on the same data computes everything again.
+    ``n3curve`` (one pass, which reads ``orientation`` first), the
+    ``compatibility`` check of n3', ``theta0``, ``p0fn``, ``q0fn`` and the
+    ``special`` case.  Each public call builds its own and drops it on
+    return; nothing is kept on ``source``, so a second call on the same
+    data computes everything again.
     """
 
     source: BjorlingData
@@ -156,13 +158,14 @@ class CurveDecomposition:
         tol = max(NECESSARY_TOL, (2.0 + np.sqrt(2.0)) * self._structure_error)
         l_data = self._dc / self._dc[:, :1]      # c'/c0', time component 1
         n0, n3 = _frame_nulls(d.a.points, d.b.points)
-        r = {o: sup_check(f"residual_{o}", np.linalg.norm(
-            l_data - mk.D0 - n, axis=1), axes=(d.c.ts,))
-            for o, n in (("ab", n0), ("ba", n3))}
-        best = "ba" if r["ba"].value < r["ab"].value else "ab"
-        residual = replace(r[best], name="residual", tol=tol)
-        return Report((residual, r["ab"], r["ba"]),
-                      {"orientation": best if residual.passed else None})
+        r = {o: np.linalg.norm(l_data - mk.D0 - n, axis=1)
+             for o, n in (("ab", n0), ("ba", n3))}
+        sup = {o: float(x.max()) for o, x in r.items()}
+        best = "ba" if sup["ba"] < sup["ab"] else "ab"
+        residual = sup_check("residual", r[best], tol, axes=(d.c.ts,))
+        return Report((residual,), {
+            "orientation": best if residual.passed else None,
+            "residual_ab": sup["ab"], "residual_ba": sup["ba"]})
 
     @cached_property
     def orientation(self) -> str:
@@ -235,6 +238,17 @@ class CurveDecomposition:
     @cached_property
     def n3curve(self) -> SphereCurve:
         return self._nulls[1]
+
+    @cached_property
+    def _dn3(self) -> np.ndarray:
+        """d n3/du, differenced from the resample's n3."""
+        return diff_samples(self.n3curve.points, self.alpha.dt, 1)
+
+    @cached_property
+    def compatibility(self) -> Check:
+        """sup_dn3: sup |d n3/du| held to ``COMPAT_TOL``."""
+        return sup_check("sup_dn3", np.linalg.norm(self._dn3, axis=1),
+                         COMPAT_TOL, axes=(self.us,))
 
     @cached_property
     def theta0(self) -> np.ndarray:
@@ -343,9 +357,9 @@ def check_necessary(d: BjorlingData) -> Report:
     of c.  It is held to max(NECESSARY_TOL, (2 + sqrt 2) err) with err the
     error estimate of c' that ``validate_structure`` returns: for lightlike
     c, |c'| = sqrt 2 c0', and an error d in c' moves c'/c0' by at most
-    (2 + sqrt 2)|d|/|c'|.  Checks residual_ab, residual_ba and residual,
-    the better one held to that tolerance; info ``orientation``, "ab" or
-    "ba" if it passes, else None.
+    (2 + sqrt 2)|d|/|c'|.  Check residual, the better ordering's, held to
+    that tolerance; info ``orientation``, "ab" or "ba" if it passes, else
+    None, and the sups residual_ab and residual_ba of both orderings.
     """
     return CurveDecomposition(d).necessary
 
@@ -371,7 +385,7 @@ def decompose(d: BjorlingData) -> CurveDecomposition:
 
 
 def compatibility_residual(dec: CurveDecomposition) -> Report:
-    """Residuals of the curve-level compatibility system at v = 0.
+    """The compatibility system r1, r2, r3 at v = 0, and its one check.
 
     The three equations are the Frenet decomposition of d n3/du = 0:
     r1 = theta_u sin theta + kappa p, r2 = p_u + kappa cos theta - tor q,
@@ -379,25 +393,24 @@ def compatibility_residual(dec: CurveDecomposition) -> Report:
     r1 = -<n3', T>, r2 = <n3', N>, r3 = <n3', B>, and that is how they are
     computed: from the one differenced n3' projected on the Frenet frame,
     not by differencing theta, p and q, which are already built from
-    second derivatives of the data.  sup |d n3/du| (check sup_dn3) is the
-    value the solver gates on, against ``COMPAT_TOL``.
+    second derivatives of the data.  Each r_i projects n3' on a unit
+    vector, so |r_i| <= |n3'| node by node, and no bound on them could
+    fail while the check, sup_dn3 = sup |d n3/du| held to ``COMPAT_TOL``,
+    passes: their sups sup_r1, sup_r2 and sup_r3 are info.
 
     N and B, hence r2 and r3, are undefined at Frenet-degenerate nodes:
-    sup_r2 and sup_r3 leave them out and count them as masked.  On a line
-    every node is degenerate, and the report holds sup_r1 and sup_dn3 only.
+    sup_r2 and sup_r3 leave them out, info ``degenerate_nodes`` counts
+    them, and on a line, where every node is degenerate, there are none.
     """
-    dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
-    fr = dec.frenet
-    us = (dec.us,)
+    dn3, fr = dec._dn3, dec.frenet
     keep = ~fr.degenerate
-    checks = (sup_check("sup_r1", np.einsum("ij,ij->i", dn3, fr.T), axes=us),)
+    info = {"sup_r1": float(np.abs(np.einsum("ij,ij->i", dn3, fr.T)).max()),
+            "degenerate_nodes": int(fr.degenerate.sum())}
     if keep.any():
-        checks += tuple(sup_check(name, np.einsum("ij,ij->i", dn3, X),
-                                  keep=keep, axes=us)
-                        for name, X in (("sup_r2", fr.N), ("sup_r3", fr.B)))
-    return Report(checks + (
-        sup_check("sup_dn3", np.linalg.norm(dn3, axis=1), COMPAT_TOL,
-                  axes=us),))
+        info.update((name, float(np.abs(np.einsum(
+            "ij,ij->i", dn3[keep], X[keep])).max()))
+            for name, X in (("sup_r2", fr.N), ("sup_r3", fr.B)))
+    return Report((dec.compatibility,), info)
 
 
 def solve_pq(theta: Grid2D, kappa: np.ndarray, tor: np.ndarray) -> tuple:
@@ -494,11 +507,13 @@ def ruled_solution(d: BjorlingData, n3: SphereCurve) -> LiftSurface:
 def _solution(dec: CurveDecomposition,
               ext: Optional[ExtensionChoice]) -> tuple:
     """The solution f = P0 + (u+v) d0 + int n0 + int n3 through the data of
-    ``dec`` and its passed compatibility check.  The generators must be
-    disjoint on the whole product, between samples too: else
-    ``DisjointnessViolated`` carries the failed uncertified_cells check of
-    their ``check_disjointness`` report."""
-    compat = _compatibility_gate(dec)
+    ``dec`` and its compatibility check, which ``IncompatibleData`` carries
+    when it fails.  The generators must be disjoint on the whole product,
+    between samples too: else ``DisjointnessViolated`` carries the failed
+    uncertified_cells check of their ``check_disjointness`` report."""
+    compat = dec.compatibility
+    if not compat.passed:
+        raise IncompatibleData("n3 varies along the curve", compat)
     n3 = _extension_curve(dec, ext)
     c = dec.data.c
     surf = build_minimal(dec.n0curve, n3, c.points[c.base_index()])
@@ -535,16 +550,6 @@ def default_extension(dec: CurveDecomposition) -> SphereCurve:
         half *= 0.8
     raise DisjointnessViolated("could not truncate the default extension "
                                "into the admissible region")
-
-
-def _compatibility_gate(dec: CurveDecomposition) -> Check:
-    """sup_dn3 of ``compatibility_residual``; ``IncompatibleData`` carries
-    it when it fails (alone: r1, r2 and r3 are projections of the same
-    d n3/du, and a line has no r2 or r3)."""
-    chk = compatibility_residual(dec)["sup_dn3"]
-    if not chk.passed:
-        raise IncompatibleData("n3 varies along the curve", chk)
-    return chk
 
 
 def _extension_curve(dec: CurveDecomposition,
@@ -618,21 +623,22 @@ def solve(d: BjorlingData, ext: Optional[ExtensionChoice] = None) -> tuple:
     """Assemble a minimal lift solving the Cauchy problem for (c, D).
 
     Runs the necessary-condition check, the resample, the compatibility
-    gate, the second generator from ``ext`` (a default rotation when None;
-    only a theta profile reads the Frenet frame of alpha) and the
-    certificate that the generators are disjoint on the whole product.
-    Returns the surface with the report of the gates passed (necessary,
-    compatibility_sup) and the postconditions: along v = 0, at the nodes of
-    the data resampled to c0' = 1, the surface interpolates c (curve_sup)
-    and its normal bundle spans D off the degenerate-angle mask
-    (projector_sup).  The normal bundle is the frame of the solution's own
-    generators, X_u = n0(u) and X_v = n3(0), so nothing of the solution is
-    differenced: projector_sup tests that ``build_frame`` and
-    ``lift._frame`` are inverse to each other, to roundoff.  Minimality is
-    not measured: the solution is a sum of two lightlike curves, n0 and n3
-    on the unit sphere, certified disjoint on the whole product, so its
-    angle stays off 0 and pi, f_uv = 0 and H = 0 exactly.  Info:
-    orientation, extension_kind, and h_sup = 0.0, that exact value.
+    gate on sup |n3'|, the second generator from ``ext`` (a default
+    rotation when None) and the certificate that the generators are
+    disjoint on the whole product.  Only a theta profile reads the Frenet
+    frame of alpha.  Returns the surface with the report of the gates
+    passed (necessary, compatibility_sup) and the postconditions: along
+    v = 0, at the nodes of the data resampled to c0' = 1, the surface
+    interpolates c (curve_sup) and its normal bundle spans D off the
+    degenerate-angle mask (projector_sup).  The normal bundle is the frame
+    of the solution's own generators, X_u = n0(u) and X_v = n3(0), so
+    nothing of the solution is differenced: projector_sup tests that
+    ``build_frame`` and ``lift._frame`` are inverse to each other, to
+    roundoff.  Minimality is not measured: the solution is a sum of two
+    lightlike curves, n0 and n3 on the unit sphere, certified disjoint on
+    the whole product, so its angle stays off 0 and pi, f_uv = 0 and H = 0
+    exactly.  Info: orientation, extension_kind, and h_sup = 0.0, that
+    exact value.
     """
     dec = CurveDecomposition(d)
     surf, compat = _solution(dec, ext)

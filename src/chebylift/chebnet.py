@@ -26,7 +26,8 @@ from typing import Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._splines import CubicSpline, RectBivariateSpline
+from ._splines import (CubicSpline, RectBivariateSpline, design_matrix,
+                       knots)
 from .errors import (BadGrid, BadInput, BadSphereCurve, Check,
                      DegenerateMetric, DisjointnessViolated, EmptyOverlap,
                      Report)
@@ -356,23 +357,29 @@ def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str) -> tuple:
     return ud, vd, M, o
 
 
-def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str):
-    """A function of a spline ``sp`` that returns its values on the square
-    target grid x1 x x2, bit for bit, from two parity sub-grids of the
-    tensor grid ud x vd of ``_diagonal_axes``.
+def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str,
+                     tx: np.ndarray, ty: np.ndarray):
+    """A function of a bicubic ``sp`` of knots ``tx``, ``ty`` that returns
+    its values on the square target grid x1 x x2 from two parity sub-grids
+    of the tensor grid ud x vd of ``_diagonal_axes``, bit for bit the
+    products B_x C B_y^T on that tensor grid.
 
     iu + iv has the parity q of n - 1 at every target, so the targets with
     even iu read ud[0::2] x vd[q::2] and those with odd iu read ud[1::2] x
-    vd[1-q::2]: about half of the tensor grid.  On each parity class
-    (a mod 2, b mod 2) iu and iv step by +-2, so the class is one strided
-    view of one sub-grid.  A spline's value at a point does not depend on
-    the other points evaluated with it."""
+    vd[1-q::2]: about half of the tensor grid.  The four design matrices
+    of those axes are built once and read each spline's coefficients.  On
+    each parity class (a mod 2, b mod 2) iu and iv step by +-2, so the
+    class is one strided view of one sub-grid.  Each product sums a
+    point's own row of B in one order, so a value does not depend on the
+    other points evaluated with it."""
     n = x1.size
     ud, vd, M, o = _diagonal_axes(x1, x2, direction)
     q = (n - 1) % 2
+    bs = [(design_matrix(ud[p::2], tx), design_matrix(vd[(p + q) % 2::2], ty))
+          for p in (0, 1)]
 
     def read(sp):
-        sub = [sp(ud[p::2], vd[(p + q) % 2::2]) for p in (0, 1)]
+        sub = [(by @ (bx @ sp.c).T).T for bx, by in bs]
         out = np.empty((n, n))
         for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
             iu, iv = M @ (pa, pb) + o
@@ -397,17 +404,19 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     On a square grid both target axes share one spacing, so each source
     abscissa depends on a - b or a + b of the target node (a, b) alone:
     every target is a node of the (2n-1) x (2n-1) tensor grid of those
-    abscissae, where the spline is evaluated on the two parity sub-grids
-    that hold the targets (``_diagonal_reader``) and read off by index.  A
-    non-square grid falls back to evaluation at the n_u n_v scattered
-    source points.
+    abscissae.  Every fit of a call shares its knots, so the design
+    matrices of the two parity sub-grids that hold the targets are built
+    once, and each fit is evaluated there and read off by index
+    (``_diagonal_reader``).  A non-square grid falls back to evaluation at
+    the n_u n_v scattered source points.
     """
     x1, x2 = _target_axes(g, direction)
     vals = g.values
     scalar = vals.ndim == 2
     comps = vals[..., None] if scalar else vals
     if g.nu == g.nv:
-        evaluate = _diagonal_reader(x1, x2, direction)
+        evaluate = _diagonal_reader(x1, x2, direction, knots(g.us),
+                                    knots(g.vs))
     else:
         A, B = np.meshgrid(x1, x2, indexing="ij")
         if direction == "uv_to_ts":

@@ -12,15 +12,15 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class Check:
-    """A measured ``value`` held to ``tol`` (inf: reported, not bounded);
-    NaN and inf fail every check.  ``where`` is (index, parameters) of the
+    """A measured ``value`` held to ``tol``, which every check states; NaN
+    and inf fail every check.  ``where`` is (index, parameters) of the
     worst node, its index into the caller's full grid or curve and the
     parameter values there, or None when the value is not a sup over
     nodes.  ``masked`` counts the nodes a keep-mask left out."""
 
     name: str
     value: float
-    tol: float = math.inf
+    tol: float
     where: Optional[tuple] = None
     masked: int = 0
 

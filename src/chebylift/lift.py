@@ -44,7 +44,9 @@ with their values (NaN on it), and ``h_parallel_e2`` takes its sups off
 it.  All but ``normal_frame`` raise ``DegenerateAngle`` when the mask
 covers the whole grid.  Measurements are ``Report``s of ``Check``s whose
 worst node is a full-grid index with its (u, v); a failed check is
-raised with the error it names.
+raised with the error it names.  ``verify_null_coords``, the differenced
+``h_parallel_e2`` and the coordinate change still hold their sups to
+tol = inf: they owe a bound from the discretization.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ class MaskedField:
     degenerate: np.ndarray
 
     def sup(self) -> float:
-        return sup_check("sup", self.values, keep=~self.degenerate).value
+        return sup_check("sup", self.values, np.inf,
+                         keep=~self.degenerate).value
 
 
 def lift_net(n: NetSurface) -> LiftSurface:
@@ -167,7 +170,7 @@ def verify_null_coords(s: LiftSurface) -> Report:
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
     return Report(_form_sups(s.grid, ("sup_fu_fu", "sup_fv_fv", "sup_cross"),
-                             (0.0, 0.0, s.g12), band=2))
+                             (0.0, 0.0, s.g12), (np.inf,) * 3, band=2))
 
 
 def _degenerate_mask(cos_theta: np.ndarray) -> np.ndarray:
@@ -276,9 +279,9 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     np.subtract(H.values, off, out=off)
     axes = (s.grid.us, s.grid.vs)
     return Report((
-        sup_check("sup_off_e2", off, keep=keep, axes=axes),
-        sup_check("sup_dot_etilde", mk.inner(H.values, fr.etilde), keep=keep,
-                  axes=axes)), {"route": "differenced"})
+        sup_check("sup_off_e2", off, np.inf, keep=keep, axes=axes),
+        sup_check("sup_dot_etilde", mk.inner(H.values, fr.etilde), np.inf,
+                  keep=keep, axes=axes)), {"route": "differenced"})
 
 
 def gaussian_curvature(s: LiftSurface, route: str = "direct") -> MaskedField:
@@ -431,7 +434,7 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
     else:
         coords_tag, targets = NULL_COORDS, (0.0, 0.0, g12)
     rep = Report(_form_sups(grid, ("sup_tt", "sup_ss", "sup_ts"), targets,
-                            band=2))
+                            (np.inf,) * 3, band=2))
     keep = live and direction == "uv_to_ts"     # the (t, s) form keeps them
     if keep:
         _read_only(grid.values)

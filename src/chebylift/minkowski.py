@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, Check, NotLightlike, Report, ZeroTimeComponent
+from .errors import BadInput, Check, NotLightlike, ZeroTimeComponent
 
 #: Metric signs (eps_0, ..., eps_3).
 ETA = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -167,42 +167,6 @@ def _project_floats(L: list) -> list:
     if abs(l0) <= 1e-12:
         raise ZeroTimeComponent("lightlike vector with vanishing x0")
     return [0.0, l1 / l0, l2 / l0, l3 / l0]
-
-
-def frame_identity_residuals(f: MinkowskiFrame) -> Report:
-    """Check the half-angle identities and both printed forms of tau.
-
-    One check per identity holds its absolute residual.  The forms through
-    the half-angle basis, e1~ = (a0 a + b0 b) / r with r^2 = a0^2 + b0^2
-    and the sphere point e = (n0 + n3) / (2 cos(theta/2)), are listed in
-    the info ``not_applicable`` when r^2 <= 1e-9: at tau0 = 1 (theta = pi)
-    that basis is undefined.
-    """
-    a0, b0 = f.a[0], f.b[0]
-    r = np.hypot(a0, b0)
-    t0 = f.tau0
-    th = f.theta
-    res = {
-        "sin_theta": abs(np.sin(th) - 2.0 * r / t0**2),
-        "sin_half": abs(np.sin(th / 2.0) - 1.0 / t0),
-        "cos_half": abs(np.cos(th / 2.0) - r / t0),
-    }
-    na = []
-    r2 = a0 * a0 + b0 * b0
-    if r2 <= 1e-9:
-        na += ["tau_form1", "tau_form2", "e1tilde_relation"]
-    else:
-        e1tilde = (a0 * f.a + b0 * f.b) / np.sqrt(r2)
-        e = (f.n0 + f.n3) / (2.0 * np.cos(th / 2.0))
-        res["tau_form1"] = float(
-            np.abs(f.tau - (D0 + r * e1tilde) / t0).max())
-        res["tau_form2"] = float(
-            np.abs(f.tau - (t0 * D0 + t0 * np.cos(th / 2.0) * e)).max())
-        res["e1tilde_relation"] = float(
-            np.abs(e1tilde - (D0 / np.tan(th / 2.0)
-                              + e / np.sin(th / 2.0))).max())
-    return Report(tuple(Check(k, float(v)) for k, v in res.items()),
-                  {"not_applicable": tuple(na)})
 
 
 def plane_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -440,13 +440,13 @@ def _vector_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
-def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
+def sup_check(name: str, values: np.ndarray, tol: float,
               keep: Optional[np.ndarray] = None, axes: tuple = ()) -> Check:
     """``Check`` of the sup of |values| (the norm over the last axis of a
-    (nu, nv, k) field) over the nodes ``keep`` keeps, held to ``tol``.
-    ``where`` holds the worst node's index into ``values`` and the entries
-    of ``axes``, one parameter array per index, there.  Raises
-    ``DegenerateAngle`` when ``keep`` keeps no node."""
+    (nu, nv, k) field) over the nodes ``keep`` keeps, held to ``tol``,
+    which the caller states.  ``where`` holds the worst node's index into
+    ``values`` and the entries of ``axes``, one parameter array per index,
+    there.  Raises ``DegenerateAngle`` when ``keep`` keeps no node."""
     a = np.asarray(values, dtype=float)
     a = _vector_norm(a) if a.ndim == 3 else np.abs(a)
     masked = 0 if keep is None else keep.size - int(np.count_nonzero(keep))
@@ -460,13 +460,14 @@ def sup_check(name: str, values: np.ndarray, tol: float = np.inf,
         tuple(float(ax[i]) for ax, i in zip(axes, at))), masked)
 
 
-def _form_sups(g: Grid2D, names: tuple, targets: tuple,
-               tols: tuple = (np.inf,) * 3, band: int = 0) -> tuple:
-    """``Check``s ``names`` (held to ``tols``) of |<f_u,f_u> - g11|,
-    |<f_v,f_v> - g22|, |<f_u,f_v> - g12| for ``targets`` (g11, g22, g12),
-    scalars or (nu, nv) arrays, over the nodes ``band`` rows in from each
-    edge, in slabs: <,> is E's dot product on 3-vectors, the Minkowski one
-    on 4-vectors.  Raises ``DegenerateAngle`` if the band keeps no node."""
+def _form_sups(g: Grid2D, names: tuple, targets: tuple, tols: tuple,
+               band: int = 0) -> tuple:
+    """``Check``s ``names``, each held to its bound in ``tols``, of
+    |<f_u,f_u> - g11|, |<f_v,f_v> - g22|, |<f_u,f_v> - g12| for ``targets``
+    (g11, g22, g12), scalars or (nu, nv) arrays, over the nodes ``band``
+    rows in from each edge, in slabs: <,> is E's dot product on 3-vectors,
+    the Minkowski one on 4-vectors.  Raises ``DegenerateAngle`` if the band
+    keeps no node."""
     vals = g.values
     if vals.ndim != 3 or vals.shape[2] not in (3, 4):
         raise BadGrid("metric checks need a grid of 3- or 4-vectors")

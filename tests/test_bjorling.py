@@ -248,15 +248,20 @@ class TestCompatibility:
         d = TestFrenetOnlyForTheta.inflection_data(201)
         rep = compatibility_residual(CurveDecomposition(d))
         assert rep.passed
-        assert [c.masked for c in rep.checks] == [0, 1, 1, 0]
+        assert [c.masked for c in rep.checks] == [0]
+        assert rep.degenerate_nodes == 1
         assert max(rep.sup_r1, rep.sup_r2, rep.sup_r3, rep.sup_dn3) <= 1e-12
 
     def test_line_has_no_r2_or_r3(self):
         # on a line no node has a Frenet frame
         d, _ = TestFrenetOnlyForTheta.line_with_n3()
-        rep = compatibility_residual(CurveDecomposition(d))
+        dec = CurveDecomposition(d)
+        rep = compatibility_residual(dec)
         assert rep.passed
-        assert [c.name for c in rep.checks] == ["sup_r1", "sup_dn3"]
+        assert [c.name for c in rep.checks] == ["sup_dn3"]
+        assert "sup_r1" in rep.info
+        assert "sup_r2" not in rep.info and "sup_r3" not in rep.info
+        assert rep.degenerate_nodes == dec.alpha.n
 
     @pytest.mark.parametrize("case", ["helix", "lift"])
     def test_frenet_regular_data_unmasked(self, case):
@@ -265,11 +270,13 @@ class TestCompatibility:
         dec = CurveDecomposition(d)
         dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
         fr = dec.frenet
-        want = tuple(sup_check(name, np.einsum("ij,ij->i", dn3, X),
-                               axes=(dec.us,))
-                     for name, X in (("sup_r1", fr.T), ("sup_r2", fr.N),
-                                     ("sup_r3", fr.B)))
-        assert compatibility_residual(dec).checks[:3] == want
+        want = {name: sup_check(name, np.einsum("ij,ij->i", dn3, X), np.inf,
+                                axes=(dec.us,)).value
+                for name, X in (("sup_r1", fr.T), ("sup_r2", fr.N),
+                                ("sup_r3", fr.B))}
+        rep = compatibility_residual(dec)
+        assert {name: rep.info[name] for name in want} == want
+        assert rep.degenerate_nodes == 0
 
 
 class TestSolvePQ:
@@ -564,6 +571,32 @@ class TestFrenetOnlyForTheta:
         assert np.ptp(sol.generators.T1.points, axis=0).max() == 0.0
         sol, rep = solve(d)
         assert rep.passed and rep.extension_kind == "default"
+
+    @pytest.mark.parametrize("ext, calls",
+                             [("default", 0), ("curve", 0), ("theta", 1)])
+    def test_frenet_calls_per_solve(self, ext, calls, monkeypatch):
+        # the compatibility gate reads n3' alone: only a theta profile
+        # builds the Frenet frame of alpha, once
+        from chebylift import bjorling
+        d, th = inputs.helix_data(201, radius=1.0)
+        dec = CurveDecomposition(d)
+        vs = np.linspace(-0.6, 0.6, 121)
+        choice = {"default": None,
+                  "curve": ExtensionChoice.from_curve(default_extension(dec)),
+                  "theta": ExtensionChoice.from_theta(Grid2D(
+                      u_min=dec.alpha.t_min, v_min=float(vs[0]),
+                      du=dec.alpha.dt, dv=float(vs[1] - vs[0]),
+                      values=np.full((dec.alpha.n, vs.size), th)))}[ext]
+        seen, frenet = [], bjorling.frenet
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return frenet(*args, **kwargs)
+
+        monkeypatch.setattr(bjorling, "frenet", counted)
+        _, rep = solve(d, choice)
+        assert rep.passed
+        assert len(seen) == calls
 
     def test_theta_profile_on_line_data(self):
         d, _ = self.line_with_n3()
@@ -974,6 +1007,53 @@ class TestSufficiency:
         certified, T2, surf = self.lift(seed, half)
         assert certified
         self.assert_round_trip(T2, surf, data_from_lift(surf))
+
+
+class TestUnfailableResidualsAreInfo:
+    """The paper's r1, r2, r3 and ``check_necessary``'s two orderings are
+    info, not checks.  Each r_i projects n3' on T, N or B: T and N are
+    unit vectors and |B| = |T x N| <= 1, so |r_i| <= |n3'| node by node,
+    and a bound on an r_i could never fail while sup_dn3 passes.  The two
+    checks kept are the formulas their docstrings state, field by field."""
+
+    @staticmethod
+    def assert_info_and_checks(d):
+        from chebylift import bjorling
+        dec = CurveDecomposition(d)
+        rep = compatibility_residual(dec)
+        us = (dec.us,)
+        dn3 = diff_samples(dec.n3curve.points, dec.alpha.dt, 1)
+        assert rep.checks == (sup_check("sup_dn3", np.linalg.norm(
+            dn3, axis=1), bjorling.COMPAT_TOL, axes=us),)
+        for name in ("sup_r1", "sup_r2", "sup_r3"):
+            assert rep.info[name] <= rep.sup_dn3 * (1.0 + 1e-12)
+
+        nec = check_necessary(d)
+        c = d.c
+        cp = diff_samples(c.points, c.dt, 1)
+        tol = max(bjorling.NECESSARY_TOL,
+                  (2.0 + np.sqrt(2.0)) * d.validate_structure())
+        frames = [mk.build_frame(a, b) for a, b in zip(d.a.points,
+                                                        d.b.points)]
+        r = {o: np.linalg.norm(cp / cp[:, :1] - mk.D0 - np.array(
+            [getattr(f, n) for f in frames]), axis=1)
+            for o, n in (("ab", "n0"), ("ba", "n3"))}
+        assert nec.checks == (sup_check("residual", r[nec.orientation], tol,
+                                        axes=(c.ts,)),)
+        assert (nec.residual_ab, nec.residual_ba) == (r["ab"].max(),
+                                                      r["ba"].max())
+
+    @settings(derandomize=True, max_examples=10, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_lifts(self, seed):
+        certified, _, surf = TestSufficiency.lift(seed)
+        assume(certified)
+        self.assert_info_and_checks(data_from_lift(surf))
+
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_helix(self, n):
+        self.assert_info_and_checks(helix_data(n=n)[0])
 
 
 def translated(d: BjorlingData, P: np.ndarray) -> BjorlingData:

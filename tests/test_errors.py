@@ -27,17 +27,25 @@ class TestCheck:
 
     def test_nan_fails(self):
         assert not Check("x", math.nan, 1.0).passed
-        assert not Check("x", math.nan).passed
+        assert not Check("x", math.nan, math.inf).passed
 
     def test_inf_fails_even_an_unbounded_check(self):
-        assert math.isinf(Check("x", 1.0).tol)
-        assert Check("x", 1e300).passed
-        assert not Check("x", math.inf).passed
+        assert Check("x", 1e300, math.inf).passed
+        assert not Check("x", math.inf, math.inf).passed
+
+    def test_every_check_states_its_tolerance(self):
+        # no default bound: a check built without one is an error, not a
+        # check that passes whatever it reads
+        with pytest.raises(TypeError, match="tol"):
+            Check("x", 1.0)
+        with pytest.raises(TypeError, match="tol"):
+            sup_check("s", np.zeros(3))
 
     def test_sup_check_of_nan_fails_at_the_nan(self):
         vals = np.zeros((4, 5))
         vals[2, 3] = np.nan
-        chk = sup_check("s", vals, axes=(np.arange(4.0), 10 + np.arange(5.0)))
+        chk = sup_check("s", vals, 1.0,
+                        axes=(np.arange(4.0), 10 + np.arange(5.0)))
         assert math.isnan(chk.value) and not chk.passed
         assert chk.where == ((2, 3), (2.0, 13.0))
 
@@ -50,7 +58,8 @@ class TestCheck:
 
 
 class TestReport:
-    rep = Report((Check("a", 1.0, 2.0), Check("b", 3.0)), {"orientation": "ab"})
+    rep = Report((Check("a", 1.0, 2.0), Check("b", 3.0, 4.0)),
+                 {"orientation": "ab"})
 
     def test_lookup(self):
         assert self.rep.a == 1.0 and self.rep.b == 3.0

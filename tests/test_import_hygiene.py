@@ -35,10 +35,10 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: public names that only tests load, kept for the statement they check
 PAPER_NAMES = {
     "check_necessary": "necessity: c' = c0' (d0 + n0), n0 from the frame of D",
+    "compatibility_residual": "the compatibility system r1, r2, r3",
     "classify_special": "the lightlike line, planar and helix special cases",
     "decompose": "n3 = cos theta T + p N + q B along alpha = c - u d0",
     "reduce_from_l3": "Cauchy data in L^3 embed as data in R^4_1",
-    "frame_identity_residuals": "the half-angle identities of the frame",
     "project_lightlike": "pi: a lightlike vector's point on the unit sphere "
                          "of E (n0 = pi(tau - nu), n3 = pi(tau + nu))",
     "solve_pq": "a theta extension gives p = -theta_u sin theta / kappa and "

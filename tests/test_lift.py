@@ -404,7 +404,7 @@ class TestAngleFromMetric:
         off = H - mk.inner(H, fr.e2)[..., None] * fr.e2
         for chk, field in ((rep["sup_off_e2"], off),
                            (rep["sup_dot_etilde"], mk.inner(H, fr.etilde))):
-            ref = numerics.sup_check("ref", field, keep=keep)
+            ref = numerics.sup_check("ref", field, np.inf, keep=keep)
             assert chk.masked == ref.masked and chk.where[0] == ref.where[0]
             assert abs(chk.value - ref.value) <= 1e-11 * max(1.0, ref.value)
 
@@ -456,9 +456,10 @@ class TestAngleFromMetric:
         seen = record_diff_samples(monkeypatch)
         rep = h_parallel_e2(s)
         assert rep.route == "differenced"
-        assert rep.sup_off_e2 == numerics.sup_check("o", off, keep=keep).value
+        assert rep.sup_off_e2 == numerics.sup_check("o", off, np.inf,
+                                                     keep=keep).value
         assert rep.sup_dot_etilde == numerics.sup_check(
-            "d", mk.inner(H.values, fr.etilde), keep=keep).value
+            "d", mk.inner(H.values, fr.etilde), np.inf, keep=keep).value
         passes = lambda: [(v is vals, axis) for v, axis in seen
                           if np.shape(v) == vals.shape]
         assert passes() == [(True, 0), (False, 1), (True, 1)]
@@ -757,7 +758,7 @@ class TestGeneratorRoute:
         assert peak < s.grid.values.nbytes / 2
         assert H.values.shape == s.grid.values.shape
         assert not H.values.flags.writeable and not H.values.any()
-        chk = numerics.sup_check("sup", H.values, keep=~H.degenerate)
+        chk = numerics.sup_check("sup", H.values, np.inf, keep=~H.degenerate)
         assert (chk.value, chk.where[0], chk.masked) == (0.0, (0, 0), 0)
         # a masked node still gets its NaN, on a writable grid of zeros
         g12 = s.g12.copy()

@@ -347,11 +347,11 @@ class TestNorms:
         vals[1, 2] = [-3.0, 4.0]
         vals[0, 0] = [0.0, -7.0]
         keep = np.ones((3, 4), dtype=bool)
-        assert sup_check("s", vals).value == 7.0
+        assert sup_check("s", vals, np.inf).value == 7.0
         keep[0, 0] = False
-        assert sup_check("s", vals, keep=keep).value == 5.0
-        assert sup_check("s", -vals[..., 0], keep=keep).value == 3.0
-        chk = sup_check("s", vals, keep=keep)
+        assert sup_check("s", vals, np.inf, keep=keep).value == 5.0
+        assert sup_check("s", -vals[..., 0], np.inf, keep=keep).value == 3.0
+        chk = sup_check("s", vals, np.inf, keep=keep)
         assert chk.where[0] == (1, 2)
         assert chk.masked == 1
 
@@ -375,10 +375,11 @@ class TestNorms:
     def test_sup_check_over_no_node_raises(self):
         # a sup over an empty set is no evidence of a small residual
         with pytest.raises(DegenerateAngle, match="no node is left"):
-            sup_check("s", np.ones((5, 5)), keep=np.zeros((5, 5), dtype=bool))
+            sup_check("s", np.ones((5, 5)), np.inf,
+                      keep=np.zeros((5, 5), dtype=bool))
 
 
-def reference_form_sups(g, names, targets, tols=(np.inf,) * 3, band=0):
+def reference_form_sups(g, names, targets, tols, band=0):
     """The checks of ``_form_sups`` by the full-grid formula: whole-grid
     partials, their einsum (k = 3) or ``mk.inner`` (k = 4), then
     ``sup_check`` over the nodes ``band`` rows in from each edge."""
@@ -468,10 +469,12 @@ class TestFormSups:
     def test_band_that_keeps_no_node_raises(self):
         g = Grid2D(0.0, 0.0, 0.1, 0.1, np.ones((4, 30, 4)))
         with pytest.raises(DegenerateAngle, match="no node is left"):
-            numerics._form_sups(g, ("a", "b", "c"), (0.0,) * 3, band=2)
+            numerics._form_sups(g, ("a", "b", "c"), (0.0,) * 3, (np.inf,) * 3,
+                                band=2)
 
     def test_payloads_other_than_3_or_4_vectors_raise(self):
         for vals in (np.ones((6, 6)), np.ones((6, 6, 2))):
             with pytest.raises(BadGrid, match="3- or 4-vectors"):
                 numerics._form_sups(Grid2D(0.0, 0.0, 0.1, 0.1, vals),
-                                    ("a", "b", "c"), (0.0,) * 3)
+                                    ("a", "b", "c"), (0.0,) * 3,
+                                    (np.inf,) * 3)
