@@ -19,8 +19,8 @@ reads: ``BadData`` on the structure, ``NecessaryConditionFailed``, ``BadData``
 on the resample, compatibility, extension, disjointness.  After the
 resample ``ruled_solution`` adds its not-a-line ``BadData``, and
 ``decompose`` its ``DegenerateFrenet``.  ``classify_special`` always checks
-the structure first, but the necessary condition only on data that is
-neither a straight line nor Frenet-degenerate.
+the structure first, but the necessary condition only on data that is not
+a straight line.
 
 scipy's ``CubicSpline`` loads on the first fit, not with this module.  Every
 fit (the resample to c0' = 1) still calls this module's ``CubicSpline``, so
@@ -273,26 +273,25 @@ class CurveDecomposition:
         kappa = sup_check("sup_kappa", fr.kappa, ZERO_TOL, axes=us)
         if kappa.passed:
             return Report((kappa,), {"kind": SpecialCaseKind.LIGHTLIKE_LINE})
-        if np.any(fr.degenerate):
-            return Report((kappa,), {
-                "kind": SpecialCaseKind.GENERIC,
-                "degenerate_nodes": int(fr.degenerate.sum())})
-        tor = sup_check("sup_tor", fr.tor, ZERO_TOL, axes=us)
+        # tor and p are sups over the nodes with a Frenet frame
+        keep = ~fr.degenerate
+        tor = sup_check("sup_tor", fr.tor, ZERO_TOL, keep=keep, axes=us)
         checks = (kappa, tor,
                   sup_check("sup_theta_u", diff_samples(
                       self.theta0, self.alpha.dt, 1), ZERO_TOL, axes=us),
-                  sup_check("sup_p", self.p0fn, ZERO_TOL, axes=us))
-        if tor.passed:
-            return Report(checks, {"kind": SpecialCaseKind.PLANAR_ALPHA})
-        T = fr.T - fr.T.mean(axis=0)
-        axis = np.linalg.eigh(T.T @ T)[1][:, 0]
-        c = self.data.c
-        tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * _derivative_error(
-            c, diff_samples(c.points, c.dt, 1)))
-        checks += (sup_check("off_circle", T @ axis, tol, axes=us),)
-        helix = all(c.passed for c in checks[2:])
-        return Report(checks, {"kind": SpecialCaseKind.HELIX if helix
-                               else SpecialCaseKind.GENERIC})
+                  sup_check("sup_p", self.p0fn, ZERO_TOL, keep=keep, axes=us))
+        kind = SpecialCaseKind.PLANAR_ALPHA
+        if not tor.passed:
+            T = fr.T - fr.T.mean(axis=0)
+            axis = np.linalg.eigh(T.T @ T)[1][:, 0]
+            c = self.data.c
+            tol = max(CIRCLE_TOL, 4.0 * np.sqrt(2.0) * _derivative_error(
+                c, diff_samples(c.points, c.dt, 1)))
+            checks += (sup_check("off_circle", T @ axis, tol, axes=us),)
+            kind = SpecialCaseKind.HELIX if all(
+                c.passed for c in checks[2:]) else SpecialCaseKind.GENERIC
+        return Report(checks, {"kind": kind,
+                               "degenerate_nodes": int(fr.degenerate.sum())})
 
 
 class SpecialCaseKind(Enum):
@@ -459,11 +458,12 @@ def classify_special(d: BjorlingData) -> Report:
 
     Info ``kind`` is the ``SpecialCaseKind``.  Each check is a sup over
     the resampled u nodes that passes when its quantity vanishes.
-    sup_kappa comes first; data with a Frenet-degenerate node stops there,
-    with info ``degenerate_nodes`` counting them.  Then come sup_tor,
-    sup_theta_u and sup_p, and off_circle when tor does not vanish.  A line
-    passes sup_kappa, a planar alpha sup_tor, and a helix sup_theta_u,
-    sup_p and off_circle.
+    sup_kappa comes first, and a line stops there.  Then come sup_tor,
+    sup_theta_u and sup_p, and off_circle when tor does not vanish.
+    sup_tor and sup_p leave out the Frenet-degenerate nodes, where tor, N
+    and so p are undefined: their ``masked`` and info ``degenerate_nodes``
+    count them.  A line passes sup_kappa, a planar alpha sup_tor, and a
+    helix sup_theta_u, sup_p and off_circle.
 
     A planar alpha is recognized by tor = 0 alone: the worked constant-angle
     circle data has theta_u = 0 as well, so the planar test cannot require
@@ -677,9 +677,13 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     gamma must be lightlike in R^3_1 (signature (-,+,+)) with increasing
     time component, n unit spacelike and normal to gamma'.  The embedding
     is c = (gamma, 0), a = (n, 0), b = d3; solutions then stay inside the
-    slice x3 = 0 and solve the three-dimensional problem.  Each of these
-    conditions (checks lightlike, unit, normal) is held to ``STRUCT_TOL``;
-    a failed one raises ``BadData``.
+    slice x3 = 0 and solve the three-dimensional problem.  The embedded
+    data run the chain's structure check, so they pass here exactly when
+    they pass ``validate_structure``: with b = d3 its orthonormal check of
+    (a, b) is the unit check of n, and gamma's lightlike residual is held to
+    the data's own bound.  Normality, sup |<c', a>| on the chain's
+    differenced c', is held to ``STRUCT_TOL`` (check normal).  A failed
+    check raises ``BadData``.
     """
     if gamma.points.shape[1] != 3 or n.points.shape[1] != 3:
         raise BadData("gamma and n must be curves in R^3_1 (3 components)")
@@ -687,15 +691,10 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
                                    points=np.pad(cur.points, ((0, 0), (0, 1))))
     d = BjorlingData(c=pad(gamma), a=pad(n), b=SampledCurve(
         t_min=gamma.t_min, dt=gamma.dt, points=np.tile(mk.D3, (gamma.n, 1))))
-    cp, a = diff_samples(d.c.points, d.c.dt, 1), d.a.points
-    if cp[:, 0].min() <= 0:
-        raise BadData("gamma0'(t) must be positive")
-    for name, vals, msg in (
-            ("lightlike", mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp),
-             "gamma is not lightlike in R^3_1"),
-            ("unit", mk.inner(a, a) - 1.0, "n is not unit spacelike in R^3_1"),
-            ("normal", mk.inner(cp, a), "n is not normal to gamma'")):
-        chk = sup_check(name, vals, STRUCT_TOL, axes=(gamma.ts,))
-        if not chk.passed:
-            raise BadData(msg, chk)
+    dec = CurveDecomposition(d)
+    dec._structure_error            # BadData on the structure comes first
+    chk = sup_check("normal", mk.inner(dec._dc, d.a.points), STRUCT_TOL,
+                    axes=(gamma.ts,))
+    if not chk.passed:
+        raise BadData("n is not normal to gamma'", chk)
     return d

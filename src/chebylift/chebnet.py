@@ -7,8 +7,9 @@ metric coefficient F(u, v) = <T1(u), T2(v)> is evaluated directly, with no
 differentiation, and the net keeps its generators: X_u = T1(u), X_v = T2(v)
 and X_uv = 0 hold exactly, so its shape operator needs only the 1-D
 derivatives T1' and T2' and (n, n) products of the curves.  Any other
-net, or a net whose grid was replaced, has its shape operator differenced
-from the point grid.  Net points are stored as 3-vectors of E throughout.
+net, or a net whose grid or F was replaced, has its shape operator
+differenced from the point grid.  Net points are stored as 3-vectors of E
+throughout.
 
 The coordinate change fits ``_splines.RectBivariateSpline``, FITPACK's
 s = 0 bicubic with its coefficients from two banded 1-D solves, and scipy
@@ -49,10 +50,12 @@ class Generators:
     """The sphere curves T1(u), T2(v) a surface was built from, the grid
     the builder made of them, and the ``check_disjointness`` report on the
     curves.  The curves are read-only copies.  They describe that grid
-    only: a surface whose ``grid`` is another object
-    (``dataclasses.replace(s, grid=...)``) is differenced instead.  The
-    (t, s) form of a square lift keeps its source's curves, with its own
-    grid, whose nodes sit off the curves' samples."""
+    only, and a net only with the F = <T1, T2> its builder formed, kept as
+    ``_F`` outside the fields: a surface whose ``grid`` is another object
+    (``dataclasses.replace(s, grid=...)``), or a net whose ``F`` is, is
+    differenced instead.  The (t, s) form of a square lift keeps its
+    source's curves, with its own grid, whose nodes sit off the curves'
+    samples."""
 
     T1: SphereCurve
     T2: SphereCurve
@@ -61,10 +64,13 @@ class Generators:
 
 
 def _generators(s) -> Optional[Generators]:
-    """The generators of a net or lift ``s`` while its grid is the one
-    they were built into, else None."""
+    """The generators of a net or lift ``s`` while its grid, and a net's
+    F, are the ones they were built into, else None."""
     gen = s.generators
-    return gen if gen is not None and gen.grid is s.grid else None
+    if gen is None or gen.grid is not s.grid:
+        return None
+    live = not isinstance(s, NetSurface) or getattr(gen, "_F", None) is s.F
+    return gen if live else None
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ class NetSurface:
 
     A Chebyshev net has E = G = 1 by definition, so only F = cos theta is
     stored: ``theta`` is arccos of F clipped to [-1, 1], computed on each
-    read.  ``is_chebyshev`` measures E and G of a point grid.
+    read into a new array, and a lift of the net takes its angle field
+    from it.  ``is_chebyshev`` measures E and G of a point grid.
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
@@ -95,7 +102,8 @@ class NetSurface:
 
     @property
     def theta(self) -> np.ndarray:
-        return np.arccos(np.clip(self.F, -1.0, 1.0))
+        theta = np.clip(self.F, -1.0, 1.0)
+        return np.arccos(theta, out=theta)
 
     @cached_property
     def _shape(self) -> "EuclideanShape":
@@ -316,8 +324,10 @@ def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
     axes = (T1.t_min, T2.t_min, T1.dt, T2.dt)
     grid = _unscanned_grid(*axes, vals if x0 is None else vals[..., 1:])
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
-    return NetSurface(grid=grid, F=F, generators=Generators(
-        frozen(T1), frozen(T2), grid, rep)), _unscanned_grid(*axes, vals)
+    gen = Generators(frozen(T1), frozen(T2), grid, rep)
+    object.__setattr__(gen, "_F", F)
+    return (NetSurface(grid=grid, F=F, generators=gen),
+            _unscanned_grid(*axes, vals))
 
 
 def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:

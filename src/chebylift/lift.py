@@ -33,9 +33,10 @@ The curvature calls and the normal frame read the angle's trigonometry
 from the metric coefficient g12 = cos theta - 1, with no trigonometric
 call on the grid: cos theta = 1 + g12, 1 - cos theta = -g12,
 sin^2(theta/2) = -g12/2, sin^2 theta = -g12 (2 + g12) and sin theta its
-square root.  theta is read only where it is differenced
-(``gaussian_curvature``) or resampled (the coordinate change without
-generators, which takes the new g12 from its cosine).
+square root.  The lift of a net takes its theta from ``NetSurface.theta``.
+theta is read only where it is differenced (``gaussian_curvature``) or
+resampled (the coordinate change without generators, which takes the new
+g12 from its cosine).
 
 Nodes where the net angle approaches 0 or pi are excluded from the
 quantities that divide by sin theta or 1 - cos theta.  ``mean_curvature``,
@@ -157,9 +158,7 @@ def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
         if gen is not None:
             _read_only(vals)
         grid = g.with_values(vals)
-    theta = np.clip(n.F, -1.0, 1.0)     # n.theta, with arccos in place
-    np.arccos(theta, out=theta)
-    return LiftSurface(grid=grid, theta=theta, g12=n.F - 1.0, source=n,
+    return LiftSurface(grid=grid, theta=n.theta, g12=n.F - 1.0, source=n,
                        coords=NULL_COORDS, generators=None if gen is None
                        else replace(gen, grid=grid))
 

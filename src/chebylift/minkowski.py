@@ -8,7 +8,9 @@ stored as 3-vectors.
 The adapted frame of a spacelike plane span{a,b} consists of the unit
 timelike vector tau, the unit spacelike normal nu, the sphere points n0, n3
 obtained by projecting the lightlike directions tau -+ nu, and the angle
-theta with cos theta = <n0,n3>.
+theta with cos theta = <n0,n3>.  The projection pi(L) = (0, L1/L0, L2/L0,
+L3/L0) of a lightlike L onto the unit sphere of E is done only there, one
+frame at a time.
 """
 
 from __future__ import annotations
@@ -65,27 +67,6 @@ def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.stack([-m0, -m1, m2, -m3], axis=-1)
 
 
-def project_lightlike(L: np.ndarray) -> np.ndarray:
-    """Project a lightlike vector onto the unit sphere of E.
-
-    Returns (0, L1/L0, L2/L0, L3/L0); the result has unit Euclidean norm
-    exactly when L is exactly lightlike, and is invariant under positive
-    rescaling of L.  L counts as lightlike when |<L,L>| <= 1e-9
-    max(|L|^2, 1), a roundoff floor.
-    """
-    L = np.asarray(L, dtype=float)
-    q = inner(L, L)
-    e2 = np.einsum("...i,...i->...", L, L)
-    if np.any(np.abs(q) > 1e-9 * np.maximum(e2, 1.0)):
-        raise NotLightlike("projection requires a lightlike vector")
-    L0 = L[..., 0]
-    if np.any(np.abs(L0) <= 1e-12):
-        raise ZeroTimeComponent("lightlike vector with vanishing x0")
-    out = L / L0[..., None]
-    out[..., 0] = 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class MinkowskiFrame:
     """Adapted frame (tau, a, b, nu) of a spacelike plane span{a, b}."""
@@ -114,10 +95,10 @@ def build_frame(a: np.ndarray, b: np.ndarray) -> MinkowskiFrame:
     from those residuals.  tau and nu are normalized, so tau -+ nu is
     lightlike to roundoff and every pair accepted has a frame.  The kernel
     works in Python floats: numpy's overhead per call on 4-vectors would
-    cost several times the arithmetic.  pi is done in floats too, with
-    ``project_lightlike``'s two guards (``NotLightlike``,
-    ``ZeroTimeComponent``) and its quotients, so n0 and n3 are its output
-    bit for bit; cos theta is the float dot of n0 and n3.
+    cost several times the arithmetic.  pi is done in floats too, by
+    ``_project_floats``, so n0 = pi(tau - nu) and n3 = pi(tau + nu) are
+    quotients of the frame's own components; cos theta is the float dot of
+    n0 and n3.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -157,8 +138,11 @@ def build_frame(a: np.ndarray, b: np.ndarray) -> MinkowskiFrame:
 
 
 def _project_floats(L: list) -> list:
-    """``project_lightlike`` of one 4-vector of Python floats, with its
-    guards and messages."""
+    """pi(L) = (0, L1/L0, L2/L0, L3/L0) of one 4-vector of Python floats:
+    its point on the unit sphere of E, invariant under positive rescaling
+    of L and of unit norm exactly when L is exactly lightlike.  L counts as
+    lightlike when |<L,L>| <= 1e-9 max(|L|^2, 1), a roundoff floor, else
+    ``NotLightlike``; |L0| <= 1e-12 raises ``ZeroTimeComponent``."""
     l0, l1, l2, l3 = L
     q = -l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
     e2 = l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3

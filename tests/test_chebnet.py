@@ -870,6 +870,22 @@ class TestEuclideanShape:
             err = lambda s: np.abs(getattr(s, name) - oracles[name]).max()
             assert err(exact) <= err(differenced), name
 
+    def test_replaced_f_is_differenced(self):
+        # the generators' e g over 1 - F^2 holds only for the F they
+        # formed: a net with another F has the shape of its grid, as
+        # without generators, within differencing error (1.3e-4) of the
+        # net's own K_T, and its lift keeps none
+        net = build_first_kind(*random_net_pair(np.random.default_rng(5),
+                                                n=41), np.zeros(3))
+        moved = replace(net, F=0.5 * net.F)
+        want = euclidean_shape(replace(moved, generators=None))
+        got = euclidean_shape(moved)
+        for name in ("gauss_map", "e", "f", "g", "K_T"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.abs(got.K_T - euclidean_shape(net).K_T).max() <= 1e-3
+        assert lift_net(moved).generators is None
+        assert lift_net(net).generators is not None
+
     @settings(derandomize=True, max_examples=20, deadline=None,
               database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([41, 81, 201]),

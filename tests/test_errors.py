@@ -182,10 +182,10 @@ GUARDS = {
                 BadData, "share their sample grid"),
     "l3_time": (lambda: reduce_from_l3(
         curve(lambda t: np.stack([-t, t, 0 * t], axis=1)), curve(UP)),
-        BadData, "gamma0'(t) must be positive"),
+        BadData, "c0'(t) must be positive"),
     "l3_unit": (lambda: reduce_from_l3(curve(LINE),
                                        curve(lambda t: 2.0 * UP(t))),
-                BadData, "n is not unit spacelike"),
+                BadData, "(a, b) is not orthonormal spacelike"),
     "l3_normal": (lambda: reduce_from_l3(curve(LINE), curve(
         lambda t: np.tile([0.0, 1.0, 0.0], (t.size, 1)))),
         BadData, "n is not normal to gamma'"),

@@ -39,8 +39,6 @@ PAPER_NAMES = {
     "classify_special": "the lightlike line, planar and helix special cases",
     "decompose": "n3 = cos theta T + p N + q B along alpha = c - u d0",
     "reduce_from_l3": "Cauchy data in L^3 embed as data in R^4_1",
-    "project_lightlike": "pi: a lightlike vector's point on the unit sphere "
-                         "of E (n0 = pi(tau - nu), n3 = pi(tau + nu))",
     "solve_pq": "a theta extension gives p = -theta_u sin theta / kappa and "
                 "q = (p_u + kappa cos theta) / tor, with p^2 + q^2 = "
                 "sin^2 theta",
