@@ -12,10 +12,11 @@ differenced from the point grid.  Net points are stored as 3-vectors of E
 throughout.
 
 The coordinate change fits ``_splines.RectBivariateSpline``, FITPACK's
-s = 0 bicubic with its coefficients from two banded 1-D solves, and scipy
-loads on the first fit, not with this module.  Every fit still calls this
-module's ``RectBivariateSpline`` or ``CubicSpline``, so a tracer or a test
-that rebinds one of these names sees each fit.
+s = 0 bicubic with its coefficients from one block LU solve per axis of
+the collocation matrix, and scipy loads on the first fit, not with this
+module.  Every fit still calls this module's ``RectBivariateSpline`` or
+``CubicSpline``, so a tracer or a test that rebinds one of these names
+sees each fit.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ class Generators:
     """The sphere curves T1(u), T2(v) a surface was built from, the grid
     the builder made of them, and the ``check_disjointness`` report on the
     curves.  The curves are read-only copies.  They describe that grid
-    only, and a net only with the F = <T1, T2> its builder formed, kept as
-    ``_F`` outside the fields: a surface whose ``grid`` is another object
-    (``dataclasses.replace(s, grid=...)``), or a net whose ``F`` is, is
+    only, and only with the angle fields their builder formed: a net's F
+    = <T1, T2>, or a lift's g12 and theta, kept outside the fields
+    (``_bind``).  A surface whose ``grid`` is another object
+    (``dataclasses.replace(s, grid=...)``), or whose angle field is, is
     differenced instead.  The (t, s) form of a square lift keeps its
     source's curves, with its own grid, whose nodes sit off the curves'
     samples."""
@@ -63,13 +65,21 @@ class Generators:
     disjointness: Report
 
 
+def _bind(gen: Generators, **fields) -> Generators:
+    """``gen``, live only for a surface whose angle fields, by name, are
+    the arrays ``fields``: a net's F, or a lift's g12 and theta."""
+    object.__setattr__(gen, "_fields", fields)
+    return gen
+
+
 def _generators(s) -> Optional[Generators]:
-    """The generators of a net or lift ``s`` while its grid, and a net's
-    F, are the ones they were built into, else None."""
+    """The generators of a net or lift ``s`` while its grid and angle
+    fields are the ones they were bound to, else None."""
     gen = s.generators
     if gen is None or gen.grid is not s.grid:
         return None
-    live = not isinstance(s, NetSurface) or getattr(gen, "_F", None) is s.F
+    fields = getattr(gen, "_fields", {})
+    live = fields and all(getattr(s, k, None) is a for k, a in fields.items())
     return gen if live else None
 
 
@@ -324,8 +334,7 @@ def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
     axes = (T1.t_min, T2.t_min, T1.dt, T2.dt)
     grid = _unscanned_grid(*axes, vals if x0 is None else vals[..., 1:])
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
-    gen = Generators(frozen(T1), frozen(T2), grid, rep)
-    object.__setattr__(gen, "_F", F)
+    gen = _bind(Generators(frozen(T1), frozen(T2), grid, rep), F=F)
     return (NetSurface(grid=grid, F=F, generators=gen),
             _unscanned_grid(*axes, vals))
 
@@ -409,7 +418,7 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     sampled with the source's node counts; values come from one bicubic
     spline per component through the source samples
     (``RectBivariateSpline``: FITPACK's s = 0 knots, and coefficients from
-    one banded solve per axis over all columns).
+    one block LU solve per axis, by matmuls over all columns).
 
     On a square grid both target axes share one spacing, so each source
     abscissa depends on a - b or a + b of the target node (a, b) alone:

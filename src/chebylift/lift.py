@@ -13,9 +13,9 @@ lift's (nu, nv, 4) array, and its source net's grid is the read-only
 strided view [..., 1:] of that array; ``lift_net`` copies the net's points.
 ``lift_net`` holds the net to |F| < 1; ``build_minimal`` does not check it
 again, as its disjointness check bounded |F| by 1 - 5e-13.
-While a lift's grid is the one its builder made, its tangents are exact:
-f_u = d0 + n0(u) and f_v = d0 + n3(v), with n0 and n3 read as broadcast
-views, and f_uv = 0.  ``mean_curvature``,
+While a lift's grid, g12 and theta are the arrays its builder made, its
+tangents are exact: f_u = d0 + n0(u) and f_v = d0 + n3(v), with n0 and n3
+read as broadcast views, and f_uv = 0.  ``mean_curvature``,
 ``normal_frame`` and ``decompose_minimal`` then use them and difference
 nothing, and ``h_parallel_e2`` measures nothing: H = 0 exactly, so it
 states its two sups, 0 by construction, and its route as info.  The
@@ -23,9 +23,9 @@ coordinate change of a square lift resamples the 1-D generators, not
 2-D splines of the grid, and its (t, s) form keeps them, read-only, for
 the way back; any other lift fits one bicubic per component of f and one
 for theta in each direction.  Every other lift (gallery nets, the null
-forms resampled from (t, s), hand-built surfaces, a lift whose grid was
-replaced) has its partials differenced from the grid by each call that
-needs them.
+forms resampled from (t, s), hand-built surfaces, a lift whose grid or
+angle was replaced) has its partials differenced from the grid by each
+call that needs them.
 ``verify_null_coords`` always differences the grid, in slabs of rows: it
 checks the samples themselves.  Nothing is kept on a lift beyond its fields.
 
@@ -60,10 +60,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import minkowski as mk
 from ._splines import CubicSpline
-from .chebnet import (Generators, NetSurface, _angle_partials, _diagonal_axes,
-                      _first_kind, _generator_tangents, _generators, _on_axes,
-                      _read_only, _target_axes, equivalent_immersion,
-                      euclidean_shape)
+from .chebnet import (Generators, NetSurface, _angle_partials, _bind,
+                      _diagonal_axes, _first_kind, _generator_tangents,
+                      _generators, _on_axes, _read_only, _target_axes,
+                      equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, cross,
@@ -87,7 +87,8 @@ class LiftSurface:
     A surface is immutable: to change its values, build a new
     ``LiftSurface``.  It keeps only its fields: no call stores a partial
     or any other array on it.  ``generators`` is set by the builders (see
-    the module docstring) and is live while ``grid`` is the grid they made.
+    the module docstring) and is live while ``grid``, ``g12`` and ``theta``
+    are the arrays they made.
     theta and g12 of another shape than (nu, nv) raise ``BadGrid``.
     """
 
@@ -158,9 +159,11 @@ def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
         if gen is not None:
             _read_only(vals)
         grid = g.with_values(vals)
-    return LiftSurface(grid=grid, theta=n.theta, g12=n.F - 1.0, source=n,
+    theta, g12 = n.theta, n.F - 1.0
+    return LiftSurface(grid=grid, theta=theta, g12=g12, source=n,
                        coords=NULL_COORDS, generators=None if gen is None
-                       else replace(gen, grid=grid))
+                       else _bind(replace(gen, grid=grid), g12=g12,
+                                  theta=theta))
 
 
 def verify_null_coords(s: LiftSurface) -> Report:
@@ -406,9 +409,9 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
     A square lift with live generators is resampled through its 1-D curves
     (``_resample_generators``), and its (t, s) form keeps them.  Any other
     lift is resampled by ``equivalent_immersion``, f in one call on its own
-    (n, n, 4) grid and theta in a second: five bicubic fits, each two
-    banded solves over all columns.  That spline reproduces x0, affine
-    in the parameters, up to roundoff; x0 is rebuilt in place from the
+    (n, n, 4) grid and theta in a second: five bicubic fits, each one
+    block LU solve per axis over all columns.  That spline reproduces x0,
+    affine in the parameters, up to roundoff; x0 is rebuilt in place from the
     target coordinates plus the mean offset, keeping it exactly separable.
     """
     gen = _generators(s)
@@ -439,7 +442,8 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
         _read_only(grid.values)
     return (LiftSurface(grid=grid, theta=new_th, g12=g12, source=None,
                         coords=coords_tag,
-                        generators=replace(gen, grid=grid) if keep else None),
+                        generators=_bind(replace(gen, grid=grid), g12=g12,
+                                         theta=new_th) if keep else None),
             rep)
 
 

@@ -10,8 +10,8 @@ from scipy.interpolate import CubicSpline
 from chebylift import chebnet, lift, minkowski as mk, numerics
 from chebylift.bjorling import ExtensionChoice, solve
 from chebylift.chebnet import (
-    build_first_kind, check_disjointness, euclidean_shape, gallery,
-    is_chebyshev, sine_gordon_residual,
+    _profile_x, _profile_y, build_first_kind, check_disjointness,
+    euclidean_shape, gallery, is_chebyshev, sine_gordon_residual,
 )
 from chebylift.errors import (BadGrid, ChebyliftError, DegenerateAngle,
                               MissingSource, NotChebyshev, NotMinimal, Report)
@@ -760,12 +760,43 @@ class TestGeneratorRoute:
         assert not H.values.flags.writeable and not H.values.any()
         chk = numerics.sup_check("sup", H.values, np.inf, keep=~H.degenerate)
         assert (chk.value, chk.where[0], chk.masked) == (0.0, (0, 0), 0)
-        # a masked node still gets its NaN, on a writable grid of zeros
-        g12 = s.g12.copy()
-        g12[3, 4] = -1e-12
-        H = mean_curvature(replace(s, g12=g12))
-        assert np.argwhere(np.isnan(H.values[..., 0])).tolist() == [[3, 4]]
+        # a masked node still gets its NaN, on a writable grid of zeros.
+        # T2(v) = (cos e cos v, sin e, cos e sin v) passes T1(u) = (cos u,
+        # sin u, 0) at u = e, v = 0, so the node u = v = 0 has F = cos e and
+        # sin^2(theta/2) = 2.3e-10, under the mask's 1e-9, while its sampled
+        # separation 3e-5 passes the builder's 1e-6
+        e, ts = 3e-5, np.linspace(-0.5, 0.5, 101)
+        c, z = np.cos(ts), np.zeros_like(ts)
+        T1, T2 = (SphereCurve(t_min=-0.5, dt=0.01, points=np.column_stack(p))
+                  for p in ((c, np.sin(ts), z),
+                            (np.cos(e) * c, z + np.sin(e),
+                             np.cos(e) * np.sin(ts))))
+        s = build_minimal(T1, T2, np.zeros(4))
+        assert lift._generators(s) is not None
+        H = mean_curvature(s)
+        assert np.argwhere(np.isnan(H.values[..., 0])).tolist() == [[50, 50]]
         assert H.values.flags.writeable and H.sup() == 0.0
+
+    @pytest.mark.parametrize("field", ["g12", "theta"])
+    def test_replaced_angle_is_differenced(self, field, monkeypatch):
+        # generators describe the angle their builder formed: a lift whose
+        # g12 or theta is another array takes the routes of a lift whose
+        # grid was replaced, bit for bit, and its coordinate change fits
+        # bicubics
+        s = build_minimal(*gallery_generators(41), np.zeros(4))
+        angle = {"g12": 0.9 * s.g12, "theta": 0.9 * s.theta}[field]
+        moved = replace(s, **{field: angle})
+        stale = replace(moved, grid=s.grid.with_values(s.grid.values.copy()))
+        assert lift._generators(moved) is None
+        H, H_stale = mean_curvature(moved), mean_curvature(stale)
+        assert np.array_equal(H.values, H_stale.values, equal_nan=True)
+        fits, fit = [], chebnet.RectBivariateSpline
+        monkeypatch.setattr(chebnet, "RectBivariateSpline",
+                            lambda *a: fits.append(a) or fit(*a))
+        (iso, _), (iso_stale, _) = map(isothermal_form, (moved, stale))
+        assert len(fits) == 10 and iso.generators is None
+        for name in ("g12", "theta"):
+            assert np.array_equal(getattr(iso, name), getattr(iso_stale, name))
 
     def test_builder_payloads_are_read_only(self):
         s = build_minimal(*gallery_generators(41), np.zeros(4))
@@ -904,6 +935,54 @@ class TestCoordinateChange:
                             ("back", 3.85, 4.05), ("back_o", 3.05, 3.70)):
             order = np.log2(np.divide(sups[key][:-1], sups[key][1:]))
             assert np.all((lo <= order) & (order <= hi)), (key, order)
+
+    @pytest.mark.parametrize("name", ["critical", "noncritical"])
+    def test_observed_orders_of_the_values(self, name):
+        """Observed orders of convergence of the 2-D spline route's values
+        against the gallery's closed form, log2 of the ratio of the sup
+        errors at n and 2n - 1 nodes, n = 51, 101, 201 and 401: forward
+        on the (t, s) grid, at u = (t - s)/2 and v = (t + s)/2, and back on
+        the (u, v) grid of the round trip.  Measured:
+
+        - critical: forward 3.52e-7 to 8.63e-11, back 7.14e-8 to 1.74e-11,
+          orders 3.995 to 4.001;
+        - noncritical: forward 6.87e-9 to 1.64e-12, back 2.34e-9 to
+          5.94e-13, orders 3.972 to 4.016.
+
+        The interpolation error of a cubic spline is O(h^4), so the band
+        is [3.9, 4.1].  A solve that adds 1e-13 to the coefficients moves
+        the last noncritical back order below it.
+        """
+        errs = {"fwd": [], "back": []}
+        for n in (51, 101, 201, 401):
+            s = lift_net(gallery(name, nu=n, nv=n).net)
+            iso, _ = isothermal_form(s)
+            back, _ = to_null_form(iso)
+            assert s.generators is None and iso.generators is None
+            T, S = np.meshgrid(iso.grid.us, iso.grid.vs, indexing="ij")
+            U, V = np.meshgrid(back.grid.us, back.grid.vs, indexing="ij")
+            for key, f, exact in (
+                    ("fwd", iso, gallery_lift_exact(name, (T - S) / 2.0,
+                                                    (T + S) / 2.0)),
+                    ("back", back, gallery_lift_exact(name, U, V))):
+                errs[key].append(np.abs(f.grid.values - exact).max())
+        for key, e in errs.items():
+            order = np.log2(np.divide(e[:-1], e[1:]))
+            assert np.all((3.9 <= order) & (order <= 4.1)), (key, order)
+
+
+def gallery_lift_exact(name: str, u, v) -> np.ndarray:
+    """The closed-form lift f = (u + v, X(u, v)) of a gallery net at the
+    points (u, v): X = (sin u, 2 - cos u - cos v, sin v) for ``critical``,
+    and (x(s) cos t, x(s) sin t, y(s)) at t = u + v, s = v - u for
+    ``noncritical``."""
+    if name == "critical":
+        X = (np.sin(u), 2.0 - np.cos(u) - np.cos(v), np.sin(v))
+    else:
+        t, s = u + v, v - u
+        X = (_profile_x(s) * np.cos(t), _profile_x(s) * np.sin(t),
+             _profile_y()(s))
+    return np.stack((u + v,) + X, axis=-1)
 
 
 def surface_chain(T1, T2):

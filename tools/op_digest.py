@@ -1,6 +1,6 @@
 """Print one line per benchmark op of a source tree: its error or a digest.
 
-    python tools/op_digest.py --root TREE --workload W --seed N
+    python tools/op_digest.py --root TREE --workload W --seed N [--dump DIR]
 
 For every kind of workload W, every n in (201, 801) and every draw of the
 kind, the op's inputs are made as the benchmark makes them
@@ -11,7 +11,10 @@ of the error it raised, or a sha256 over every array, number, string,
 reads (``workloads.judge``'s ``accuracy``, as name=repr).  Two trees that
 print the same lines compute the same outputs, bit for bit, on those ops;
 diff the two outputs.  Where a digest differs, its figures show how far the
-op moved against its gate's bounds.
+op moved against its gate's bounds.  With ``--dump DIR``, each op's result
+arrays and numbers, or its error, are also written to DIR/<op>.npz, keyed
+by their path in the result; ``op_diff.py`` compares two such directories
+and shows a move as numbers.
 
 The library is imported from TREE/src and the workloads from
 TREE/perfbench/workloads.py.  Nothing is written into TREE.  BLAS runs on
@@ -35,9 +38,11 @@ import numpy as np  # noqa: E402
 SIZES = (201, 801)
 
 
-def feed(h, x) -> None:
+def feed(h, x, dump=None, path="result") -> None:
     """Add ``x`` to the hash ``h``, with its type and shape, recursively
-    through tuples, lists, dicts and dataclasses (their fields only)."""
+    through tuples, lists, dicts and dataclasses (their fields only).  With
+    a dict ``dump``, also store each array and number of ``x`` in it, keyed
+    by its ``path`` from the result."""
     if isinstance(x, np.ndarray):
         h.update(f"ndarray {x.dtype.str} {x.shape}".encode())
         h.update(np.ascontiguousarray(x).tobytes())
@@ -46,20 +51,23 @@ def feed(h, x) -> None:
         h.update(f"{type(x).__name__} {x!r}".encode())
     elif isinstance(x, (tuple, list)):
         h.update(f"{type(x).__name__} {len(x)}".encode())
-        for y in x:
-            feed(h, y)
+        for i, y in enumerate(x):
+            feed(h, y, dump, f"{path}[{i}]")
     elif isinstance(x, dict):
         h.update(f"dict {len(x)}".encode())
         for k in sorted(x, key=repr):
             feed(h, k)
-            feed(h, x[k])
+            feed(h, x[k], dump, f"{path}[{k!r}]")
     elif dataclasses.is_dataclass(x):
         h.update(type(x).__name__.encode())
         for f in dataclasses.fields(x):
             h.update(f.name.encode())
-            feed(h, getattr(x, f.name))
+            feed(h, getattr(x, f.name), dump, f"{path}.{f.name}")
     else:
         raise TypeError(f"cannot digest a {type(x).__name__}")
+    if dump is not None and isinstance(
+            x, (np.ndarray, bool, int, float, np.generic)):
+        dump[path.replace("/", "_")] = np.asarray(x)
 
 
 def ops(workload: str, seed: int):
@@ -75,18 +83,27 @@ def ops(workload: str, seed: int):
                        np.random.default_rng([seed, index, n, draw]))
 
 
-def digest_lines(workload: str, seed: int):
+def digest_lines(workload: str, seed: int, dump_dir=None):
+    """The line of each op; with ``dump_dir``, each op's arrays, or its
+    error, are written to dump_dir/<op>.npz as well."""
     import workloads as wl
 
     for name, kind, n, rng in ops(workload, seed):
+        path = None if dump_dir is None else dump_dir / (
+            name.replace(" ", "_") + ".npz")
         try:
             inputs = kind.make(n, rng)
             result = kind.run(inputs)
         except Exception as e:  # the op's error is its outcome
-            yield f"{name}: {type(e).__name__}: {e}"
+            line = f"{name}: {type(e).__name__}: {e}"
+            if path is not None:
+                np.savez(path, error=np.array(line))
+            yield line
             continue
-        h = hashlib.sha256()
-        feed(h, result)
+        h, dump = hashlib.sha256(), None if path is None else {}
+        feed(h, result, dump)
+        if path is not None:
+            np.savez(path, **dump)
         # judge reads the op's kind and inputs, not its seed
         accuracy = wl.judge(wl.Op(kind, n, None, inputs), result).accuracy
         yield " ".join([f"{name}: {h.hexdigest()}"] + [
@@ -112,8 +129,12 @@ def tree_args(description: str, *options) -> argparse.Namespace:
 
 
 def main() -> None:
-    args = tree_args(__doc__.split("\n\n")[0])
-    for line in digest_lines(args.workload, args.seed):
+    args = tree_args(__doc__.split("\n\n")[0],
+                     ("--dump", {"type": Path, "metavar": "DIR",
+                                 "help": "write each op's arrays to DIR"}))
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for line in digest_lines(args.workload, args.seed, args.dump):
         print(line, flush=True)
 
 
