@@ -15,10 +15,17 @@ Each solve is a block LU of the collocation matrix A, taken ``_BLOCK`` rows
 at a time with no pivoting between blocks, and applied by dense ``matmul``s
 over all columns.  A is banded, so its blocks are block tridiagonal, and it
 is totally positive, so elimination without pivoting is stable (de Boor &
-Pinkus, *Numer. Math.* 27, 1977).  Its ``knots`` depend on the nodes alone,
-so a caller that evaluates several fits on one tensor grid builds the
-``design_matrix`` of each axis once.
+Pinkus, *Numer. Math.* 27, 1977).
+
+A and its ``knots`` depend on the nodes alone, so an axis's block LU is
+memoized (``_factors``), keyed by the nodes' values: a fit factors only
+node sets the memo has not seen, and the fits of one coordinate change,
+or of repeated ones on the same grid, share their factorizations.  The
+memo keeps the last ``_MEMO`` node sets, about 0.2 MB each at n = 801,
+and its arrays are read-only.  ``_by_value`` builds such memos.
 """
+
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -35,6 +42,10 @@ _BAND = 3
 #: 801 takes within 10% of its best time for b from 16 to 32, least near
 #: 20 to 24.
 _BLOCK = 24
+#: entries each memo keeps, the least recently used dropped first.  A
+#: coordinate change's round trip asks for at most 4 node sets and 2
+#: diagonal readers, so the round trips of four grids all fit.
+_MEMO = 16
 
 
 def CubicSpline(*args, **kwargs):
@@ -55,19 +66,48 @@ def design_matrix(xs, t: np.ndarray):
     return BSpline.design_matrix(np.clip(xs, t[0], t[-1]), t, 3)
 
 
+def _by_value(fn):
+    """``fn`` memoized by the values of its float array arguments, keyed by
+    their bytes, and by its other arguments: the last ``_MEMO`` calls are
+    kept, and ``.cache_clear()`` empties the memo.  ``fn`` receives the
+    arrays as read-only 1-D copies, and its results are shared by every
+    caller of the same values."""
+    memo = lru_cache(maxsize=_MEMO)(lambda *key: fn(*(
+        np.frombuffer(k) if isinstance(k, bytes) else k for k in key)))
+
+    @wraps(fn)
+    def call(*args):
+        return memo(*(np.asarray(a, dtype=float).tobytes()
+                      if isinstance(a, np.ndarray) else a for a in args))
+    call.cache_clear, call.cache_info = memo.cache_clear, memo.cache_info
+    return call
+
+
+@_by_value
+def _factors(x: np.ndarray) -> tuple:
+    """The ``_block_lu`` of the nodes ``x``, memoized by ``_by_value``, its
+    arrays S and J read-only."""
+    lu = _block_lu(x, knots(x))
+    for a in lu:
+        a.flags.writeable = False
+    return lu
+
+
 def RectBivariateSpline(x, y, z) -> "Bicubic":
     """The bicubic spline through the values ``z`` (len(x), len(y)) at the
     nodes x × y, x and y strictly increasing with at least 4 entries each.
 
     An axis's knots are its ``knots``.  The coefficients C solve
-    A_x C A_y^T = z, A the collocation matrix B_j(x_i) of an axis.  Each A
-    is factored once (``_block_lu``), one for both axes when they share
-    their nodes, and C takes one solve per axis over all columns
-    (``_block_solve``): first of A_y on a C-contiguous copy of z^T, then of
-    A_x on the transpose of that solution, so a strided ``z`` gives the
-    coefficients of its contiguous copy bit for bit.  C is row-major, the
-    layout its evaluations read.  On a tensor grid its values are
-    B_x C B_y^T with the ``design_matrix``es B of the points' axes.
+    A_x C A_y^T = z, A the collocation matrix B_j(x_i) of an axis.  Each
+    A's block LU comes from the memo ``_factors``, keyed by the axis's
+    nodes, so it is computed only for nodes the memo has not seen (at most
+    ``_MEMO`` node sets are kept, about 0.2 MB each at n = 801, read-only).
+    C takes one solve per axis over all columns (``_block_solve``): first
+    of A_y on a C-contiguous copy of z^T, then of A_x on the transpose of
+    that solution, so a strided ``z`` gives the coefficients of its
+    contiguous copy bit for bit.  C is row-major, the layout its
+    evaluations read.  On a tensor grid its values are B_x C B_y^T with
+    the ``design_matrix``es B of the points' axes.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
@@ -77,13 +117,11 @@ def RectBivariateSpline(x, y, z) -> "Bicubic":
     # then w^T, copied over z^T, solved by A_x into w
     zt = np.array(np.asarray(z, dtype=float).T, order="C")
     w = np.empty_like(zt)
-    lu = _block_lu(y, ty)
-    _block_solve(lu, zt, w)
+    _block_solve(_factors(y), zt, w)
     wt = zt.reshape(x.size, y.size)
     np.copyto(wt, w.T)
-    if not np.array_equal(x, y):
-        lu = _block_lu(x, tx)
-    return Bicubic(tx, ty, _block_solve(lu, wt, w.reshape(x.size, y.size)))
+    return Bicubic(tx, ty, _block_solve(_factors(x), wt,
+                                        w.reshape(x.size, y.size)))
 
 
 def _block_lu(x: np.ndarray, t: np.ndarray) -> tuple:

@@ -1345,16 +1345,18 @@ class TestReduceFromL3:
         light = np.abs(mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp))
         assert STRUCT_TOL < light.max() <= 2.0 * err
 
-    def test_end_to_end(self):
-        # in-slice data extracted from a genuine minimal surface of L^3:
-        # generators on the equator circle of S^2 keep e2 = +-d3 constant
+    @staticmethod
+    def in_slice_data(n: int = 401) -> tuple:
+        """In-slice data extracted from a genuine minimal surface of L^3,
+        and the equator curve n3 it was built with: generators on the
+        equator circle of S^2 keep e2 = +-d3 constant."""
         from chebylift.lift import build_minimal
         from chebylift.numerics import sample_curve as sc
         n0 = sc(lambda u: np.stack([np.cos(u), np.sin(u), 0 * u], axis=-1),
-                (-0.5, 0.5), 401, cls=SphereCurve)
+                (-0.5, 0.5), n, cls=SphereCurve)
         psi = lambda v: np.pi / 2 + 0.3 * v
         n3 = sc(lambda v: np.stack([np.cos(psi(v)), np.sin(psi(v)), 0 * v],
-                                   axis=-1), (-0.5, 0.5), 401, cls=SphereCurve)
+                                   axis=-1), (-0.5, 0.5), n, cls=SphereCurve)
         surf = build_minimal(n0, n3, np.zeros(4))
         fr = normal_frame(surf)
         j0 = int(np.argmin(np.abs(surf.grid.vs)))
@@ -1362,11 +1364,27 @@ class TestReduceFromL3:
                              surf.grid.values[:, j0, :3].copy())
         nfield = SampledCurve(surf.grid.u_min, surf.grid.du,
                               fr.etilde[:, j0, :3].copy())
-        d = reduce_from_l3(gamma, nfield)
+        return reduce_from_l3(gamma, nfield), n3
+
+    def test_end_to_end(self):
+        d, _ = self.in_slice_data()
         d.validate_structure()
         sol, rep = solve(d)
         assert rep.passed
         assert mean_curvature(sol).sup() <= 1e-5
+
+    @pytest.mark.parametrize("n", [201, 401])
+    def test_in_slice_extension_stays_in_the_slice(self, n):
+        # the data's own equator n3 as the extension keeps every point in
+        # x3 = 0: measured sup |x3| = 0.0 exactly at n = 201 and 401, as
+        # x3 sums integrals of the curves' third components, all zero.
+        # The default extension leaves the slice (sup |x3| = 0.46)
+        d, n3 = self.in_slice_data(n)
+        sol, rep = solve(d, ExtensionChoice.from_curve(n3))
+        assert rep.passed
+        x = sol.grid.values
+        eps = np.finfo(float).eps
+        assert np.abs(x[..., 3]).max() <= 4 * eps * np.abs(x).max()
 
 
 class TestOneChainPerCall:

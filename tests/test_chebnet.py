@@ -725,6 +725,24 @@ class TestBlockSolve:
                 _splines.RectBivariateSpline(x, y, view.copy()).c)
 
 
+def clear_memos():
+    _splines._factors.cache_clear()
+    chebnet._diagonal_reader.cache_clear()
+
+
+def counted_calls(monkeypatch, module, name) -> list:
+    """Rebind ``module.name`` to a wrapper that records each call's
+    arguments in the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestSplineSeam:
     def test_round_trip_fits_through_the_module_name(self, monkeypatch):
         # each direction of the coordinate change of a square lift without
@@ -732,13 +750,7 @@ class TestSplineSeam:
         # theta; every fit calls chebnet.RectBivariateSpline, the name a
         # tracer rebinds to count it.  A lift with live generators is
         # resampled through its 1-D curves and fits none.
-        fits, fit = [], chebnet.RectBivariateSpline
-
-        def counted(*args, **kwargs):
-            fits.append(args)
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(chebnet, "RectBivariateSpline", counted)
+        fits = counted_calls(monkeypatch, chebnet, "RectBivariateSpline")
         T1, T2 = gallery_generators(n=101)
         surf = lift_net(build_first_kind(T1, T2, np.zeros(3)))
         stale = replace(surf, grid=surf.grid.with_values(
@@ -752,6 +764,66 @@ class TestSplineSeam:
         assert iso.generators is not None
         to_null_form(iso)
         assert len(fits) == 10
+
+
+class TestFactorMemo:
+    """The block LU of an axis and the diagonal reader, with its design
+    matrices, are memoized by the values of their nodes: a Route B round
+    trip (a lift without live generators) factors each distinct node set
+    once, and a memo entry gives the coefficients a fresh factorization
+    gives, bit for bit."""
+
+    @pytest.mark.parametrize("name, node_sets", [("noncritical", 4),
+                                                 ("critical", 2)])
+    def test_round_trip_factors_each_node_set_once(self, name, node_sets,
+                                                   monkeypatch):
+        # the critical gallery's axes are equal both ways; without the
+        # memo a round trip factored 20 (noncritical) and 10 (critical)
+        # times
+        clear_memos()
+        lus = counted_calls(monkeypatch, _splines, "_block_lu")
+        designs = counted_calls(monkeypatch, chebnet, "design_matrix")
+        fits = counted_calls(monkeypatch, chebnet, "RectBivariateSpline")
+        surf = lift_net(gallery(name, nu=41, nv=41).net)
+        cold, _ = to_null_form(isothermal_form(surf)[0])
+        # 10 fits; the theta call of each direction reuses the f call's
+        # reader, so 8 reader matrices are built, not 16
+        assert (len(lus), len(fits), len(designs)) == (node_sets, 10, 8)
+        warm, _ = to_null_form(isothermal_form(surf)[0])
+        assert (len(lus), len(fits), len(designs)) == (node_sets, 20, 8)
+        assert np.array_equal(warm.grid.values, cold.grid.values)
+        assert np.array_equal(warm.theta, cold.theta)
+
+    def test_memoized_factorization_is_read_only(self):
+        S, J = _splines._factors(np.linspace(0.0, 1.0, 41))
+        for a in (S, J):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    @staticmethod
+    def assert_warm_equals_cleared(x, y, z):
+        # the warm fit reads both factorizations from the memo, after a
+        # fit of other values on the same nodes
+        clear_memos()
+        cold = _splines.RectBivariateSpline(x, y, z).c
+        _splines.RectBivariateSpline(x, y, np.cos(z))
+        hits = _splines._factors.cache_info().hits
+        warm = _splines.RectBivariateSpline(x, y, z).c
+        assert _splines._factors.cache_info().hits == hits + 2
+        assert np.array_equal(warm, cold)
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "graded"])
+    @pytest.mark.parametrize("n", [TestBlockSolve.B + 1, 201])
+    def test_warm_memo_gives_the_cleared_coefficients(self, n, kind):
+        rng = np.random.default_rng(n)
+        x, y = spline_nodes(kind, n, rng), spline_nodes(kind, n, rng)
+        self.assert_warm_equals_cleared(x, y, rng.standard_normal((n, n)))
+
+    @pytest.mark.parametrize("name", ["critical", "noncritical"])
+    def test_warm_memo_on_the_gallery_grids(self, name):
+        g = lift_net(gallery(name, nu=201, nv=201).net).grid
+        for k in range(4):
+            self.assert_warm_equals_cleared(g.us, g.vs, g.values[..., k])
 
 
 def grid_axes(g) -> np.ndarray:

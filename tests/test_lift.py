@@ -916,7 +916,14 @@ class TestCoordinateChange:
 
         - forward, both routes: 9.15e-7, 1.11e-7, 1.36e-8, 1.70e-9, orders
           3.05, 3.02, 3.01, equal to three digits on the two routes.  The
-          order-3 defect is still open; it is not the 2-D spline's.
+          resampled values converge at order 4
+          (``test_observed_orders_of_the_values``); the sups are of a
+          differenced metric.  The diagonal reader reads the 1-D
+          interpolants alternately at their knots, where the
+          interpolation error is 0, and at midpoints, where it is
+          O(h^4), and a 1/h stencil turns that grid-scale pattern into
+          O(h^3).  Both routes read the same interpolants, so they share
+          the order.
         - back, generators: 1.06e-7 to 2.88e-11, orders 3.89, 3.97, 3.98.
         - back, 2-D splines: 1.22e-7 to 9.87e-11, orders 3.61, 3.57, 3.10.
         """

@@ -1,4 +1,5 @@
-"""Print one line per benchmark op of a source tree: its best wall time.
+"""Print one line per benchmark op of a source tree: its first and best wall
+times.
 
     python tools/op_time.py --root TREE --workload W --seed N [--kind K]
                             [--n N] [--repeats R]
@@ -7,11 +8,12 @@ The ops are those of ``op_digest.py``, with their inputs made the same way
 (``kind.make(n, default_rng([N, kind index, n, draw]))``), restricted to
 kind K and size n when given.  Each op's inputs are made once, outside the
 timing, and its ``run`` is called R times (default 5): the line gives the
-best of the R wall times in ms.  The first call fills first-use caches,
-such as scipy's import, so with R > 1 the best time excludes them.  BLAS
-runs on one thread, as in ``perfbench/run.py``.  An op that raises prints
-its error instead.  Run two trees one after the other on an idle machine
-to compare their ops.
+first call's wall time and the best of the R, in ms.  The first call fills
+first-use caches, such as scipy's import and the spline memos of
+``_splines`` for nodes no earlier op used, so it shows an op's cold cost;
+with R > 1 the best time excludes them.  BLAS runs on one thread, as in
+``perfbench/run.py``.  An op that raises prints its error instead.  Run
+two trees one after the other on an idle machine to compare their ops.
 
 Nothing is written into TREE.  Needs only the standard library and numpy
 (and what TREE itself imports).
@@ -28,15 +30,16 @@ def time_lines(workload: str, seed: int, kind, n, repeats: int):
             continue
         try:
             inputs = k.make(size, rng)
-            best = float("inf")
+            times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 k.run(inputs)
-                best = min(best, time.perf_counter() - t0)
+                times.append(time.perf_counter() - t0)
         except Exception as e:  # the op's error is its outcome
             yield f"{name}: {type(e).__name__}: {e}"
             continue
-        yield f"{name}: best {best * 1e3:.2f} ms of {repeats}"
+        yield (f"{name}: first {times[0] * 1e3:.2f} ms, "
+               f"best {min(times) * 1e3:.2f} ms of {repeats}")
 
 
 def main() -> None:
