@@ -686,8 +686,11 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     they pass ``validate_structure``: with b = d3 its orthonormal check of
     (a, b) is the unit check of n, and gamma's lightlike residual is held to
     the data's own bound.  Normality, sup |<c', a>| on the chain's
-    differenced c', is held to ``STRUCT_TOL`` (check normal).  A failed
-    check raises ``BadData``.
+    differenced c', is held to max(``STRUCT_TOL``, err min|c'| max|a|)
+    (check normal), err the derivative error of the lightlike check
+    (``_derivative_error``): an error d in c' moves <c', a> by at most
+    |d| |a|, and err min|c'| is the estimated max |d|.  A failed check
+    raises ``BadData``.
     """
     if gamma.points.shape[1] != 3 or n.points.shape[1] != 3:
         raise BadData("gamma and n must be curves in R^3_1 (3 components)")
@@ -696,8 +699,10 @@ def reduce_from_l3(gamma: SampledCurve, n: SampledCurve) -> BjorlingData:
     d = BjorlingData(c=pad(gamma), a=pad(n), b=SampledCurve(
         t_min=gamma.t_min, dt=gamma.dt, points=np.tile(mk.D3, (gamma.n, 1))))
     dec = CurveDecomposition(d)
-    dec._structure_error            # BadData on the structure comes first
-    chk = sup_check("normal", mk.inner(dec._dc, d.a.points), STRUCT_TOL,
+    err = dec._structure_error      # BadData on the structure comes first
+    nrm = lambda x: np.linalg.norm(x, axis=1)
+    tol = max(STRUCT_TOL, err * nrm(dec._dc).min() * nrm(d.a.points).max())
+    chk = sup_check("normal", mk.inner(dec._dc, d.a.points), tol,
                     axes=(gamma.ts,))
     if not chk.passed:
         raise BadData("n is not normal to gamma'", chk)

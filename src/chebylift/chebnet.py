@@ -6,10 +6,11 @@ built from two sphere curves as X = p0 + int T1 + int T2; for those the
 metric coefficient F(u, v) = <T1(u), T2(v)> is evaluated directly, with no
 differentiation, and the net keeps its generators: X_u = T1(u), X_v = T2(v)
 and X_uv = 0 hold exactly, so its shape operator needs only the 1-D
-derivatives T1' and T2' and (n, n) products of the curves.  Any other
-net, or a net whose grid or F was replaced, has its shape operator
-differenced from the point grid.  Net points are stored as 3-vectors of E
-throughout.
+derivatives T1' and T2' and (n, n) products of the curves, and
+``is_chebyshev`` differences the rows p0 + int T1 and int T2, not the
+grid.  Any other net, or a net whose grid or F was replaced, has its
+shape operator and its metric checks differenced from the point grid.
+Net points are stored as 3-vectors of E throughout.
 
 The coordinate change fits ``_splines.RectBivariateSpline``, FITPACK's
 s = 0 bicubic with its coefficients from one block LU solve per axis of
@@ -60,9 +61,12 @@ class Generators:
     = <T1, T2>, or a lift's g12 and theta, kept outside the fields
     (``_bind``).  A surface whose ``grid`` is another object
     (``dataclasses.replace(s, grid=...)``), or whose angle field is, is
-    differenced instead.  The (t, s) form of a square lift keeps its
-    source's curves, with its own grid, whose nodes sit off the curves'
-    samples."""
+    differenced instead.  While they are live, the grid of a net or null
+    lift is the outer sum of two rows rebuilt from them
+    (``_generator_rows``), which ``is_chebyshev`` and
+    ``verify_null_coords`` difference in its place.  The (t, s) form of a
+    square lift keeps its source's curves, with its own grid, whose nodes
+    sit off the curves' samples."""
 
     T1: SphereCurve
     T2: SphereCurve
@@ -72,7 +76,9 @@ class Generators:
 
 def _bind(gen: Generators, **fields) -> Generators:
     """``gen``, live only for a surface whose angle fields, by name, are
-    the arrays ``fields``: a net's F, or a lift's g12 and theta."""
+    the arrays ``fields``: a net's F, or a lift's g12 and theta, and on a
+    (t, s) form its coords tag, so that the form retagged "null" is
+    differenced as the grid it is, not read as the outer sum of rows."""
     object.__setattr__(gen, "_fields", fields)
     return gen
 
@@ -95,7 +101,8 @@ class NetSurface:
     A Chebyshev net has E = G = 1 by definition, so only F = cos theta is
     stored: ``theta`` is arccos of F clipped to [-1, 1], computed on each
     read into a new array, and a lift of the net takes its angle field
-    from it.  ``is_chebyshev`` measures E and G of a point grid.
+    from it.  ``is_chebyshev`` measures E and G of a point grid, from the
+    generators' two rows while they are live.
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
@@ -345,15 +352,35 @@ def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
 
 
 def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
-    """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` by differencing
-    the point grid in slabs of rows: checks sup_e, sup_g (``CHEBYSHEV_TOL``)
-    and sup_f."""
+    """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` of the point
+    grid: checks sup_e, sup_g (``CHEBYSHEV_TOL``) and sup_f.  A net with
+    live generators is checked from the two rows whose outer sum its grid
+    is (``_generator_rows``); any other grid is differenced in slabs of
+    rows."""
     grid = g.grid if isinstance(g, NetSurface) else g
     if grid.values.ndim != 3 or grid.values.shape[2] != 3:
         raise BadGrid("is_chebyshev expects a grid of E-points")
     return Report(_form_sups(
         grid, ("sup_e", "sup_g", "sup_f"), (1.0, 1.0, 0.0),
-        (CHEBYSHEV_TOL, CHEBYSHEV_TOL, 1.0 - DISJOINT_MARGIN)))
+        (CHEBYSHEV_TOL, CHEBYSHEV_TOL, 1.0 - DISJOINT_MARGIN),
+        rows=_generator_rows(g)))
+
+
+def _generator_rows(s) -> Optional[tuple]:
+    """The rows whose outer sum is the grid of a net or null lift ``s``
+    with live generators, else None (also for a ``Grid2D``): p0 + I1(u)
+    and I2(v), I1 and I2 the ``cumulative_integral``s of T1 and T2, led on
+    a lift by the axes u and v, whose sum is x0 less its constant.  p0 +
+    I1 is the grid's column at the node nearest v = 0, where I2 is exactly
+    0, and I2 is integrated again as the builder integrated it."""
+    gen = None if isinstance(s, Grid2D) else _generators(s)
+    if gen is None:
+        return None
+    T1, T2, vals = gen.T1, gen.T2, s.grid.values
+    a, b = vals[:, T2.base_index(), -3:], cumulative_integral(T2).points
+    if vals.shape[2] == 4:
+        a, b = np.column_stack((T1.ts, a)), np.column_stack((T2.ts, b))
+    return a, b
 
 
 def _diagonal_axes(x1: np.ndarray, x2: np.ndarray, direction: str) -> tuple:

@@ -26,8 +26,11 @@ for theta in each direction.  Every other lift (gallery nets, the null
 forms resampled from (t, s), hand-built surfaces, a lift whose grid or
 angle was replaced) has its partials differenced from the grid by each
 call that needs them.
-``verify_null_coords`` always differences the grid, in slabs of rows: it
-checks the samples themselves.  Nothing is kept on a lift beyond its fields.
+``verify_null_coords`` of a lift with live generators reads f_u and f_v
+off the two rows whose outer sum its grid is, (u, p0 + I1(u)) and
+(v, I2(v)), differenced once each: within about eps max|f| / h of the
+grid differenced, which it is for every other lift, in slabs of rows.
+Nothing is kept on a lift beyond its fields.
 
 The curvature calls and the normal frame read the angle's trigonometry
 from the metric coefficient g12 = cos theta - 1, with no trigonometric
@@ -62,8 +65,8 @@ from . import minkowski as mk
 from ._splines import CubicSpline
 from .chebnet import (Generators, NetSurface, _angle_partials, _bind,
                       _diagonal_axes, _first_kind, _generator_tangents,
-                      _generators, _on_axes, _read_only, _target_axes,
-                      equivalent_immersion, euclidean_shape)
+                      _generator_rows, _generators, _on_axes, _read_only,
+                      _target_axes, equivalent_immersion, euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, cross,
@@ -168,11 +171,15 @@ def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
 
 def verify_null_coords(s: LiftSurface) -> Report:
     """Checks sup_fu_fu, sup_fv_fv, sup_cross of |<f_u,f_u>|, |<f_v,f_v>|
-    and |<f_u,f_v> - g12| over the interior (centered-stencil) nodes."""
+    and |<f_u,f_v> - g12| over the interior (centered-stencil) nodes.  On
+    a lift with live generators f_u and f_v come from the two rows whose
+    outer sum the grid is (``chebnet._generator_rows``), and no grid is
+    differenced; any other lift has its grid differenced in slabs."""
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
     return Report(_form_sups(s.grid, ("sup_fu_fu", "sup_fv_fv", "sup_cross"),
-                             (0.0, 0.0, s.g12), (np.inf,) * 3, band=2))
+                             (0.0, 0.0, s.g12), (np.inf,) * 3, band=2,
+                             rows=_generator_rows(s)))
 
 
 def _degenerate_mask(cos_theta: np.ndarray) -> np.ndarray:
@@ -447,7 +454,8 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
     return (LiftSurface(grid=grid, theta=new_th, g12=g12, source=None,
                         coords=coords_tag,
                         generators=_bind(replace(gen, grid=grid), g12=g12,
-                                         theta=new_th) if keep else None),
+                                         theta=new_th, coords=coords_tag)
+                        if keep else None),
             rep)
 
 

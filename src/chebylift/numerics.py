@@ -22,7 +22,12 @@ buffers made once per call.  A slab's f_u and f_v come from the
 rows from the whole grid, and its inner products are the whole grid's
 elementwise (an einsum on 3-vectors, ``mk.inner``'s sum in its order on
 4-vectors).  The first of the slabs' first maxima or NaNs is
-``np.argmax``'s, so each check equals ``sup_check``'s bit for bit.
+``np.argmax``'s, so each check equals ``sup_check``'s bit for bit.  A grid
+that is the outer sum of two rows, handed in with it, is checked from them
+instead (``_row_form_sups``): f_u and f_v are differenced once along each
+row, the two diagonal sups read off the rows alone, and the cross term is
+a matmul of the rows per slab.  Those checks differ from the differenced
+grid's by the roundoff of the grid's sums, about eps max|f| / h.
 
 Values are checked where they enter: a ``Grid2D`` or ``SampledCurve``
 checks its shape, spacing and nodes and scans its values for NaN and inf,
@@ -460,14 +465,37 @@ def sup_check(name: str, values: np.ndarray, tol: float,
         tuple(float(ax[i]) for ax, i in zip(axes, at))), masked)
 
 
+def _first_max(out: np.ndarray, t, at: tuple) -> tuple:
+    """|out - t|, in place in the 2-D ``out``, and its first maximum or NaN
+    in row-major order, with its node: ``at`` is the node of out[0, 0],
+    and a target array ``t`` is read at the nodes of ``out``."""
+    i, j = at
+    out -= t if np.ndim(t) == 0 else t[i:i + len(out), j:j + out.shape[1]]
+    k = int(np.argmax(np.abs(out, out=out)))
+    return out.flat[k], (i + k // out.shape[1], j + k % out.shape[1])
+
+
+def _form_checks(g: Grid2D, names: tuple, tols: tuple, sups: list,
+                 band: int) -> tuple:
+    """The ``Check``s of the metric checks from each one's list of
+    (sup, node) per slab, in row-major order: the first of their first
+    maxima or NaNs, located on ``g``, with the edge rows as masked."""
+    masked = g.nu * g.nv - (g.nu - 2 * band) * (g.nv - 2 * band)
+    best = [s[int(np.argmax([v for v, _ in s]))] for s in sups]
+    return tuple(Check(name, float(v), float(tol), (
+        (i, j), (float(g.us[i]), float(g.vs[j]))), masked)
+        for name, tol, (v, (i, j)) in zip(names, tols, best))
+
+
 def _form_sups(g: Grid2D, names: tuple, targets: tuple, tols: tuple,
-               band: int = 0) -> tuple:
+               band: int = 0, rows: Optional[tuple] = None) -> tuple:
     """``Check``s ``names``, each held to its bound in ``tols``, of
     |<f_u,f_u> - g11|, |<f_v,f_v> - g22|, |<f_u,f_v> - g12| for ``targets``
     (g11, g22, g12), scalars or (nu, nv) arrays, over the nodes ``band``
     rows in from each edge, in slabs: <,> is E's dot product on 3-vectors,
     the Minkowski one on 4-vectors.  Raises ``DegenerateAngle`` if the band
-    keeps no node."""
+    keeps no node.  With ``rows``, the two rows whose outer sum ``g`` is,
+    the checks come from them (``_row_form_sups``)."""
     vals = g.values
     if vals.ndim != 3 or vals.shape[2] not in (3, 4):
         raise BadGrid("metric checks need a grid of 3- or 4-vectors")
@@ -475,12 +503,14 @@ def _form_sups(g: Grid2D, names: tuple, targets: tuple, tols: tuple,
     width, end = nv - 2 * band, nu - band
     if end <= band or width <= 0:
         raise DegenerateAngle("no node is left after masking")
-    rows = min(max(1, _BLOCK_BYTES // (8 * width * k)), end - band)
-    fu, fv = np.empty((2, rows, width, k))
-    res, tmp = np.empty((2, rows, width))
+    if rows is not None:
+        return _row_form_sups(g, rows, names, targets, tols, band)
+    step = min(max(1, _BLOCK_BYTES // (8 * width * k)), end - band)
+    fu, fv = np.empty((2, step, width, k))
+    res, tmp = np.empty((2, step, width))
     sups = [[] for _ in names]      # per check: (sup, node) of each slab
-    for r in range(band, end, rows):
-        m = min(rows, end - r)
+    for r in range(band, end, step):
+        m = min(step, end - r)
         a, b, out = fu[:m], fv[:m], res[:m]
         _stencil_rows(vals[None, :, band:nv - band], g.du, 1, r, r + m,
                       a[None])
@@ -493,11 +523,35 @@ def _form_sups(g: Grid2D, names: tuple, targets: tuple, tols: tuple,
                             out=out)
                 for i in (1, 2, 3):
                     out += np.multiply(x[..., i], y[..., i], out=tmp[:m])
-            out -= t if np.ndim(t) == 0 else t[r:r + m, band:nv - band]
-            j = int(np.argmax(np.abs(out, out=out)))
-            sup.append((out.flat[j], (r + j // width, band + j % width)))
-    masked = nu * nv - (end - band) * width
-    best = [s[int(np.argmax([v for v, _ in s]))] for s in sups]
-    return tuple(Check(name, float(v), float(tol), (
-        (i, j), (float(g.us[i]), float(g.vs[j]))), masked)
-        for name, tol, (v, (i, j)) in zip(names, tols, best))
+            sup.append(_first_max(out, t, (r, band)))
+    return _form_checks(g, names, tols, sups, band)
+
+
+def _row_form_sups(g: Grid2D, rows: tuple, names: tuple, targets: tuple,
+                   tols: tuple, band: int) -> tuple:
+    """The checks of ``_form_sups`` on a grid whose values are the outer
+    sum a(u) + b(v) of ``rows`` = (a, b), a (nu, k) and a (nv, k) array,
+    taken from the rows: f_u = a' and f_v = b' are differenced once each by
+    ``diff_samples``.  The first two targets must be scalars; those sups
+    are read off the n rows, and their worst node, the first in row-major
+    order, lies in the band's first column or first row.  The cross term
+    <f_u, f_v> = a' J b'^T, J = diag(-1, 1, 1, 1) on 4-vectors, is one
+    matmul per slab of rows, into a buffer of about ``_BLOCK_BYTES``.  The
+    grid's sums round each value by up to eps/2 max|f|, which the
+    differenced route reads through its stencils, so the two routes agree
+    to about eps max|f| / h."""
+    nu, nv, k = g.values.shape
+    a = diff_samples(rows[0], g.du, 1)[band:nu - band]
+    b = diff_samples(rows[1], g.dv, 1)[band:nv - band]
+    J = np.array([-1.0, 1.0, 1.0, 1.0]) if k == 4 else np.ones(3)
+    aJ = a * J
+    sups = [[_first_max(np.einsum("ik,ik->i", aJ, a)[:, None], targets[0],
+                        (band, band))],
+            [_first_max(np.einsum("jk,jk->j", b * J, b)[None], targets[1],
+                        (band, band))], []]
+    step = max(1, _BLOCK_BYTES // (8 * len(b)))
+    out = np.empty((min(step, len(a)), len(b)))
+    for r in range(0, len(a), step):
+        o = np.matmul(aJ[r:r + step], b.T, out=out[:min(step, len(a) - r)])
+        sups[2].append(_first_max(o, targets[2], (band + r, band)))
+    return _form_checks(g, names, tols, sups, band)

@@ -1345,6 +1345,29 @@ class TestReduceFromL3:
         light = np.abs(mk.inner(cp, cp) / np.einsum("ij,ij->i", cp, cp))
         assert STRUCT_TOL < light.max() <= 2.0 * err
 
+    @pytest.mark.parametrize("seed", [0, 4, 1])
+    def test_noisy_gamma_normal_held_to_its_derivative_error(self, seed):
+        # 1e-9 noise on gamma = (t, cos t, sin t) at n = 401: the normal
+        # residual of the differenced c' reads 2.31e-6, 2.45e-6 and 1.04e-6
+        # at seeds 0, 4 and 1, over STRUCT_TOL but within the estimated
+        # error of c', err min|c'| = 1.1-1.4e-5 here (|a| = 1)
+        ts = (-1.0, 1.0)
+        g = make_curve(lambda t: np.stack([t, np.cos(t), np.sin(t)], axis=1),
+                       ts, 401)
+        g = replace(g, points=g.points + 1e-9 * np.random.default_rng(
+            seed).standard_normal(g.points.shape))
+        nrm = make_curve(lambda t: np.stack(
+            [0 * t, np.cos(t), np.sin(t)], axis=1), ts, 401)
+        d = reduce_from_l3(g, nrm)
+        cp = diff_samples(d.c.points, d.c.dt, 1)
+        assert np.abs(mk.inner(cp, d.a.points)).max() > STRUCT_TOL
+        # n turned by 1e-4 toward gamma's spatial tangent (-sin t, cos t)
+        # stays unit and misses normality by sin 1e-4: still rejected
+        tilted = make_curve(lambda t: np.stack(
+            [0 * t, np.cos(t + 1e-4), np.sin(t + 1e-4)], axis=1), ts, 401)
+        with pytest.raises(BadData, match="not normal"):
+            reduce_from_l3(g, tilted)
+
     @staticmethod
     def in_slice_data(n: int = 401) -> tuple:
         """In-slice data extracted from a genuine minimal surface of L^3,

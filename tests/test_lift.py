@@ -27,6 +27,7 @@ from test_bjorling import critical_lift_data, data_from_lift
 from test_chebnet import (first_form, gallery_generators,
                           normalized_trig_curve, random_net_pair,
                           record_diff_samples)
+from test_numerics import check_bits, reference_form_sups
 
 
 @pytest.fixture(scope="module")
@@ -798,6 +799,87 @@ class TestGeneratorRoute:
         for name in ("g12", "theta"):
             assert np.array_equal(getattr(iso, name), getattr(iso_stale, name))
 
+    @pytest.mark.parametrize("n", [51, 101, 201, 401, 801])
+    def test_checks_from_rows_match_the_differenced_grid(self, n):
+        # a net or lift with live generators is checked from the two rows
+        # whose outer sum its grid is; its grid copied is differenced.  The
+        # sums round each grid value by at most eps max|f| (two half-ulp
+        # roundings on a lift's x0), the first-derivative stencils amplify
+        # that by W / h per component, W the sum of their |weights|: 128/12
+        # one-sided (band 0) or 18/12 centred (band 2), and an inner
+        # product moves by at most 2 |f_u| |d f_u| in Euclidean norms,
+        # |f_u| = 1 on a net and sqrt 2 on a lift; 8 eps covers the
+        # products' own rounding
+        eps = np.finfo(float).eps
+        pairs = {"critical": gallery_generators(n),
+                 "random": random_net_pair(np.random.default_rng(n), n=n)}
+        for name, (T1, T2) in pairs.items():
+            net = build_first_kind(T1, T2, np.zeros(3))
+            s = build_minimal(T1, T2, np.array([0.3, 1.0, -2.0, 0.5]))
+            for check, obj, band, fu in (
+                    (is_chebyshev, net, 0, 1.0),
+                    (is_chebyshev, s.source, 0, 1.0),
+                    (verify_null_coords, lift_net(net), 2, np.sqrt(2.0)),
+                    (verify_null_coords, s, 2, np.sqrt(2.0))):
+                assert chebnet._generator_rows(obj) is not None
+                vals = obj.grid.values
+                copied = replace(obj, grid=obj.grid.with_values(vals.copy()))
+                k, W = vals.shape[2], (128.0 if band == 0 else 18.0) / 12.0
+                tol = (2.0 * fu * np.sqrt(k) * W * eps * np.abs(vals).max()
+                       / obj.grid.du + 8.0 * eps)
+                for got, want in zip(check(obj).checks, check(copied).checks):
+                    assert (got.name, got.tol, got.masked) == \
+                        (want.name, want.tol, want.masked)
+                    assert abs(got.value - want.value) <= tol, (name, got)
+                    (i, j), uv = got.where
+                    assert uv == (obj.grid.us[i], obj.grid.vs[j])
+
+    def test_replaced_inputs_are_differenced_bit_for_bit(self):
+        T1, T2 = gallery_generators(41)
+        net = build_first_kind(T1, T2, np.zeros(3))
+        s = build_minimal(T1, T2, np.zeros(4))
+        copy = lambda o: replace(o, grid=o.grid.with_values(
+            o.grid.values.copy()))
+        nets = (copy(net), replace(net, F=0.9 * net.F))
+        lifts = (copy(s), replace(s, g12=0.9 * s.g12),
+                 replace(s, theta=0.9 * s.theta))
+        for o in nets:
+            assert chebnet._generator_rows(o) is None
+            want = reference_form_sups(
+                o.grid, ("sup_e", "sup_g", "sup_f"), (1.0, 1.0, 0.0),
+                (chebnet.CHEBYSHEV_TOL,) * 2 + (1.0 - chebnet.DISJOINT_MARGIN,))
+            assert check_bits(is_chebyshev(o).checks) == check_bits(want)
+        for o in lifts:
+            assert chebnet._generator_rows(o) is None
+            want = reference_form_sups(
+                o.grid, ("sup_fu_fu", "sup_fv_fv", "sup_cross"),
+                (0.0, 0.0, o.g12), (np.inf,) * 3, band=2)
+            assert check_bits(verify_null_coords(o).checks) == \
+                check_bits(want)
+
+    def test_retagged_isothermal_form_is_differenced(self):
+        # the (t, s) form keeps its source's curves, but its grid is no
+        # outer sum of their rows: retagged as null coordinates it is
+        # differenced, as the same form without generators
+        s = build_minimal(*gallery_generators(61), np.zeros(4))
+        iso, _ = isothermal_form(s)
+        assert lift._generators(iso) is not None
+        fake = replace(iso, coords=lift.NULL_COORDS)
+        bare = replace(fake, generators=None)
+        assert lift._generators(fake) is None
+        assert verify_null_coords(fake) == verify_null_coords(bare)
+        assert mean_curvature(fake).sup() == mean_curvature(bare).sup() > 0.1
+
+    def test_checks_from_rows_can_fail(self):
+        # the critical net at n = 51 misses E = 1 by 3.493e-6, over
+        # CHEBYSHEV_TOL = 1e-6, on both routes
+        net = build_first_kind(*gallery_generators(51), np.zeros(3))
+        copied = replace(net, grid=net.grid.with_values(
+            net.grid.values.copy()))
+        for rep in (is_chebyshev(net), is_chebyshev(copied)):
+            assert not rep.passed and not rep["sup_e"].passed
+            assert rep.sup_e == pytest.approx(3.493e-6, rel=1e-3)
+
     def test_builder_payloads_are_read_only(self):
         s = build_minimal(*gallery_generators(41), np.zeros(4))
         for a in (s.grid.values, s.source.grid.values,
@@ -1073,13 +1155,15 @@ CHECK_PEAK_801 = 10_000_000
 def record_grid_reads(monkeypatch) -> list:
     """``record_diff_samples``, with each call of the one-pass metric
     checks (``numerics._form_sups``, as ``chebnet`` and ``lift`` load it)
-    recorded as the two passes it makes over its grid: (values, 0) along u
-    and (values, 1) along v."""
+    that differences its grid recorded as the two passes it makes over it:
+    (values, 0) along u and (values, 1) along v.  A call handed the rows
+    of the grid differences them through ``diff_samples``, recorded there."""
     seen = record_diff_samples(monkeypatch)
     original = numerics._form_sups
 
     def recorded(g, *args, **kwargs):
-        seen.extend([(g.values, 0), (g.values, 1)])
+        if kwargs.get("rows") is None:
+            seen.extend([(g.values, 0), (g.values, 1)])
         return original(g, *args, **kwargs)
 
     for mod in (chebnet, lift):
@@ -1102,11 +1186,30 @@ class TestMemo:
         built = lift_net(build_first_kind(*gallery_generators(101),
                                           np.zeros(3)))
         seen = record_grid_reads(monkeypatch)
-        # with its generators the lift differences only for the grid check
+        # with its generators the lift differences no grid: its check
+        # reads the two (n, 4) rows whose outer sum the grid is
         verify_null_coords(built)
         normal_frame(built)
         decompose_minimal(built)
-        assert [(v is built.grid.values, axis) for v, axis in seen] == \
+        assert [(np.shape(v), axis) for v, axis in seen] == \
+            [((101, 4), 0), ((101, 4), 0)]
+        # without them the check differences each axis of the grid once
+        bare = replace(built, generators=None)
+        seen.clear()
+        verify_null_coords(bare)
+        assert [(v is bare.grid.values, axis) for v, axis in seen] == \
+            [(True, 0), (True, 1)]
+
+    def test_net_check_reads_its_rows(self, monkeypatch):
+        net = build_first_kind(*gallery_generators(101), np.zeros(3))
+        seen = record_grid_reads(monkeypatch)
+        is_chebyshev(net)
+        assert [(np.shape(v), axis) for v, axis in seen] == \
+            [((101, 3), 0), ((101, 3), 0)]
+        bare = replace(net, generators=None)
+        seen.clear()
+        is_chebyshev(bare)
+        assert [(v is bare.grid.values, axis) for v, axis in seen] == \
             [(True, 0), (True, 1)]
 
     def test_rebuilt_lift_recomputes(self):

@@ -478,3 +478,60 @@ class TestFormSups:
                 numerics._form_sups(Grid2D(0.0, 0.0, 0.1, 0.1, vals),
                                     ("a", "b", "c"), (0.0,) * 3,
                                     (np.inf,) * 3)
+
+
+class TestRowFormSups:
+    """The metric checks of a grid that is the outer sum of two rows, read
+    off the rows, against the same grid differenced."""
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(nu=st.integers(5, 40), nv=st.integers(5, 40),
+           k=st.sampled_from([3, 4]), band=st.sampled_from([0, 2]),
+           nodewise=st.booleans(), slab_rows=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_differenced_grid(self, nu, nv, k, band, nodewise,
+                                          slab_rows, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((nu, k)), rng.standard_normal((nv, k))
+        h = 0.05
+        g = Grid2D(0.3, -1.2, h, h, a[:, None, :] + b[None, :, :])
+        t = rng.standard_normal((nu, nv)) if nodewise else rng.normal()
+        names, targets, tols = ("a", "b", "c"), (0.5, -1.0, t), (1.0,) * 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_BYTES",
+                       8 * max(nv - 2 * band, 1) * slab_rows)
+            got = numerics._form_sups(g, names, targets, tols, band,
+                                      rows=(a, b))
+        want = numerics._form_sups(g, names, targets, tols, band)
+        # each grid value is rounded once, by at most eps/2 max|f|; the
+        # stencils amplify that by W / h per component (W = 128/12, the
+        # one-sided sum of |weights|), an inner product by 2 max|f_u|,
+        # and the products round at eps k (max|f_u|^2 + max|t|) each
+        eps = np.finfo(float).eps
+        fmax = max(np.linalg.norm(diff_samples(r, h, 1), axis=1).max()
+                   for r in (a, b))
+        tol = (2.0 * fmax * np.sqrt(k) * (128.0 / 12.0) * 0.5 * eps
+               * np.abs(g.values).max() / h
+               + 8.0 * k * eps * (fmax**2 + np.abs(t).max() + 1.0))
+        for c, w in zip(got, want):
+            assert (c.name, c.tol, c.masked) == (w.name, w.tol, w.masked)
+            assert abs(c.value - w.value) <= tol
+        # f_u depends on u alone and f_v on v: the first maximum in
+        # row-major order sits in the band's first column, or first row
+        assert got[0].where[0][1] == band and got[1].where[0][0] == band
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("band", [0, 2])
+    def test_ties_resolve_to_the_first_node(self, k, band):
+        # constant rows: f_u = f_v = 0 exactly, so every residual is the
+        # constant target, as on the differenced grid
+        rows = (np.full((13, k), 0.3), np.full((8, k), 0.4))
+        g = Grid2D(0.0, 0.0, 0.1, 0.1, rows[0][:, None] + rows[1][None])
+        for targets in ((1.0, -2.0, 0.5), (1.0, -2.0, np.full((13, 8), 3.0))):
+            got = numerics._form_sups(g, ("a", "b", "c"), targets,
+                                      (1.0,) * 3, band, rows=rows)
+            want = numerics._form_sups(g, ("a", "b", "c"), targets,
+                                       (1.0,) * 3, band)
+            assert check_bits(got) == check_bits(want)
+            assert all(c.where[0] == (band, band) for c in got)
