@@ -4,13 +4,8 @@ A Chebyshev net is an immersion whose first fundamental form has
 E = G = 1 and F = cos theta strictly inside (-1, 1).  First-kind nets are
 built from two sphere curves as X = p0 + int T1 + int T2; for those the
 metric coefficient F(u, v) = <T1(u), T2(v)> is evaluated directly, with no
-differentiation, and the net keeps its generators: X_u = T1(u), X_v = T2(v)
-and X_uv = 0 hold exactly, so its shape operator needs only the 1-D
-derivatives T1' and T2' and (n, n) products of the curves, and
-``is_chebyshev`` differences the rows p0 + int T1 and int T2, not the
-grid.  Any other net, or a net whose grid or F was replaced, has its
-shape operator and its metric checks differenced from the point grid.
-Net points are stored as 3-vectors of E throughout.
+differentiation, and the net keeps its ``Generators``.  Net points are
+stored as 3-vectors of E throughout.
 
 The coordinate change fits ``_splines.RectBivariateSpline``, FITPACK's
 s = 0 bicubic with its coefficients from one block LU solve per axis of
@@ -19,15 +14,13 @@ module.  Every fit still calls this module's ``RectBivariateSpline`` or
 ``CubicSpline``, so a tracer or a test that rebinds one of these names
 sees each fit.  The block LU of an axis and the diagonal reader of a
 target grid, with its design matrices, are memoized by the values of
-their nodes and knots (``_splines._by_value``): the last 16 of each are
-kept, about 0.2 MB per factorization and 0.17 MB per reader at n = 801,
-and neither can be written through, so a fit factors only node sets the
-memo has not seen.
+their nodes and knots (``_splines._by_value``), and neither can be
+written through, so a fit factors only node sets the memo has not seen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Union
 
@@ -54,44 +47,40 @@ _CRITICAL_RANGE = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
 @dataclass(frozen=True)
 class Generators:
-    """The sphere curves T1(u), T2(v) a surface was built from, the grid
-    the builder made of them, and the ``check_disjointness`` report on the
-    curves.  The curves are read-only copies.  They describe that grid
-    only, and only with the angle fields their builder formed: a net's F
-    = <T1, T2>, or a lift's g12 and theta, kept outside the fields
-    (``_bind``).  A surface whose ``grid`` is another object
-    (``dataclasses.replace(s, grid=...)``), or whose angle field is, is
-    differenced instead.  While they are live, the grid of a net or null
-    lift is the outer sum of two rows rebuilt from them
-    (``_generator_rows``), which ``is_chebyshev`` and
-    ``verify_null_coords`` difference in its place.  The (t, s) form of a
-    square lift keeps its source's curves, with its own grid, whose nodes
-    sit off the curves' samples."""
+    """The sphere curves T1(u), T2(v) a surface was built from, as
+    read-only copies, and the ``check_disjointness`` report on them.
+
+    Only the builders give a surface generators (``_with_generators``):
+    ``build_first_kind``, ``lift.build_minimal``, and ``lift.lift_net``
+    and ``lift.isothermal_form`` of a surface that has them (a square one
+    for the (t, s) form), which shares them.  ``generators`` is no
+    constructor argument, so every other surface has none, and so has any
+    ``dataclasses.replace`` of a built one, whatever field it changes.  The
+    builder marks the grid's values and the angle fields (a net's F, a
+    lift's g12 and theta) read-only.  While a surface has generators, its
+    tangents are exact, X_u = T1(u), X_v = T2(v) and X_uv = 0, and the
+    calls that need them difference no grid: ``euclidean_shape`` and the
+    lift's curvature, frame and decomposition read the 1-D curves,
+    ``is_chebyshev`` and ``verify_null_coords`` difference the two rows
+    whose outer sum the grid of a net or null lift is
+    (``_generator_rows``), and the coordinate change resamples the curves.
+    A surface without them has its partials differenced from its grid."""
 
     T1: SphereCurve
     T2: SphereCurve
-    grid: Grid2D
     disjointness: Report
 
 
-def _bind(gen: Generators, **fields) -> Generators:
-    """``gen``, live only for a surface whose angle fields, by name, are
-    the arrays ``fields``: a net's F, or a lift's g12 and theta, and on a
-    (t, s) form its coords tag, so that the form retagged "null" is
-    differenced as the grid it is, not read as the outer sum of rows."""
-    object.__setattr__(gen, "_fields", fields)
-    return gen
-
-
-def _generators(s) -> Optional[Generators]:
-    """The generators of a net or lift ``s`` while its grid and angle
-    fields are the ones they were bound to, else None."""
-    gen = s.generators
-    if gen is None or gen.grid is not s.grid:
-        return None
-    fields = getattr(gen, "_fields", {})
-    live = fields and all(getattr(s, k, None) is a for k, a in fields.items())
-    return gen if live else None
+def _with_generators(s, gen: Optional[Generators]):
+    """The surface ``s`` a builder made, with the generators ``gen`` (None
+    for none): the one writer of ``generators``.  With generators, the
+    grid's values and every array field of ``s`` are marked read-only."""
+    if gen is not None:
+        for a in [s.grid.values] + [getattr(s, f.name) for f in fields(s)]:
+            if isinstance(a, np.ndarray):
+                _read_only(a)
+        object.__setattr__(s, "generators", gen)
+    return s
 
 
 @dataclass(frozen=True)
@@ -101,22 +90,20 @@ class NetSurface:
     A Chebyshev net has E = G = 1 by definition, so only F = cos theta is
     stored: ``theta`` is arccos of F clipped to [-1, 1], computed on each
     read into a new array, and a lift of the net takes its angle field
-    from it.  ``is_chebyshev`` measures E and G of a point grid, from the
-    generators' two rows while they are live.
+    from it.  ``is_chebyshev`` measures E and G of a point grid.
     A net is immutable: to change its values, build a new ``NetSurface``.
     Its shape operator (``euclidean_shape``) is computed on first use and
     kept on the object, with read-only arrays, for every later call.
-    ``build_first_kind`` sets ``generators``, with their disjointness
-    verdict, and marks the grid's values read-only; the shape operator then
-    comes from the generators.  The source net of a ``lift.build_minimal``
-    lift holds no points of its own: its grid's values are the read-only
-    strided view [..., 1:] of the lift's (nu, nv, 4) array, which holds x0
-    and X.  F of another shape than (nu, nv) raises ``BadGrid``.
+    ``build_first_kind`` sets ``generators`` (``Generators``).  The source
+    net of a ``lift.build_minimal`` lift holds no points of its own: its
+    grid's values are the read-only strided view [..., 1:] of the lift's
+    (nu, nv, 4) array, which holds x0 and X.  F of another shape than
+    (nu, nv) raises ``BadGrid``.
     """
 
     grid: Grid2D            # E-points, payload (nu, nv, 3)
     F: np.ndarray
-    generators: Optional[Generators] = None
+    generators: Optional[Generators] = field(default=None, init=False)
 
     def __post_init__(self):
         if np.shape(self.F) != self.grid.values.shape[:2]:
@@ -302,8 +289,9 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
     between samples is not an error here: that report, over the whole
     product, is kept in ``generators.disjointness`` for callers that need
     the continuous generators disjoint, such as ``bjorling.solve``.  The
-    net keeps read-only copies of T1 and T2 in ``generators``, and the
-    grid's values are read-only and checked finite from the integrals' rows.
+    net keeps read-only copies of T1 and T2 in ``generators``, F and the
+    grid's values are read-only, and the values are checked finite from
+    the integrals' rows.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (3,) or not np.all(np.isfinite(p0)):
@@ -314,12 +302,13 @@ def build_first_kind(T1: SphereCurve, T2: SphereCurve, p0) -> NetSurface:
 def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
                 x0: Optional[float] = None) -> tuple:
     """The net of ``build_first_kind`` for a checked p0, with F = T1 T2^T
-    formed once by the disjointness kernel, and a grid of the read-only
-    array its grid views, written column by column from per-axis rows as
-    (p0 + I1(u)) + I2(v).  With ``x0`` the rows lead with u and v: the
-    array is the (nu, nv, 4) lift with x0 = (u + v) + x0, and the grid is
-    its view [..., 1:].  Each component is monotone in both rows (and x0),
-    so it is finite iff the sums of the rows' minima and maxima are."""
+    formed once by the disjointness kernel, and a grid of the array its
+    grid views, written column by column from per-axis rows as (p0 +
+    I1(u)) + I2(v).  With ``x0`` the rows lead with u and v: the array is
+    the (nu, nv, 4) lift with x0 = (u + v) + x0, and the grid is its view
+    [..., 1:]; ``lift._lift`` marks it read-only.  Each component is
+    monotone in both rows (and x0), so it is finite iff the sums of the
+    rows' minima and maxima are."""
     rep, F = _disjointness(T1, T2, DISJOINT_MARGIN)
     if rep.sampled_separation <= DISJOINT_MARGIN:
         raise DisjointnessViolated(
@@ -342,20 +331,18 @@ def _first_kind(T1: SphereCurve, T2: SphereCurve, p0: np.ndarray,
         np.add.outer(row_u[:, k], row_v[:, k], out=vals[..., k])
     if x0 is not None:
         vals[..., 0] += x0
-    _read_only(vals)
     axes = (T1.t_min, T2.t_min, T1.dt, T2.dt)
     grid = _unscanned_grid(*axes, vals if x0 is None else vals[..., 1:])
     frozen = lambda c: replace(c, points=_read_only(c.points.copy()))
-    gen = _bind(Generators(frozen(T1), frozen(T2), grid, rep), F=F)
-    return (NetSurface(grid=grid, F=F, generators=gen),
-            _unscanned_grid(*axes, vals))
+    return (_with_generators(NetSurface(grid=grid, F=F), Generators(
+        frozen(T1), frozen(T2), rep)), _unscanned_grid(*axes, vals))
 
 
 def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
     """Verify E = G = 1 and |F| <= 1 - ``DISJOINT_MARGIN`` of the point
     grid: checks sup_e, sup_g (``CHEBYSHEV_TOL``) and sup_f.  A net with
-    live generators is checked from the two rows whose outer sum its grid
-    is (``_generator_rows``); any other grid is differenced in slabs of
+    generators is checked from the two rows whose outer sum its grid is
+    (``_generator_rows``); any other grid is differenced in slabs of
     rows."""
     grid = g.grid if isinstance(g, NetSurface) else g
     if grid.values.ndim != 3 or grid.values.shape[2] != 3:
@@ -368,12 +355,12 @@ def is_chebyshev(g: Union[Grid2D, NetSurface]) -> Report:
 
 def _generator_rows(s) -> Optional[tuple]:
     """The rows whose outer sum is the grid of a net or null lift ``s``
-    with live generators, else None (also for a ``Grid2D``): p0 + I1(u)
-    and I2(v), I1 and I2 the ``cumulative_integral``s of T1 and T2, led on
-    a lift by the axes u and v, whose sum is x0 less its constant.  p0 +
-    I1 is the grid's column at the node nearest v = 0, where I2 is exactly
-    0, and I2 is integrated again as the builder integrated it."""
-    gen = None if isinstance(s, Grid2D) else _generators(s)
+    with generators, else None (also for a ``Grid2D``): p0 + I1(u) and
+    I2(v), I1 and I2 the ``cumulative_integral``s of T1 and T2, led on a
+    lift by the axes u and v, whose sum is x0 less its constant.  p0 + I1
+    is the grid's column at the node nearest v = 0, where I2 is exactly 0,
+    and I2 is integrated again as the builder integrated it."""
+    gen = None if isinstance(s, Grid2D) else s.generators
     if gen is None:
         return None
     T1, T2, vals = gen.T1, gen.T2, s.grid.values
@@ -421,9 +408,8 @@ def _diagonal_reader(x1: np.ndarray, x2: np.ndarray, direction: str,
     vd[1-q::2]: about half of the tensor grid.  The four design matrices
     of those axes are built once per reader, and the reader is memoized
     by ``_splines._by_value``, keyed by the target axes, the direction
-    and the knots: the last 16 readers are kept, about 0.17 MB each at
-    n = 801, their matrices out of reach of callers, so every fit of a
-    call, and later calls on the same grids, read the same matrices.  On
+    and the knots, its matrices out of reach of callers, so every fit of
+    a call, and later calls on the same grids, read the same matrices.  On
     each parity class (a mod 2, b mod 2) iu and iv step by +-2, so the
     class is one strided view of one sub-grid.  Each product sums a
     point's own row of B in one order, so a value does not depend on the
@@ -456,16 +442,15 @@ def equivalent_immersion(g: Grid2D, direction: str = "uv_to_ts") -> Grid2D:
     spline per component through the source samples
     (``RectBivariateSpline``: FITPACK's s = 0 knots, and coefficients from
     one block LU solve per axis, by matmuls over all columns).  Each axis's
-    block LU is memoized by its nodes' values (the last 16 node sets kept,
-    read-only, about 0.2 MB each at n = 801), so only node sets the memo
-    has not seen are factored.
+    block LU is memoized by its nodes' values (``_splines._by_value``), so
+    only node sets the memo has not seen are factored.
 
     On a square grid both target axes share one spacing, so each source
     abscissa depends on a - b or a + b of the target node (a, b) alone:
     every target is a node of the (2n-1) x (2n-1) tensor grid of those
     abscissae.  Every fit of a call shares its knots, so the design
     matrices of the two parity sub-grids that hold the targets are built
-    once, by a reader memoized with the same bound, and each fit is
+    once, by a reader memoized the same way, and each fit is
     evaluated there and read off by index (``_diagonal_reader``).  A
     non-square grid falls back to evaluation at the n_u n_v scattered
     source points.
@@ -581,7 +566,7 @@ def _generator_shape(gen: Generators) -> tuple:
 
 
 def _shape_of(n: NetSurface) -> EuclideanShape:
-    gen, g = _generators(n), n.grid
+    gen, g = n.generators, n.grid
     if gen is None:
         if g.values.ndim != 3 or g.values.shape[2] != 3:
             raise BadGrid("euclidean_shape expects a grid of E-points")

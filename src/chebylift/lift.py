@@ -7,29 +7,16 @@ the sums of two lightlike curves f = P0 + (u+v) d0 + int n0 + int n3 with
 n0, n3 on the unit sphere of E.
 
 Lifts made by ``build_minimal``, or by ``lift_net`` of a
-``build_first_kind`` net, keep those generators (n0 = T1, n3 = T2) and
-have read-only values.  ``build_minimal`` writes x0 and X once, into the
+``build_first_kind`` net, keep those generators (n0 = T1, n3 = T2; see
+``chebnet.Generators``).  ``build_minimal`` writes x0 and X once, into the
 lift's (nu, nv, 4) array, and its source net's grid is the read-only
 strided view [..., 1:] of that array; ``lift_net`` copies the net's points.
 ``lift_net`` holds the net to |F| < 1; ``build_minimal`` does not check it
 again, as its disjointness check bounded |F| by 1 - 5e-13.
-While a lift's grid, g12 and theta are the arrays its builder made, its
-tangents are exact: f_u = d0 + n0(u) and f_v = d0 + n3(v), with n0 and n3
-read as broadcast views, and f_uv = 0.  ``mean_curvature``,
-``normal_frame`` and ``decompose_minimal`` then use them and difference
-nothing, and ``h_parallel_e2`` measures nothing: H = 0 exactly, so it
-states its two sups, 0 by construction, and its route as info.  The
-coordinate change of a square lift resamples the 1-D generators, not
-2-D splines of the grid, and its (t, s) form keeps them, read-only, for
-the way back; any other lift fits one bicubic per component of f and one
-for theta in each direction.  Every other lift (gallery nets, the null
-forms resampled from (t, s), hand-built surfaces, a lift whose grid or
-angle was replaced) has its partials differenced from the grid by each
-call that needs them.
-``verify_null_coords`` of a lift with live generators reads f_u and f_v
-off the two rows whose outer sum its grid is, (u, p0 + I1(u)) and
-(v, I2(v)), differenced once each: within about eps max|f| / h of the
-grid differenced, which it is for every other lift, in slabs of rows.
+``verify_null_coords`` of a lift with generators reads f_u and f_v off
+the two rows whose outer sum its grid is, (u, p0 + I1(u)) and (v, I2(v)),
+differenced once each: within about eps max|f| / h of the grid
+differenced, which it is for every other lift, in slabs of rows.
 Nothing is kept on a lift beyond its fields.
 
 The curvature calls and the normal frame read the angle's trigonometry
@@ -55,7 +42,7 @@ tol = inf: they owe a bound from the discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -63,10 +50,11 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import minkowski as mk
 from ._splines import CubicSpline
-from .chebnet import (Generators, NetSurface, _angle_partials, _bind,
+from .chebnet import (Generators, NetSurface, _angle_partials,
                       _diagonal_axes, _first_kind, _generator_tangents,
-                      _generator_rows, _generators, _on_axes, _read_only,
-                      _target_axes, equivalent_immersion, euclidean_shape)
+                      _generator_rows, _on_axes, _target_axes,
+                      _with_generators, equivalent_immersion,
+                      euclidean_shape)
 from .errors import (BadGrid, BadInput, DegenerateAngle, MissingSource,
                      NotChebyshev, NotMinimal, Report)
 from .numerics import (Grid2D, SphereCurve, _form_sups, cross,
@@ -89,9 +77,8 @@ class LiftSurface:
 
     A surface is immutable: to change its values, build a new
     ``LiftSurface``.  It keeps only its fields: no call stores a partial
-    or any other array on it.  ``generators`` is set by the builders (see
-    the module docstring) and is live while ``grid``, ``g12`` and ``theta``
-    are the arrays they made.
+    or any other array on it.  Only the builders set ``generators``
+    (``chebnet.Generators``).
     theta and g12 of another shape than (nu, nv) raise ``BadGrid``.
     """
 
@@ -101,7 +88,7 @@ class LiftSurface:
     g12: np.ndarray
     source: Optional[NetSurface] = None
     coords: str = NULL_COORDS
-    generators: Optional[Generators] = None
+    generators: Optional[Generators] = field(default=None, init=False)
 
     def __post_init__(self):
         shape = self.grid.values.shape[:2]
@@ -138,7 +125,8 @@ def lift_net(n: NetSurface) -> LiftSurface:
     keeps g12 = F - 1 negative and the net angle off 0 and pi; it raises
     ``NotChebyshev`` where |F| reaches 1 (tolerance: the float below 1).
     The lift's grid is a new array that X is copied into.  The lift of a
-    net with generators keeps them, and its values are read-only.
+    net with generators shares them, and its values, theta and g12 are
+    read-only.
     """
     return _lift(n)
 
@@ -149,7 +137,6 @@ def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
     That net's F needs no check: ``_first_kind`` refuted every sampled
     separation sqrt(2 - 2|F|) up to 1e-6, so |F| <= 1 - 5e-13."""
     g = n.grid
-    gen = _generators(n)
     if grid is None:
         chk = sup_check("sup_f", n.F, np.nextafter(1.0, 0.0),
                         axes=(g.us, g.vs))
@@ -159,21 +146,17 @@ def _lift(n: NetSurface, grid: Optional[Grid2D] = None) -> LiftSurface:
         np.add.outer(g.us, g.vs, out=vals[..., 0])
         for k in range(3):
             vals[..., k + 1] = g.values[..., k]
-        if gen is not None:
-            _read_only(vals)
         grid = g.with_values(vals)
-    theta, g12 = n.theta, n.F - 1.0
-    return LiftSurface(grid=grid, theta=theta, g12=g12, source=n,
-                       coords=NULL_COORDS, generators=None if gen is None
-                       else _bind(replace(gen, grid=grid), g12=g12,
-                                  theta=theta))
+    return _with_generators(LiftSurface(
+        grid=grid, theta=n.theta, g12=n.F - 1.0, source=n,
+        coords=NULL_COORDS), n.generators)
 
 
 def verify_null_coords(s: LiftSurface) -> Report:
     """Checks sup_fu_fu, sup_fv_fv, sup_cross of |<f_u,f_u>|, |<f_v,f_v>|
     and |<f_u,f_v> - g12| over the interior (centered-stencil) nodes.  On
-    a lift with live generators f_u and f_v come from the two rows whose
-    outer sum the grid is (``chebnet._generator_rows``), and no grid is
+    a lift with generators f_u and f_v come from the two rows whose outer
+    sum the grid is (``chebnet._generator_rows``), and no grid is
     differenced; any other lift has its grid differenced in slabs."""
     if s.coords != NULL_COORDS:
         raise BadGrid("null-coordinate check needs a null-coordinate lift")
@@ -190,7 +173,7 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """Mean curvature vector H = -f_uv / (2 sin^2(theta/2)) = f_uv / g12,
     with sin^2(theta/2) = -g12/2.
 
-    On a lift with live generators f_uv = 0 exactly, so H is 0: read-only
+    On a lift with generators f_uv = 0 exactly, so H is 0: read-only
     broadcast zeros when no node is masked.  Otherwise
     f_uv is ``partials(grid, "uv")``: the x0 part of f is the separable sum
     u + v, so f_uv equals X_uv and the mixed stencil annihilates it exactly
@@ -199,14 +182,14 @@ def mean_curvature(s: LiftSurface) -> MaskedField:
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("mean curvature needs the null-coordinate form")
-    if _generators(s) is not None:
+    if s.generators is not None:
         return _mean_curvature(s, None)
     return _mean_curvature(s, partials(s.grid, "uv"))
 
 
 def _mean_curvature(s: LiftSurface, fuv: Optional[np.ndarray]) -> MaskedField:
     """H of ``mean_curvature`` from the mixed partial ``fuv``, or H = 0
-    when ``fuv`` is None (live generators)."""
+    when ``fuv`` is None (generators)."""
     sin2 = -0.5 * s.g12
     degenerate = sin2 <= 1e-9
     if np.all(degenerate):
@@ -224,7 +207,7 @@ def _mean_curvature(s: LiftSurface, fuv: Optional[np.ndarray]) -> MaskedField:
 
 
 def _differenced_h(s: LiftSurface) -> tuple:
-    """f_u and H of a lift without live generators, from one pass along u:
+    """f_u and H of a lift without generators, from one pass along u:
     f_uv is that f_u differenced along v, as ``partials(grid, "uv")``
     does, so H equals ``mean_curvature(s)`` bit for bit."""
     fu = partials(s.grid, "u")
@@ -235,10 +218,10 @@ def normal_frame(s: LiftSurface) -> NormalFrame:
     """Orthonormal normal frame e~ = ((1+cos)d0 + X_u + X_v)/sin theta,
     e2 = (X_u x X_v)/sin theta (Euclidean cross product in E); nodes with
     sin theta <= 1e-8 are masked.  X_u = n0(u) and X_v = n3(v) exactly on
-    a lift with live generators; otherwise they are differenced."""
+    a lift with generators; otherwise they are differenced."""
     if s.coords != NULL_COORDS:
         raise BadGrid("normal frame needs the null-coordinate form")
-    gen = _generators(s)
+    gen = s.generators
     Xu, Xv = (_generator_tangents(gen) if gen is not None
               else (mk.spatial(partials(s.grid, w)) for w in "uv"))
     return _frame(Xu, Xv, 1.0 + s.g12)
@@ -269,13 +252,13 @@ def h_parallel_e2(s: LiftSurface) -> Report:
     ``DegenerateAngle`` when that mask covers the whole grid.  Info: route,
     "differenced" or "generators".
 
-    On a lift with live generators H = 0 exactly, so both sups are 0 by
+    On a lift with generators H = 0 exactly, so both sups are 0 by
     construction: the call builds neither H nor the frame, makes no check,
     and states sup_off_e2 = sup_dot_etilde = 0.0 as info."""
     if s.coords != NULL_COORDS:
         raise BadGrid("h_parallel_e2 needs the null-coordinate form")
     cos_theta = 1.0 + s.g12
-    if _generators(s) is not None:
+    if s.generators is not None:
         if np.all(_degenerate_mask(cos_theta)):
             raise DegenerateAngle("net angle degenerate on the whole grid")
         return Report((), {"route": "generators", "sup_off_e2": 0.0,
@@ -346,7 +329,7 @@ def build_minimal(n0: SphereCurve, n3: SphereCurve, P0) -> LiftSurface:
 def decompose_minimal(s: LiftSurface) -> tuple:
     """Recover the lightlike generators (n0, n3, P0) of a minimal lift.
 
-    P0 = f at the node nearest (0, 0).  A lift with live generators is a
+    P0 = f at the node nearest (0, 0).  A lift with generators is a
     sum of two lightlike curves by construction: n0 and n3 are copies of
     its generators, and no check is needed.  Otherwise the lift must have
     sup |H| <= ``MINIMAL_TOL`` (check h_sup); n0(u) is the spatial part of
@@ -358,7 +341,7 @@ def decompose_minimal(s: LiftSurface) -> tuple:
         raise BadGrid("decomposition needs the null-coordinate form")
     g = s.grid
     i0, j0 = g.base_index()
-    gen = _generators(s)
+    gen = s.generators
     if gen is not None:
         return (replace(gen.T1, points=gen.T1.points.copy()),
                 replace(gen.T2, points=gen.T2.points.copy()),
@@ -393,8 +376,8 @@ def isothermal_form(s: LiftSurface) -> tuple:
     Returns the tagged surface and the report of the metric checks sup_tt,
     sup_ss, sup_ts of <f_t,f_t> = -sin^2(theta/2), <f_s,f_s> =
     +sin^2(theta/2), <f_t,f_s> = 0 over interior nodes.  A square lift
-    with live generators is resampled through them and the result keeps
-    them; any other lift through 2-D splines (``_change_coords``).
+    with generators is resampled through them and the result shares them;
+    any other lift through 2-D splines (``_change_coords``).
     """
     if s.coords != NULL_COORDS:
         raise BadGrid("isothermal_form expects a null-coordinate lift")
@@ -413,19 +396,18 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
     """Resample f and theta onto ``equivalent_immersion``'s target grid and
     measure the target metric two rows in from each edge, in slabs of rows.
 
-    A square lift with live generators is resampled through its 1-D curves
-    (``_resample_generators``), and its (t, s) form keeps them.  Any other
+    A square lift with generators is resampled through its 1-D curves
+    (``_resample_generators``), and its (t, s) form shares them.  Any other
     lift is resampled by ``equivalent_immersion``, f in one call on its own
     (n, n, 4) grid and theta in a second: five bicubic fits, each one
     block LU solve per axis over all columns.  The block LUs and the
-    diagonal readers come from memos keyed by the node values (the last 16
-    of each kept, read-only, about 0.2 MB per factorization at n = 801):
-    the theta call reuses the f call's, and a round trip factors 2 to 4
-    node sets, not 20.  That spline reproduces x0, affine in the
+    diagonal readers come from memos keyed by the node values
+    (``_splines._by_value``): the theta call reuses the f call's, and a
+    round trip factors 2 to 4 node sets, not 20.  That spline reproduces x0, affine in the
     parameters, up to roundoff; x0 is rebuilt in place from the target
     coordinates plus the mean offset, keeping it exactly separable.
     """
-    gen = _generators(s)
+    gen = s.generators
     live = gen is not None and s.grid.nu == s.grid.nv
     if live:
         grid, g12 = _resample_generators(gen, s.grid, direction)
@@ -448,15 +430,10 @@ def _change_coords(s: LiftSurface, direction: str) -> tuple:
         coords_tag, targets = NULL_COORDS, (0.0, 0.0, g12)
     rep = Report(_form_sups(grid, ("sup_tt", "sup_ss", "sup_ts"), targets,
                             (np.inf,) * 3, band=2))
-    keep = live and direction == "uv_to_ts"     # the (t, s) form keeps them
-    if keep:
-        _read_only(grid.values)
-    return (LiftSurface(grid=grid, theta=new_th, g12=g12, source=None,
-                        coords=coords_tag,
-                        generators=_bind(replace(gen, grid=grid), g12=g12,
-                                         theta=new_th, coords=coords_tag)
-                        if keep else None),
-            rep)
+    keep = live and direction == "uv_to_ts"     # the (t, s) form shares them
+    return (_with_generators(LiftSurface(
+        grid=grid, theta=new_th, g12=g12, source=None, coords=coords_tag),
+        gen if keep else None), rep)
 
 
 def _resample_generators(gen: Generators, g: Grid2D, direction: str) -> tuple:

@@ -1018,7 +1018,7 @@ class TestEuclideanShape:
         net = build_first_kind(*random_net_pair(np.random.default_rng(5),
                                                 n=41), np.zeros(3))
         moved = replace(net, F=0.5 * net.F)
-        want = euclidean_shape(replace(moved, generators=None))
+        want = euclidean_shape(replace(moved))
         got = euclidean_shape(moved)
         for name in ("gauss_map", "e", "f", "g", "K_T"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -1147,3 +1147,131 @@ class TestInvariants:
         lhs = -1 + net.F
         rhs = -2 * np.sin(net.theta / 2)**2
         assert np.abs(lhs - rhs).max() < 1e-10
+
+
+#: the Dini family's parameters a, node counts, centre x and half-width of
+#: its (u, v) square: x = a u + v / a stays in [0.49, 2.71], off the
+#: cuspidal edge x = 0 where X_u and X_v are parallel
+DINI_AS = (0.7, 1.0, 1.6)
+DINI_NS = (101, 201, 401)
+DINI_CENTRE, DINI_HALF = 1.6, 0.5
+
+
+def dini_net(a: float, n: int) -> tuple:
+    """The K = -1 Chebyshev net of Dini's surface (the pseudosphere at
+    a = 1) on n x n nodes, built from its points alone, so every shape
+    quantity is differenced, and its closed forms.
+
+    With x = a u + v / a and k = 2a / (1 + a^2), X = (k sech x cos(u - v),
+    k sech x sin(u - v), u + v - k tanh x) has E = G = 1 and F = 2 tanh^2 x
+    - 1 = cos theta, theta = 4 arctan e^x, the one-soliton of theta_uv =
+    sin theta.  u and v are asymptotic, so e = g = 0, |f| = sin theta =
+    2 sech x tanh x and K_T = -1; X_uv is normal, X_uv = f N.  Returns the
+    net and a dict of the exact sin theta, X_u, X_v, N and X_uv on its
+    nodes."""
+    c = DINI_CENTRE / (a + 1.0 / a)
+    us = np.linspace(c - DINI_HALF, c + DINI_HALF, n)
+    u, v = us[:, None], us[None, :]
+    x, k = a * u + v / a, 2.0 * a / (1.0 + a * a)
+    S, T = 1.0 / np.cosh(x), np.tanh(x)
+    cp, sp = np.cos(u - v), np.sin(u - v)
+    vec = lambda *xyz: np.stack(np.broadcast_arrays(*xyz), axis=-1)
+    X = vec(k * S * cp, k * S * sp, u + v - k * T)
+    Xu = vec(-k * a * S * T * cp - k * S * sp,
+             -k * a * S * T * sp + k * S * cp, 1.0 - k * a * S * S)
+    Xv = vec(-k / a * S * T * cp + k * S * sp,
+             -k / a * S * T * sp - k * S * cp, 1.0 - k / a * S * S)
+    # d(sech x tanh x)/dx = sech x (sech^2 x - tanh^2 x)
+    Xuv = vec(k * S * (cp - (S * S - T * T) * cp + (1.0 / a - a) * T * sp),
+              k * S * (sp - (S * S - T * T) * sp - (1.0 / a - a) * T * cp),
+              2.0 * k * S * S * T)
+    N = np.cross(Xu, Xv)
+    N /= np.linalg.norm(N, axis=-1, keepdims=True)
+    grid = grid_from_ranges((us[0], us[-1]), (us[0], us[-1]), X)
+    net = NetSurface(grid=grid, F=2.0 * T * T - 1.0)
+    return net, {"sin_theta": 2.0 * S * T, "Xu": Xu, "Xv": Xv, "N": N,
+                 "Xuv": Xuv}
+
+
+#: order p of the differenced shape error of the Dini nets, and twice the
+#: largest err / h^p measured at n = 101 and 201 over ``DINI_AS``, the
+#: truncation constant.  The 5-node stencils are of order 4 for first
+#: derivatives and centred second derivatives, so f (of X_uv) and K_T are
+#: of order 4; e and g take X_uu and X_vv from the one-sided boundary
+#: stencil of second derivatives, of order 3.  Measured err / h^p: K_T
+#: 15.3-25.7, f 14.9-43.5, e 3.25-31.0, g 2.74-20.6
+DINI_TRUNCATION = {"K_T": (4, 52.0), "f": (4, 88.0), "e": (3, 62.0),
+                   "g": (3, 62.0)}
+#: sum of |weights| of the one-sided 5-node stencils at an edge (times
+#: h^order): first derivative (25 + 48 + 36 + 16 + 3) / 12, second
+#: derivative (35 + 104 + 114 + 56 + 11) / 12
+EDGE_WEIGHTS = {1: 128.0 / 12.0, 2: 320.0 / 12.0}
+
+
+def stencil_roundoff(s, weight: float) -> float:
+    """The most a stencil whose |weights| sum to ``weight`` / h^2 moves a
+    component, from a rounding of eps max|x| in each sampled component x
+    of the net or lift ``s``: weight eps max|x| / h^2."""
+    return weight * EPS * np.abs(s.grid.values).max() / s.grid.du**2
+
+
+def dini_shape_errors(a: float, n: int) -> tuple:
+    """The sup errors of the Dini net's differenced K_T, |f|, e and g
+    against their closed forms, and their bounds: the truncation term
+    C h^p of ``DINI_TRUNCATION`` plus the roundoff the stencils amplify.
+    f = <X_uv, N> moves by at most sqrt 3 times a component of X_uv,
+    whose mixed stencil is two one-sided first-derivative stencils at a
+    corner.  K_T = (e g - f^2) / (E G - F^2) with e, g near 0, |f| = sin
+    theta and E G - F^2 = sin^2 theta moves by 2 / sin theta times f.  e
+    and g move by sqrt 3 times a component of X_uu or X_vv."""
+    net, exact = dini_net(a, n)
+    shape = euclidean_shape(net)
+    sin_theta = exact["sin_theta"]
+    mixed = np.sqrt(3.0) * stencil_roundoff(net, EDGE_WEIGHTS[1] ** 2)
+    second = np.sqrt(3.0) * stencil_roundoff(net, EDGE_WEIGHTS[2])
+    errs = {"K_T": np.abs(shape.K_T + 1.0).max(),
+            "f": np.abs(np.abs(shape.f) - sin_theta).max(),
+            "e": np.abs(shape.e).max(), "g": np.abs(shape.g).max()}
+    roundoff = {"K_T": 2.0 * mixed / sin_theta.min(), "f": mixed,
+                "e": second, "g": second}
+    h = net.grid.du
+    bounds = {k: c * h**p + roundoff[k]
+              for k, (p, c) in DINI_TRUNCATION.items()}
+    return errs, bounds
+
+
+class TestDiniNet:
+    """The differenced shape of the one general K = -1 net family with a
+    closed form (``dini_net``): no builder gives it generators."""
+
+    @pytest.mark.parametrize("a", DINI_AS)
+    def test_shape_within_its_discretization_bound(self, a):
+        for n in DINI_NS:
+            errs, bounds = dini_shape_errors(a, n)
+            for key, err in errs.items():
+                assert err <= bounds[key], (n, key, err, bounds[key])
+
+    @pytest.mark.parametrize("a", DINI_AS)
+    def test_observed_orders(self, a):
+        # log2 of the errors' ratio from n = 101 to 201, where the
+        # truncation error is over 10 times the roundoff: measured 3.97 to
+        # 4.00 (K_T, f) and 2.93 to 2.99 (e, g).  At n = 401 roundoff
+        # reaches K_T at a = 0.7 (3.1e-9 where 1.3e-8 / 16 is due), within
+        # its bound above
+        (e1, _), (e2, _) = (dini_shape_errors(a, n) for n in DINI_NS[:2])
+        for key, (p, _) in DINI_TRUNCATION.items():
+            order = np.log2(e1[key] / e2[key])
+            assert p - 0.2 <= order <= p + 0.2, (key, order)
+
+    def test_closed_form(self):
+        # the closed forms themselves, to roundoff: the exact partials
+        # have E = G = 1 and the net's F, and X_uv = f N with |f| =
+        # sin theta
+        net, exact = dini_net(1.6, 41)
+        dot = lambda a, b: np.einsum("ijk,ijk->ij", a, b)
+        Xu, Xv, Xuv, N = (exact[k] for k in ("Xu", "Xv", "Xuv", "N"))
+        for got, want in ((dot(Xu, Xu), 1.0), (dot(Xv, Xv), 1.0),
+                          (dot(Xu, Xv), net.F),
+                          (np.abs(dot(Xuv, N)), exact["sin_theta"])):
+            assert np.abs(got - want).max() <= 8 * EPS
+        assert np.abs(Xuv - dot(Xuv, N)[..., None] * N).max() <= 8 * EPS

@@ -6,7 +6,9 @@ top-level function or class is loaded by the library or the benchmark, or
 is listed in ``PAPER_NAMES`` with the statement of the paper it carries.
 Every ``ChebyliftError`` subclass is named by some ``raise`` in the library,
 so a replaced error type cannot stay behind as a name nothing raises.  No
-library function but ``MESHGRID_CALLERS`` calls ``meshgrid``.  In a fresh
+library function but ``MESHGRID_CALLERS`` calls ``meshgrid``, and none
+but a ``__post_init__`` and ``SETATTR_CALLERS`` writes a frozen record
+through ``object.__setattr__``.  In a fresh
 interpreter, the library and a net, its lift and their curvature load no
 ``scipy.interpolate``: only the first spline fit does.
 
@@ -47,6 +49,10 @@ PAPER_NAMES = {
 #: source points of ``equivalent_immersion`` on a non-square grid.  A closed
 #: form over a product grid broadcasts its 1-D factors instead.
 MESHGRID_CALLERS = ["chebnet.py:equivalent_immersion"]
+#: the one writer of a frozen record outside its ``__post_init__``: the
+#: builders' helper that gives a surface its generators.  Anything else
+#: written onto a frozen record is a side channel its fields do not show.
+SETATTR_CALLERS = ["chebnet.py:_with_generators"]
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -323,6 +329,47 @@ def test_meshgrid_calls_are_found():
                      "    def g(self, x):\n"
                      "        return np.meshgrid(x, x, indexing='ij')\n")
     assert meshgrid_calls(tree) == ["", "f", "C"]
+
+
+def setattr_calls(tree: ast.AST, where: str = "") -> list:
+    """The innermost function around each call of ``object.__setattr__``
+    in ``tree``, in order ("" at module level)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += setattr_calls(node, node.name)
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"):
+            found.append(where)
+        found += setattr_calls(node, where)
+    return found
+
+
+def test_frozen_records_are_written_on_construction_only():
+    calls = [f"{p.name}:{name}" for p in sorted(SRC.glob("*.py"))
+             for name in setattr_calls(ast.parse(p.read_text(),
+                                                 filename=str(p)))
+             if name != "__post_init__"]
+    assert calls == SETATTR_CALLERS, (
+        f"object.__setattr__ called by {calls}: set a frozen record's "
+        f"fields in its __post_init__")
+
+
+def test_setattr_calls_are_found():
+    tree = ast.parse("object.__setattr__(a, 'x', 1)\n"
+                     "class C:\n"
+                     "    def __post_init__(self):\n"
+                     "        object.__setattr__(self, 'x', 1)\n"
+                     "        def inner(o):\n"
+                     "            return object.__setattr__(o, 'y', 2)\n"
+                     "def f(o):\n"
+                     "    setattr(o, 'x', 1)\n"
+                     "    o.__setattr__('x', 1)\n"
+                     "    return [object.__setattr__(o, 'z', 3)]\n")
+    assert setattr_calls(tree) == ["", "__post_init__", "inner", "f"]
 
 
 #: run in a fresh interpreter with the last stage as its argument; prints

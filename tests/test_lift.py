@@ -10,13 +10,13 @@ from scipy.interpolate import CubicSpline
 from chebylift import chebnet, lift, minkowski as mk, numerics
 from chebylift.bjorling import ExtensionChoice, solve
 from chebylift.chebnet import (
-    _profile_x, _profile_y, build_first_kind, check_disjointness,
+    NetSurface, _profile_x, _profile_y, build_first_kind, check_disjointness,
     euclidean_shape, gallery, is_chebyshev, sine_gordon_residual,
 )
 from chebylift.errors import (BadGrid, ChebyliftError, DegenerateAngle,
                               MissingSource, NotChebyshev, NotMinimal, Report)
 from chebylift.lift import (
-    build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
+    LiftSurface, build_minimal, decompose_minimal, gaussian_curvature, h_parallel_e2,
     isothermal_form, lift_net, mean_curvature, normal_frame, to_null_form,
     verify_null_coords,
 )
@@ -24,9 +24,10 @@ from chebylift.numerics import (SphereCurve, cumulative_integral,
                                 diff_samples, partials, sample_curve)
 
 from test_bjorling import critical_lift_data, data_from_lift
-from test_chebnet import (first_form, gallery_generators,
+from test_chebnet import (DINI_AS, DINI_NS, DINI_TRUNCATION, EDGE_WEIGHTS,
+                          dini_net, first_form, gallery_generators,
                           normalized_trig_curve, random_net_pair,
-                          record_diff_samples)
+                          record_diff_samples, stencil_roundoff)
 from test_numerics import check_bits, reference_form_sups
 
 
@@ -231,7 +232,7 @@ class TestNormalFrame:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fr = normal_frame(bad)
-            h_parallel_e2(replace(bad, generators=None))
+            h_parallel_e2(replace(bad))
         assert np.argwhere(fr.degenerate).tolist() == [[5, 7]]
         assert np.isnan(fr.etilde[5, 7]).all() and np.isnan(fr.e2[5, 7]).all()
         assert np.isfinite(fr.etilde[~fr.degenerate]).all()
@@ -249,7 +250,7 @@ class TestHParallel:
 
     def test_random_net(self):
         # without its generators the lift is differenced and measured
-        rep = h_parallel_e2(replace(random_lift(), generators=None))
+        rep = h_parallel_e2(replace(random_lift()))
         assert rep.route == "differenced"
         assert rep.sup_off_e2 <= 1e-4
 
@@ -347,7 +348,7 @@ def angle_lifts():
     s = random_lift()
     return {"critical": lift_net(gallery("critical").net),
             "noncritical": lift_net(gallery("noncritical").net),
-            "random": s, "random-differenced": replace(s, generators=None)}
+            "random": s, "random-differenced": replace(s)}
 
 
 def cos_based_curvatures(s):
@@ -448,7 +449,7 @@ class TestAngleFromMetric:
         # passes per call, and the same sups as mean_curvature and
         # normal_frame give
         built = random_lift()
-        s = replace(built, generators=None)
+        s = replace(built)
         vals = s.grid.values
         H, fr = mean_curvature(s), normal_frame(s)
         keep = ~(H.degenerate | fr.degenerate
@@ -530,7 +531,7 @@ class TestBuildMinimal:
         assert np.shares_memory(lifted, points)
         assert np.array_equal(points, lifted[..., 1:])
         assert not lifted.flags.writeable and not points.flags.writeable
-        assert s.source.generators.grid is s.source.grid
+        assert s.source.generators is s.generators
         # lift_net of a net it did not build copies the points
         again = lift_net(s.source)
         assert not np.shares_memory(again.grid.values, points)
@@ -773,7 +774,7 @@ class TestGeneratorRoute:
                             (np.cos(e) * c, z + np.sin(e),
                              np.cos(e) * np.sin(ts))))
         s = build_minimal(T1, T2, np.zeros(4))
-        assert lift._generators(s) is not None
+        assert s.generators is not None
         H = mean_curvature(s)
         assert np.argwhere(np.isnan(H.values[..., 0])).tolist() == [[50, 50]]
         assert H.values.flags.writeable and H.sup() == 0.0
@@ -788,7 +789,7 @@ class TestGeneratorRoute:
         angle = {"g12": 0.9 * s.g12, "theta": 0.9 * s.theta}[field]
         moved = replace(s, **{field: angle})
         stale = replace(moved, grid=s.grid.with_values(s.grid.values.copy()))
-        assert lift._generators(moved) is None
+        assert moved.generators is None
         H, H_stale = mean_curvature(moved), mean_curvature(stale)
         assert np.array_equal(H.values, H_stale.values, equal_nan=True)
         fits, fit = [], chebnet.RectBivariateSpline
@@ -863,10 +864,10 @@ class TestGeneratorRoute:
         # differenced, as the same form without generators
         s = build_minimal(*gallery_generators(61), np.zeros(4))
         iso, _ = isothermal_form(s)
-        assert lift._generators(iso) is not None
+        assert iso.generators is not None
         fake = replace(iso, coords=lift.NULL_COORDS)
-        bare = replace(fake, generators=None)
-        assert lift._generators(fake) is None
+        bare = replace(fake)
+        assert fake.generators is None
         assert verify_null_coords(fake) == verify_null_coords(bare)
         assert mean_curvature(fake).sup() == mean_curvature(bare).sup() > 0.1
 
@@ -890,6 +891,88 @@ class TestGeneratorRoute:
         n0, n3, _ = decompose_minimal(s)
         n0.points[0, 0] = 1.0
         assert s.generators.T1.points[0, 0] != 1.0
+
+
+#: (class, name) of every constructor field of a surface
+SURFACE_FIELDS = [(cls, f.name) for cls in (NetSurface, LiftSurface)
+                  for f in fields(cls) if f.init]
+
+
+def assert_same_masked(a, b):
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    assert np.array_equal(a.degenerate, b.degenerate)
+
+
+class TestOnlyBuildersGiveGenerators:
+    """A surface has generators only as its builder made it: any other
+    surface, ``dataclasses.replace`` of a built one included, takes the
+    differenced routes, bit for bit those of the same values on a copied
+    grid."""
+
+    def test_retagged_null_lift_is_differenced(self):
+        # a null lift retagged as isothermal has no generators, so
+        # to_null_form fits its grid, as on a copied grid, and does not
+        # resample its curves (a result 0.729 away)
+        T1, T2 = (sample_curve(fn, (-0.5, 0.5), 101, cls=SphereCurve)
+                  for fn in (lambda t: np.stack([np.cos(t), np.sin(t),
+                                                 0 * t], axis=-1),
+                             lambda t: np.stack([0 * t, np.sin(t),
+                                                 np.cos(t)], axis=-1)))
+        fake = replace(build_minimal(T1, T2, np.zeros(4)),
+                       coords=lift.ISOTHERMAL_COORDS)
+        copied = replace(fake, grid=fake.grid.with_values(
+            fake.grid.values.copy()))
+        assert fake.generators is None
+        (got, rep), (want, rep_want) = map(to_null_form, (fake, copied))
+        for name in ("theta", "g12"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.grid.values, want.grid.values)
+        assert rep == rep_want
+
+    @pytest.mark.parametrize("cls, name", SURFACE_FIELDS,
+                             ids=[f"{c.__name__}.{n}"
+                                  for c, n in SURFACE_FIELDS])
+    def test_any_replace_is_differenced(self, cls, name):
+        s = build_minimal(*random_net_pair(np.random.default_rng(3), n=41),
+                          np.array([0.5, 0.0, 1.0, -1.0]))
+        obj = s.source if cls is NetSurface else s
+        assert obj.generators is not None
+        moved = replace(obj, **{name: getattr(obj, name)})
+        copied = replace(obj, grid=obj.grid.with_values(
+            obj.grid.values.copy()))
+        assert moved.generators is None
+        if cls is NetSurface:
+            assert is_chebyshev(moved) == is_chebyshev(copied)
+            got, want = euclidean_shape(moved), euclidean_shape(copied)
+            for f in fields(got):
+                assert np.array_equal(getattr(got, f.name),
+                                      getattr(want, f.name)), f.name
+            moved, copied = lift_net(moved), lift_net(copied)
+        assert verify_null_coords(moved) == verify_null_coords(copied)
+        assert_same_masked(mean_curvature(moved), mean_curvature(copied))
+
+    @pytest.mark.parametrize("cls", [NetSurface, LiftSurface])
+    def test_generators_are_no_argument(self, cls):
+        s = build_minimal(*gallery_generators(21), np.zeros(4))
+        obj = s.source if cls is NetSurface else s
+        kwargs = {f.name: getattr(obj, f.name) for f in fields(cls)
+                  if f.init}
+        with pytest.raises(TypeError):
+            cls(**kwargs, generators=s.generators)
+        with pytest.raises(ValueError):
+            replace(obj, generators=s.generators)
+
+    def test_builder_angles_are_read_only(self):
+        # the exact routes hold for the angle the builder formed, so no
+        # caller may write it in place
+        net = build_first_kind(*gallery_generators(41), np.zeros(3))
+        s = build_minimal(*gallery_generators(41), np.zeros(4))
+        iso, _ = isothermal_form(s)
+        lifted = lift_net(net)
+        for a in (net.F, s.source.F, lifted.g12, lifted.theta, s.g12,
+                  s.theta, iso.g12, iso.theta, iso.grid.values):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.5
 
 
 def derivative_sups(*curves) -> tuple:
@@ -936,7 +1019,7 @@ class TestCoordinateChange:
         iso, _ = isothermal_form(s)
         iso_o, _ = isothermal_form(stale)
         gen = iso.generators
-        assert gen.grid is iso.grid and iso_o.generators is None
+        assert iso.generators is s.generators and iso_o.generators is None
         assert gen.T1 is s.generators.T1 and gen.T2 is s.generators.T2
         assert not iso.grid.values.flags.writeable
         back, _ = to_null_form(iso)
@@ -1092,12 +1175,12 @@ def surface_chain(T1, T2):
 
 
 def unshared_surface_chain(T1, T2):
-    """``surface_chain`` with a fresh copy of the net or lift for every
-    call, so that no call reads what another one memoized."""
-    net = build_first_kind(T1, T2, np.zeros(3))
-    fresh_net = lambda: replace(net)
+    """``surface_chain`` with a freshly built net or lift for every call,
+    so that no call reads what another one memoized."""
+    fresh_net = lambda: build_first_kind(T1, T2, np.zeros(3))
+    net = fresh_net()
     s = lift_net(fresh_net())
-    fresh_lift = lambda: replace(s, source=fresh_net())
+    fresh_lift = lambda: lift_net(fresh_net())
     cheb = is_chebyshev(fresh_net())
     shape = euclidean_shape(fresh_net())
     sg = sine_gordon_residual(fresh_net(), shape)
@@ -1194,7 +1277,7 @@ class TestMemo:
         assert [(np.shape(v), axis) for v, axis in seen] == \
             [((101, 4), 0), ((101, 4), 0)]
         # without them the check differences each axis of the grid once
-        bare = replace(built, generators=None)
+        bare = replace(built)
         seen.clear()
         verify_null_coords(bare)
         assert [(v is bare.grid.values, axis) for v, axis in seen] == \
@@ -1206,7 +1289,7 @@ class TestMemo:
         is_chebyshev(net)
         assert [(np.shape(v), axis) for v, axis in seen] == \
             [((101, 3), 0), ((101, 3), 0)]
-        bare = replace(net, generators=None)
+        bare = replace(net)
         seen.clear()
         is_chebyshev(bare)
         assert [(v is bare.grid.values, axis) for v, axis in seen] == \
@@ -1226,14 +1309,14 @@ class TestMemo:
         sol, _ = solve(d)
         built = lift_net(build_first_kind(*gallery_generators(61),
                                           np.zeros(3)))
-        lifts = (built, replace(built, generators=None))
+        lifts = (built, replace(built))
         for s in lifts:
             verify_null_coords(s)
             normal_frame(s)
             h_parallel_e2(s)
             decompose_minimal(s)
         for obj in (sol, sol.source) + lifts:
-            assert set(vars(obj)) == {f.name for f in fields(obj)}
+            assert set(vars(obj)) <= {f.name for f in fields(obj)}
 
 
 class TestSurfaceChain:
@@ -1304,3 +1387,40 @@ class TestNoCheckByConstruction:
                 # a sup over the sampled nodes, located at one; a value
                 # fixed by construction would read exactly 0
                 assert c.where is not None and c.value > 0.0, (k, c.name)
+
+
+class TestDiniLift:
+    """The lift of a Dini net (``test_chebnet.dini_net``), which has no
+    generators, so its H is differenced: not a sum of lightlike curves."""
+
+    @pytest.mark.parametrize("a", DINI_AS)
+    def test_mean_curvature_against_the_closed_form(self, a):
+        # H = f_uv / g12 with f_uv = (0, X_uv) and X_uv = f N, so H =
+        # f N / (cos theta - 1).  |H - f N / g12| |g12| is the error of the
+        # differenced f_uv, two first-derivative stencils: order 4, with
+        # f's truncation constant (f_uv's measured err / h^4: 16.0 to
+        # 43.6) and the mixed stencil's roundoff on the lift's grid.
+        # Observed order from n = 101 to 201: 3.92 to 4.04
+        p, c = DINI_TRUNCATION["f"]
+        errs = []
+        for n in DINI_NS[:2]:
+            net, exact = dini_net(a, n)
+            s = lift_net(net)
+            H = mean_curvature(s)
+            assert not H.degenerate.any()
+            N = exact["N"]
+            f = np.einsum("ijk,ijk->ij", exact["Xuv"], N)
+            want = np.zeros(H.values.shape)
+            want[..., 1:] = f[..., None] * N / s.g12[..., None]
+            errs.append((np.abs(H.values - want)
+                         * np.abs(s.g12)[..., None]).max())
+            assert errs[-1] <= c * net.grid.du**p + stencil_roundoff(
+                s, EDGE_WEIGHTS[1] ** 2), (n, errs[-1])
+        assert 3.8 <= np.log2(errs[0] / errs[1]) <= 4.2
+
+    @pytest.mark.parametrize("a", DINI_AS)
+    def test_decomposition_refuses(self, a):
+        net, _ = dini_net(a, 101)
+        with pytest.raises(NotMinimal) as err:
+            decompose_minimal(lift_net(net))
+        assert err.value.check.name == "h_sup"
