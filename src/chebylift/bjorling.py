@@ -22,9 +22,10 @@ resample ``ruled_solution`` adds its not-a-line ``BadData``, and
 the structure first, but the necessary condition only on data that is not
 a straight line.
 
-scipy's ``CubicSpline`` loads on the first fit, not with this module.  Every
-fit (the resample to c0' = 1) still calls this module's ``CubicSpline``, so
-a tracer or a test that rebinds that name sees each fit.
+The resample to c0' = 1 fits the library's not-a-knot ``CubicSpline``
+(``_splines``), so a solve loads no scipy module.  Every fit calls this
+module's ``CubicSpline``, so a tracer or a test that rebinds that name sees
+each fit.
 """
 
 from __future__ import annotations

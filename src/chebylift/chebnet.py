@@ -9,10 +9,11 @@ stored as 3-vectors of E throughout.
 
 The coordinate change fits ``_splines.RectBivariateSpline``, FITPACK's
 s = 0 bicubic with its coefficients from one block LU solve per axis of
-the collocation matrix, and scipy loads on the first fit, not with this
-module.  Every fit still calls this module's ``RectBivariateSpline`` or
-``CubicSpline``, so a tracer or a test that rebinds one of these names
-sees each fit.  The block LU of an axis and the diagonal reader of a
+the collocation matrix.  No spline imports ``scipy.interpolate``; the
+diagonal reader's sparse design matrices load ``scipy.sparse`` when a
+square grid is first resampled.  Every fit calls this module's
+``RectBivariateSpline`` or ``CubicSpline``, so a tracer or a test that
+rebinds one of these names sees each fit.  The block LU of an axis and the diagonal reader of a
 target grid, with its design matrices, are memoized by the values of
 their nodes and knots (``_splines._by_value``), and neither can be
 written through, so a fit factors only node sets the memo has not seen.
@@ -650,6 +651,8 @@ class Gallery:
     ``noncritical`` the rotational surface is provided on its native (t, s)
     grid with its first form (x^2, 0, x'^2 + y'^2) in s, and ``net``
     carries the Chebyshev-equivalent (u, v) immersion evaluated exactly.
+    Every oracle is read-only.  The F oracle is the net's own F, which is
+    read-only too, so neither can be written to move the other.
     """
 
     net: NetSurface
@@ -684,7 +687,8 @@ def _critical_gallery(nu, nv) -> Gallery:
         "second_g": -cu / root,
         "K_T": np.divide(cu * cv, np.power(root, 4, out=root), out=root),
     }
-    return Gallery(net=net, oracles=oracles)
+    return Gallery(net=net, oracles={k: _read_only(a)
+                                     for k, a in oracles.items()})
 
 
 def _profile_x(s):
@@ -735,7 +739,7 @@ def _noncritical_gallery(nu, nv) -> Gallery:
     grid = grid_from_ranges((us[0], us[-1]), (vs[0], vs[-1]), X)
     F = 2.0 * xq**2 - 1.0
     net = NetSurface(grid=grid, F=F)
-    return Gallery(net=net, oracles={"F": F},
+    return Gallery(net=net, oracles={"F": _read_only(F)},
                    ts_grid=ts_grid, ts_forms=ts_forms)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, CubicSpline, RectBivariateSpline
 
 from chebylift import _splines, chebnet, numerics
 from chebylift.chebnet import (
@@ -725,6 +725,112 @@ class TestBlockSolve:
                 _splines.RectBivariateSpline(x, y, view.copy()).c)
 
 
+def dense(first, B, cols: int) -> np.ndarray:
+    """The (m, cols) matrix of the ``_basis`` values ``B`` whose first
+    column in each row is ``first``."""
+    out = np.zeros((B.shape[0], cols))
+    out[np.arange(B.shape[0])[:, None],
+        first[:, None] + np.arange(B.shape[1])] = B
+    return out
+
+
+class TestBasis:
+    """``_splines._basis`` against scipy's B-spline design matrix, the
+    oracle, at the nodes, inside and beyond the ends: they agree to a few
+    ulps of values in [0, 1] (measured: bit for bit)."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "graded"])
+    @pytest.mark.parametrize("n", [4, 5, 201, 801])
+    def test_matches_scipy_design_matrix(self, n, kind):
+        rng = np.random.default_rng(n)
+        x = spline_nodes(kind, n, rng)
+        t = _splines.knots(x)
+        pad = 0.1 * (x[-1] - x[0])
+        xs = np.concatenate((x, rng.uniform(x[0] - pad, x[-1] + pad, 3 * n)))
+        ref = BSpline.design_matrix(np.clip(xs, x[0], x[-1]), t, 3).toarray()
+        got = dense(*_splines._basis(t, xs), n)
+        assert np.abs(got - ref).max() <= 4 * EPS
+        assert np.array_equal(_splines.design_matrix(xs, t).toarray(), got)
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "graded"])
+    def test_partition_of_unity(self, kind):
+        # degree 3 on the knots, and degree 2 on the knots of the derivative
+        rng = np.random.default_rng(7)
+        x = spline_nodes(kind, 41, rng)
+        xs = np.concatenate((x, rng.uniform(x[0], x[-1], 500)))
+        t = _splines.knots(x)
+        for k, knots in ((3, t), (2, t[1:-1])):
+            first, B = _splines._basis(knots, xs, k)
+            assert B.shape == (xs.size, k + 1)
+            assert np.all(B >= 0.0)
+            assert np.abs(B.sum(axis=1) - 1.0).max() <= 4 * EPS
+            assert first.min() >= 0 and first.max() <= knots.size - 2 * k - 2
+
+    def test_ends_clamp(self):
+        x = spline_nodes("random", 9, np.random.default_rng(3))
+        t = _splines.knots(x)
+        first, B = _splines._basis(t, np.array([x[0] - 1.0, x[0],
+                                                x[-1], x[-1] + 1.0]))
+        assert list(first) == [0, 0, 5, 5]
+        assert np.array_equal(B[0], B[1]) and np.array_equal(B[2], B[3])
+        assert np.array_equal(B[1], [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(B[2], [0.0, 0.0, 0.0, 1.0])
+
+
+class TestCubicSpline:
+    """``_splines.CubicSpline``, the library's not-a-knot interpolant,
+    against scipy's ``CubicSpline``, the oracle: values and first
+    derivatives agree to 32 eps of their largest value (measured at most
+    6.5 eps, on random nodes at n = 201)."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "graded"])
+    @pytest.mark.parametrize("n", [5, 201, 801])
+    def test_matches_scipy(self, n, kind):
+        rng = np.random.default_rng(n)
+        x = spline_nodes(kind, n, rng)
+        s = (x - x[0]) / (x[-1] - x[0])
+        y = np.column_stack((np.sin(3.0 * s), rng.standard_normal(n)))
+        xs = np.concatenate((x, rng.uniform(x[0], x[-1], 3 * n)))
+        got, ref = _splines.CubicSpline(x, y, axis=0), CubicSpline(x, y)
+        for nu in (1, 0):
+            want = ref(xs, nu)
+            scale = np.abs(want).max()
+            assert got(xs, nu).shape == want.shape
+            assert np.abs(got(xs, nu) - want).max() <= 32 * EPS * scale
+        # the nodes, to the same bound of the values' largest, which the
+        # graded nodes' overshoot puts far above y's
+        assert np.abs(got(x) - y).max() <= 32 * EPS * scale
+
+    def test_four_nodes_give_the_cubic_and_fewer_raise(self):
+        x = np.array([-1.0, 0.5, 1.0, 3.0])
+        cubic = np.polynomial.Polynomial([1.0, -2.0, 0.5, 0.25])
+        sp = _splines.CubicSpline(x, cubic(x))
+        xs = np.linspace(-1.0, 3.0, 50)
+        assert np.abs(sp(xs) - cubic(xs)).max() <= 64 * EPS
+        assert np.abs(sp(xs, 1) - cubic.deriv()(xs)).max() <= 64 * EPS
+        for n in (2, 3):
+            with pytest.raises(BadGrid, match="at least 4"):
+                _splines.CubicSpline(x[:n], cubic(x[:n]))
+        with pytest.raises(BadGrid, match="strictly increasing"):
+            _splines.CubicSpline(x[::-1], cubic(x))
+
+    def test_value_does_not_depend_on_its_run(self):
+        # more points than one run of evaluation: each point alone, and
+        # the 2-D array of them, give the values bit for bit
+        rng = np.random.default_rng(11)
+        x = spline_nodes("random", 201, rng)
+        sp = _splines.CubicSpline(x, np.column_stack((np.cos(x), x)))
+        xs = rng.uniform(x[0], x[-1], 40000)
+        for nu in (0, 1):
+            vals = sp(xs, nu)
+            assert vals.shape == (40000, 2)
+            assert np.array_equal(sp(xs.reshape(200, 200), nu),
+                                  vals.reshape(200, 200, 2))
+            some = rng.choice(xs.size, 50, replace=False)
+            assert np.array_equal(
+                np.array([sp(xs[i], nu) for i in some]), vals[some])
+
+
 def clear_memos():
     _splines._factors.cache_clear()
     chebnet._diagonal_reader.cache_clear()
@@ -930,6 +1036,20 @@ class TestGalleryFromAxes:
         assert all(f.shape == (801, 801) for f in gal.ts_forms)
         assert kept <= 7 * grid + 256 * 1024
         assert peak - kept <= 4 * grid + 256 * 1024
+
+    @pytest.mark.parametrize("name", ["critical", "noncritical"])
+    def test_oracles_cannot_move_the_net(self, name):
+        # the F oracle is the net's own F, so both are read-only: writing
+        # either raises, and so does writing any other oracle
+        gal = gallery(name, 21, 21)
+        F = gal.net.F.copy()
+        for oracle in gal.oracles.values():
+            with pytest.raises(ValueError, match="read-only"):
+                oracle[0, 0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            gal.net.F[0, 0] += 1.0
+        assert np.array_equal(gal.net.F, F)
+        assert np.array_equal(gal.oracles["F"], F)
 
 
 class TestCheckSumOne:

@@ -8,9 +8,12 @@ Every ``ChebyliftError`` subclass is named by some ``raise`` in the library,
 so a replaced error type cannot stay behind as a name nothing raises.  No
 library function but ``MESHGRID_CALLERS`` calls ``meshgrid``, and none
 but a ``__post_init__`` and ``SETATTR_CALLERS`` writes a frozen record
-through ``object.__setattr__``.  In a fresh
-interpreter, the library and a net, its lift and their curvature load no
-``scipy.interpolate``: only the first spline fit does.
+through ``object.__setattr__``, nor but ``DICT_UPDATE_CALLERS`` through
+``x.__dict__.update``.  In a fresh interpreter, the library and a net,
+its lift and their curvature load no ``scipy.interpolate``, and neither
+does a spline fit: a helix ``solve`` and a generator ``isothermal_form``
+load no scipy module at all, and a Route B ``isothermal_form`` (a lift
+without live generators) loads ``scipy.sparse`` alone.
 
 Apart from that interpreter, standard library only: each
 ``src/chebylift/*.py`` is parsed with ``ast``; a name counts as used when it
@@ -53,6 +56,9 @@ MESHGRID_CALLERS = ["chebnet.py:equivalent_immersion"]
 #: builders' helper that gives a surface its generators.  Anything else
 #: written onto a frozen record is a side channel its fields do not show.
 SETATTR_CALLERS = ["chebnet.py:_with_generators"]
+#: the one writer of a frozen record's ``__dict__``: the helper that builds
+#: a ``Grid2D`` of row-checked sums without running its checks again
+DICT_UPDATE_CALLERS = ["numerics.py:_unscanned_grid"]
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -331,31 +337,45 @@ def test_meshgrid_calls_are_found():
     assert meshgrid_calls(tree) == ["", "f", "C"]
 
 
-def setattr_calls(tree: ast.AST, where: str = "") -> list:
-    """The innermost function around each call of ``object.__setattr__``
-    in ``tree``, in order ("" at module level)."""
+def is_object_setattr(call: ast.Call) -> bool:
+    """``object.__setattr__(...)``."""
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+            and isinstance(f.value, ast.Name) and f.value.id == "object")
+
+
+def is_dict_update(call: ast.Call) -> bool:
+    """``x.__dict__.update(...)``, whatever x is."""
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr == "update"
+            and isinstance(f.value, ast.Attribute)
+            and f.value.attr == "__dict__")
+
+
+def calls_in(tree: ast.AST, match, where: str = "") -> list:
+    """The innermost function around each call in ``tree`` that ``match``
+    accepts, in order ("" at module level)."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += setattr_calls(node, node.name)
+            found += calls_in(node, match, node.name)
             continue
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "__setattr__"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "object"):
+        if isinstance(node, ast.Call) and match(node):
             found.append(where)
-        found += setattr_calls(node, where)
+        found += calls_in(node, match, where)
     return found
 
 
 def test_frozen_records_are_written_on_construction_only():
-    calls = [f"{p.name}:{name}" for p in sorted(SRC.glob("*.py"))
-             for name in setattr_calls(ast.parse(p.read_text(),
-                                                 filename=str(p)))
-             if name != "__post_init__"]
-    assert calls == SETATTR_CALLERS, (
-        f"object.__setattr__ called by {calls}: set a frozen record's "
-        f"fields in its __post_init__")
+    for match, allowed in ((is_object_setattr, SETATTR_CALLERS),
+                           (is_dict_update, DICT_UPDATE_CALLERS)):
+        calls = [f"{p.name}:{name}" for p in sorted(SRC.glob("*.py"))
+                 for name in calls_in(ast.parse(p.read_text(),
+                                                filename=str(p)), match)
+                 if name != "__post_init__"]
+        assert calls == allowed, (
+            f"{match.__name__} in {calls}: set a frozen record's fields in "
+            f"its __post_init__")
 
 
 def test_setattr_calls_are_found():
@@ -369,7 +389,23 @@ def test_setattr_calls_are_found():
                      "    setattr(o, 'x', 1)\n"
                      "    o.__setattr__('x', 1)\n"
                      "    return [object.__setattr__(o, 'z', 3)]\n")
-    assert setattr_calls(tree) == ["", "__post_init__", "inner", "f"]
+    assert calls_in(tree, is_object_setattr) == ["", "__post_init__",
+                                                "inner", "f"]
+
+
+def test_dict_update_calls_are_found():
+    tree = ast.parse("a.__dict__.update(x=1)\n"
+                     "class C:\n"
+                     "    def __post_init__(self):\n"
+                     "        self.__dict__.update(x=1)\n"
+                     "        def inner(o):\n"
+                     "            return vars(o).update(y=2)\n"
+                     "def f(o):\n"
+                     "    o.__dict__['x'] = 1\n"
+                     "    d = {}\n"
+                     "    d.update(x=1)\n"
+                     "    return [g(o).__dict__.update(z=3)]\n")
+    assert calls_in(tree, is_dict_update) == ["", "__post_init__", "f"]
 
 
 #: run in a fresh interpreter with the last stage as its argument; prints
@@ -407,4 +443,50 @@ def test_scipy_interpolate_loads_on_the_first_fit(fit):
         [sys.executable, "-c", COLD_IMPORT, fit], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, True]
+    assert json.loads(proc.stdout) == [False, False, False]
+
+
+#: run in a fresh interpreter with an entry point as its argument; prints
+#: the scipy modules loaded by the library's import and that one first call
+COLD_ENTRY = """
+import json, sys
+from dataclasses import replace
+import numpy as np
+from chebylift import numerics, chebnet, lift, bjorling
+if sys.argv[1] == 'solve':
+    import inputs
+    _, rep = bjorling.solve(inputs.helix_data(201, 1.0)[0])
+    assert rep.passed
+else:
+    T1, T2 = (numerics.sample_curve(fn, (-1.5, 1.5), 101,
+                                    cls=numerics.SphereCurve)
+              for fn in (lambda t: np.stack([np.cos(t), np.sin(t), 0 * t], -1),
+                         lambda t: np.stack([0 * t, np.sin(t), np.cos(t)], -1)))
+    surf = lift.lift_net(chebnet.build_first_kind(T1, T2, np.zeros(3)))
+    if sys.argv[1] == 'route_b':
+        surf = replace(surf, grid=surf.grid.with_values(
+            surf.grid.values.copy()))
+    iso, rep = lift.isothermal_form(surf)
+    assert (iso.generators is None) == (sys.argv[1] == 'route_b')
+    assert max(c.value for c in rep.checks) < 1e-4
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+"""
+
+
+@pytest.mark.parametrize("entry", ["solve", "generators", "route_b"])
+def test_first_call_loads_no_scipy_interpolate(entry):
+    # a helix solve and a lift with live generators fit only 1-D splines,
+    # which need no scipy; Route B's diagonal reader multiplies by sparse
+    # design matrices, so it loads scipy.sparse, and nothing else fits
+    paths = [str(SRC.parent), str(BENCH)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_ENTRY, entry], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    if entry == "route_b":
+        assert "scipy.sparse" in loaded
+        assert not any(m.startswith("scipy.interpolate") for m in loaded)
+    else:
+        assert loaded == []
